@@ -28,7 +28,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from ..exactnum.linalg import rank, row_space_basis, solve
+from ..exactnum.linalg import invert, rank, row_space_basis, solve
 from ..exactnum.rational import ONE, ZERO, QMatrix, QVector, rat
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, minimize
 
@@ -141,7 +141,7 @@ def extreme_rays_of_inequality_cone(
         if len(chosen) == d:
             break
     base = QMatrix([rows[i] for i in chosen])
-    inverse = _invert_square(base)
+    inverse = invert(base)
     rays = [
         QVector(inverse.entry(i, k) for i in range(d)).primitive()
         for k in range(d)
@@ -180,22 +180,6 @@ def extreme_rays_of_inequality_cone(
         if not rays:
             break
     return tuple(sorted(rays, key=tuple))
-
-
-def _invert_square(matrix: QMatrix) -> QMatrix:
-    from ..exactnum.linalg import rref
-
-    n = matrix.nrows
-    aug = QMatrix(
-        [
-            QVector(tuple(matrix.rows[i]) + tuple(QVector.unit(n, i)))
-            for i in range(n)
-        ]
-    )
-    reduced, pivots = rref(aug)
-    if list(pivots[:n]) != list(range(n)):
-        raise ValueError("matrix is singular")
-    return QMatrix([QVector(tuple(reduced.rows[i])[n:]) for i in range(n)])
 
 
 def positive_cone(subspace: Subspace) -> PolyhedralCone:

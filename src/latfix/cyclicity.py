@@ -4,10 +4,13 @@ For a positive contraction, every unimodular eigenvalue lambda that is
 a root of unity drags its whole power orbit along: lambda^k is again an
 eigenvalue and the eigenspace dimension can only grow when passing from
 lambda to lambda^k.  This module makes that dimension estimate an
-executable check.  Root-of-unity content is handled exactly through
-cyclotomic polynomials: the primitive n-th roots contribute a kernel of
-dimension multiplicity * phi(n) to the n-th cyclotomic evaluated at the
-matrix, which keeps everything inside rational arithmetic.
+executable check in rational arithmetic, from one pass over the
+characteristic polynomial: trial division by the cyclotomic polynomials
+gives the root-of-unity content, the n-th cyclotomic is evaluated at the
+matrix (its kernel has dimension multiplicity * phi(n)) only when it
+divides, and a Sturm count on the cyclotomic-free remainder finds the
+unimodular eigenvalues that are not roots of unity.  Nothing is
+factored, so there is no degree bound.
 
 The related semigroup statement is covered in its finite-dimensional
 form: a Metzler matrix with nonpositive logarithmic sup norm generates
@@ -34,13 +37,13 @@ from math import gcd
 from .exactnum.linalg import char_poly, poly_of_matrix, rank
 from .exactnum.polynomials import (
     QPolynomial,
+    _strip_zero_roots,
     cyclotomic,
-    cyclotomic_order,
     euler_phi,
+    has_unimodular_root,
     orders_with_phi_at_most,
     poly_gcd,
     sturm_count,
-    unit_circle_root_count,
 )
 from .exactnum.rational import QMatrix, QVector
 from .opcore import PositiveMatrixOperator, contraction_check
@@ -54,27 +57,37 @@ PROBE_STRUCTURAL_NOTE = (
 )
 
 
-def _geometric_multiplicities(
+def _cyclotomic_content(
     op: PositiveMatrixOperator,
-) -> dict[int, int]:
-    """order -> geometric multiplicity of a primitive n-th root of
-    unity as an eigenvalue, for every order with phi(order) <= dim.
-
-    The primitive n-th roots are algebraically indistinguishable over
-    the rationals, so ker of the n-th cyclotomic at the matrix splits
-    evenly among them: its dimension is an exact multiple of phi(n).
-    """
+) -> tuple[dict[int, int], dict[int, int], QPolynomial]:
+    """order -> geometric and order -> algebraic multiplicity of the
+    primitive n-th roots of unity, and the cyclotomic-free remainder of
+    the characteristic polynomial.  Those roots are algebraically
+    indistinguishable over the rationals, so ker of the n-th cyclotomic
+    at the matrix splits evenly among them: its dimension is an exact
+    multiple of phi(n)."""
     n = op.dim
-    out: dict[int, int] = {}
+    rest = char_poly(op.matrix)
+    geometric: dict[int, int] = {}
+    algebraic: dict[int, int] = {}
     for order in orders_with_phi_at_most(n):
         phi = euler_phi(order)
-        kernel_dim = n - rank(poly_of_matrix(cyclotomic(order), op.matrix))
-        if kernel_dim % phi != 0:
-            raise AssertionError(
-                "cyclotomic kernel dimension not divisible by phi"
-            )
-        out[order] = kernel_dim // phi
-    return out
+        if phi > rest.degree:
+            continue
+        phi_n = cyclotomic(order)
+        quotient, remainder = rest.divmod(phi_n)
+        while remainder.is_zero():
+            rest = quotient
+            algebraic[order] = algebraic.get(order, 0) + 1
+            quotient, remainder = rest.divmod(phi_n)
+        if order in algebraic:
+            kernel_dim = n - rank(poly_of_matrix(phi_n, op.matrix))
+            if kernel_dim % phi != 0:
+                raise AssertionError(
+                    "cyclotomic kernel dimension not divisible by phi"
+                )
+            geometric[order] = kernel_dim // phi
+    return geometric, algebraic, rest
 
 
 def root_of_unity_spectrum(
@@ -82,8 +95,7 @@ def root_of_unity_spectrum(
 ) -> list[tuple[int, int]]:
     """Orders n whose primitive n-th roots of unity are eigenvalues,
     with geometric multiplicities, ascending by order."""
-    mult = _geometric_multiplicities(op)
-    return [(n, m) for n, m in sorted(mult.items()) if m > 0]
+    return sorted(_cyclotomic_content(op)[0].items())
 
 
 def algebraic_root_of_unity_spectrum(
@@ -92,36 +104,16 @@ def algebraic_root_of_unity_spectrum(
     """Like root_of_unity_spectrum but with algebraic multiplicities,
     read off from repeated cyclotomic division of the characteristic
     polynomial."""
-    p = char_poly(op.matrix)
-    out = []
-    for order in orders_with_phi_at_most(op.dim):
-        phi_n = cyclotomic(order)
-        count = 0
-        while True:
-            quotient, remainder = p.divmod(phi_n)
-            if not remainder.is_zero():
-                break
-            p = quotient
-            count += 1
-        if count:
-            out.append((order, count))
-    return out
+    return sorted(_cyclotomic_content(op)[1].items())
 
 
 def non_cyclotomic_boundary(op: PositiveMatrixOperator) -> bool:
     """True when the matrix has a unimodular eigenvalue that is not a
-    root of unity.  An irreducible factor wholly on the circle is
-    cyclotomic or not; a factor straddling the circle has unimodular
-    roots that cannot be roots of unity (their minimal polynomial would
-    lie wholly on the circle)."""
-    boundary = unit_circle_root_count(char_poly(op.matrix))
-    if boundary.count_on_circle == 0:
-        return False
-    if boundary.mixed:
-        return True
-    return any(
-        cyclotomic_order(f) is None for f, _ in boundary.boundary_factors
-    )
+    root of unity.  A root of unity has a cyclotomic (irreducible)
+    minimal polynomial, so these are the unimodular roots left after
+    trial division by the cyclotomics; a Sturm count finds them, with no
+    factorization and no degree bound."""
+    return has_unimodular_root(_cyclotomic_content(op)[2])
 
 
 @dataclass(frozen=True)
@@ -153,13 +145,13 @@ def verify_dimension_cyclicity(op: PositiveMatrixOperator) -> CyclicityReport:
     still carries the data), Fail when a validated instance violates
     the estimate (a defect signal), Pass otherwise.
     """
-    mult = _geometric_multiplicities(op)
-    orders = tuple((n, m) for n, m in sorted(mult.items()) if m > 0)
+    geometric, algebraic, rest = _cyclotomic_content(op)
+    orders = tuple(sorted(geometric.items()))
     estimates: list[DimensionEstimate] = []
     for n, m in orders:
         for k in range(n):
             reduced = n // gcd(n, k)
-            m_reduced = mult[reduced]
+            m_reduced = geometric.get(reduced, 0)
             estimates.append(
                 DimensionEstimate(
                     order=n,
@@ -178,8 +170,8 @@ def verify_dimension_cyclicity(op: PositiveMatrixOperator) -> CyclicityReport:
         verdict = "Fail"
     return CyclicityReport(
         orders=orders,
-        algebraic_orders=tuple(algebraic_root_of_unity_spectrum(op)),
-        non_cyclotomic_boundary=non_cyclotomic_boundary(op),
+        algebraic_orders=tuple(sorted(algebraic.items())),
+        non_cyclotomic_boundary=has_unimodular_root(rest),
         estimates=tuple(estimates),
         verdict=verdict,
     )
@@ -205,22 +197,19 @@ def _even_odd_split(p: QPolynomial) -> tuple[QPolynomial, QPolynomial]:
     return even, odd
 
 
-def _strip_root_at_zero(p: QPolynomial) -> QPolynomial:
-    x = QPolynomial.x()
-    while p.degree > 0 and p.coeffs[0] == 0:
-        p = p.divmod(x)[0]
-    return p
-
-
 def nonzero_imaginary_pair_count(matrix: QMatrix) -> int:
     """Number of distinct conjugate pairs (i*beta, -i*beta), beta > 0,
-    of purely imaginary eigenvalues.
+    of purely imaginary eigenvalues."""
+    return _imaginary_pair_count(char_poly(matrix))
 
-    i*beta is an eigenvalue iff the even and odd parts of the
-    characteristic polynomial share the root -beta^2, so the count is a
-    Sturm count of their gcd, reflected, on the positive axis.
+
+def _imaginary_pair_count(p: QPolynomial) -> int:
+    """nonzero_imaginary_pair_count on the characteristic polynomial p.
+
+    i*beta is a root iff the even and odd parts of p share the root
+    -beta^2, so the count is a Sturm count of their gcd, reflected, on
+    the positive axis.
     """
-    p = char_poly(matrix)
     even, odd = _even_odd_split(p)
     if even.is_zero():
         common = odd
@@ -228,7 +217,7 @@ def nonzero_imaginary_pair_count(matrix: QMatrix) -> int:
         common = even
     else:
         common = poly_gcd(even, odd)
-    common = _strip_root_at_zero(common)
+    common = _strip_zero_roots(common)
     if common.degree == 0:
         return 0
     reflected = QPolynomial(
@@ -274,8 +263,9 @@ def semigroup_imaginary_check(matrix: QMatrix) -> SemigroupReport:
         raise ValueError("generator must be square")
     metzler = is_metzler(matrix)
     mu = log_norm_sup(matrix)
-    pairs = nonzero_imaginary_pair_count(matrix)
-    has_zero = char_poly(matrix).evaluate(0) == 0
+    p = char_poly(matrix)
+    pairs = _imaginary_pair_count(p)
+    has_zero = p.evaluate(0) == 0
     if pairs:
         description = (
             f"{pairs} conjugate pair(s) of nonzero purely imaginary"
@@ -404,5 +394,6 @@ def write_probe_log(summary: ProbeSummary, path: str) -> None:
                 "dim": record.dim,
                 "orders": [list(pair) for pair in record.orders],
                 "verdict": record.verdict,
+                "non_cyclotomic_boundary": record.non_cyclotomic_boundary,
             }
             handle.write(json.dumps(line) + "\n")

@@ -126,23 +126,6 @@ def poly_of_matrix(poly: QPolynomial, matrix: QMatrix) -> QMatrix:
     return result
 
 
-def semisimple_check(matrix: QMatrix, factor: QPolynomial) -> bool:
-    """True when the kernel of q(M) equals the kernel of q(M) squared.
-
-    ``factor`` must divide the characteristic polynomial of M; the roots
-    of q then carry no nontrivial Jordan structure exactly when the two
-    kernels agree.
-    """
-    if factor.degree < 1:
-        raise ValueError("factor must be non-constant")
-    if not char_poly(matrix).divmod(factor)[1].is_zero():
-        raise ValueError("factor does not divide the characteristic polynomial")
-    qm = poly_of_matrix(factor, matrix)
-    dim_first = matrix.nrows - rank(qm)
-    dim_second = matrix.nrows - rank(qm.matmul(qm))
-    return dim_first == dim_second
-
-
 class DefectiveEigenvalueError(ValueError):
     """Eigenvalue 1 carries a nontrivial Jordan block, so no projection
     onto the fixed space along the range of (I - M) exists."""
@@ -175,11 +158,12 @@ def fix_projection(matrix: QMatrix) -> QMatrix:
             for i in range(n)
         ]
     )
-    inverse = _invert(basis)
+    inverse = invert(basis)
     return basis.matmul(selector).matmul(inverse)
 
 
-def _invert(matrix: QMatrix) -> QMatrix:
+def invert(matrix: QMatrix) -> QMatrix:
+    """Inverse of a square matrix by Gauss-Jordan on [M | I]."""
     n = matrix.nrows
     augmented = QMatrix(
         [

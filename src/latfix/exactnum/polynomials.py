@@ -787,10 +787,8 @@ class BoundaryAnalysis:
 
 def _strip_zero_roots(p: QPolynomial) -> QPolynomial:
     coeffs = list(p.coeffs)
-    k = 0
     while coeffs and coeffs[0] == 0:
         coeffs.pop(0)
-        k += 1
     return QPolynomial(coeffs)
 
 
@@ -830,6 +828,16 @@ def _distinct_unimodular_count(g: QPolynomial) -> int:
     h = _trace_polynomial(g)
     count += 2 * sturm_count(h, Fraction(-2), Fraction(2))
     return count
+
+
+def has_unimodular_root(p: QPolynomial) -> bool:
+    """True when p has a root on the unit circle, decided without
+    factoring: the reciprocal gcd of the squarefree part carries every
+    unimodular root, and a Sturm count on its trace polynomial sees them."""
+    p = _strip_zero_roots(p)
+    q = p.divmod(poly_gcd(p, p.derivative()))[0]
+    g = poly_gcd(q, q.reciprocal())
+    return g.degree > 0 and _distinct_unimodular_count(g) > 0
 
 
 def _cayley_inside_count(q: QPolynomial) -> int:

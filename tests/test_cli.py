@@ -159,6 +159,28 @@ class TestCyclicityCommand:
         assert data["verdict"] == "Pass"
         assert data["orders"] == [[1, 1], [2, 1]]
 
+    @pytest.mark.parametrize(
+        "n, orders",
+        [
+            (17, [[1, 1], [17, 1]]),
+            (24, [[d, 1] for d in (1, 2, 3, 4, 6, 8, 12, 24)]),
+        ],
+    )
+    def test_long_cycle_beyond_degree_sixteen(
+        self, tmp_path, capsys, n, orders
+    ):
+        rows = [
+            ["1" if j == (i + 1) % n else "0" for j in range(n)]
+            for i in range(n)
+        ]
+        path = write_json(tmp_path / "op.json", {"matrix": {"rows": rows}})
+        assert main(["cyclicity", "-i", path, "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["verdict"] == "Pass"
+        assert data["orders"] == orders
+        assert data["algebraic_orders"] == orders
+        assert data["non_cyclotomic_boundary"] is False
+
     def test_negative_entry_invalid(self, tmp_path):
         path = write_json(
             tmp_path / "op.json",

@@ -25,7 +25,14 @@ from latfix.cyclicity import (
     verify_dimension_cyclicity,
     write_probe_log,
 )
-from latfix.exactnum.polynomials import euler_phi
+from latfix.exactnum.linalg import char_poly
+from latfix.exactnum.polynomials import (
+    QPolynomial,
+    cyclotomic_order,
+    euler_phi,
+    has_unimodular_root,
+    unit_circle_root_count,
+)
 from latfix.exactnum.rational import QMatrix, rat
 from latfix.opcore import PositiveMatrixOperator
 
@@ -142,6 +149,67 @@ class TestNonCyclotomicBoundary:
         assert report.verdict == "Inapplicable"
         assert report.orders == ()
 
+    def test_salem_polynomial_straddles_the_circle(self):
+        # x^4 - x^3 - x^2 - x + 1 is irreducible with a real root > 1,
+        # its inverse, and one unimodular pair that is not a root of unity
+        salem = QPolynomial([1, -1, -1, -1, 1])
+        assert unit_circle_root_count(salem).mixed
+        assert has_unimodular_root(salem)
+        assert has_unimodular_root(salem * QPolynomial([-1, 0, 3]))
+        assert not has_unimodular_root(QPolynomial([2, -5, 2]))
+
+    def test_matches_factoring_reference(self):
+        """The trial-division decision agrees with the earlier
+        factorization-based one wherever that one applies (degree at
+        most 16)."""
+
+        def factoring_reference(op):
+            boundary = unit_circle_root_count(char_poly(op.matrix))
+            if boundary.count_on_circle == 0:
+                return False
+            if boundary.mixed:
+                return True
+            return any(
+                cyclotomic_order(f) is None
+                for f, _ in boundary.boundary_factors
+            )
+
+        third = rat("1/3")
+        # characteristic polynomial (x - 2)(x^2 - x/2 + 1)
+        off_roots = QMatrix(
+            [
+                [rat("5/6"), rat("161/108"), rat("1/12")],
+                [0, rat("5/6"), 1],
+                [1, 0, rat("5/6")],
+            ]
+        )
+        rng = rng_for("cyclicity-boundary-reference")
+        cases = [
+            random_substochastic(rng, rng.randint(1, 6)) for _ in range(25)
+        ]
+        for _ in range(15):
+            k = rng.randint(2, 8)
+            blocks = [cycle_matrix(k)]
+            if rng.random() < 0.5:
+                blocks.append(off_roots)
+            if rng.random() < 0.5:
+                blocks.append(random_substochastic(rng, rng.randint(1, 3)))
+            if rng.random() < 0.3:
+                blocks.append(QMatrix([[third, 1], [1, third]]))
+            cases.append(block_diag(*blocks))
+        cases += [cycle_matrix(16), block_diag(cycle_matrix(13), off_roots)]
+        seen = set()
+        for m in cases:
+            assert m.nrows <= 16
+            op = PositiveMatrixOperator(m)
+            expected = factoring_reference(op)
+            assert non_cyclotomic_boundary(op) == expected
+            assert verify_dimension_cyclicity(op).non_cyclotomic_boundary == (
+                expected
+            )
+            seen.add(expected)
+        assert seen == {True, False}
+
 
 class TestSemigroup:
     def test_diffusion_generator(self):
@@ -251,6 +319,9 @@ class TestProbe:
             assert payload["dim"] == record.dim
             assert payload["verdict"] == record.verdict
             assert payload["orders"] == [list(pair) for pair in record.orders]
+            assert payload["non_cyclotomic_boundary"] is (
+                record.non_cyclotomic_boundary
+            )
 
     def test_rewrite_matches(self, tmp_path):
         summary = probe_random_contractions(trials=3, dim_max=3, seed=5)
