@@ -5,12 +5,13 @@ a root of unity drags its whole power orbit along: lambda^k is again an
 eigenvalue and the eigenspace dimension can only grow when passing from
 lambda to lambda^k.  This module makes that dimension estimate an
 executable check in rational arithmetic, from one pass over the
-characteristic polynomial: trial division by the cyclotomic polynomials
-gives the root-of-unity content, the n-th cyclotomic is evaluated at the
-matrix (its kernel has dimension multiplicity * phi(n)) only when it
-divides, and a Sturm count on the cyclotomic-free remainder finds the
-unimodular eigenvalues that are not roots of unity.  Nothing is
-factored, so there is no degree bound.
+characteristic polynomial (``opcore.cyclotomic_content``, which the
+power-boundedness analysis shares): trial division by the cyclotomic
+polynomials gives the root-of-unity content, the n-th cyclotomic is
+evaluated at the matrix (its kernel has dimension multiplicity * phi(n))
+only when it divides, and a Sturm count on the cyclotomic-free remainder
+finds the unimodular eigenvalues that are not roots of unity.  Nothing
+is factored, so there is no degree bound.
 
 The related semigroup statement is covered in its finite-dimensional
 form: a Metzler matrix with nonpositive logarithmic sup norm generates
@@ -34,19 +35,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .exactnum.linalg import char_poly, poly_of_matrix, rank
+from .exactnum.linalg import char_poly
 from .exactnum.polynomials import (
     QPolynomial,
     _strip_zero_roots,
-    cyclotomic,
-    euler_phi,
     has_unimodular_root,
-    orders_with_phi_at_most,
     poly_gcd,
     sturm_count,
 )
 from .exactnum.rational import QMatrix, QVector
-from .opcore import PositiveMatrixOperator, contraction_check
+from .opcore import (
+    PositiveMatrixOperator,
+    contraction_check,
+    cyclotomic_content,
+)
 
 PROBE_STRUCTURAL_NOTE = (
     "finite-dimensional positive matrices reduce to a block-triangular"
@@ -57,45 +59,12 @@ PROBE_STRUCTURAL_NOTE = (
 )
 
 
-def _cyclotomic_content(
-    op: PositiveMatrixOperator,
-) -> tuple[dict[int, int], dict[int, int], QPolynomial]:
-    """order -> geometric and order -> algebraic multiplicity of the
-    primitive n-th roots of unity, and the cyclotomic-free remainder of
-    the characteristic polynomial.  Those roots are algebraically
-    indistinguishable over the rationals, so ker of the n-th cyclotomic
-    at the matrix splits evenly among them: its dimension is an exact
-    multiple of phi(n)."""
-    n = op.dim
-    rest = char_poly(op.matrix)
-    geometric: dict[int, int] = {}
-    algebraic: dict[int, int] = {}
-    for order in orders_with_phi_at_most(n):
-        phi = euler_phi(order)
-        if phi > rest.degree:
-            continue
-        phi_n = cyclotomic(order)
-        quotient, remainder = rest.divmod(phi_n)
-        while remainder.is_zero():
-            rest = quotient
-            algebraic[order] = algebraic.get(order, 0) + 1
-            quotient, remainder = rest.divmod(phi_n)
-        if order in algebraic:
-            kernel_dim = n - rank(poly_of_matrix(phi_n, op.matrix))
-            if kernel_dim % phi != 0:
-                raise AssertionError(
-                    "cyclotomic kernel dimension not divisible by phi"
-                )
-            geometric[order] = kernel_dim // phi
-    return geometric, algebraic, rest
-
-
 def root_of_unity_spectrum(
     op: PositiveMatrixOperator,
 ) -> list[tuple[int, int]]:
     """Orders n whose primitive n-th roots of unity are eigenvalues,
     with geometric multiplicities, ascending by order."""
-    return sorted(_cyclotomic_content(op)[0].items())
+    return sorted(cyclotomic_content(op, char_poly(op.matrix))[0].items())
 
 
 def algebraic_root_of_unity_spectrum(
@@ -104,7 +73,7 @@ def algebraic_root_of_unity_spectrum(
     """Like root_of_unity_spectrum but with algebraic multiplicities,
     read off from repeated cyclotomic division of the characteristic
     polynomial."""
-    return sorted(_cyclotomic_content(op)[1].items())
+    return sorted(cyclotomic_content(op, char_poly(op.matrix))[1].items())
 
 
 def non_cyclotomic_boundary(op: PositiveMatrixOperator) -> bool:
@@ -113,7 +82,8 @@ def non_cyclotomic_boundary(op: PositiveMatrixOperator) -> bool:
     minimal polynomial, so these are the unimodular roots left after
     trial division by the cyclotomics; a Sturm count finds them, with no
     factorization and no degree bound."""
-    return has_unimodular_root(_cyclotomic_content(op)[2])
+    rest = cyclotomic_content(op, char_poly(op.matrix))[2]
+    return has_unimodular_root(rest)
 
 
 @dataclass(frozen=True)
@@ -145,7 +115,7 @@ def verify_dimension_cyclicity(op: PositiveMatrixOperator) -> CyclicityReport:
     still carries the data), Fail when a validated instance violates
     the estimate (a defect signal), Pass otherwise.
     """
-    geometric, algebraic, rest = _cyclotomic_content(op)
+    geometric, algebraic, rest = cyclotomic_content(op, char_poly(op.matrix))
     orders = tuple(sorted(geometric.items()))
     estimates: list[DimensionEstimate] = []
     for n, m in orders:

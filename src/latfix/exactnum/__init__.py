@@ -18,48 +18,30 @@ from .linalg import (
     solve,
 )
 from .polynomials import (
-    DEGREE_BOUND,
-    BoundaryAnalysis,
-    DegreeBoundError,
-    DiskVerdict,
-    FactoredPolynomial,
-    FactorSearchBudgetError,
     QPolynomial,
-    cauchy_index,
     cyclotomic,
     cyclotomic_order,
     euler_phi,
-    factor_over_rationals,
     orders_with_phi_at_most,
     poly_gcd,
     squarefree_decomposition,
     sturm_count,
-    unit_circle_root_count,
-    unit_disk_verdict,
 )
 from .rational import ONE, ZERO, QMatrix, QVector, Rational, rat, rat_str
 
 __all__ = [
-    "DEGREE_BOUND",
-    "BoundaryAnalysis",
     "DefectiveEigenvalueError",
-    "DegreeBoundError",
-    "DiskVerdict",
-    "FactoredPolynomial",
-    "FactorSearchBudgetError",
     "ONE",
     "QMatrix",
     "QPolynomial",
     "QVector",
     "Rational",
     "ZERO",
-    "cauchy_index",
     "char_poly",
     "column_space_basis",
     "cyclotomic",
     "cyclotomic_order",
     "euler_phi",
-    "factor_over_rationals",
     "fix_projection",
     "intersect_kernels",
     "kernel_basis",
@@ -74,6 +56,4 @@ __all__ = [
     "solve",
     "squarefree_decomposition",
     "sturm_count",
-    "unit_circle_root_count",
-    "unit_disk_verdict",
 ]

@@ -8,21 +8,16 @@ polynomial is the empty tuple).  The module provides
 * cyclotomic polynomial generation and identification,
 * Sturm-sequence real root counting on intervals,
 * complete factorization over the rationals for degree at most 16,
-* exact location of roots relative to the unit circle.
+* exact detection of roots on the unit circle.
 
 Root location never uses floating point.  Roots on the unit circle are
 isolated through the reciprocal-gcd construction and the substitution
 t = x + 1/x, which maps conjugate unimodular pairs to real points of
-(-2, 2); roots are then counted with Sturm sequences.  Strict interior
-counting goes through the Cayley transform x = (1+w)/(1-w) and an exact
-Cauchy index computation, which is free of the singular cases of the
-classical Schur-Cohn recursion once boundary roots and reciprocal pairs
-have been removed.
+(-2, 2); roots are then counted with Sturm sequences.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import gcd as int_gcd
 from typing import Iterable, Sequence
@@ -385,21 +380,6 @@ def sturm_count(p: QPolynomial, lo=None, hi=None) -> int:
     return v_lo - v_hi
 
 
-def cauchy_index(f0: QPolynomial, f1: QPolynomial) -> int:
-    """Cauchy index of f1/f0 over the whole real line via a generalized
-    Sturm chain: Var(-inf) - Var(+inf)."""
-    chain = _sturm_chain(f0, f1)
-    if chain[-1].is_zero():
-        chain = chain[:-1]
-    if chain and chain[-1].degree > 0:
-        raise ArithmeticError(
-            "degenerate Cauchy index: arguments share a nonconstant factor"
-        )
-    return _variations_at_infinity(chain, positive=False) - _variations_at_infinity(
-        chain, positive=True
-    )
-
-
 # ---------------------------------------------------------------------------
 # factorization over the rationals
 
@@ -760,12 +740,6 @@ def factor_over_rationals(p: QPolynomial) -> FactoredPolynomial:
 # roots relative to the unit circle
 
 
-class DiskVerdict(str, Enum):
-    ALL_STRICTLY_INSIDE = "AllStrictlyInside"
-    INSIDE_WITH_BOUNDARY = "InsideWithBoundary"
-    SOME_OUTSIDE = "SomeOutside"
-
-
 @dataclass(frozen=True)
 class BoundaryAnalysis:
     """Unit-circle content of a polynomial.
@@ -830,83 +804,22 @@ def _distinct_unimodular_count(g: QPolynomial) -> int:
     return count
 
 
-def has_unimodular_root(p: QPolynomial) -> bool:
-    """True when p has a root on the unit circle, decided without
-    factoring: the reciprocal gcd of the squarefree part carries every
-    unimodular root, and a Sturm count on its trace polynomial sees them."""
+def unimodular_part(p: QPolynomial) -> QPolynomial:
+    """The monic reciprocal gcd of the squarefree part of p (zero roots
+    stripped): its roots are the distinct roots r of p with 1/r also a
+    root, so it carries every unimodular root once.  When no root of p
+    lies outside the closed unit disk its roots are exactly those."""
     p = _strip_zero_roots(p)
     q = p.divmod(poly_gcd(p, p.derivative()))[0]
-    g = poly_gcd(q, q.reciprocal())
+    return poly_gcd(q, q.reciprocal())
+
+
+def has_unimodular_root(p: QPolynomial) -> bool:
+    """True when p has a root on the unit circle, decided without
+    factoring: a Sturm count on the trace polynomial of the unimodular
+    part sees them."""
+    g = unimodular_part(p)
     return g.degree > 0 and _distinct_unimodular_count(g) > 0
-
-
-def _cayley_inside_count(q: QPolynomial) -> int:
-    """Number of roots in the open unit disk for q with no unimodular
-    roots and no reciprocal root pairs (so q(1), q(-1) != 0)."""
-    n = q.degree
-    if n <= 0:
-        return 0
-    # P(w) = (1-w)^n q((1+w)/(1-w))
-    one_plus = QPolynomial((1, 1))
-    one_minus = QPolynomial((1, -1))
-    p_w = QPolynomial.zero()
-    plus_pow = QPolynomial.one()
-    minus_pows = [QPolynomial.one()]
-    for _ in range(n):
-        minus_pows.append(minus_pows[-1] * one_minus)
-    for k, c in enumerate(q.coeffs):
-        if c != 0:
-            p_w = p_w + (plus_pow * minus_pows[n - k]).scale(c)
-        plus_pow = plus_pow * one_plus
-    if p_w.degree != n:
-        raise AssertionError("Cayley transform degree drop: root at -1")
-    # P(i w) = U(w) + i V(w)
-    u_coeffs = [ZERO] * (n + 1)
-    v_coeffs = [ZERO] * (n + 1)
-    for j, c in enumerate(p_w.coeffs):
-        if j % 2 == 0:
-            u_coeffs[j] = c * (-1) ** (j // 2)
-        else:
-            v_coeffs[j] = c * (-1) ** ((j - 1) // 2)
-    u = QPolynomial(u_coeffs)
-    v = QPolynomial(v_coeffs)
-    if n % 2 == 0:
-        return (n - cauchy_index(u, v)) // 2
-    return (n + cauchy_index(v, u)) // 2
-
-
-def unit_disk_verdict(p: QPolynomial) -> DiskVerdict:
-    """Exact location of all roots relative to the closed unit disk."""
-    if p.is_zero():
-        raise ValueError("verdict on the zero polynomial")
-    p = _strip_zero_roots(p)
-    if p.degree == 0:
-        return DiskVerdict.ALL_STRICTLY_INSIDE
-    levels = squarefree_decomposition(p)
-    boundary_found = False
-    remainders = []
-    for q, mult in levels:
-        g = poly_gcd(q, q.reciprocal())
-        if g.degree > 0:
-            on_circle = _distinct_unimodular_count(g)
-            if on_circle < g.degree:
-                return DiskVerdict.SOME_OUTSIDE
-            boundary_found = True
-            q = q.divmod(g)[0]
-        remainders.append(q)
-    for i in range(len(remainders)):
-        for j in range(i + 1, len(remainders)):
-            if remainders[j].degree > 0 and remainders[i].degree > 0:
-                if poly_gcd(remainders[i], remainders[j].reciprocal()).degree > 0:
-                    return DiskVerdict.SOME_OUTSIDE
-    for q in remainders:
-        if _cayley_inside_count(q) < q.degree:
-            return DiskVerdict.SOME_OUTSIDE
-    return (
-        DiskVerdict.INSIDE_WITH_BOUNDARY
-        if boundary_found
-        else DiskVerdict.ALL_STRICTLY_INSIDE
-    )
 
 
 def unit_circle_root_count(p: QPolynomial) -> BoundaryAnalysis:

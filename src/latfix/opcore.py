@@ -3,9 +3,14 @@
 Supported norms are the sup norm, the l1 norm, and weighted l1 norms,
 the lattice norms whose induced operator norms have exact closed forms.
 The l1 family is strictly monotone (0 <= x < y forces a strictly
-smaller norm); the sup norm is not.  Power boundedness is decided from
-the characteristic polynomial: all roots strictly inside the unit disk,
-or roots on the circle that are all semisimple.
+smaller norm); the sup norm is not.
+
+Unimodular spectra are decided from two cheap facts about the
+characteristic polynomial chi of a nonnegative matrix (Perron-Frobenius):
+the spectral radius rho is itself an eigenvalue, so a Sturm count of chi
+on (1, oo) compares rho with 1; and when rho = 1 every unimodular
+eigenvalue is a root of unity, so trial division of chi by the
+cyclotomic polynomials finds them all.  Nothing is factored.
 """
 from __future__ import annotations
 
@@ -15,12 +20,12 @@ from typing import Iterable
 
 from .exactnum.linalg import char_poly, poly_of_matrix, rank
 from .exactnum.polynomials import (
-    DegreeBoundError,
-    DiskVerdict,
-    FactorSearchBudgetError,
     QPolynomial,
-    unit_circle_root_count,
-    unit_disk_verdict,
+    cyclotomic,
+    euler_phi,
+    has_unimodular_root,
+    orders_with_phi_at_most,
+    sturm_count,
 )
 from .exactnum.rational import ONE, QMatrix, QVector
 
@@ -87,9 +92,6 @@ class PositiveMatrixOperator:
 
     def apply(self, x: QVector) -> QVector:
         return self.matrix @ x
-
-    def characteristic_polynomial(self) -> QPolynomial:
-        return char_poly(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -162,6 +164,56 @@ def super_fixed_check(op: PositiveMatrixOperator, g: QVector) -> bool:
     return op.apply(g).ge(g)
 
 
+_X_MINUS_ONE = QPolynomial((-ONE, ONE))
+
+
+def perron_root_vs_one(chi: QPolynomial) -> int:
+    """Sign of rho - 1 for the spectral radius rho of a nonnegative
+    matrix with characteristic polynomial chi.  rho is a real eigenvalue,
+    so rho > 1 exactly when chi has a real root above 1: divide out the
+    factors x - 1, then Sturm count on (1, oo)."""
+    root_at_one = False
+    while chi.evaluate(ONE) == 0:
+        chi = chi.divmod(_X_MINUS_ONE)[0]
+        root_at_one = True
+    if sturm_count(chi, lo=ONE) > 0:
+        return 1
+    return 0 if root_at_one else -1
+
+
+def cyclotomic_content(
+    op: PositiveMatrixOperator, chi: QPolynomial
+) -> tuple[dict[int, int], dict[int, int], QPolynomial]:
+    """order -> geometric and order -> algebraic multiplicity of the
+    primitive n-th roots of unity, and the cyclotomic-free remainder of
+    the characteristic polynomial chi.  Those roots are algebraically
+    indistinguishable over the rationals, so ker of the n-th cyclotomic
+    at the matrix splits evenly among them: its dimension is an exact
+    multiple of phi(n)."""
+    n = op.dim
+    rest = chi
+    geometric: dict[int, int] = {}
+    algebraic: dict[int, int] = {}
+    for order in orders_with_phi_at_most(n):
+        phi = euler_phi(order)
+        if phi > rest.degree:
+            continue
+        phi_n = cyclotomic(order)
+        quotient, remainder = rest.divmod(phi_n)
+        while remainder.is_zero():
+            rest = quotient
+            algebraic[order] = algebraic.get(order, 0) + 1
+            quotient, remainder = rest.divmod(phi_n)
+        if order in algebraic:
+            kernel_dim = n - rank(poly_of_matrix(phi_n, op.matrix))
+            if kernel_dim % phi != 0:
+                raise AssertionError(
+                    "cyclotomic kernel dimension not divisible by phi"
+                )
+            geometric[order] = kernel_dim // phi
+    return geometric, algebraic, rest
+
+
 @dataclass(frozen=True)
 class PowerBoundAnalysis:
     verdict: str
@@ -170,54 +222,39 @@ class PowerBoundAnalysis:
 
 
 def power_bounded_analysis(op: PositiveMatrixOperator) -> PowerBoundAnalysis:
-    """Power boundedness via the characteristic polynomial.
+    """Power boundedness from the Perron root and the cyclotomic content.
 
-    Yes: no root outside the closed unit disk and every boundary factor
-    semisimple.  No: a root outside, or a defective wholly-on-circle
-    factor.  Unknown: a repeated irreducible factor straddles the circle
-    and the joint semisimplicity test fails (the defect cannot be
-    attributed to an on-circle root without factoring over extensions),
-    or the factor search gives out.
+    No when the spectral radius exceeds 1, Yes when it is below 1.  At
+    spectral radius 1 the unimodular eigenvalues are roots of unity:
+    No when one has geometric multiplicity below its algebraic
+    multiplicity (the offending factor is the smallest such cyclotomic
+    polynomial by degree, then coefficients), Yes otherwise.
     """
-    p = char_poly(op.matrix)
-    verdict = unit_disk_verdict(p)
-    if verdict == DiskVerdict.SOME_OUTSIDE:
+    chi = char_poly(op.matrix)
+    side = perron_root_vs_one(chi)
+    if side > 0:
         return PowerBoundAnalysis("No", None, "a root lies outside the unit disk")
-    if verdict == DiskVerdict.ALL_STRICTLY_INSIDE:
+    if side < 0:
         return PowerBoundAnalysis("Yes", None, "all roots strictly inside")
-    try:
-        boundary = unit_circle_root_count(p)
-    except (DegreeBoundError, FactorSearchBudgetError):
-        return PowerBoundAnalysis(
-            "Unknown", None, "boundary factorization out of reach"
+    geometric, algebraic, rest = cyclotomic_content(op, chi)
+    if has_unimodular_root(rest):
+        raise AssertionError(
+            "unimodular eigenvalue of a nonnegative matrix is not a root of unity"
         )
-    for factor, mult in boundary.boundary_factors:
-        if mult == 1:
-            continue
-        if not _factor_semisimple(op.matrix, factor):
-            return PowerBoundAnalysis(
-                "No",
-                factor,
-                "a repeated boundary factor is defective",
-            )
-    if boundary.mixed:
-        for factor, mult in boundary.mixed_factors:
-            if mult == 1:
-                continue
-            if not _factor_semisimple(op.matrix, factor):
-                return PowerBoundAnalysis(
-                    "Unknown",
-                    factor,
-                    "cannot attribute the defect of a straddling factor",
-                )
+    defective = [
+        cyclotomic(order)
+        for order, mult in algebraic.items()
+        if geometric[order] < mult
+    ]
+    if defective:
+        return PowerBoundAnalysis(
+            "No",
+            min(defective, key=lambda f: (f.degree, f.coeffs)),
+            "a repeated boundary factor is defective",
+        )
     return PowerBoundAnalysis("Yes", None, "boundary roots all semisimple")
 
 
-def _factor_semisimple(m: QMatrix, factor: QPolynomial) -> bool:
-    value = poly_of_matrix(factor, m)
-    return rank(value) == rank(value @ value)
-
-
 def power_bounded_verdict(op: PositiveMatrixOperator) -> str:
-    """One of "Yes", "No", "Unknown"."""
+    """One of "Yes", "No"."""
     return power_bounded_analysis(op).verdict

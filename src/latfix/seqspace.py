@@ -23,24 +23,15 @@ equality.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .conegeom import Subspace
-from .exactnum.linalg import (
-    DefectiveEigenvalueError,
-    char_poly,
-    fix_projection,
-    kernel_basis,
-)
-from .exactnum.polynomials import (
-    QPolynomial,
-    unit_circle_root_count,
-    unit_disk_verdict,
-    DiskVerdict,
-)
+from .exactnum.linalg import char_poly, fix_projection, kernel_basis
+from .exactnum.polynomials import QPolynomial, unimodular_part
 from .exactnum.rational import ONE, ZERO, QMatrix, QVector, rat
+from .opcore import perron_root_vs_one
 
 C_ZERO = "CZero"
 L_INFTY = "LInfty"
@@ -636,22 +627,23 @@ def _folded_finite_map(
 
 def _limit_matrix(m: QMatrix) -> QMatrix:
     """lim m^n, certified: spectrum inside the closed disk, boundary
-    content exactly a semisimple eigenvalue 1."""
+    content exactly a semisimple eigenvalue 1.
+
+    m is block-triangular: a power of the nonnegative folded block, plus
+    the eigenvalue 1 of the drive row.  So the spectral radius of the
+    block is a real eigenvalue, the Perron-root test on chi decides the
+    disk, and inside the closed disk the unimodular part of chi carries
+    exactly the unimodular eigenvalues."""
     p = char_poly(m)
-    verdict = unit_disk_verdict(p)
-    if verdict == DiskVerdict.SOME_OUTSIDE:
+    if perron_root_vs_one(p) > 0:
         raise UnsupportedClosedFormError(
             "finite block spectrum leaves the unit disk"
         )
-    if verdict == DiskVerdict.INSIDE_WITH_BOUNDARY:
-        boundary = unit_circle_root_count(p)
-        x_minus_one = QPolynomial((-ONE, ONE))
-        if boundary.mixed or any(
-            f != x_minus_one for f, _ in boundary.boundary_factors
-        ):
-            raise UnsupportedClosedFormError(
-                "finite block has unimodular spectrum other than 1"
-            )
+    boundary = unimodular_part(p)
+    if boundary.degree > 0 and boundary != QPolynomial((-ONE, ONE)):
+        raise UnsupportedClosedFormError(
+            "finite block has unimodular spectrum other than 1"
+        )
     return fix_projection(m)
 
 

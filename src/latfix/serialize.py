@@ -1,4 +1,4 @@
-"""JSON codecs for every report and input type.
+"""JSON codecs for the inputs and reports of the command line.
 
 Rationals render as "p/q" strings ("p" when the denominator is 1); no
 floating point appears anywhere.  Report dictionaries are built in a
@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .conegeom import LatticeClassification, Subspace, Verdict
+from .conegeom import LatticeClassification, Subspace
 from .cyclicity import CyclicityReport, ProbeSummary, SemigroupReport
 from .exactnum.polynomials import QPolynomial
 from .exactnum.rational import QMatrix, QVector, rat
@@ -25,15 +25,7 @@ from .opcore import (
     SUP_NORM,
     weighted_one_norm,
 )
-from .seqspace import (
-    ChainDecl,
-    ChainValue,
-    GridDecl,
-    IndexSchema,
-    OrbitSup,
-    SymbolicVector,
-    chain_value,
-)
+from .seqspace import ChainValue, SymbolicVector
 
 
 def rational_str(x) -> str:
@@ -64,10 +56,6 @@ def parse_vector(data) -> QVector:
     return QVector(parse_rational(x) for x in data)
 
 
-def matrix_to_json(m: QMatrix) -> dict:
-    return {"rows": [vector_to_json(row) for row in m.rows]}
-
-
 def parse_matrix(data) -> QMatrix:
     if not isinstance(data, Mapping) or "rows" not in data:
         raise ValueError('matrix must be a JSON object with "rows"')
@@ -79,12 +67,6 @@ def parse_matrix(data) -> QMatrix:
 
 def polynomial_to_json(p: QPolynomial) -> dict:
     return {"coeffs": [rational_str(c) for c in p.coeffs]}
-
-
-def parse_polynomial(data) -> QPolynomial:
-    if not isinstance(data, Mapping) or "coeffs" not in data:
-        raise ValueError('polynomial must be a JSON object with "coeffs"')
-    return QPolynomial(parse_rational(c) for c in data["coeffs"])
 
 
 def subspace_to_json(s: Subspace) -> dict:
@@ -106,12 +88,6 @@ def parse_subspace(data) -> Subspace:
     return Subspace.from_vectors(ambient, [parse_vector(v) for v in basis])
 
 
-def norm_to_json(tag: NormTag):
-    if tag.kind == "weighted_one":
-        return {"weighted_one": vector_to_json(tag.weights)}
-    return tag.kind
-
-
 def parse_norm(data) -> NormTag:
     if data == "sup":
         return SUP_NORM
@@ -122,26 +98,12 @@ def parse_norm(data) -> NormTag:
     raise ValueError(f"unknown norm {data!r}")
 
 
-def operator_to_json(op: PositiveMatrixOperator) -> dict:
-    return {
-        "matrix": matrix_to_json(op.matrix),
-        "norm": norm_to_json(op.norm_tag),
-    }
-
-
 def parse_operator(data) -> PositiveMatrixOperator:
     if not isinstance(data, Mapping) or "matrix" not in data:
         raise ValueError('operator must be a JSON object with "matrix"')
     matrix = parse_matrix(data["matrix"])
     norm = parse_norm(data.get("norm", "sup"))
     return PositiveMatrixOperator(matrix, norm_tag=norm)
-
-
-def family_to_json(family: OperatorFamily) -> dict:
-    return {
-        "matrices": [matrix_to_json(op.matrix) for op in family.members],
-        "norm": norm_to_json(family.norm_tag),
-    }
 
 
 def parse_family(data) -> OperatorFamily:
@@ -176,60 +138,12 @@ def chain_to_json(c: ChainValue) -> dict:
     }
 
 
-def parse_chain(data) -> ChainValue:
-    if not isinstance(data, Mapping) or "tail" not in data:
-        raise ValueError('chain must be a JSON object with "prefix" and "tail"')
-    return chain_value(
-        [parse_rational(x) for x in data.get("prefix", [])],
-        parse_rational(data["tail"]),
-    )
-
-
-def schema_to_json(schema: IndexSchema) -> dict:
-    out: dict[str, Any] = {
-        "finite_coords": list(schema.finite_coords),
-        "chains": [
-            {"name": c.name, "space": c.space_tag} for c in schema.chains
-        ],
-    }
-    out["grid"] = (
-        None
-        if schema.grid is None
-        else {"name": schema.grid.name, "space": schema.grid.space_tag}
-    )
-    return out
-
-
-def parse_schema(data) -> IndexSchema:
-    if not isinstance(data, Mapping) or "finite_coords" not in data:
-        raise ValueError('schema must be a JSON object with "finite_coords"')
-    chains = tuple(
-        ChainDecl(c["name"], c["space"]) for c in data.get("chains", [])
-    )
-    grid_data = data.get("grid")
-    grid = None if grid_data is None else GridDecl(grid_data["name"], grid_data["space"])
-    return IndexSchema(
-        finite_coords=tuple(data["finite_coords"]), chains=chains, grid=grid
-    )
-
-
 def symbolic_vector_to_json(v: SymbolicVector) -> dict:
     return {
         "finite": vector_to_json(v.finite_part),
         "chains": [chain_to_json(c) for c in v.chains],
         "grid_rows": [chain_to_json(r) for r in v.grid_rows],
     }
-
-
-def parse_symbolic_vector(schema: IndexSchema, data) -> SymbolicVector:
-    if not isinstance(data, Mapping) or "finite" not in data:
-        raise ValueError('symbolic vector must be a JSON object with "finite"')
-    return SymbolicVector(
-        schema,
-        parse_vector(data["finite"]),
-        tuple(parse_chain(c) for c in data.get("chains", [])),
-        tuple(parse_chain(r) for r in data.get("grid_rows", [])),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -294,18 +208,6 @@ def trace_to_json(trace: TransfiniteTrace) -> dict:
             }
             for step in trace.steps
         ],
-    }
-
-
-def orbit_sup_to_json(result: OrbitSup) -> dict:
-    return {
-        "outcome": result.outcome,
-        "supremum": (
-            None
-            if result.supremum is None
-            else symbolic_vector_to_json(result.supremum)
-        ),
-        "evidence": [rational_str(x) for x in result.evidence],
     }
 
 

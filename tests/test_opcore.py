@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from latfix.exactnum.linalg import char_poly
 from latfix.exactnum.polynomials import QPolynomial
 from latfix.exactnum.rational import QMatrix, QVector, rat
 from latfix.opcore import (
@@ -19,6 +20,7 @@ from latfix.opcore import (
     PositiveMatrixOperator,
     contraction_check,
     operator_norm,
+    perron_root_vs_one,
     power_bounded_analysis,
     power_bounded_verdict,
     super_fixed_check,
@@ -26,7 +28,12 @@ from latfix.opcore import (
     weighted_one_norm,
 )
 
-from conftest import random_substochastic, rng_for, to_numpy
+from conftest import (
+    random_row_stochastic,
+    random_substochastic,
+    rng_for,
+    to_numpy,
+)
 
 
 def op(rows, tag=SUP_NORM):
@@ -194,6 +201,24 @@ class TestPowerBounded:
         analysis = power_bounded_analysis(op([[0, 1], [1, 0]]))
         assert analysis.verdict == "Yes"
 
+    def test_seventeen_cycle_yes(self):
+        # chi = x^17 - 1: its degree exceeds the degree-16 factorization
+        # bound, which the Perron-root and cyclotomic route never meets
+        rows = [[int(j == (i + 1) % 17) for j in range(17)] for i in range(17)]
+        analysis = power_bounded_analysis(op(rows))
+        assert analysis.verdict == "Yes"
+        assert analysis.offending_factor is None
+
+    def test_coupled_swaps_defective_at_one(self):
+        # chi = (x - 1)^2 (x + 1)^2 with both eigenvalues defective; the
+        # offending factor is the smaller one, x - 1
+        analysis = power_bounded_analysis(
+            op([[0, 1, 1, 0], [1, 0, 0, 1], [0, 0, 0, 1], [0, 0, 1, 0]])
+        )
+        assert analysis.verdict == "No"
+        assert analysis.offending_factor == QPolynomial([-1, 1])
+        assert analysis.reason == "a repeated boundary factor is defective"
+
     def test_random_substochastic_always_yes(self):
         rng = rng_for("pb-substoch")
         for _ in range(40):
@@ -215,3 +240,21 @@ class TestPowerBounded:
                 assert norms[-1] <= norms[0] * 1.01 + 10
             else:
                 assert norms[-1] > norms[0] * 2
+
+
+class TestPerronRoot:
+    @pytest.mark.parametrize(
+        "scale, side", [(1, 0), (rat("1/2"), -1), (rat("3/2"), 1)]
+    )
+    def test_matches_numpy_spectral_radius(self, scale, side):
+        rng = rng_for(f"perron-root-{scale}")
+        for _ in range(20):
+            m = random_row_stochastic(rng, rng.randint(1, 6)).scale(scale)
+            rho = max(abs(np.linalg.eigvals(to_numpy(m))))
+            numpy_side = 0 if abs(rho - 1) < 1e-6 else (1 if rho > 1 else -1)
+            assert numpy_side == side
+            assert perron_root_vs_one(char_poly(m)) == side
+
+    def test_nilpotent_and_defective(self):
+        assert perron_root_vs_one(char_poly(QMatrix([[0, 1], [0, 0]]))) == -1
+        assert perron_root_vs_one(char_poly(QMatrix([[1, 1], [0, 1]]))) == 0

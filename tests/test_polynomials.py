@@ -15,9 +15,7 @@ from hypothesis import given, settings, strategies as st
 from latfix.exactnum.polynomials import (
     BoundaryAnalysis,
     DegreeBoundError,
-    DiskVerdict,
     QPolynomial,
-    cauchy_index,
     cyclotomic,
     cyclotomic_order,
     euler_phi,
@@ -26,8 +24,8 @@ from latfix.exactnum.polynomials import (
     poly_gcd,
     squarefree_decomposition,
     sturm_count,
+    unimodular_part,
     unit_circle_root_count,
-    unit_disk_verdict,
 )
 from latfix.exactnum.rational import rat
 
@@ -147,14 +145,6 @@ class TestSturm:
         want = len({r for r in roots if 0 <= r <= 5})
         assert sturm_count(p, lo=rat("-1/2"), hi=rat("11/2")) == want
 
-    def test_cauchy_index_of_derivative_quotient(self):
-        # the Cauchy index of p'/p over the whole line counts the real
-        # roots of a squarefree p
-        p = QPolynomial.from_roots([0, 2, -1])
-        assert cauchy_index(p, p.derivative()) == 3
-        with pytest.raises(ArithmeticError):
-            cauchy_index(p * p, p.derivative().scale(2) * p)
-
 
 class TestFactor:
     @given(st.lists(coeff_st, min_size=2, max_size=6).filter(
@@ -191,22 +181,9 @@ class TestFactor:
 
 
 class TestRootLocation:
-    def cases(self):
-        inside = QPolynomial.from_roots([rat("1/2"), rat("-1/3")])
-        boundary = QPolynomial.from_roots([1]) * inside
-        outside = QPolynomial.from_roots([2]) * inside
-        return inside, boundary, outside
-
-    def test_disk_verdicts(self):
-        inside, boundary, outside = self.cases()
-        assert unit_disk_verdict(inside) == DiskVerdict.ALL_STRICTLY_INSIDE
-        assert unit_disk_verdict(boundary) == DiskVerdict.INSIDE_WITH_BOUNDARY
-        assert unit_disk_verdict(outside) == DiskVerdict.SOME_OUTSIDE
-
     def test_complex_boundary_roots(self):
         # x^2 + 1 has both roots on the circle
         p = QPolynomial([1, 0, 1])
-        assert unit_disk_verdict(p) == DiskVerdict.INSIDE_WITH_BOUNDARY
         analysis = unit_circle_root_count(p)
         assert analysis.count_on_circle == 2
         assert not analysis.mixed
@@ -237,7 +214,18 @@ class TestRootLocation:
         q = QPolynomial([1, -3, 1])
         analysis_q = unit_circle_root_count(q)
         assert analysis_q.count_on_circle == 0
-        assert unit_disk_verdict(q) == DiskVerdict.SOME_OUTSIDE
+
+    def test_unimodular_part(self):
+        # roots 0, 1 (twice), -1, 1/2, 2, 1/3: the part keeps each root
+        # r with 1/r also a root, once, as a monic polynomial
+        p = QPolynomial.from_roots(
+            [0, 1, 1, -1, rat("1/2"), 2, rat("1/3")]
+        ).scale(5)
+        expected = QPolynomial.from_roots([1, -1, rat("1/2"), 2])
+        assert unimodular_part(p) == expected
+        assert unimodular_part(QPolynomial.from_roots([rat("1/3")])) == (
+            QPolynomial.one()
+        )
 
     def test_boundary_analysis_type(self):
         assert isinstance(unit_circle_root_count(QPolynomial([- 1, 1])), BoundaryAnalysis)

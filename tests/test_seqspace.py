@@ -457,6 +457,30 @@ class TestOrbitSup:
         with pytest.raises(UnsupportedClosedFormError):
             orbit_sup(swap, g, power=2)
 
+    def test_refuses_unimodular_spectrum_other_than_one(self):
+        # the swap has eigenvalue -1, so the orbit has no limit
+        s = IndexSchema(("a", "b"), (ChainDecl("c", L_INFTY),))
+        swap = ShiftInsertOperator(
+            schema=s,
+            finite_block=QMatrix([[0, 1], [1, 0]]),
+            chain_sources=(LinearFunctionalSpec.build(s, finite={"a": 1}),),
+        )
+        g = SymbolicVector(s, QVector([1, 1]), (ZERO_CHAIN,))
+        with pytest.raises(
+            UnsupportedClosedFormError,
+            match="unimodular spectrum other than 1",
+        ):
+            orbit_sup(swap, g, power=1)
+
+    def test_refuses_spectrum_outside_the_disk(self):
+        s = IndexSchema(("a",))
+        double = ShiftInsertOperator(schema=s, finite_block=QMatrix([[2]]))
+        g = SymbolicVector(s, QVector([1]))
+        with pytest.raises(
+            UnsupportedClosedFormError, match="leaves the unit disk"
+        ):
+            orbit_sup(double, g)
+
     def test_czero_grid_has_no_supremum(self):
         s = IndexSchema(("a",), grid=GridDecl("g", C_ZERO))
         op = ShiftInsertOperator(
