@@ -22,7 +22,7 @@ def describe(name, vectors, probe=None):
     ambient = len(vectors[0])
     subspace = Subspace.from_vectors(ambient, [QVector(v) for v in vectors])
     result = classify_subspace(subspace)
-    rays = () if subspace.is_zero() else positive_cone(subspace).rays
+    rays = positive_cone(subspace).rays
     print(f"{name}:")
     print("  verdict:", result.verdict.value)
     print("  cone generating:", result.cone_generating)

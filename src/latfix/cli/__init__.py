@@ -106,11 +106,10 @@ def _cmd_gallery(args) -> int:
 def _cmd_classify(args) -> int:
     subspace = serialize.parse_subspace(_load_json(args.input))
     classification = classify_subspace(subspace)
-    rays = () if subspace.is_zero() else positive_cone(subspace).rays
     data = {
         "subspace": serialize.subspace_to_json(subspace),
         "classification": serialize.classification_to_json(
-            classification, rays
+            classification, positive_cone(subspace).rays
         ),
     }
     _emit(data, args.json)
@@ -120,8 +119,7 @@ def _cmd_classify(args) -> int:
 def _cmd_fixspace(args) -> int:
     family = serialize.parse_family(_load_json(args.input))
     report = fixed_space_report(family)
-    fixed = report.fixed_space
-    rays = () if fixed.is_zero() else positive_cone(fixed).rays
+    rays = positive_cone(report.fixed_space).rays
     _emit(serialize.fixed_space_report_to_json(report, rays), args.json)
     if report.theorem_conformant is False:
         return DEFECT

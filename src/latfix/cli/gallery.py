@@ -12,7 +12,6 @@ from pathlib import Path
 
 from .. import serialize
 from ..conegeom import (
-    Subspace,
     classify_subspace,
     least_element_above,
     modulus_in,
@@ -57,10 +56,6 @@ GALLERY_IDS = (
 )
 
 
-def _rays(subspace: Subspace):
-    return () if subspace.is_zero() else positive_cone(subspace).rays
-
-
 def _averaging_matrix() -> QMatrix:
     third = Fraction(1, 3)
     return QMatrix(
@@ -94,7 +89,7 @@ def case_intro_strict() -> dict:
         "norm": "one",
         "operator_norm": serialize.rational_str(operator_norm(op)),
         "report": serialize.fixed_space_report_to_json(
-            report, _rays(report.fixed_space)
+            report, positive_cone(report.fixed_space).rays
         ),
         "fixed_vector": serialize.vector_to_json(fixed_vector),
         "modulus_fixed": op.apply(modulus) == modulus,
@@ -132,7 +127,7 @@ def case_intro_kb() -> dict:
         ),
         "fixed_space": serialize.subspace_to_json(fixed),
         "classification": serialize.classification_to_json(
-            classification, _rays(fixed)
+            classification, positive_cone(fixed).rays
         ),
         "least_fixed_above": {
             "bound": serialize.vector_to_json(bound),
@@ -151,6 +146,7 @@ def case_e41() -> dict:
     basis = symbolic_fixed_space(op)
     embedded = constant_profile_embedding(op.schema, basis)
     classification = classify_subspace(embedded)
+    rays = positive_cone(embedded).rays
     return {
         "id": "e41",
         "operator_norm": serialize.rational_str(symbolic_operator_norm(op)),
@@ -159,9 +155,9 @@ def case_e41() -> dict:
         ],
         "embedded_fixed_space": serialize.subspace_to_json(embedded),
         "classification": serialize.classification_to_json(
-            classification, _rays(embedded)
+            classification, rays
         ),
-        "positive_fixed_vectors_only_zero": not _rays(embedded),
+        "positive_fixed_vectors_only_zero": not rays,
     }
 
 
@@ -178,7 +174,7 @@ def case_e42a() -> dict:
         "id": "e42a",
         "norm": "sup",
         "report": serialize.fixed_space_report_to_json(
-            report, _rays(report.fixed_space)
+            report, positive_cone(report.fixed_space).rays
         ),
         "modulus_within": {
             "of": serialize.vector_to_json(f_hat),
@@ -227,7 +223,7 @@ def case_e43() -> dict:
             "basis": [serialize.symbolic_vector_to_json(v) for v in square_fix],
             "embedded": serialize.subspace_to_json(embedded),
             "classification": serialize.classification_to_json(
-                classification, _rays(embedded)
+                classification, positive_cone(embedded).rays
             ),
         },
         "trace_of_square": serialize.trace_to_json(trace),
@@ -256,7 +252,7 @@ def case_e44() -> dict:
             power_bounded_analysis(op)
         ),
         "report": serialize.fixed_space_report_to_json(
-            report, _rays(report.fixed_space)
+            report, positive_cone(report.fixed_space).rays
         ),
     }
 

@@ -15,6 +15,9 @@ ordered spaces:
   sublattice the coordinatewise meet of distinct extreme rays must
   vanish.
 
+Double description decides ray adjacency from the tight sets it holds;
+coordinates in F are read off the pivots of its RREF basis.
+
 Least upper bounds inside F are found by exact coordinatewise
 minimization over the upper-bound set (a rational LP per coordinate);
 the assembled minimum is returned only when it itself lies in F, which
@@ -28,7 +31,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from ..exactnum.linalg import invert, rank, row_space_basis, solve
+from ..exactnum import TheoremViolationError
+from ..exactnum.linalg import invert, rank, row_space_basis, rref
 from ..exactnum.rational import ONE, ZERO, QMatrix, QVector, rat
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, minimize
 
@@ -43,7 +47,9 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace of R^n with an RREF-canonical basis."""
+    """A linear subspace of R^n with an RREF-canonical basis.  The RREF
+    form is load-bearing: coefficients_of reads each coefficient at its
+    basis vector's pivot, so a basis given directly must be in RREF."""
 
     ambient_dim: int
     basis: tuple[QVector, ...]
@@ -65,21 +71,15 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.basis
 
-    def basis_matrix(self) -> QMatrix:
-        return QMatrix(self.basis)
-
     def coefficients_of(self, v: QVector) -> QVector | None:
         """Coefficients of v in the basis, or None when v is outside."""
         if v.dim != self.ambient_dim:
             raise ValueError("vector dimension mismatch")
-        if not self.basis:
-            return QVector(()) if v.is_zero() else None
-        return solve(self.basis_matrix().transpose(), v)
+        c = QVector(v[next(j for j, x in enumerate(b) if x)] for b in self.basis)
+        return c if self.from_coefficients(c) == v else None
 
     def contains(self, v: QVector) -> bool:
-        if v.dim != self.ambient_dim:
-            raise ValueError("vector dimension mismatch")
-        return v.is_zero() if not self.basis else self.coefficients_of(v) is not None
+        return self.coefficients_of(v) is not None
 
     def from_coefficients(self, c: QVector) -> QVector:
         out = QVector.zero(self.ambient_dim)
@@ -113,15 +113,24 @@ class LatticeClassification:
 # double description
 
 
+def _primitive_ray(v: QVector) -> QVector:
+    """v scaled to coprime integers by a positive factor (primitive()
+    alone fixes the leading sign, which can reverse a ray)."""
+    p = v.primitive()
+    return p if p.dot(v) > 0 else -p
+
+
 def extreme_rays_of_inequality_cone(
     rows: Sequence[QVector],
 ) -> tuple[QVector, ...]:
     """Extreme rays of {c : row . c >= 0 for every row}.
 
     The rows must span the dual space, which makes the cone pointed; the
-    rays come back primitive-integer and lexicographically sorted.
-    Inequalities are inserted in index order and ray adjacency is decided
-    by the rank of the shared tight rows, so the output is deterministic.
+    rays come back as coprime integer vectors, lexicographically sorted.
+    Inequalities are inserted in index order after the first d
+    independent rows (the pivots of one rref of their transpose), and two
+    rays are adjacent when no other ray's tight set contains their common
+    tight set (Fukuda and Prodon, 1996), so the output is deterministic.
     """
     rows = [QVector(tuple(r)) for r in rows]
     if not rows:
@@ -129,21 +138,13 @@ def extreme_rays_of_inequality_cone(
     d = rows[0].dim
     if any(r.dim != d for r in rows):
         raise ValueError("inequality rows of mixed dimension")
-    if rank(QMatrix(rows)) != d:
+    chosen = rref(QMatrix(rows).transpose())[1]
+    if len(chosen) != d:
         raise ValueError("inequality rows do not span; cone is not pointed")
-
-    # greedy independent subset for the initial simplicial cone
-    chosen: list[int] = []
-    for j, row in enumerate(rows):
-        trial = chosen + [j]
-        if rank(QMatrix([rows[i] for i in trial])) == len(trial):
-            chosen.append(j)
-        if len(chosen) == d:
-            break
     base = QMatrix([rows[i] for i in chosen])
     inverse = invert(base)
     rays = [
-        QVector(inverse.entry(i, k) for i in range(d)).primitive()
+        _primitive_ray(QVector(inverse.entry(i, k) for i in range(d)))
         for k in range(d)
     ]
     processed = list(chosen)
@@ -162,13 +163,13 @@ def extreme_rays_of_inequality_cone(
         for ip in pos:
             for im in neg:
                 common = tights[ip] & tights[im]
-                shared_rank = (
-                    rank(QMatrix([rows[t] for t in common])) if common else 0
-                )
-                if shared_rank != d - 2:
+                if len(common) < d - 2 or any(
+                    k != ip and k != im and common <= tight
+                    for k, tight in enumerate(tights)
+                ):
                     continue
                 combo = rays[im].scale(values[ip]) + rays[ip].scale(-values[im])
-                new_rays.append(combo.primitive())
+                new_rays.append(_primitive_ray(combo))
         processed.append(j)
         seen: set[tuple] = set()
         rays = []
@@ -184,9 +185,10 @@ def extreme_rays_of_inequality_cone(
 
 def positive_cone(subspace: Subspace) -> PolyhedralCone:
     """Extreme rays of {x in F : x >= 0}, via double description on the
-    coefficient cone and mapped back to ambient coordinates."""
+    coefficient cone and mapped back to ambient coordinates.  The zero
+    subspace has no rays."""
     if subspace.is_zero():
-        raise ValueError("positive cone of the zero subspace")
+        return PolyhedralCone(subspace, ())
     coeff_rays = extreme_rays_of_inequality_cone(subspace.coordinate_rows())
     ambient_rays = sorted(
         (subspace.from_coefficients(c).primitive() for c in coeff_rays),
@@ -265,7 +267,7 @@ def least_element_above(subspace: Subspace, bound: QVector) -> QVector | None:
         if result.status == INFEASIBLE:
             return None
         if result.status == UNBOUNDED:
-            raise RuntimeError(
+            raise TheoremViolationError(
                 "upper-bound set unbounded below; order structure violated"
             )
         minima.append(result.value)
@@ -354,8 +356,6 @@ def am_property_check(subspace: Subspace, trials: int, seed: int) -> bool:
     classification = classify_subspace(subspace)
     if classification.verdict == Verdict.NOT_LATTICE_SUBSPACE:
         raise ValueError("AM check needs a lattice subspace")
-    if subspace.is_zero():
-        return True
     rays = positive_cone(subspace).rays
     rng = random.Random(seed)
     for _ in range(trials):

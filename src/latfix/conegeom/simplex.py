@@ -5,7 +5,8 @@ objectives over systems of equality and >= constraints with free
 variables.  Everything runs in Fraction arithmetic, so feasibility,
 unboundedness, and optimal values are exact and Bland's rule guarantees
 termination.  Problem sizes here are tiny (tens of variables), so a
-dense tableau is the right tool.
+dense tableau is the right tool.  Pivots and cost-row pricing are
+steps of `exactnum.linalg.eliminate`.
 """
 from __future__ import annotations
 
@@ -13,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ..exactnum import TheoremViolationError
+from ..exactnum.linalg import eliminate
 from ..exactnum.rational import ONE, ZERO, QVector, rat
 
 OPTIMAL = "optimal"
@@ -25,16 +28,6 @@ class LPResult:
     status: str
     value: Fraction | None
     point: QVector | None
-
-
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int):
-    piv = tableau[row][col]
-    tableau[row] = [c / piv for c in tableau[row]]
-    for i, r in enumerate(tableau):
-        if i != row and r[col] != 0:
-            f = r[col]
-            tableau[i] = [a - f * b for a, b in zip(r, tableau[row])]
-    basis[row] = col
 
 
 def _run_simplex(
@@ -68,7 +61,8 @@ def _run_simplex(
                     row = i
         if row is None:
             return UNBOUNDED
-        _pivot(tableau, basis, row, col)
+        eliminate(tableau, row, col)
+        basis[row] = col
 
 
 def minimize(
@@ -113,15 +107,12 @@ def minimize(
     for j in range(n_core, total):
         cost[j] = ONE
     tableau.append(cost)
-    for i in range(m):
-        f = tableau[-1][basis[i]]
-        if f != 0:
-            tableau[-1] = [
-                a - f * b for a, b in zip(tableau[-1], tableau[i])
-            ]
-    eligible = [True] * total
-    status = _run_simplex(tableau, basis, eligible)
-    assert status == OPTIMAL  # phase 1 is bounded below by zero
+    # each basic column holds a unit pivot and zeros in the other
+    # constraint rows, so these steps only price out the cost row
+    for i, col in enumerate(basis):
+        eliminate(tableau, i, col)
+    if _run_simplex(tableau, basis, [True] * total) != OPTIMAL:
+        raise TheoremViolationError("phase 1 unbounded, yet bounded below by 0")
     if tableau[-1][-1] != 0:
         return LPResult(INFEASIBLE, None, None)
 
@@ -135,7 +126,8 @@ def minimize(
                 del tableau[i]
                 del basis[i]
             else:
-                _pivot(tableau, basis, i, col)
+                eliminate(tableau, i, col)
+                basis[i] = col
 
     # phase 2: original objective over u - w
     cost = [ZERO] * (total + 1)
@@ -143,14 +135,9 @@ def minimize(
         cost[j] = objective[j]
         cost[n + j] = -objective[j]
     tableau[-1] = cost
-    for i in range(len(basis)):
-        f = tableau[-1][basis[i]]
-        if f != 0:
-            tableau[-1] = [
-                a - f * b for a, b in zip(tableau[-1], tableau[i])
-            ]
-    eligible = [j < n_core for j in range(total)]
-    status = _run_simplex(tableau, basis, eligible)
+    for i, col in enumerate(basis):
+        eliminate(tableau, i, col)
+    status = _run_simplex(tableau, basis, [j < n_core for j in range(total)])
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None)
     values = {basis[i]: tableau[i][-1] for i in range(len(basis))}

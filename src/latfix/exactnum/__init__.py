@@ -29,6 +29,12 @@ from .polynomials import (
 )
 from .rational import ONE, ZERO, QMatrix, QVector, Rational, rat, rat_str
 
+
+class TheoremViolationError(RuntimeError):
+    """A guarantee of the fixed-space theory failed on a validated
+    input; this signals a defect, not a legitimate outcome."""
+
+
 __all__ = [
     "DefectiveEigenvalueError",
     "ONE",
@@ -36,6 +42,7 @@ __all__ = [
     "QPolynomial",
     "QVector",
     "Rational",
+    "TheoremViolationError",
     "ZERO",
     "char_poly",
     "column_space_basis",

@@ -1,5 +1,9 @@
 """Exact linear algebra over the rationals.
 
+`eliminate` is the one Gauss-Jordan row step of the package: `rref`
+(and through it rank, kernels, solving and inversion) and the simplex
+in `conegeom.simplex` reduce with it and with nothing else.
+
 Kernel bases are canonical: the spanning set produced by back
 substitution is itself brought to reduced row echelon form, so equal
 subspaces always yield identical bases.  The characteristic polynomial
@@ -14,31 +18,34 @@ from .polynomials import QPolynomial
 from .rational import ONE, ZERO, QMatrix, QVector
 
 
+def eliminate(rows: list[list[Fraction]], r: int, c: int) -> None:
+    """Gauss-Jordan row step, in place: scale row r to a unit pivot in
+    column c (no scaling when it already holds 1), then clear column c
+    from every other row."""
+    pivot = rows[r][c]
+    if pivot != 1:
+        rows[r] = [x / pivot for x in rows[r]]
+    pivot_row = rows[r]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if i != r and f != 0:
+            rows[i] = [a - f * b for a, b in zip(row, pivot_row)]
+
+
 def rref(matrix: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
     rows = [list(r.entries) for r in matrix.rows]
     nrows = len(rows)
-    ncols = matrix.ncols
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
+    for c in range(matrix.ncols):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        eliminate(rows, r, c)
         pivots.append(c)
-        r += 1
-        if r == nrows:
+        if r + 1 == nrows:
             break
     return QMatrix(rows), tuple(pivots)
 
@@ -145,12 +152,13 @@ def fix_projection(matrix: QMatrix) -> QMatrix:
     if not fixed:
         return QMatrix.zero(n, n)
     moving = column_space_basis(complement)
-    columns = list(fixed) + list(moving)
-    basis = QMatrix.from_columns(columns)
-    if rank(basis) != n:
+    basis = QMatrix.from_columns(list(fixed) + list(moving))
+    try:
+        inverse = invert(basis)
+    except ValueError:
         raise DefectiveEigenvalueError(
             "eigenvalue 1 is defective: ker(I-M) meets range(I-M)"
-        )
+        ) from None
     k = len(fixed)
     selector = QMatrix(
         [
@@ -158,7 +166,6 @@ def fix_projection(matrix: QMatrix) -> QMatrix:
             for i in range(n)
         ]
     )
-    inverse = invert(basis)
     return basis.matmul(selector).matmul(inverse)
 
 

@@ -30,6 +30,7 @@ from .conegeom import (
     least_element_above,
     least_upper_bound_in,
 )
+from .exactnum import TheoremViolationError
 from .exactnum.linalg import fix_projection, intersect_kernels
 from .exactnum.rational import QMatrix, QVector
 from .opcore import (
@@ -43,22 +44,17 @@ from . import seqspace
 from .seqspace import ShiftInsertOperator, SymbolicVector
 
 
-class TheoremViolationError(RuntimeError):
-    """A guarantee of the fixed-space theory failed on a validated
-    input; this signals a defect, not a legitimate outcome."""
-
-
 class BudgetExceededError(RuntimeError):
     """The transfinite trace did not settle within its step budget."""
 
 
 def fixed_space_of_family(family: OperatorFamily) -> Subspace:
     """Common fixed space: the intersection of ker(I - T) over the
-    family, with RREF-canonical basis."""
+    family, with the RREF-canonical basis intersect_kernels returns."""
     n = family.dim
     eye = QMatrix.identity(n)
     basis = intersect_kernels([eye - member.matrix for member in family.members])
-    return Subspace.from_vectors(n, basis)
+    return Subspace(n, basis)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,16 @@
 """Command-line surface: exit codes, JSON output, input validation."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from latfix.cli import main
 from latfix.cli import gallery
+from latfix.conegeom import UNBOUNDED, LPResult
 
 
 def write_json(path, data):
@@ -148,6 +153,33 @@ class TestSupInFixCommand:
         assert main(["sup-in-fix", "-i", fam, "-g", vecs]) == 2
 
 
+class TestDefectExit:
+    @pytest.mark.parametrize(
+        "target, fake",
+        [
+            # phase 1 of the simplex reports unbounded
+            ("latfix.conegeom.simplex._run_simplex", lambda *args: UNBOUNDED),
+            # the upper-bound set of a least-element search is unbounded
+            (
+                "latfix.conegeom.core.minimize",
+                lambda *args, **kwargs: LPResult(UNBOUNDED, None, None),
+            ),
+        ],
+    )
+    def test_sup_in_fix_reports_defect(
+        self, target, fake, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(target, fake)
+        fam = write_json(tmp_path / "fam.json", family_payload())
+        vecs = write_json(
+            tmp_path / "vecs.json", [["1", "0", "-1"], ["-1", "0", "1"]]
+        )
+        assert main(["sup-in-fix", "-i", fam, "-g", vecs]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("defect: ")
+        assert "Traceback" not in err
+
+
 class TestCyclicityCommand:
     def test_permutation(self, tmp_path, capsys):
         path = write_json(
@@ -242,3 +274,25 @@ def test_console_script_help():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def test_gallery_under_optimized_python():
+    """Library asserts carry no behaviour: with them stripped (python -O)
+    every gallery case still matches its fixture."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-O",
+            "-c",
+            "import sys; from latfix.cli import main;"
+            " sys.exit(main(['gallery', 'all']))",
+        ],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    matches = [line for line in proc.stderr.splitlines() if line.endswith("] match")]
+    assert len(matches) == len(gallery.GALLERY_IDS) == 7

@@ -7,9 +7,12 @@ computations against membership and independence invariants.
 """
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from latfix.conegeom.core import (
@@ -27,13 +30,57 @@ from latfix.conegeom.core import (
     sign_pattern_sublattice_oracle,
 )
 from latfix.exactnum.rational import QMatrix, QVector, rat
-from latfix.exactnum.linalg import rank
+from latfix.exactnum.linalg import rank, solve
 
-from conftest import random_subspace_mix, random_qvector, rng_for
+from conftest import bareiss_rank, random_subspace_mix, random_qvector, rng_for
+
+fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
 def span(ambient, *vectors):
     return Subspace.from_vectors(ambient, [QVector(v) for v in vectors])
+
+
+def _det(m):
+    """Laplace expansion along the first row; tiny matrices only."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+    )
+
+
+def brute_force_rays(rows, d):
+    """Primitive extreme rays of {c : row . c >= 0} for integer rows.
+
+    Every extreme ray spans the common kernel of some d - 1 rows of rank
+    d - 1.  That kernel is spanned by their generalized cross product
+    (signed maximal minors, zero exactly when the rank is lower), and a
+    direction of it is a ray when it satisfies every row.
+    """
+    found = set()
+    for subset in combinations(rows, d - 1):
+        cross = [
+            (-1) ** j * _det([r[:j] + r[j + 1:] for r in subset])
+            for j in range(d)
+        ]
+        if not any(cross):
+            continue
+        g = gcd(*cross)
+        for sign in (1, -1):
+            v = tuple(sign * x // g for x in cross)
+            if all(sum(a * b for a, b in zip(r, v)) >= 0 for r in rows):
+                found.add(v)
+    return found
+
+
+def solve_coefficients(subspace, v):
+    """Coefficients of v by solving B^T c = v, the reference for the
+    pivot read-off of Subspace.coefficients_of."""
+    if not subspace.basis:
+        return QVector(()) if v.is_zero() else None
+    return solve(QMatrix(subspace.basis).transpose(), v)
 
 
 class TestClassification:
@@ -100,6 +147,35 @@ class TestExtremeRays:
         with pytest.raises(ValueError):
             extreme_rays_of_inequality_cone([QVector([1, 0])])
 
+    def test_rays_keep_their_sign(self):
+        rows = [QVector([-1, 0]), QVector([0, 1])]
+        assert extreme_rays_of_inequality_cone(rows) == (
+            QVector([-1, 0]),
+            QVector([0, 1]),
+        )
+
+    def test_matches_brute_force_enumeration(self):
+        rng = rng_for("rays-brute-force")
+        cones = nontrivial = 0
+        while cones < 150:
+            d = rng.randint(1, 4)
+            rows = [
+                [rng.randint(-3, 3) for _ in range(d)]
+                for _ in range(rng.randint(d, 8))
+            ]
+            if bareiss_rank(QMatrix(rows)) < d:
+                continue
+            rays = extreme_rays_of_inequality_cone([QVector(r) for r in rows])
+            expected = brute_force_rays(rows, d)
+            assert {tuple(int(x) for x in r) for r in rays} == expected
+            assert list(rays) == sorted(rays, key=tuple)
+            cones += 1
+            nontrivial += bool(expected)
+        assert nontrivial >= 50
+
+    def test_zero_subspace_has_no_rays(self):
+        assert positive_cone(Subspace(3, ())).rays == ()
+
     def test_ray_invariants_on_random_subspaces(self):
         rng = rng_for("rays")
         for index in range(40):
@@ -121,6 +197,30 @@ class TestExtremeRays:
         rays = [QVector([0, 1, 2]), QVector([2, 1, 0])]
         assert in_conic_hull(rays, QVector([2, 2, 2]))
         assert not in_conic_hull(rays, QVector([1, 0, 0]))
+
+
+class TestCoordinates:
+    @given(st.integers(1, 5), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_coefficients_match_solve(self, n, data):
+        vector_st = st.lists(fractions_st, min_size=n, max_size=n).map(QVector)
+        # columns zero in every spanning vector move the RREF pivots off
+        # the leading positions
+        dead = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+        spanning = [
+            QVector(0 if j in dead else x for j, x in enumerate(v))
+            for v in data.draw(st.lists(vector_st, max_size=n))
+        ]
+        for f in (Subspace.from_vectors(n, spanning), Subspace(n, ())):
+            weights = data.draw(
+                st.lists(fractions_st, min_size=f.dim, max_size=f.dim)
+            )
+            inside = f.from_coefficients(QVector(weights))
+            for v in (inside, data.draw(vector_st), QVector.zero(n)):
+                expected = solve_coefficients(f, v)
+                assert f.coefficients_of(v) == expected
+                assert f.contains(v) == (expected is not None)
+            assert f.coefficients_of(inside) == QVector(weights)
 
 
 class TestOracleAgreement:
