@@ -13,7 +13,6 @@ from latfix.conegeom import (
     classify_subspace,
     least_upper_bound_in,
     modulus_in,
-    positive_cone,
 )
 from latfix.exactnum.rational import QVector
 
@@ -22,7 +21,7 @@ def describe(name, vectors, probe=None):
     ambient = len(vectors[0])
     subspace = Subspace.from_vectors(ambient, [QVector(v) for v in vectors])
     result = classify_subspace(subspace)
-    rays = positive_cone(subspace).rays
+    rays = result.rays
     print(f"{name}:")
     print("  verdict:", result.verdict.value)
     print("  cone generating:", result.cone_generating)

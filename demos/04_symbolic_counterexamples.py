@@ -7,7 +7,7 @@ constant tails, so suprema over infinite index sets stay exact.
 Run with: python3 demos/04_symbolic_counterexamples.py
 """
 
-from latfix.conegeom import classify_subspace, positive_cone
+from latfix.conegeom import classify_subspace
 from latfix.exactnum.rational import QMatrix
 from latfix.fixlattice import fixed_space_of_family, transfinite_trace
 from latfix.opcore import (
@@ -43,8 +43,9 @@ print("operator norm:", symbolic_operator_norm(op41))
 for v in basis:
     print("fixed direction:", show(v))
 embedded = constant_profile_embedding(op41.schema, basis)
-print("classification:", classify_subspace(embedded).verdict.value)
-print("positive fixed vectors:", [str(r) for r in positive_cone(embedded).rays] or "only zero")
+classification41 = classify_subspace(embedded)
+print("classification:", classification41.verdict.value)
+print("positive fixed vectors:", [str(r) for r in classification41.rays] or "only zero")
 try:
     orbit_sup(op41, basis[0].abs())
 except NoSupremumError as exc:
@@ -79,5 +80,6 @@ print("power bounded:", analysis.verdict)
 print("reason:", analysis.reason)
 print("the fixed space meets the positive cone only along (0,1,0):")
 fixed = fixed_space_of_family(OperatorFamily([op44]))
-print("  rays:", [[str(x) for x in r] for r in positive_cone(fixed).rays])
-print("  verdict:", classify_subspace(fixed).verdict.value)
+classification44 = classify_subspace(fixed)
+print("  rays:", [[str(x) for x in r] for r in classification44.rays])
+print("  verdict:", classification44.verdict.value)

@@ -1,10 +1,11 @@
 """Exact analysis of fixed spaces of positive linear contractions.
 
 Everything is rational arithmetic: kernels and characteristic
-polynomials, polyhedral cone geometry of fixed spaces, exact linear
-programs for suprema within them, symbolic sequence-space operators for
-the infinite-dimensional counterexamples, and cyclicity checks on the
-peripheral spectrum.
+polynomials, polyhedral cone geometry of fixed spaces, suprema within
+them read off the extreme rays of their positive cones (exact linear
+programs where a space is not a lattice subspace), symbolic
+sequence-space operators for the infinite-dimensional counterexamples,
+and cyclicity checks on the peripheral spectrum.
 """
 from .conegeom import (
     LatticeClassification,
@@ -15,7 +16,6 @@ from .conegeom import (
     least_upper_bound_in,
     modulus_in,
     positive_cone,
-    sign_pattern_sublattice_oracle,
 )
 from .cyclicity import (
     CyclicityReport,
@@ -68,7 +68,6 @@ __all__ = [
     "least_upper_bound_in",
     "modulus_in",
     "positive_cone",
-    "sign_pattern_sublattice_oracle",
     "CyclicityReport",
     "SemigroupReport",
     "probe_random_contractions",

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .. import serialize
-from ..conegeom import classify_subspace, positive_cone
+from ..conegeom import classify_subspace
 from ..cyclicity import (
     probe_random_contractions,
     semigroup_imaginary_check,
@@ -109,7 +109,7 @@ def _cmd_classify(args) -> int:
     data = {
         "subspace": serialize.subspace_to_json(subspace),
         "classification": serialize.classification_to_json(
-            classification, positive_cone(subspace).rays
+            classification, classification.rays
         ),
     }
     _emit(data, args.json)
@@ -119,8 +119,10 @@ def _cmd_classify(args) -> int:
 def _cmd_fixspace(args) -> int:
     family = serialize.parse_family(_load_json(args.input))
     report = fixed_space_report(family)
-    rays = positive_cone(report.fixed_space).rays
-    _emit(serialize.fixed_space_report_to_json(report, rays), args.json)
+    _emit(
+        serialize.fixed_space_report_to_json(report, report.classification.rays),
+        args.json,
+    )
     if report.theorem_conformant is False:
         return DEFECT
     return OK

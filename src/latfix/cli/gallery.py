@@ -15,7 +15,6 @@ from ..conegeom import (
     classify_subspace,
     least_element_above,
     modulus_in,
-    positive_cone,
 )
 from ..exactnum.linalg import char_poly
 from ..exactnum.rational import ONE, ZERO, QMatrix, QVector
@@ -89,7 +88,7 @@ def case_intro_strict() -> dict:
         "norm": "one",
         "operator_norm": serialize.rational_str(operator_norm(op)),
         "report": serialize.fixed_space_report_to_json(
-            report, positive_cone(report.fixed_space).rays
+            report, report.classification.rays
         ),
         "fixed_vector": serialize.vector_to_json(fixed_vector),
         "modulus_fixed": op.apply(modulus) == modulus,
@@ -127,7 +126,7 @@ def case_intro_kb() -> dict:
         ),
         "fixed_space": serialize.subspace_to_json(fixed),
         "classification": serialize.classification_to_json(
-            classification, positive_cone(fixed).rays
+            classification, classification.rays
         ),
         "least_fixed_above": {
             "bound": serialize.vector_to_json(bound),
@@ -146,7 +145,7 @@ def case_e41() -> dict:
     basis = symbolic_fixed_space(op)
     embedded = constant_profile_embedding(op.schema, basis)
     classification = classify_subspace(embedded)
-    rays = positive_cone(embedded).rays
+    rays = classification.rays
     return {
         "id": "e41",
         "operator_norm": serialize.rational_str(symbolic_operator_norm(op)),
@@ -174,7 +173,7 @@ def case_e42a() -> dict:
         "id": "e42a",
         "norm": "sup",
         "report": serialize.fixed_space_report_to_json(
-            report, positive_cone(report.fixed_space).rays
+            report, report.classification.rays
         ),
         "modulus_within": {
             "of": serialize.vector_to_json(f_hat),
@@ -223,7 +222,7 @@ def case_e43() -> dict:
             "basis": [serialize.symbolic_vector_to_json(v) for v in square_fix],
             "embedded": serialize.subspace_to_json(embedded),
             "classification": serialize.classification_to_json(
-                classification, positive_cone(embedded).rays
+                classification, classification.rays
             ),
         },
         "trace_of_square": serialize.trace_to_json(trace),
@@ -252,7 +251,7 @@ def case_e44() -> dict:
             power_bounded_analysis(op)
         ),
         "report": serialize.fixed_space_report_to_json(
-            report, positive_cone(report.fixed_space).rays
+            report, report.classification.rays
         ),
     }
 

@@ -2,20 +2,16 @@
 and least upper bounds computed exactly inside a subspace."""
 
 from .core import (
-    SIGN_ORACLE_DIM_BOUND,
     LatticeClassification,
     PolyhedralCone,
     Subspace,
     Verdict,
-    am_property_check,
     classify_subspace,
     extreme_rays_of_inequality_cone,
-    in_conic_hull,
     least_element_above,
     least_upper_bound_in,
     modulus_in,
     positive_cone,
-    sign_pattern_sublattice_oracle,
 )
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, minimize
 
@@ -26,17 +22,13 @@ __all__ = [
     "LPResult",
     "LatticeClassification",
     "PolyhedralCone",
-    "SIGN_ORACLE_DIM_BOUND",
     "Subspace",
     "Verdict",
-    "am_property_check",
     "classify_subspace",
     "extreme_rays_of_inequality_cone",
-    "in_conic_hull",
     "least_element_above",
     "least_upper_bound_in",
     "minimize",
     "modulus_in",
     "positive_cone",
-    "sign_pattern_sublattice_oracle",
 ]

@@ -18,14 +18,17 @@ ordered spaces:
 Double description decides ray adjacency from the tight sets it holds;
 coordinates in F are read off the pivots of its RREF basis.
 
-Least upper bounds inside F are found by exact coordinatewise
-minimization over the upper-bound set (a rational LP per coordinate);
-the assembled minimum is returned only when it itself lies in F, which
-certifies it as the least element.
+Least upper bounds inside a lattice subspace F are read off its extreme
+rays: the cone is simplicial, so in the ray basis the order of F is
+coordinatewise (Abramovich, Aliprantis and Polyrakis 1994; Polyrakis
+1996) and a supremum is the coordinatewise maximum of ray coordinates.
+On any other subspace the least element above a bound is found by exact
+coordinatewise minimization over the upper-bound set (a rational LP per
+coordinate); the assembled minimum is returned only when it itself lies
+in F, which certifies it as the least element.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -33,10 +36,8 @@ from typing import Iterable, Sequence
 
 from ..exactnum import TheoremViolationError
 from ..exactnum.linalg import invert, rank, row_space_basis, rref
-from ..exactnum.rational import ONE, ZERO, QMatrix, QVector, rat
-from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, minimize
-
-SIGN_ORACLE_DIM_BOUND = 12
+from ..exactnum.rational import QMatrix, QVector
+from .simplex import INFEASIBLE, UNBOUNDED, minimize
 
 
 class Verdict(str, Enum):
@@ -53,6 +54,19 @@ class Subspace:
 
     ambient_dim: int
     basis: tuple[QVector, ...]
+
+    def __post_init__(self) -> None:
+        pivots = [next((j for j, x in enumerate(b) if x), None) for b in self.basis]
+        if (
+            None in pivots
+            or any(self.basis[i][p] != 1 for i, p in enumerate(pivots))
+            or any(p >= q for p, q in zip(pivots, pivots[1:]))
+            or any(
+                b[p] for i, p in enumerate(pivots)
+                for k, b in enumerate(self.basis) if k != i
+            )
+        ):
+            raise ValueError("subspace basis is not in reduced row echelon form")
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[QVector]) -> "Subspace":
@@ -107,6 +121,7 @@ class LatticeClassification:
     cone_generating: bool
     cone_simplicial: bool
     rays_support_disjoint: bool
+    rays: tuple[QVector, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -197,21 +212,6 @@ def positive_cone(subspace: Subspace) -> PolyhedralCone:
     return PolyhedralCone(subspace, tuple(ambient_rays))
 
 
-def in_conic_hull(rays: Sequence[QVector], x: QVector) -> bool:
-    """Exact membership of x in the conic hull of the rays."""
-    if not rays:
-        return x.is_zero()
-    n = x.dim
-    k = len(rays)
-    zero_obj = QVector.zero(k)
-    eqs = [
-        (QVector(r[j] for r in rays), x[j])
-        for j in range(n)
-    ]
-    ineqs = [(QVector.unit(k, i), ZERO) for i in range(k)]
-    return minimize(zero_obj, equalities=eqs, inequalities=ineqs).status == OPTIMAL
-
-
 # ---------------------------------------------------------------------------
 # classification
 
@@ -219,11 +219,12 @@ def in_conic_hull(rays: Sequence[QVector], x: QVector) -> bool:
 def classify_subspace(subspace: Subspace) -> LatticeClassification:
     """Lattice classification of F under the inherited coordinate order.
 
-    The zero subspace is vacuously closed under the modulus and is
-    classified as a sublattice with all flags true.
+    The extreme rays of the positive cone ride along in the result.  The
+    zero subspace is vacuously closed under the modulus and is
+    classified as a sublattice with all flags true and no rays.
     """
     if subspace.is_zero():
-        return LatticeClassification(Verdict.SUBLATTICE, True, True, True)
+        return LatticeClassification(Verdict.SUBLATTICE, True, True, True, ())
     d = subspace.dim
     rays = positive_cone(subspace).rays
     generating = bool(rays) and rank(QMatrix(rays)) == d
@@ -239,7 +240,7 @@ def classify_subspace(subspace: Subspace) -> LatticeClassification:
         verdict = Verdict.SUBLATTICE
     else:
         verdict = Verdict.LATTICE_SUBSPACE_ONLY
-    return LatticeClassification(verdict, generating, simplicial, disjoint)
+    return LatticeClassification(verdict, generating, simplicial, disjoint, rays)
 
 
 # ---------------------------------------------------------------------------
@@ -282,91 +283,38 @@ def least_upper_bound_in(
 ) -> QVector | None:
     """The least element of {z in F : z >= g for all g}, or None.
 
-    Every input must lie in F; z >= g for all g collapses to a single
-    coordinatewise bound.
+    Every input must lie in F.  On a lattice subspace the d extreme rays
+    r_i form a basis in which the order of F is coordinatewise, so the
+    result is sum_i (max_k a_ki) r_i, where a_k are the ray coordinates
+    of the k-th input: one d x d inverse, no LP, and never None.  On any
+    other subspace z >= g for all g collapses to a single coordinatewise
+    bound for least_element_above.
     """
     if not vectors:
         raise ValueError("empty vector collection")
-    for g in vectors:
-        if not subspace.contains(g):
-            raise ValueError("vector outside the subspace")
-    n = subspace.ambient_dim
-    bound = QVector(max(g[j] for g in vectors) for j in range(n))
-    return least_element_above(subspace, bound)
+    coefficients = [subspace.coefficients_of(g) for g in vectors]
+    if None in coefficients:
+        raise ValueError("vector outside the subspace")
+    classification = classify_subspace(subspace)
+    if classification.verdict == Verdict.NOT_LATTICE_SUBSPACE:
+        n = subspace.ambient_dim
+        bound = QVector(max(g[j] for g in vectors) for j in range(n))
+        return least_element_above(subspace, bound)
+    rays = classification.rays
+    if not rays:
+        return QVector.zero(subspace.ambient_dim)
+    # coefficients c = a R for the matrix R of ray coefficients, so the
+    # ray coordinates are a = c R^-1
+    to_rays = invert(
+        QMatrix([subspace.coefficients_of(r) for r in rays])
+    ).transpose()
+    ray_coords = [to_rays.matvec(c) for c in coefficients]
+    out = QVector.zero(subspace.ambient_dim)
+    for i, r in enumerate(rays):
+        out = out + r.scale(max(a[i] for a in ray_coords))
+    return out
 
 
 def modulus_in(subspace: Subspace, x: QVector) -> QVector | None:
     """Least upper bound of {x, -x} within F; requires x in F."""
     return least_upper_bound_in(subspace, [x, -x])
-
-
-# ---------------------------------------------------------------------------
-# sign-pattern oracle and AM property
-
-
-def sign_pattern_sublattice_oracle(subspace: Subspace) -> bool:
-    """Direct decision of the sublattice property by sign-cell analysis.
-
-    F is closed under the coordinatewise modulus iff for every sign
-    pattern sigma whose cell {v in F : sigma_j v_j >= 0} has full
-    dimension in F, the reflection diag(sigma) maps F into F.  Cells of
-    lower dimension are limits of full-dimensional ones, so they impose
-    no extra condition.  Exhaustive over 2^(n-1) patterns (sigma and
-    -sigma give the same condition), hence the ambient bound.
-    """
-    n = subspace.ambient_dim
-    if n > SIGN_ORACLE_DIM_BOUND:
-        raise ValueError(
-            f"ambient dimension {n} exceeds the oracle bound"
-            f" {SIGN_ORACLE_DIM_BOUND}"
-        )
-    if subspace.is_zero():
-        return True
-    d = subspace.dim
-    coord_rows = subspace.coordinate_rows()
-    nonzero = [j for j in range(n) if not coord_rows[j].is_zero()]
-    for bits in range(1 << (n - 1)):
-        sigma = [1] + [1 if (bits >> i) & 1 == 0 else -1 for i in range(n - 1)]
-        # full-dimensional cell <=> some c satisfies all constraints strictly
-        obj = QVector([ZERO] * d + [-ONE])
-        ineqs = [
-            (
-                QVector(tuple(coord_rows[j].scale(sigma[j])) + (-ONE,)),
-                ZERO,
-            )
-            for j in nonzero
-        ]
-        ineqs.append((QVector([ZERO] * d + [-ONE]), -ONE))  # t <= 1
-        result = minimize(obj, inequalities=ineqs)
-        if result.status != OPTIMAL or result.value >= 0:
-            continue
-        reflected_ok = all(
-            subspace.contains(QVector(sigma[j] * b[j] for j in range(n)))
-            for b in subspace.basis
-        )
-        if not reflected_ok:
-            return False
-    return True
-
-
-def am_property_check(subspace: Subspace, trials: int, seed: int) -> bool:
-    """Randomized sup-norm AM-property check on the positive cone of F:
-    the least upper bound within F of positive x, y must carry norm
-    max(sup-norm x, sup-norm y).  Requires F to be a lattice subspace."""
-    classification = classify_subspace(subspace)
-    if classification.verdict == Verdict.NOT_LATTICE_SUBSPACE:
-        raise ValueError("AM check needs a lattice subspace")
-    rays = positive_cone(subspace).rays
-    rng = random.Random(seed)
-    for _ in range(trials):
-        x = QVector.zero(subspace.ambient_dim)
-        y = QVector.zero(subspace.ambient_dim)
-        for r in rays:
-            x = x + r.scale(Fraction(rng.randint(0, 8), rng.randint(1, 4)))
-            y = y + r.scale(Fraction(rng.randint(0, 8), rng.randint(1, 4)))
-        z = least_upper_bound_in(subspace, [x, y])
-        if z is None:
-            return False
-        if z.sup_norm() != max(x.sup_norm(), y.sup_norm()):
-            return False
-    return True

@@ -6,9 +6,10 @@ family the fixed space is always a lattice subspace (and under a
 strictly monotone norm a sublattice), suprema taken within the fixed
 space dominate ambient suprema, and for nonnegative ambient suprema the
 two have equal norm.  This module assembles those facts into checkable
-reports, computes suprema within fixed spaces by exact linear
-programming, and reproduces the transfinite iteration that climbs to a
-fixed point through repeated monotone limit steps.
+reports, computes suprema within fixed spaces from the extreme rays of
+their positive cones (conegeom.least_upper_bound_in), and reproduces
+the transfinite iteration that climbs to a fixed point through repeated
+monotone limit steps.
 
 Two independent routes to the least fixed vector above a super fixed g
 coexist deliberately: the LP least-element construction (order
@@ -225,7 +226,10 @@ def _matrix_trace(
         raise TheoremViolationError(
             "monotone orbit of the ambient supremum is unbounded"
         )
-    assert m @ h == h
+    if m @ h != h:
+        raise TheoremViolationError(
+            "monotone orbit limit of the ambient supremum is not fixed"
+        )
     step = TraceStep(limit_step_index=1, vector=h, is_fixed=True)
     return TransfiniteTrace(
         steps=(step,),
@@ -248,16 +252,18 @@ def _symbolic_trace(
     steps: list[TraceStep] = []
     for index in range(1, budget + 1):
         result = seqspace.orbit_sup(op, current, power)
-        assert result.outcome != "NotSuperFixed", (
-            "the supremum of fixed vectors is always super fixed"
-        )
+        if result.outcome == "NotSuperFixed":
+            raise TheoremViolationError(
+                "the supremum of fixed vectors is not super fixed"
+            )
         if result.outcome == "Unbounded":
             return TransfiniteTrace(
                 steps=tuple(steps),
                 outcome="Unbounded",
                 evidence=result.evidence,
             )
-        assert result.supremum is not None
+        if result.supremum is None:
+            raise TheoremViolationError("orbit settled without a supremum")
         current = result.supremum
         is_fixed = seqspace.apply_power(op, current, power) == current
         steps.append(TraceStep(index, current, is_fixed))

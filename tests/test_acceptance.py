@@ -20,7 +20,6 @@ from latfix.conegeom import (
     least_upper_bound_in,
     modulus_in,
     positive_cone,
-    sign_pattern_sublattice_oracle,
 )
 from latfix.cyclicity import (
     semigroup_imaginary_check,
@@ -42,6 +41,7 @@ from latfix.opcore import (
 )
 from latfix.cli import gallery
 
+from cone_oracles import sign_pattern_sublattice_oracle
 from conftest import (
     poly_of,
     random_nonneg_poly_coeffs,

@@ -10,7 +10,7 @@ import pytest
 
 from latfix.cli import main
 from latfix.cli import gallery
-from latfix.conegeom import UNBOUNDED, LPResult
+from latfix.conegeom import UNBOUNDED, LPResult, core
 
 
 def write_json(path, data):
@@ -99,6 +99,24 @@ class TestClassifyCommand:
         path = write_json(tmp_path / "s.json", {"basis": []})
         assert main(["classify", "-i", path]) == 2
 
+    def test_double_description_runs_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        real = core.extreme_rays_of_inequality_cone
+
+        def counted(rows):
+            calls.append(rows)
+            return real(rows)
+
+        monkeypatch.setattr(core, "extreme_rays_of_inequality_cone", counted)
+        path = write_json(
+            tmp_path / "s.json",
+            {"ambient_dim": 3, "basis": [["1", "1", "1"], ["1", "0", "-1"]]},
+        )
+        assert main(["classify", "-i", path, "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["classification"]["rays"] == [["0", "1", "2"], ["2", "1", "0"]]
+        assert len(calls) == 1
+
 
 class TestFixspaceCommand:
     def test_happy_path(self, tmp_path, capsys):
@@ -153,7 +171,17 @@ class TestSupInFixCommand:
         assert main(["sup-in-fix", "-i", fam, "-g", vecs]) == 2
 
 
+E44_FAMILY = {
+    "matrices": [{"rows": [["1", "0", "0"], ["1", "1", "1"], ["0", "0", "1"]]}]
+}
+
+
 class TestDefectExit:
+    """A defect inside a computation exits 1 with a `defect:` line and
+    no traceback.  The LP runs only on subspaces that are not lattice
+    subspaces, so the simplex cases go through the norm checks of the
+    e44 fixed space, which is one."""
+
     @pytest.mark.parametrize(
         "target, fake",
         [
@@ -165,11 +193,24 @@ class TestDefectExit:
                 lambda *args, **kwargs: LPResult(UNBOUNDED, None, None),
             ),
         ],
+        ids=["phase-one-unbounded", "upper-bound-set-unbounded"],
     )
-    def test_sup_in_fix_reports_defect(
+    def test_fixspace_lp_defect(
         self, target, fake, tmp_path, monkeypatch, capsys
     ):
+        path = write_json(tmp_path / "fam.json", E44_FAMILY)
+        assert main(["fixspace", "-i", path]) == 0
+        capsys.readouterr()
         monkeypatch.setattr(target, fake)
+        assert main(["fixspace", "-i", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("defect: ")
+        assert "Traceback" not in err
+
+    def test_sup_in_fix_missing_supremum(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(
+            "latfix.fixlattice.least_upper_bound_in", lambda *args: None
+        )
         fam = write_json(tmp_path / "fam.json", family_payload())
         vecs = write_json(
             tmp_path / "vecs.json", [["1", "0", "-1"], ["-1", "0", "1"]]

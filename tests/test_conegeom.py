@@ -16,22 +16,24 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from latfix.conegeom.core import (
-    SIGN_ORACLE_DIM_BOUND,
     Subspace,
     Verdict,
-    am_property_check,
     classify_subspace,
     extreme_rays_of_inequality_cone,
-    in_conic_hull,
     least_element_above,
     least_upper_bound_in,
     modulus_in,
     positive_cone,
-    sign_pattern_sublattice_oracle,
 )
 from latfix.exactnum.rational import QMatrix, QVector, rat
-from latfix.exactnum.linalg import rank, solve
+from latfix.exactnum.linalg import kernel_basis, rank, solve
 
+from cone_oracles import (
+    SIGN_ORACLE_DIM_BOUND,
+    am_property_check,
+    in_conic_hull,
+    sign_pattern_sublattice_oracle,
+)
 from conftest import bareiss_rank, random_subspace_mix, random_qvector, rng_for
 
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -94,6 +96,7 @@ class TestClassification:
         c = classify_subspace(Subspace(3, ()))
         assert c.verdict == Verdict.SUBLATTICE
         assert c.cone_generating and c.cone_simplicial and c.rays_support_disjoint
+        assert c.rays == ()
 
     def test_diagonal_is_sublattice(self):
         c = classify_subspace(span(3, (1, 1, 1)))
@@ -106,10 +109,10 @@ class TestClassification:
         assert c.verdict == Verdict.LATTICE_SUBSPACE_ONLY
         assert c.cone_generating and c.cone_simplicial
         assert not c.rays_support_disjoint
-        assert set(positive_cone(f).rays) == {
+        assert c.rays == positive_cone(f).rays == (
             QVector([0, 1, 2]),
             QVector([2, 1, 0]),
-        }
+        )
 
     def test_not_lattice_subspace_thin_cone(self):
         # positive cone is a single ray: not generating
@@ -319,6 +322,108 @@ class TestLubAndModulus:
             c2 = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
             x = QVector([2, 1, 0, 0]).scale(c1) + QVector([0, 0, 1, 3]).scale(c2)
             assert modulus_in(f, x) == x.abs()
+
+
+def _stochastic_row(rng, width):
+    nums = [rng.randint(1, 5) for _ in range(width)]
+    return [Fraction(a, sum(nums)) for a in nums]
+
+
+def absorbing_chain_fixed_space(rng, n):
+    """Fixed space of a row-stochastic matrix with k positive recurrent
+    blocks and transient states that reach all of them: the absorption
+    probabilities, a lattice subspace whose rays overlap on the
+    transient states (a sublattice when no state is transient)."""
+    k = rng.randint(1, 3)
+    recurrent = rng.randint(k, n)
+    cuts = sorted(rng.sample(range(1, recurrent), k - 1))
+    bounds = list(zip([0] + cuts, cuts + [recurrent]))
+    rows = []
+    for lo, hi in bounds:
+        for _ in range(lo, hi):
+            rows.append([0] * lo + _stochastic_row(rng, hi - lo) + [0] * (n - hi))
+    rows += [_stochastic_row(rng, n) for _ in range(recurrent, n)]
+    eye = QMatrix.identity(n)
+    return Subspace.from_vectors(n, kernel_basis(eye - QMatrix(rows)))
+
+
+def cone_shaped_span(rng, n, kind):
+    """A span in R^n shaped like the classification inputs: nonnegative
+    vectors with a coordinate of their own (overlapping or disjoint
+    supports elsewhere), or two mixed-sign vectors whose span holds a
+    strictly positive vector, so its cone has exactly two rays."""
+    if kind == "mixed":
+        while True:
+            v = QVector(rng.randint(-2, 2) for _ in range(n))
+            if min(v) < 0 < max(v):
+                break
+        interior = QVector(rng.randint(1, 3) for _ in range(n))
+        return Subspace.from_vectors(n, [v, interior + v])
+    d = rng.randint(2, 4)
+    cols = list(range(n))
+    rng.shuffle(cols)
+    vectors = [[0] * n for _ in range(d)]
+    for i, j in enumerate(cols[:d]):
+        vectors[i][j] = rng.randint(1, 4)
+    for j in cols[d:]:
+        if kind == "disjoint":
+            vectors[rng.randrange(d)][j] = rng.randint(1, 4)
+        else:
+            for v in vectors:
+                v[j] = rng.randint(0, 3)
+    return Subspace.from_vectors(n, [QVector(v) for v in vectors])
+
+
+class TestRaySuprema:
+    def test_matches_least_element_above(self):
+        """The ray-basis supremum equals the LP least element above the
+        ambient maximum, on fixed-space and classification shapes."""
+        rng = rng_for("ray-suprema")
+        verdicts = []
+        kinds = ("chain", "positive", "disjoint", "mixed")
+        for index in range(60):
+            n = rng.randint(9, 12)
+            kind = kinds[index % len(kinds)]
+            if kind == "chain":
+                f = absorbing_chain_fixed_space(rng, n)
+            else:
+                f = cone_shaped_span(rng, n, kind)
+            verdict = classify_subspace(f).verdict
+            assert verdict != Verdict.NOT_LATTICE_SUBSPACE
+            verdicts.append(verdict)
+            vectors = [
+                f.from_coefficients(
+                    QVector(
+                        Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                        for _ in range(f.dim)
+                    )
+                )
+                for _ in range(rng.randint(2, 3))
+            ]
+            ambient_max = vectors[0]
+            for v in vectors[1:]:
+                ambient_max = ambient_max.cwise_max(v)
+            lub = least_upper_bound_in(f, vectors)
+            assert lub is not None
+            assert lub == least_element_above(f, ambient_max)
+        assert verdicts.count(Verdict.SUBLATTICE) >= 15
+        assert verdicts.count(Verdict.LATTICE_SUBSPACE_ONLY) >= 30
+
+    def test_zero_subspace(self):
+        z = Subspace(3, ())
+        assert least_upper_bound_in(z, [QVector.zero(3)]) == QVector.zero(3)
+
+
+class TestBasisForm:
+    def test_rejects_non_rref_basis(self):
+        for basis in (
+            [QVector([2, 0])],  # no leading 1
+            [QVector([0, 1]), QVector([1, 0])],  # pivots decrease
+            [QVector([1, 1]), QVector([0, 1])],  # pivot column not cleared
+            [QVector([0, 0])],  # no pivot
+        ):
+            with pytest.raises(ValueError):
+                Subspace(2, tuple(basis))
 
 
 class TestAmProperty:

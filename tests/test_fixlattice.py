@@ -6,9 +6,15 @@ route (two independent constructions of the same object), fixed-space
 dimensions against a Bareiss rank oracle.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+from latfix import fixlattice, seqspace
 
 from latfix.conegeom.core import Verdict
 from latfix.exactnum.linalg import DefectiveEigenvalueError, fix_projection
@@ -333,3 +339,62 @@ class TestSymbolicTrace:
     def test_power_must_be_positive(self):
         with pytest.raises(ValueError):
             transfinite_trace(averaging_op(), [QVector([1, 0, -1])], power=0)
+
+
+E42_TRACE_UNDER_BROKEN_ORBIT = """
+import sys
+from latfix import fixlattice, seqspace
+from latfix.exactnum.rational import QVector
+
+assert not __debug__
+seqspace.orbit_sup = lambda *args: seqspace.OrbitSup("NotSuperFixed")
+op = seqspace.builtin_operator("e42")
+chain = seqspace.ZERO_CHAIN
+f = seqspace.SymbolicVector(op.schema, QVector([1, 0, -1]), (chain, chain))
+try:
+    fixlattice.transfinite_trace(op, [f, -f])
+except fixlattice.TheoremViolationError:
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+class TestEnforcedChecks:
+    """The theory's guarantees inside the traces raise
+    TheoremViolationError; none is a bare assert."""
+
+    def test_matrix_limit_not_fixed(self, monkeypatch):
+        # an identity "projection" leaves the ambient supremum (1, 0, 1)
+        # where it is, which dominates itself but is not fixed
+        monkeypatch.setattr(
+            fixlattice, "fix_projection", lambda m: QMatrix.identity(m.nrows)
+        )
+        f_hat = QVector([1, 0, -1])
+        with pytest.raises(TheoremViolationError, match="not fixed"):
+            transfinite_trace(averaging_op(), [f_hat, -f_hat])
+
+    @pytest.mark.parametrize(
+        "outcome, match",
+        [
+            (seqspace.OrbitSup("NotSuperFixed"), "not super fixed"),
+            (seqspace.OrbitSup("Stabilized"), "without a supremum"),
+        ],
+    )
+    def test_symbolic_orbit_defects(self, monkeypatch, outcome, match):
+        monkeypatch.setattr(seqspace, "orbit_sup", lambda *args: outcome)
+        op = builtin_operator("e42")
+        chain = seqspace.ZERO_CHAIN
+        f = SymbolicVector(op.schema, QVector([1, 0, -1]), (chain, chain))
+        with pytest.raises(TheoremViolationError, match=match):
+            transfinite_trace(op, [f, f.scale(-1)])
+
+    def test_raised_under_optimized_python(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", E42_TRACE_UNDER_BROKEN_ORBIT],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
