@@ -2,8 +2,9 @@
 contractions, the eigenspace dimension estimate, and the semigroup
 analogue for Metzler generators.
 
-Root-of-unity content is read off exactly from cyclotomic kernels; no
-eigenvalue is ever computed in floating point.
+Root-of-unity content is read off exactly from cyclotomic trial
+division and, for repeated orders, cyclotomic kernels; no eigenvalue is
+ever computed in floating point.
 Run with: python3 demos/05_cyclicity_probe.py
 """
 

@@ -9,9 +9,10 @@ characteristic polynomial (``opcore.cyclotomic_content``, which the
 power-boundedness analysis shares): trial division by the cyclotomic
 polynomials gives the root-of-unity content, the n-th cyclotomic is
 evaluated at the matrix (its kernel has dimension multiplicity * phi(n))
-only when it divides, and a Sturm count on the cyclotomic-free remainder
-finds the unimodular eigenvalues that are not roots of unity.  Nothing
-is factored, so there is no degree bound.
+only when it divides the characteristic polynomial more than once (a
+simple factor forces multiplicity 1), and a Sturm count on the
+cyclotomic-free remainder finds the unimodular eigenvalues that are not
+roots of unity.  Nothing is factored, so there is no degree bound.
 
 The related semigroup statement is covered in its finite-dimensional
 form: a Metzler matrix with nonpositive logarithmic sup norm generates

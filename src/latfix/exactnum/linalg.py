@@ -7,12 +7,14 @@ in `conegeom.simplex` reduce with it and with nothing else.
 Kernel bases are canonical: the spanning set produced by back
 substitution is itself brought to reduced row echelon form, so equal
 subspaces always yield identical bases.  The characteristic polynomial
-is computed with the Faddeev-LeVerrier recurrence, which needs only
-exact division by integers.
+is computed with division-free Berkowitz on plain integers, after
+clearing one common denominator.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .polynomials import QPolynomial
 from .rational import ONE, ZERO, QMatrix, QVector
@@ -106,20 +108,39 @@ def solve(matrix: QMatrix, rhs: QVector) -> QVector | None:
 
 
 def char_poly(matrix: QMatrix) -> QPolynomial:
-    """Characteristic polynomial det(xI - M), monic, by Faddeev-LeVerrier."""
+    """Characteristic polynomial det(xI - M), monic, by division-free
+    Berkowitz on the integer matrix A = D*M, D the common denominator of
+    the entries.
+
+    Bordering the leading k-by-k block A_k of A by its next row r,
+    column c and diagonal entry a gives
+    det(xI - A_(k+1)) as a Toeplitz product of det(xI - A_k) with
+    1, -a, -r c, -r A_k c, ..., -r A_k^(k-1) c (Berkowitz 1984).  The
+    coefficient of x^(n-k) of det(xI - A) is D^k times that of M, so
+    there is one division per coefficient, at the end.
+    """
     if not matrix.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = matrix.nrows
-    coeffs = [ZERO] * (n + 1)
-    coeffs[n] = ONE
-    mk = matrix
-    ck = ZERO
-    for k in range(1, n + 1):
-        if k > 1:
-            mk = matrix.matmul(mk + QMatrix.identity(n).scale(ck))
-        ck = -mk.trace() / k
-        coeffs[n - k] = ck
-    return QPolynomial(coeffs)
+    d = lcm(*(x.denominator for row in matrix.rows for x in row))
+    a = [[x.numerator * (d // x.denominator) for x in row] for row in matrix.rows]
+    coeffs = [1]  # det(xI - A_k), descending
+    for k in range(n):
+        block = [a[i][:k] for i in range(k)]
+        row = a[k][:k]
+        col = [a[i][k] for i in range(k)]
+        toeplitz = [1, -a[k][k]]
+        for j in range(k):
+            if j:
+                col = [sum(map(mul, block_row, col)) for block_row in block]
+            toeplitz.append(-sum(map(mul, row, col)))
+        coeffs = [
+            sum(toeplitz[i - j] * coeffs[j] for j in range(min(i, k) + 1))
+            for i in range(k + 2)
+        ]
+    return QPolynomial(
+        Fraction(coeffs[n - i], d ** (n - i)) for i in range(n + 1)
+    )
 
 
 def poly_of_matrix(poly: QPolynomial, matrix: QMatrix) -> QMatrix:

@@ -250,11 +250,6 @@ class QMatrix:
     def is_nonneg(self) -> bool:
         return all(r.is_nonneg() for r in self.rows)
 
-    def trace(self) -> Fraction:
-        if not self.is_square():
-            raise ValueError("trace of a non-square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), ZERO)
-
     def _check_shape(self, other: "QMatrix") -> None:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from .exactnum import TheoremViolationError
 from .exactnum.linalg import char_poly, poly_of_matrix, rank
 from .exactnum.polynomials import (
     QPolynomial,
@@ -181,37 +182,69 @@ def perron_root_vs_one(chi: QPolynomial) -> int:
     return 0 if root_at_one else -1
 
 
+def _exact_quotient(p: list[int], divisor: list[int]) -> list[int] | None:
+    """p / divisor when the monic integer divisor divides p exactly, else
+    None; ascending integer coefficients.  A monic divisor keeps every
+    quotient coefficient an integer."""
+    rem = list(p)
+    shift = len(divisor) - 1
+    quotient = [0] * (len(rem) - shift)
+    for i in range(len(rem) - 1, shift - 1, -1):
+        f = rem[i]
+        if f:
+            quotient[i - shift] = f
+            for j, c in enumerate(divisor):
+                if c:
+                    rem[i - shift + j] -= f * c
+    return None if any(rem[:shift]) else quotient
+
+
 def cyclotomic_content(
     op: PositiveMatrixOperator, chi: QPolynomial
 ) -> tuple[dict[int, int], dict[int, int], QPolynomial]:
     """order -> geometric and order -> algebraic multiplicity of the
     primitive n-th roots of unity, and the cyclotomic-free remainder of
-    the characteristic polynomial chi.  Those roots are algebraically
-    indistinguishable over the rationals, so ker of the n-th cyclotomic
-    at the matrix splits evenly among them: its dimension is an exact
-    multiple of phi(n)."""
+    the characteristic polynomial chi.  Trial division runs on the
+    primitive integer form of chi.
+
+    Those roots are algebraically indistinguishable over the rationals,
+    so ker of the n-th cyclotomic at the matrix splits evenly among
+    them: its dimension is g * phi(n) with 1 <= g <= the algebraic
+    multiplicity.  When the n-th cyclotomic divides chi exactly once
+    that forces g = 1, and the matrix is not evaluated; otherwise g is
+    read off the rank of the cyclotomic at the matrix."""
     n = op.dim
-    rest = chi
+    prim, unit = chi.primitive_integer()
+    rest = [int(c) for c in prim.coeffs]
     geometric: dict[int, int] = {}
     algebraic: dict[int, int] = {}
     for order in orders_with_phi_at_most(n):
         phi = euler_phi(order)
-        if phi > rest.degree:
+        if phi > len(rest) - 1:
             continue
         phi_n = cyclotomic(order)
-        quotient, remainder = rest.divmod(phi_n)
-        while remainder.is_zero():
+        divisor = [int(c) for c in phi_n.coeffs]
+        mult = 0
+        quotient = _exact_quotient(rest, divisor)
+        while quotient is not None:
             rest = quotient
-            algebraic[order] = algebraic.get(order, 0) + 1
-            quotient, remainder = rest.divmod(phi_n)
-        if order in algebraic:
-            kernel_dim = n - rank(poly_of_matrix(phi_n, op.matrix))
-            if kernel_dim % phi != 0:
-                raise AssertionError(
-                    "cyclotomic kernel dimension not divisible by phi"
-                )
-            geometric[order] = kernel_dim // phi
-    return geometric, algebraic, rest
+            mult += 1
+            quotient = _exact_quotient(rest, divisor)
+        if mult == 0:
+            continue
+        algebraic[order] = mult
+        if mult == 1:
+            geometric[order] = 1
+            continue
+        kernel_dim = n - rank(poly_of_matrix(phi_n, op.matrix))
+        g, leftover = divmod(kernel_dim, phi)
+        if leftover or not 1 <= g <= mult:
+            raise TheoremViolationError(
+                f"kernel of the order-{order} cyclotomic at the matrix has"
+                f" dimension {kernel_dim}, not g * {phi} with 1 <= g <= {mult}"
+            )
+        geometric[order] = g
+    return geometric, algebraic, QPolynomial(rest).scale(unit)
 
 
 @dataclass(frozen=True)
@@ -238,7 +271,7 @@ def power_bounded_analysis(op: PositiveMatrixOperator) -> PowerBoundAnalysis:
         return PowerBoundAnalysis("Yes", None, "all roots strictly inside")
     geometric, algebraic, rest = cyclotomic_content(op, chi)
     if has_unimodular_root(rest):
-        raise AssertionError(
+        raise TheoremViolationError(
             "unimodular eigenvalue of a nonnegative matrix is not a root of unity"
         )
     defective = [

@@ -95,6 +95,25 @@ def random_subspace_mix(rng: random.Random, index: int) -> Subspace:
     return Subspace.from_vectors(n, vecs)
 
 
+def cycle_matrix(n: int) -> QMatrix:
+    """Permutation matrix of one n-cycle."""
+    return QMatrix(
+        [[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
+    )
+
+
+def block_diag(*blocks: QMatrix) -> QMatrix:
+    n = sum(b.nrows for b in blocks)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    offset = 0
+    for b in blocks:
+        for i in range(b.nrows):
+            for j in range(b.ncols):
+                rows[offset + i][offset + j] = b.rows[i][j]
+        offset += b.nrows
+    return QMatrix(rows)
+
+
 def random_nonneg_poly_coeffs(
     rng: random.Random, degree: int, total: Fraction
 ) -> list[Fraction]:

@@ -43,6 +43,8 @@ from latfix.cli import gallery
 
 from cone_oracles import sign_pattern_sublattice_oracle
 from conftest import (
+    block_diag,
+    cycle_matrix,
     poly_of,
     random_nonneg_poly_coeffs,
     random_qvector,
@@ -58,24 +60,6 @@ def run_case(case_id):
     match, _ = gallery.case_matches(case_id)
     assert match, f"gallery case {case_id} deviates from its fixture"
     return gallery.run_gallery(case_id)
-
-
-def cycle_matrix(n):
-    return QMatrix(
-        [[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
-    )
-
-
-def block_diag(*blocks):
-    n = sum(b.nrows for b in blocks)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    offset = 0
-    for b in blocks:
-        for i in range(b.nrows):
-            for j in range(b.ncols):
-                rows[offset + i][offset + j] = b.rows[i][j]
-        offset += b.nrows
-    return QMatrix(rows)
 
 
 def test_criterion_01_gallery_e41_fixed_space_and_verdict():

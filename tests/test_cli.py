@@ -11,6 +11,7 @@ import pytest
 from latfix.cli import main
 from latfix.cli import gallery
 from latfix.conegeom import UNBOUNDED, LPResult, core
+from latfix.exactnum.linalg import poly_of_matrix
 
 
 def write_json(path, data):
@@ -221,6 +222,22 @@ class TestDefectExit:
         assert "Traceback" not in err
 
 
+def cycle_rows(n):
+    return [["1" if j == (i + 1) % n else "0" for j in range(n)] for i in range(n)]
+
+
+TWO_SWAPS = {
+    "matrix": {
+        "rows": [
+            ["0", "1", "0", "0"],
+            ["1", "0", "0", "0"],
+            ["0", "0", "0", "1"],
+            ["0", "0", "1", "0"],
+        ]
+    }
+}
+
+
 class TestCyclicityCommand:
     def test_permutation(self, tmp_path, capsys):
         path = write_json(
@@ -242,17 +259,46 @@ class TestCyclicityCommand:
     def test_long_cycle_beyond_degree_sixteen(
         self, tmp_path, capsys, n, orders
     ):
-        rows = [
-            ["1" if j == (i + 1) % n else "0" for j in range(n)]
-            for i in range(n)
-        ]
-        path = write_json(tmp_path / "op.json", {"matrix": {"rows": rows}})
+        path = write_json(tmp_path / "op.json", {"matrix": {"rows": cycle_rows(n)}})
         assert main(["cyclicity", "-i", path, "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["verdict"] == "Pass"
         assert data["orders"] == orders
         assert data["algebraic_orders"] == orders
         assert data["non_cyclotomic_boundary"] is False
+
+    def test_forced_multiplicities_evaluate_no_cyclotomic(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        evaluated = []
+
+        def counting(poly, matrix):
+            evaluated.append(poly.degree)
+            return poly_of_matrix(poly, matrix)
+
+        monkeypatch.setattr("latfix.opcore.poly_of_matrix", counting)
+        orders = [[d, 1] for d in (1, 2, 3, 4, 6, 8, 12, 24)]
+        path = write_json(tmp_path / "op.json", {"matrix": {"rows": cycle_rows(24)}})
+        assert main(["cyclicity", "-i", path, "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["orders"] == data["algebraic_orders"] == orders
+        assert evaluated == []
+        # two disjoint 2-cycles: the orders 1 and 2 repeat, so both
+        # cyclotomics are evaluated at the matrix
+        path = write_json(tmp_path / "op.json", TWO_SWAPS)
+        assert main(["cyclicity", "-i", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["orders"] == [[1, 2], [2, 2]]
+        assert len(evaluated) >= 1
+
+    def test_cyclotomic_kernel_defect(self, tmp_path, capsys, monkeypatch):
+        # a full-rank cyclotomic at the matrix would leave the repeated
+        # orders 1 and 2 with no eigenvector at all
+        monkeypatch.setattr("latfix.opcore.rank", lambda matrix: matrix.nrows)
+        path = write_json(tmp_path / "op.json", TWO_SWAPS)
+        assert main(["cyclicity", "-i", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("defect: ")
+        assert "Traceback" not in err
 
     def test_negative_entry_invalid(self, tmp_path):
         path = write_json(

