@@ -16,6 +16,7 @@ from ..conegeom import (
     least_element_above,
     modulus_in,
 )
+from ..exactnum import TheoremViolationError
 from ..exactnum.linalg import char_poly
 from ..exactnum.rational import ONE, ZERO, QMatrix, QVector
 from ..fixlattice import (
@@ -82,7 +83,8 @@ def case_intro_strict() -> dict:
     fixed_vector = QVector((1, 1, -1))
     modulus = fixed_vector.abs()
     op = family.members[0]
-    assert op.apply(fixed_vector) == fixed_vector
+    if op.apply(fixed_vector) != fixed_vector:
+        raise TheoremViolationError("intro-strict: the fixed vector is not fixed")
     return {
         "id": "intro-strict",
         "norm": "one",
@@ -113,9 +115,11 @@ def case_intro_kb() -> dict:
     fixed = fixed_space_of_family(family)
     classification = classify_subspace(fixed)
     bound = QVector((1, 0, 1))
-    assert super_fixed_check(op, bound)
+    if not super_fixed_check(op, bound):
+        raise TheoremViolationError("intro-kb: the bound is not super fixed")
     least = least_element_above(fixed, bound)
-    assert least is not None
+    if least is None:
+        raise TheoremViolationError("intro-kb: no least fixed vector above the bound")
     return {
         "id": "intro-kb",
         "norm": "sup",
@@ -168,7 +172,8 @@ def case_e42a() -> dict:
     report = fixed_space_report(family)
     f_hat = QVector((1, 0, -1))
     modulus = modulus_in(report.fixed_space, f_hat)
-    assert modulus is not None
+    if modulus is None:
+        raise TheoremViolationError("e42a: no modulus within a lattice subspace")
     return {
         "id": "e42a",
         "norm": "sup",

@@ -290,12 +290,20 @@ def least_upper_bound_in(
     other subspace z >= g for all g collapses to a single coordinatewise
     bound for least_element_above.
     """
+    return _least_upper_bound(subspace, classify_subspace(subspace), vectors)
+
+
+def _least_upper_bound(
+    subspace: Subspace,
+    classification: LatticeClassification,
+    vectors: Sequence[QVector],
+) -> QVector | None:
+    """least_upper_bound_in, given the classification of the subspace."""
     if not vectors:
         raise ValueError("empty vector collection")
     coefficients = [subspace.coefficients_of(g) for g in vectors]
     if None in coefficients:
         raise ValueError("vector outside the subspace")
-    classification = classify_subspace(subspace)
     if classification.verdict == Verdict.NOT_LATTICE_SUBSPACE:
         n = subspace.ambient_dim
         bound = QVector(max(g[j] for g in vectors) for j in range(n))

@@ -168,14 +168,9 @@ def _even_odd_split(p: QPolynomial) -> tuple[QPolynomial, QPolynomial]:
     return even, odd
 
 
-def nonzero_imaginary_pair_count(matrix: QMatrix) -> int:
-    """Number of distinct conjugate pairs (i*beta, -i*beta), beta > 0,
-    of purely imaginary eigenvalues."""
-    return _imaginary_pair_count(char_poly(matrix))
-
-
 def _imaginary_pair_count(p: QPolynomial) -> int:
-    """nonzero_imaginary_pair_count on the characteristic polynomial p.
+    """Number of distinct conjugate pairs (i*beta, -i*beta), beta > 0,
+    of roots of p.
 
     i*beta is a root iff the even and odd parts of p share the root
     -beta^2, so the count is a Sturm count of their gcd, reflected, on

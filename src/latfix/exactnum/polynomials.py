@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .rational import ONE, ZERO, rat
 
@@ -61,13 +61,6 @@ class QPolynomial:
     @staticmethod
     def x() -> "QPolynomial":
         return QPolynomial((ZERO, ONE))
-
-    @staticmethod
-    def from_roots(roots: Sequence) -> "QPolynomial":
-        p = QPolynomial.one()
-        for r in roots:
-            p = p * QPolynomial((-rat(r), ONE))
-        return p
 
     @property
     def degree(self) -> int:
@@ -343,8 +336,6 @@ def _variations(signs: list[int]) -> int:
 
 
 def _variations_at(chain: list[QPolynomial], point) -> int:
-    if point is None:
-        raise ValueError("use _variations_at_infinity")
     return _variations([_sign_at(p, point) for p in chain])
 
 

@@ -31,6 +31,7 @@ from .conegeom import (
     least_element_above,
     least_upper_bound_in,
 )
+from .conegeom.core import _least_upper_bound
 from .exactnum import TheoremViolationError
 from .exactnum.linalg import fix_projection, intersect_kernels
 from .exactnum.rational import QMatrix, QVector
@@ -100,7 +101,7 @@ def fixed_space_report(family: OperatorFamily) -> FixedSpaceReport:
     for i, b in enumerate(fixed.basis):
         ambient = b.abs()
         ambient_norm = vector_norm(ambient, family.norm_tag)
-        lub = least_upper_bound_in(fixed, [b, b.scale(-1)])
+        lub = _least_upper_bound(fixed, classification, [b, b.scale(-1)])
         fixed_norm = None if lub is None else vector_norm(lub, family.norm_tag)
         checks.append(
             NormCheck(

@@ -67,7 +67,6 @@ def vector_norm(x: QVector, tag: NormTag) -> Fraction:
         return x.sup_norm()
     if tag.kind == "one":
         return x.one_norm()
-    assert tag.weights is not None
     if tag.weights.dim != x.dim:
         raise ValueError("weight dimension mismatch")
     return sum((w * abs(v) for w, v in zip(tag.weights, x)), Fraction(0))
@@ -147,7 +146,6 @@ def operator_norm(op: PositiveMatrixOperator) -> Fraction:
             for j in range(n)
         )
     w = tag.weights
-    assert w is not None
     return max(
         sum((w[i] * abs(m.entry(i, j)) for i in range(n)), Fraction(0)) / w[j]
         for j in range(n)

@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .conegeom import Subspace
+from .exactnum import TheoremViolationError
 from .exactnum.linalg import char_poly, fix_projection, kernel_basis
 from .exactnum.polynomials import QPolynomial, unimodular_part
 from .exactnum.rational import ONE, ZERO, QMatrix, QVector, rat
@@ -404,7 +405,6 @@ def apply(op: ShiftInsertOperator, v: SymbolicVector) -> SymbolicVector:
     )
     rows: list[ChainValue] = []
     if op.schema.grid is not None:
-        assert op.grid_row0_source is not None
         for k in range(len(v.grid_rows) + 1):
             old = v.grid_row(k)
             entry = (
@@ -438,7 +438,6 @@ def symbolic_operator_norm(op: ShiftInsertOperator) -> Fraction:
     if op.schema.chains:
         masses.append(Fraction(1))
     if op.schema.grid is not None:
-        assert op.grid_row0_source is not None
         masses.append(op.grid_row0_source.mass())
         masses.append(abs(op.grid_cross))
         masses.append(Fraction(1))
@@ -512,7 +511,6 @@ def symbolic_eigenspace(op: ShiftInsertOperator, lam) -> list[SymbolicVector]:
             forced[nf + ci] = ONE
             add(forced)
     if s.grid is not None:
-        assert op.grid_row0_source is not None
         gv = nf + nch
         row = _spec_row(op, op.grid_row0_source, nvars)
         row[gv] -= lam
@@ -537,8 +535,8 @@ def symbolic_eigenspace(op: ShiftInsertOperator, lam) -> list[SymbolicVector]:
         if s.grid is not None and k[nf + nch] != 0:
             grid_rows = (ChainValue((), k[nf + nch]),)
         vec = SymbolicVector(s, finite, chains, grid_rows)
-        image = apply(op, vec)
-        assert image == vec.scale(lam), "eigenvector failed verification"
+        if apply(op, vec) != vec.scale(lam):
+            raise TheoremViolationError("eigenvector failed verification")
         out.append(vec)
     return out
 
@@ -647,14 +645,11 @@ def _limit_matrix(m: QMatrix) -> QMatrix:
     return fix_projection(m)
 
 
-def orbit_sup(
-    op: ShiftInsertOperator,
-    g: SymbolicVector,
-    power: int = 1,
-    _certify_growth: bool = True,
-) -> OrbitSup:
-    """Supremum of the increasing orbit g, T^p g, T^2p g, ... in closed
-    form (p = power, default 1).
+def _limit_step(
+    op: ShiftInsertOperator, g: SymbolicVector, power: int
+) -> SymbolicVector:
+    """Supremum of the increasing orbit g, T^p g, T^2p g, ... of a super
+    fixed g (p = power), certified to dominate g.
 
     Tails are orbit invariants, so the finite part follows the affine
     iteration x -> Ax + b whose limit is the fixed-space projection of
@@ -665,20 +660,7 @@ def orbit_sup(
     of row k-1 of g), which bounds its supremum the same way.  With p >
     1 the source limit is computed per residue class of the insertion
     position; the supremum is representable only when all classes agree.
-
-    A cross coefficient above 1 amplifies row tails: once the supremum
-    carries a nonzero grid row tail, iterating the limit step grows
-    norms geometrically without end.  That situation is reported as
-    Unbounded with the norms of three successive limit steps as
-    evidence.
     """
-    if power < 1:
-        raise ValueError("power must be a positive integer")
-    if g.schema != op.schema:
-        raise ValueError("schema mismatch")
-    if not apply_power(op, g, power).ge(g):
-        return OrbitSup("NotSuperFixed")
-
     s = op.schema
     nf = s.finite_dim
     a, b = _folded_finite_map(op, g)
@@ -695,8 +677,6 @@ def orbit_sup(
     for x in finite_states:
         lim_aug = proj @ QVector(tuple(x) + (ONE,))
         limits.append(QVector(lim_aug[i] for i in range(nf)))
-    finite_sup = limits[0]
-    assert finite_sup.ge(g.finite_part), "finite orbit limit below start"
 
     def residue_limits(spec: LinearFunctionalSpec) -> Fraction:
         values = set()
@@ -711,19 +691,17 @@ def orbit_sup(
         return values.pop()
 
     chains: list[ChainValue] = []
-    for decl, spec, c in zip(s.chains, op.chain_sources, g.chains):
+    for decl, spec in zip(s.chains, op.chain_sources):
         limit = residue_limits(spec)
         if decl.space_tag == C_ZERO and limit != 0:
             raise NoSupremumError(
                 f"orbit supremum on c0 chain {decl.name!r} would have tail"
                 f" {limit}; the orbit has no supremum in the space"
             )
-        assert all(x <= limit for x in c.prefix) and c.tail <= limit
         chains.append(ChainValue((), limit))
 
     rows: list[ChainValue] = []
     if s.grid is not None:
-        assert op.grid_row0_source is not None
         row_limits = [residue_limits(op.grid_row0_source)]
         for k in range(1, len(g.grid_rows) + 1):
             row_limits.append(op.grid_cross * g.grid_row_tail(k - 1))
@@ -733,32 +711,41 @@ def orbit_sup(
                     f"orbit supremum on grid row {k} would have tail"
                     f" {limit}; the orbit has no supremum in the space"
                 )
-            old = g.grid_row(k)
-            assert all(x <= limit for x in old.prefix) and old.tail <= limit
             rows.append(ChainValue((), limit))
 
-    sup = SymbolicVector(s, finite_sup, tuple(chains), tuple(rows))
-    assert sup.ge(g), "orbit supremum fails to dominate the start"
+    sup = SymbolicVector(s, limits[0], tuple(chains), tuple(rows))
+    if not sup.ge(g):
+        raise TheoremViolationError("orbit supremum fails to dominate the start")
+    return sup
 
-    if (
-        _certify_growth
-        and s.grid is not None
-        and abs(op.grid_cross) > 1
-        and any(r.tail != 0 for r in sup.grid_rows)
-    ):
-        second = orbit_sup(op, sup, power, _certify_growth=False)
-        assert second.outcome == "Stabilized" and second.supremum is not None
-        third = orbit_sup(op, second.supremum, power, _certify_growth=False)
-        assert third.outcome == "Stabilized" and third.supremum is not None
-        return OrbitSup(
-            "Unbounded",
-            evidence=(
-                sup.sup_norm(),
-                second.supremum.sup_norm(),
-                third.supremum.sup_norm(),
-            ),
-        )
-    return OrbitSup("Stabilized", supremum=sup)
+
+def orbit_sup(op: ShiftInsertOperator, g: SymbolicVector, power: int = 1) -> OrbitSup:
+    """Supremum of the increasing orbit g, T^p g, T^2p g, ... in closed
+    form (p = power, default 1); see _limit_step.
+
+    A cross coefficient above 1 amplifies row tails: once the supremum
+    carries a nonzero grid row tail, iterating the limit step grows
+    norms geometrically without end.  That growth is certified by two
+    further limit steps, each from the previous supremum (which must be
+    super fixed), and reported as Unbounded with the norms of the three
+    successive suprema as evidence.
+    """
+    if power < 1:
+        raise ValueError("power must be a positive integer")
+    if g.schema != op.schema:
+        raise ValueError("schema mismatch")
+    if not apply_power(op, g, power).ge(g):
+        return OrbitSup("NotSuperFixed")
+    sup = _limit_step(op, g, power)
+    if abs(op.grid_cross) <= 1 or all(r.tail == 0 for r in sup.grid_rows):
+        return OrbitSup("Stabilized", supremum=sup)
+    norms = [sup.sup_norm()]
+    for _ in range(2):
+        if not apply_power(op, sup, power).ge(sup):
+            raise TheoremViolationError("a growing limit step is not super fixed")
+        sup = _limit_step(op, sup, power)
+        norms.append(sup.sup_norm())
+    return OrbitSup("Unbounded", evidence=tuple(norms))
 
 
 # ---------------------------------------------------------------------------

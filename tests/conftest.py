@@ -15,7 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from latfix.conegeom import Subspace
-from latfix.exactnum.rational import QMatrix, QVector
+from latfix.exactnum.polynomials import QPolynomial
+from latfix.exactnum.rational import QMatrix, QVector, rat
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +124,14 @@ def random_nonneg_poly_coeffs(
         weights[rng.randrange(degree + 1)] = 1
     s = sum(weights)
     return [Fraction(w, s) * total for w in weights]
+
+
+def poly_from_roots(roots) -> QPolynomial:
+    """Monic polynomial with the given rational roots."""
+    p = QPolynomial.one()
+    for r in roots:
+        p = p * QPolynomial((-rat(r), 1))
+    return p
 
 
 def poly_of(matrix: QMatrix, coeffs: list[Fraction]) -> QMatrix:

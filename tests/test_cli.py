@@ -151,6 +151,25 @@ class TestFixspaceCommand:
         assert main(["fixspace", "-i", path]) == 2
 
 
+    def test_double_description_runs_once(self, tmp_path, monkeypatch, capsys):
+        # the fixed space has dimension 2, so the two {b, -b} norm checks
+        # read their suprema off the report's own classification
+        calls = []
+        real = core.extreme_rays_of_inequality_cone
+
+        def counted(rows):
+            calls.append(rows)
+            return real(rows)
+
+        monkeypatch.setattr(core, "extreme_rays_of_inequality_cone", counted)
+        path = write_json(tmp_path / "fam.json", family_payload())
+        assert main(["fixspace", "-i", path, "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert len(data["fixed_space"]["basis"]) == 2
+        assert len(data["norm_checks"]) == 2
+        assert len(calls) == 1
+
+
 class TestSupInFixCommand:
     def test_happy_path(self, tmp_path, capsys):
         fam = write_json(tmp_path / "fam.json", family_payload())
@@ -217,6 +236,14 @@ class TestDefectExit:
             tmp_path / "vecs.json", [["1", "0", "-1"], ["-1", "0", "1"]]
         )
         assert main(["sup-in-fix", "-i", fam, "-g", vecs]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("defect: ")
+        assert "Traceback" not in err
+
+
+    def test_gallery_case_defect(self, monkeypatch, capsys):
+        monkeypatch.setattr(gallery, "least_element_above", lambda *args: None)
+        assert main(["gallery", "run", "intro-kb"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("defect: ")
         assert "Traceback" not in err

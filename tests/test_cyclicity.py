@@ -17,7 +17,6 @@ from latfix.cyclicity import (
     is_metzler,
     log_norm_sup,
     non_cyclotomic_boundary,
-    nonzero_imaginary_pair_count,
     probe_random_contractions,
     random_positive_contraction,
     root_of_unity_spectrum,
@@ -231,7 +230,7 @@ class TestSemigroup:
 
     def test_two_rotation_blocks(self):
         m = block_diag(QMatrix([[0, 1], [-1, 0]]), QMatrix([[0, 2], [-2, 0]]))
-        assert nonzero_imaginary_pair_count(m) == 2
+        assert semigroup_imaginary_check(m).nonzero_imaginary_pairs == 2
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from latfix import opcore
 from latfix.cli import gallery
+from latfix.exactnum import TheoremViolationError
 
 
 @pytest.mark.parametrize("case_id", gallery.GALLERY_IDS)
@@ -33,6 +35,42 @@ def test_regenerate_writes_all(tmp_path, monkeypatch):
     for case_id in gallery.GALLERY_IDS:
         match, _ = gallery.case_matches(case_id)
         assert match
+
+
+@pytest.mark.parametrize(
+    "case_id, target, fake, match",
+    [
+        (
+            "intro-strict",
+            (opcore.PositiveMatrixOperator, "apply"),
+            lambda self, x: x.scale(2),
+            "fixed vector is not fixed",
+        ),
+        (
+            "intro-kb",
+            (gallery, "super_fixed_check"),
+            lambda *args: False,
+            "not super fixed",
+        ),
+        (
+            "intro-kb",
+            (gallery, "least_element_above"),
+            lambda *args: None,
+            "no least fixed vector",
+        ),
+        (
+            "e42a",
+            (gallery, "modulus_in"),
+            lambda *args: None,
+            "no modulus",
+        ),
+    ],
+    ids=["fixed-vector", "super-fixed", "least-fixed", "modulus"],
+)
+def test_case_check_raises(case_id, target, fake, match, monkeypatch):
+    monkeypatch.setattr(*target, fake)
+    with pytest.raises(TheoremViolationError, match=match):
+        gallery.run_gallery(case_id)
 
 
 def fixture(case_id):

@@ -29,7 +29,7 @@ from latfix.exactnum.polynomials import (
 )
 from latfix.exactnum.rational import rat
 
-from conftest import rng_for
+from conftest import poly_from_roots, rng_for
 
 coeff_st = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 poly_st = st.lists(coeff_st, min_size=0, max_size=7).map(QPolynomial)
@@ -66,7 +66,7 @@ class TestArithmetic:
         assert b.divmod(g)[1].is_zero()
 
     def test_from_roots_and_evaluate(self):
-        p = QPolynomial.from_roots([1, rat("1/2"), -2])
+        p = poly_from_roots([1, rat("1/2"), -2])
         for r in (1, rat("1/2"), -2):
             assert p.evaluate(r) == 0
         assert p.leading == 1
@@ -81,7 +81,7 @@ class TestSquarefree:
     @given(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
     @settings(max_examples=40, deadline=None)
     def test_reconstructs_input(self, roots):
-        p = QPolynomial.from_roots([Fraction(r) for r in roots])
+        p = poly_from_roots([Fraction(r) for r in roots])
         parts = squarefree_decomposition(p)
         rebuilt = QPolynomial.one()
         for q, mult in parts:
@@ -127,7 +127,7 @@ class TestCyclotomic:
 
 class TestSturm:
     def test_known_roots(self):
-        p = QPolynomial.from_roots([1, 2, -3])
+        p = poly_from_roots([1, 2, -3])
         assert sturm_count(p) == 3
         assert sturm_count(p, lo=0) == 2
         assert sturm_count(p, hi=0) == 1
@@ -139,7 +139,7 @@ class TestSturm:
     @given(st.lists(st.integers(-5, 5), min_size=1, max_size=5))
     @settings(max_examples=40, deadline=None)
     def test_matches_numpy_on_integer_roots(self, roots):
-        p = QPolynomial.from_roots([Fraction(r) for r in roots])
+        p = poly_from_roots([Fraction(r) for r in roots])
         assert sturm_count(p) == len(set(roots))
         # interval (-1/2, 11/2) catches exactly the roots 0..5
         want = len({r for r in roots if 0 <= r <= 5})
@@ -218,12 +218,12 @@ class TestRootLocation:
     def test_unimodular_part(self):
         # roots 0, 1 (twice), -1, 1/2, 2, 1/3: the part keeps each root
         # r with 1/r also a root, once, as a monic polynomial
-        p = QPolynomial.from_roots(
+        p = poly_from_roots(
             [0, 1, 1, -1, rat("1/2"), 2, rat("1/3")]
         ).scale(5)
-        expected = QPolynomial.from_roots([1, -1, rat("1/2"), 2])
+        expected = poly_from_roots([1, -1, rat("1/2"), 2])
         assert unimodular_part(p) == expected
-        assert unimodular_part(QPolynomial.from_roots([rat("1/3")])) == (
+        assert unimodular_part(poly_from_roots([rat("1/3")])) == (
             QPolynomial.one()
         )
 

@@ -7,10 +7,16 @@ without sharing any code with it.  Orbit suprema are checked against
 brute-force orbit iteration.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from latfix import seqspace
+from latfix.exactnum import TheoremViolationError
 from latfix.exactnum.rational import QMatrix, QVector, rat
 from latfix.conegeom.core import Subspace
 from latfix.seqspace import (
@@ -505,6 +511,95 @@ class TestOrbitSup:
         result = orbit_sup(op, g)
         assert result.outcome == "Stabilized"
         assert result.supremum.grid_row_tail(0) == 1
+
+
+E42_ORBIT_UNDER_ZERO_LIMIT = """
+import sys
+from latfix import seqspace
+from latfix.exactnum import TheoremViolationError
+from latfix.exactnum.rational import QMatrix
+
+assert not __debug__
+seqspace._limit_matrix = lambda m: QMatrix.zero(m.nrows, m.ncols)
+op = seqspace.builtin_operator("e42")
+(g,) = [v.abs() for v in seqspace.symbolic_fixed_space(op) if v.abs() != v]
+try:
+    seqspace.orbit_sup(op, g)
+except TheoremViolationError:
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def e42_sign_mixed_modulus():
+    op = builtin_operator("e42")
+    (g,) = [v.abs() for v in symbolic_fixed_space(op) if v.abs() != v]
+    return op, g
+
+
+class TestEnforcedChecks:
+    """The guarantees behind orbit suprema and eigenvectors raise
+    TheoremViolationError; none is a bare assert."""
+
+    def test_limit_below_start(self, monkeypatch):
+        # a zero "limit" sends the finite part and the chain to zero,
+        # below the start (1, 1, 1 | ...)
+        monkeypatch.setattr(
+            seqspace,
+            "_limit_matrix",
+            lambda m: QMatrix.zero(m.nrows, m.ncols),
+        )
+        op, g = e42_sign_mixed_modulus()
+        with pytest.raises(TheoremViolationError, match="fails to dominate"):
+            orbit_sup(op, g)
+
+    def test_eigenvector_verification(self, monkeypatch):
+        # (1, 0, 0 | 0, 0) is in no kernel: the averaging row moves it
+        monkeypatch.setattr(
+            seqspace, "kernel_basis", lambda m: [QVector.unit(m.ncols, 0)]
+        )
+        with pytest.raises(
+            TheoremViolationError, match="eigenvector failed verification"
+        ):
+            symbolic_eigenspace(builtin_operator("e42"), 1)
+
+    def test_growth_step_not_super_fixed(self, monkeypatch):
+        # a first supremum with a nonzero row tail but a spike in row 0
+        # that the square's insertions fall below
+        op = builtin_operator("e43")
+        spiked = SymbolicVector(
+            op.schema, QVector([1, 1]), (), (chain_value([5], 1),)
+        )
+        monkeypatch.setattr(seqspace, "_limit_step", lambda *args: spiked)
+        (f,) = symbolic_eigenspace(op, -1)
+        with pytest.raises(TheoremViolationError, match="not super fixed"):
+            orbit_sup(op, f.abs(), power=2)
+
+    def test_growth_certified_in_one_call(self, monkeypatch):
+        calls = []
+        real = seqspace.orbit_sup
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(seqspace, "orbit_sup", counted)
+        op = builtin_operator("e43")
+        (f,) = symbolic_eigenspace(op, -1)
+        result = seqspace.orbit_sup(op, f.abs(), power=2)
+        assert result.evidence == (Fraction(1), Fraction(2), Fraction(4))
+        assert len(calls) == 1
+
+    def test_raised_under_optimized_python(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", E42_ORBIT_UNDER_ZERO_LIMIT],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestBuiltinLookup:
