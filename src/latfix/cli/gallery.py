@@ -11,11 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .. import serialize
-from ..conegeom import (
-    classify_subspace,
-    least_element_above,
-    modulus_in,
-)
+from ..conegeom import classify_subspace, least_element_above
+from ..conegeom.core import _least_upper_bound
 from ..exactnum import TheoremViolationError
 from ..exactnum.linalg import char_poly
 from ..exactnum.rational import ONE, ZERO, QMatrix, QVector
@@ -171,7 +168,9 @@ def case_e42a() -> dict:
     family = OperatorFamily([PositiveMatrixOperator(_averaging_matrix())])
     report = fixed_space_report(family)
     f_hat = QVector((1, 0, -1))
-    modulus = modulus_in(report.fixed_space, f_hat)
+    modulus = _least_upper_bound(
+        report.fixed_space, report.classification, [f_hat, -f_hat]
+    )
     if modulus is None:
         raise TheoremViolationError("e42a: no modulus within a lattice subspace")
     return {

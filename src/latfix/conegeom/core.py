@@ -15,8 +15,13 @@ ordered spaces:
   sublattice the coordinatewise meet of distinct extreme rays must
   vanish.
 
-Double description decides ray adjacency from the tight sets it holds;
-coordinates in F are read off the pivots of its RREF basis.
+Double description runs on plain ints: each inequality row is scaled to
+a primitive integer vector, each ray is kept as one, and its tight set
+is a bitmask inherited from the parent rays, never recomputed from dot
+products.  Ray adjacency is the combinatorial test of Fukuda and Prodon
+(1996) on those bitmasks.  Coordinates in F are read off the pivots of
+its RREF basis, and rays are mapped back to R^n with one integer
+product.
 
 Least upper bounds inside a lattice subspace F are read off its extreme
 rays: the cone is simplicial, so in the ray basis the order of F is
@@ -32,6 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from ..exactnum import TheoremViolationError
@@ -128,11 +135,17 @@ class LatticeClassification:
 # double description
 
 
-def _primitive_ray(v: QVector) -> QVector:
-    """v scaled to coprime integers by a positive factor (primitive()
-    alone fixes the leading sign, which can reverse a ray)."""
-    p = v.primitive()
-    return p if p.dot(v) > 0 else -p
+def _cleared(entries: Sequence[Fraction]) -> list[int]:
+    """entries times their least common denominator."""
+    scale = lcm(*(x.denominator for x in entries))
+    return [x.numerator * (scale // x.denominator) for x in entries]
+
+
+def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
+    """ints divided by their gcd, a positive factor, so a row keeps its
+    half-space and a ray its direction; a zero vector stays zero."""
+    g = gcd(*ints) or 1
+    return tuple(v // g for v in ints)
 
 
 def extreme_rays_of_inequality_cone(
@@ -142,12 +155,17 @@ def extreme_rays_of_inequality_cone(
 
     The rows must span the dual space, which makes the cone pointed; the
     rays come back as coprime integer vectors, lexicographically sorted.
-    Inequalities are inserted in index order after the first d
-    independent rows (the pivots of one rref of their transpose), and two
-    rays are adjacent when no other ray's tight set contains their common
-    tight set (Fukuda and Prodon, 1996), so the output is deterministic.
+    The first d independent rows (the pivots of one rref of their
+    transpose) span the start cone; the other rows are inserted in index
+    order, on plain ints: rows and rays are primitive integer vectors,
+    and a ray's tight set (the processed rows it lies on) is a bitmask.
+    A kept ray on the new hyperplane gains its bit; a new ray
+    v_p r_m - v_m r_p, both parents satisfying every processed row, is
+    tight exactly where both are, plus the new row.  Two rays are
+    adjacent when no other ray's tight set contains their common tight
+    set (Fukuda and Prodon, 1996), so the output is deterministic.
     """
-    rows = [QVector(tuple(r)) for r in rows]
+    rows = [r if isinstance(r, QVector) else QVector(r) for r in rows]
     if not rows:
         raise ValueError("no inequality rows")
     d = rows[0].dim
@@ -156,60 +174,62 @@ def extreme_rays_of_inequality_cone(
     chosen = rref(QMatrix(rows).transpose())[1]
     if len(chosen) != d:
         raise ValueError("inequality rows do not span; cone is not pointed")
-    base = QMatrix([rows[i] for i in chosen])
-    inverse = invert(base)
-    rays = [
-        _primitive_ray(QVector(inverse.entry(i, k) for i in range(d)))
-        for k in range(d)
-    ]
-    processed = list(chosen)
+    # start ray k is column k of the inverse: tight on every chosen row
+    # but chosen[k]
+    inverse = invert(QMatrix([rows[i] for i in chosen])).transpose()
+    rays = [_primitive(_cleared(column.entries)) for column in inverse.rows]
+    start = sum(1 << i for i in chosen)
+    tights = [start & ~(1 << i) for i in chosen]
+    int_rows = [_primitive(_cleared(r.entries)) for r in rows]
 
-    for j, row in enumerate(rows):
+    for j, row in enumerate(int_rows):
         if j in chosen:
             continue
-        values = [row.dot(r) for r in rays]
-        tights = [
-            frozenset(t for t in processed if rows[t].dot(r) == 0)
-            for r in rays
-        ]
-        new_rays = [r for r, v in zip(rays, values) if v >= 0]
-        pos = [i for i, v in enumerate(values) if v > 0]
+        bit = 1 << j
+        values = [sum(map(mul, row, r)) for r in rays]
+        new_rays: list[tuple[int, ...]] = []
+        new_tights: list[int] = []
+        for r, tight, v in zip(rays, tights, values):
+            if v >= 0:
+                new_rays.append(r)
+                new_tights.append(tight | bit if v == 0 else tight)
         neg = [i for i, v in enumerate(values) if v < 0]
-        for ip in pos:
+        for ip, vp in enumerate(values):
+            if vp <= 0:
+                continue
             for im in neg:
                 common = tights[ip] & tights[im]
-                if len(common) < d - 2 or any(
-                    k != ip and k != im and common <= tight
+                if common.bit_count() < d - 2 or any(
+                    k != ip and k != im and tight & common == common
                     for k, tight in enumerate(tights)
                 ):
                     continue
-                combo = rays[im].scale(values[ip]) + rays[ip].scale(-values[im])
-                new_rays.append(_primitive_ray(combo))
-        processed.append(j)
-        seen: set[tuple] = set()
-        rays = []
-        for r in new_rays:
-            key = tuple(r)
-            if key not in seen and not r.is_zero():
-                seen.add(key)
-                rays.append(r)
+                vm = values[im]
+                combo = [vp * a - vm * b for a, b in zip(rays[im], rays[ip])]
+                new_rays.append(_primitive(combo))
+                new_tights.append(common | bit)
+        rays, tights = new_rays, new_tights
         if not rays:
             break
-    return tuple(sorted(rays, key=tuple))
+    return tuple(QVector(r) for r in sorted(rays))
 
 
 def positive_cone(subspace: Subspace) -> PolyhedralCone:
     """Extreme rays of {x in F : x >= 0}, via double description on the
-    coefficient cone and mapped back to ambient coordinates.  The zero
-    subspace has no rays."""
+    coefficient cone and mapped back to ambient coordinates by one
+    integer product with D times the basis, D the common denominator of
+    its entries.  The zero subspace has no rays."""
     if subspace.is_zero():
         return PolyhedralCone(subspace, ())
     coeff_rays = extreme_rays_of_inequality_cone(subspace.coordinate_rows())
-    ambient_rays = sorted(
-        (subspace.from_coefficients(c).primitive() for c in coeff_rays),
-        key=tuple,
-    )
-    return PolyhedralCone(subspace, tuple(ambient_rays))
+    n = subspace.ambient_dim
+    scaled = _cleared([x for b in subspace.basis for x in b])  # D * basis
+    columns = [scaled[j::n] for j in range(n)]
+    ambient_rays = []
+    for ray in coeff_rays:
+        c = [x.numerator for x in ray]  # the coefficient rays are integral
+        ambient_rays.append(_primitive([sum(map(mul, c, col)) for col in columns]))
+    return PolyhedralCone(subspace, tuple(QVector(r) for r in sorted(ambient_rays)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as int_gcd
 from typing import Iterable
 
@@ -271,12 +272,15 @@ def cyclotomic(n: int) -> QPolynomial:
     return result
 
 
-def orders_with_phi_at_most(bound: int) -> list[int]:
-    """All n with euler_phi(n) <= bound, ascending.  phi(n) >= sqrt(n/2)
-    gives the search cutoff n <= 2*bound^2."""
+@lru_cache(maxsize=None)
+def orders_with_phi_at_most(bound: int) -> tuple[int, ...]:
+    """All n with euler_phi(n) <= bound, ascending, computed once per
+    bound.  phi(n) >= sqrt(n/2) gives the search cutoff n <= 2*bound^2."""
     if bound < 1:
-        return []
-    return [n for n in range(1, 2 * bound * bound + 2) if euler_phi(n) <= bound]
+        return ()
+    return tuple(
+        n for n in range(1, 2 * bound * bound + 2) if euler_phi(n) <= bound
+    )
 
 
 def cyclotomic_order(p: QPolynomial) -> int | None:

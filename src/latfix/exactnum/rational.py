@@ -8,7 +8,6 @@ is one.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -118,27 +117,6 @@ class QVector:
 
     def one_norm(self) -> Fraction:
         return sum((abs(a) for a in self.entries), ZERO)
-
-    def primitive(self) -> "QVector":
-        """Scale to coprime integer entries with positive leading sign.
-
-        The zero vector is returned unchanged.  Used to canonicalize
-        cone rays before sorting and comparison.
-        """
-        if self.is_zero():
-            return self
-        denom_lcm = 1
-        for e in self.entries:
-            denom_lcm = denom_lcm * e.denominator // gcd(denom_lcm, e.denominator)
-        ints = [int(e * denom_lcm) for e in self.entries]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        ints = [v // g for v in ints]
-        lead = next(v for v in ints if v != 0)
-        if lead < 0:
-            ints = [-v for v in ints]
-        return QVector(ints)
 
     def _check_dim(self, other: "QVector") -> None:
         if self.dim != other.dim:

@@ -1,15 +1,22 @@
 """Test-only cone oracles: conic-hull membership, the exhaustive
-sign-pattern sublattice decision and the randomized AM-property check.
+sign-pattern sublattice decision, the randomized AM-property check and
+a reference double description.
 
-They decide by exact linear programs (`latfix.conegeom.minimize`), a
-route independent of the double description and the ray-basis suprema
-they are used to check.
+The first three decide by exact linear programs
+(`latfix.conegeom.minimize`), a route independent of the double
+description and the ray-basis suprema they are used to check.  The
+reference double description is the earlier `Fraction` version of
+`extreme_rays_of_inequality_cone` and `positive_cone`: it recomputes
+every tight set from dot products and maps rays back through
+`Subspace.from_coefficients`, so the integer version can be compared
+with it exactly.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from latfix.conegeom import (
@@ -20,7 +27,8 @@ from latfix.conegeom import (
     least_upper_bound_in,
     minimize,
 )
-from latfix.exactnum.rational import ONE, ZERO, QVector
+from latfix.exactnum.linalg import invert, rref
+from latfix.exactnum.rational import ONE, ZERO, QMatrix, QVector
 
 SIGN_ORACLE_DIM_BOUND = 12
 
@@ -105,3 +113,91 @@ def am_property_check(subspace: Subspace, trials: int, seed: int) -> bool:
         if z.sup_norm() != max(x.sup_norm(), y.sup_norm()):
             return False
     return True
+
+
+def primitive(v: QVector) -> QVector:
+    """v scaled to coprime integer entries with positive leading sign;
+    the zero vector is returned unchanged."""
+    if v.is_zero():
+        return v
+    scale = lcm(*(e.denominator for e in v))
+    ints = [int(e * scale) for e in v]
+    g = gcd(*ints)
+    lead = next(x for x in ints if x != 0)
+    return QVector(x // g if lead > 0 else -x // g for x in ints)
+
+
+def _primitive_ray(v: QVector) -> QVector:
+    """v scaled to coprime integers by a positive factor (primitive()
+    alone fixes the leading sign, which can reverse a ray)."""
+    p = primitive(v)
+    return p if p.dot(v) > 0 else -p
+
+
+def reference_extreme_rays(rows: Sequence[QVector]) -> tuple[QVector, ...]:
+    """Extreme rays of {c : row . c >= 0 for every row} by double
+    description on `Fraction`s, with every tight set recomputed from dot
+    products at each insertion; same contract as
+    `extreme_rays_of_inequality_cone`."""
+    rows = [QVector(tuple(r)) for r in rows]
+    if not rows:
+        raise ValueError("no inequality rows")
+    d = rows[0].dim
+    if any(r.dim != d for r in rows):
+        raise ValueError("inequality rows of mixed dimension")
+    chosen = rref(QMatrix(rows).transpose())[1]
+    if len(chosen) != d:
+        raise ValueError("inequality rows do not span; cone is not pointed")
+    inverse = invert(QMatrix([rows[i] for i in chosen]))
+    rays = [
+        _primitive_ray(QVector(inverse.entry(i, k) for i in range(d)))
+        for k in range(d)
+    ]
+    processed = list(chosen)
+    for j, row in enumerate(rows):
+        if j in chosen:
+            continue
+        values = [row.dot(r) for r in rays]
+        tights = [
+            frozenset(t for t in processed if rows[t].dot(r) == 0)
+            for r in rays
+        ]
+        new_rays = [r for r, v in zip(rays, values) if v >= 0]
+        pos = [i for i, v in enumerate(values) if v > 0]
+        neg = [i for i, v in enumerate(values) if v < 0]
+        for ip in pos:
+            for im in neg:
+                common = tights[ip] & tights[im]
+                if len(common) < d - 2 or any(
+                    k != ip and k != im and common <= tight
+                    for k, tight in enumerate(tights)
+                ):
+                    continue
+                combo = rays[im].scale(values[ip]) + rays[ip].scale(-values[im])
+                new_rays.append(_primitive_ray(combo))
+        processed.append(j)
+        seen: set[tuple] = set()
+        rays = []
+        for r in new_rays:
+            key = tuple(r)
+            if key not in seen and not r.is_zero():
+                seen.add(key)
+                rays.append(r)
+        if not rays:
+            break
+    return tuple(sorted(rays, key=tuple))
+
+
+def reference_positive_cone_rays(subspace: Subspace) -> tuple[QVector, ...]:
+    """Extreme rays of {x in F : x >= 0}: the reference double
+    description on the coefficient cone, mapped back with
+    `from_coefficients` and made primitive."""
+    if subspace.is_zero():
+        return ()
+    coeff_rays = reference_extreme_rays(subspace.coordinate_rows())
+    return tuple(
+        sorted(
+            (primitive(subspace.from_coefficients(c)) for c in coeff_rays),
+            key=tuple,
+        )
+    )

@@ -2,8 +2,9 @@
 bounds within a subspace.
 
 The classifier is cross-checked against the exhaustive sign-pattern
-oracle, least elements against per-coordinate scipy programs, and ray
-computations against membership and independence invariants.
+oracle, least elements against per-coordinate scipy programs, ray
+computations against membership and independence invariants, and the
+integer double description exactly against the earlier Fraction one.
 """
 
 from fractions import Fraction
@@ -32,6 +33,9 @@ from cone_oracles import (
     SIGN_ORACLE_DIM_BOUND,
     am_property_check,
     in_conic_hull,
+    primitive,
+    reference_extreme_rays,
+    reference_positive_cone_rays,
     sign_pattern_sublattice_oracle,
 )
 from conftest import bareiss_rank, random_subspace_mix, random_qvector, rng_for
@@ -187,7 +191,8 @@ class TestExtremeRays:
             for r in cone.rays:
                 assert f.contains(r)
                 assert r.is_nonneg() and not r.is_zero()
-                assert r == r.primitive()
+                assert all(x.denominator == 1 for x in r)
+                assert gcd(*(x.numerator for x in r)) == 1
             if cone.rays:
                 # rays are conically independent: none lies in the hull
                 # of the others
@@ -200,6 +205,82 @@ class TestExtremeRays:
         rays = [QVector([0, 1, 2]), QVector([2, 1, 0])]
         assert in_conic_hull(rays, QVector([2, 2, 2]))
         assert not in_conic_hull(rays, QVector([1, 0, 0]))
+
+
+@st.composite
+def inequality_rows(draw):
+    """Rational rows in dimension 1-6, at most 12 of them, with zero rows
+    and exact or positively scaled duplicates mixed in."""
+    d = draw(st.integers(1, 6))
+    row_st = st.lists(fractions_st, min_size=d, max_size=d)
+    rows = draw(st.lists(row_st, min_size=1, max_size=12))
+    for _ in range(draw(st.integers(0, 12 - len(rows)))):
+        if draw(st.booleans()):
+            extra = [0] * d
+        else:
+            factor = draw(st.sampled_from([1, 1, Fraction(1, 3), 2]))
+            extra = [factor * x for x in draw(st.sampled_from(rows))]
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return [QVector(r) for r in rows]
+
+
+def rays_or_error(compute, argument):
+    try:
+        return compute(argument)
+    except ValueError:
+        return ValueError
+
+
+class TestFractionReference:
+    """The integer double description against the earlier Fraction one
+    (tests/cone_oracles.py): the outputs must be exactly equal."""
+
+    def test_primitive(self):
+        assert primitive(QVector([rat("1/2"), rat("-3/2"), 0])) == QVector(
+            [1, -3, 0]
+        )
+        assert primitive(QVector([rat("-1/2"), 1])) == QVector([1, -2])
+
+    @given(inequality_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_rays_match_reference(self, rows):
+        expected = rays_or_error(reference_extreme_rays, rows)
+        assert rays_or_error(extreme_rays_of_inequality_cone, rows) == expected
+
+    @given(st.integers(2, 6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_non_spanning_rows_raise(self, d, data):
+        vector_st = st.lists(fractions_st, min_size=d, max_size=d)
+        generators = data.draw(st.lists(vector_st, min_size=1, max_size=d - 1))
+        weights_st = st.lists(
+            fractions_st, min_size=len(generators), max_size=len(generators)
+        )
+        rows = [
+            QVector(
+                sum(w * g[i] for w, g in zip(weights, generators)) for i in range(d)
+            )
+            for weights in data.draw(st.lists(weights_st, min_size=1, max_size=12))
+        ]
+        for compute in (reference_extreme_rays, extreme_rays_of_inequality_cone):
+            with pytest.raises(ValueError):
+                compute(rows)
+
+    @given(st.integers(2, 7), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_positive_cone_matches_reference(self, n, data):
+        vector_st = st.lists(fractions_st, min_size=n, max_size=n).map(QVector)
+        positive_st = st.lists(
+            st.fractions(min_value=Fraction(1, 6), max_value=5, max_denominator=6),
+            min_size=n,
+            max_size=n,
+        ).map(QVector)
+        # a strictly positive spanning vector keeps the cone full
+        # dimensional, so it has rays
+        vectors = data.draw(st.lists(vector_st, max_size=n - 1))
+        if data.draw(st.booleans()):
+            vectors.append(data.draw(positive_st))
+        f = Subspace.from_vectors(n, vectors)
+        assert positive_cone(f).rays == reference_positive_cone_rays(f)
 
 
 class TestCoordinates:

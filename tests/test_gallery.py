@@ -60,7 +60,7 @@ def test_regenerate_writes_all(tmp_path, monkeypatch):
         ),
         (
             "e42a",
-            (gallery, "modulus_in"),
+            (gallery, "_least_upper_bound"),
             lambda *args: None,
             "no modulus",
         ),

@@ -120,9 +120,12 @@ class TestCyclotomic:
 
     def test_orders_with_phi_at_most(self):
         brute = sorted(n for n in range(1, 200) if euler_phi(n) <= 4)
-        assert orders_with_phi_at_most(4) == brute
+        assert orders_with_phi_at_most(4) == tuple(brute)
         # phi(n) <= b forces n <= 2 b^2 for b >= 1, so the bound is safe
-        assert orders_with_phi_at_most(1) == [1, 2]
+        assert orders_with_phi_at_most(1) == (1, 2)
+        assert orders_with_phi_at_most(0) == ()
+        # computed once per bound; the shared value is immutable
+        assert orders_with_phi_at_most(4) is orders_with_phi_at_most(4)
 
 
 class TestSturm:

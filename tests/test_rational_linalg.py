@@ -94,11 +94,6 @@ class TestQVector:
         assert u.sup_norm() == 2
         assert u.one_norm() == 4
 
-    def test_primitive(self):
-        assert QVector([rat("1/2"), rat("-3/2"), 0]).primitive() == QVector(
-            [1, -3, 0]
-        )
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             QVector([1]) + QVector([1, 2])
