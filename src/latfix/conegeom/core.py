@@ -37,12 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
 from ..exactnum import TheoremViolationError
-from ..exactnum.linalg import invert, rank, row_space_basis, rref
+from ..exactnum.linalg import cleared, invert, rank, row_reduce, row_space_basis
 from ..exactnum.rational import QMatrix, QVector
 from .simplex import INFEASIBLE, UNBOUNDED, minimize
 
@@ -135,12 +135,6 @@ class LatticeClassification:
 # double description
 
 
-def _cleared(entries: Sequence[Fraction]) -> list[int]:
-    """entries times their least common denominator."""
-    scale = lcm(*(x.denominator for x in entries))
-    return [x.numerator * (scale // x.denominator) for x in entries]
-
-
 def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
     """ints divided by their gcd, a positive factor, so a row keeps its
     half-space and a ray its direction; a zero vector stays zero."""
@@ -155,10 +149,13 @@ def extreme_rays_of_inequality_cone(
 
     The rows must span the dual space, which makes the cone pointed; the
     rays come back as coprime integer vectors, lexicographically sorted.
-    The first d independent rows (the pivots of one rref of their
-    transpose) span the start cone; the other rows are inserted in index
-    order, on plain ints: rows and rays are primitive integer vectors,
-    and a ray's tight set (the processed rows it lies on) is a bitmask.
+    Everything runs on plain ints: rows and rays are primitive integer
+    vectors, and a ray's tight set (the processed rows it lies on) is a
+    bitmask.  One fraction-free elimination of [R^T | I], R the rows,
+    pivoting greedily on the R^T block, picks the first d independent
+    rows B and leaves D B^-T in the right block, D > 0: its row k is the
+    start ray tight on every chosen row but the k-th.  The other rows
+    are inserted in index order.
     A kept ray on the new hyperplane gains its bit; a new ray
     v_p r_m - v_m r_p, both parents satisfying every processed row, is
     tight exactly where both are, plus the new row.  Two rays are
@@ -171,16 +168,18 @@ def extreme_rays_of_inequality_cone(
     d = rows[0].dim
     if any(r.dim != d for r in rows):
         raise ValueError("inequality rows of mixed dimension")
-    chosen = rref(QMatrix(rows).transpose())[1]
+    int_rows = [_primitive(cleared(r.entries)) for r in rows]
+    m = len(int_rows)
+    table = [
+        [r[k] for r in int_rows] + [int(i == k) for i in range(d)]
+        for k in range(d)
+    ]
+    chosen = row_reduce(table, m)[1]
     if len(chosen) != d:
         raise ValueError("inequality rows do not span; cone is not pointed")
-    # start ray k is column k of the inverse: tight on every chosen row
-    # but chosen[k]
-    inverse = invert(QMatrix([rows[i] for i in chosen])).transpose()
-    rays = [_primitive(_cleared(column.entries)) for column in inverse.rows]
+    rays = [_primitive(row[m:]) for row in table]
     start = sum(1 << i for i in chosen)
     tights = [start & ~(1 << i) for i in chosen]
-    int_rows = [_primitive(_cleared(r.entries)) for r in rows]
 
     for j, row in enumerate(int_rows):
         if j in chosen:
@@ -211,7 +210,7 @@ def extreme_rays_of_inequality_cone(
         rays, tights = new_rays, new_tights
         if not rays:
             break
-    return tuple(QVector(r) for r in sorted(rays))
+    return tuple(QVector.from_ints(r) for r in sorted(rays))
 
 
 def positive_cone(subspace: Subspace) -> PolyhedralCone:
@@ -223,13 +222,15 @@ def positive_cone(subspace: Subspace) -> PolyhedralCone:
         return PolyhedralCone(subspace, ())
     coeff_rays = extreme_rays_of_inequality_cone(subspace.coordinate_rows())
     n = subspace.ambient_dim
-    scaled = _cleared([x for b in subspace.basis for x in b])  # D * basis
+    scaled = cleared([x for b in subspace.basis for x in b])  # D * basis
     columns = [scaled[j::n] for j in range(n)]
     ambient_rays = []
     for ray in coeff_rays:
         c = [x.numerator for x in ray]  # the coefficient rays are integral
         ambient_rays.append(_primitive([sum(map(mul, c, col)) for col in columns]))
-    return PolyhedralCone(subspace, tuple(QVector(r) for r in sorted(ambient_rays)))
+    return PolyhedralCone(
+        subspace, tuple(QVector.from_ints(r) for r in sorted(ambient_rays))
+    )
 
 
 # ---------------------------------------------------------------------------

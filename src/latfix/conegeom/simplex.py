@@ -2,21 +2,24 @@
 
 A small two-phase simplex with Bland's rule, used to minimize linear
 objectives over systems of equality and >= constraints with free
-variables.  Everything runs in Fraction arithmetic, so feasibility,
-unboundedness, and optimal values are exact and Bland's rule guarantees
-termination.  Problem sizes here are tiny (tens of variables), so a
-dense tableau is the right tool.  Pivots and cost-row pricing are
-steps of `exactnum.linalg.eliminate`.
+variables.  The tableau is integers over one common denominator: the
+constraint rows are scaled by the least common denominator of all their
+entries, and every pivot and cost-row pricing step is the fraction-free
+row step `exactnum.linalg.eliminate`, so no step pays a gcd.
+Feasibility, unboundedness, and optimal values are exact `Fraction`s,
+and Bland's rule guarantees termination.  Problem sizes here are tiny
+(tens of variables), so a dense tableau is the right tool.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from ..exactnum import TheoremViolationError
 from ..exactnum.linalg import eliminate
-from ..exactnum.rational import ONE, ZERO, QVector, rat
+from ..exactnum.rational import QVector, rat
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -31,12 +34,14 @@ class LPResult:
 
 
 def _run_simplex(
-    tableau: list[list[Fraction]],
+    tableau: list[list[int]],
     basis: list[int],
     eligible: Sequence[bool],
 ) -> str:
     """Minimize the cost carried in the last tableau row.  Bland's rule:
-    smallest-index entering and leaving candidates."""
+    smallest-index entering and leaving candidates.  The common
+    denominator is read off the tableau: every basic column holds it in
+    its own row."""
     m = len(tableau) - 1
     while True:
         cost = tableau[-1]
@@ -47,22 +52,29 @@ def _run_simplex(
         if col is None:
             return OPTIMAL
         row = None
-        best: Fraction | None = None
+        # the ratios rhs / a share the denominator, so compare them by
+        # cross-multiplying: rhs a_best < rhs_best a
+        best_rhs = best_a = 0
         for i in range(m):
             a = tableau[i][col]
             if a > 0:
-                ratio = tableau[i][-1] / a
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[row])
+                rhs = tableau[i][-1]
+                if row is None or rhs * best_a < best_rhs * a or (
+                    rhs * best_a == best_rhs * a and basis[i] < basis[row]
                 ):
-                    best = ratio
-                    row = i
+                    best_rhs, best_a, row = rhs, a, i
         if row is None:
             return UNBOUNDED
-        eliminate(tableau, row, col)
+        eliminate(tableau, row, col, tableau[row][basis[row]])
         basis[row] = col
+
+
+def _price(tableau: list[list[int]], basis: list[int], prev: int) -> None:
+    """Turn the integer costs c in the last row into the reduced cost
+    row prev c - sum_i c_basis[i] tableau[i], one step per basic row."""
+    tableau[-1] = [prev * x for x in tableau[-1]]
+    for i, col in enumerate(basis):
+        eliminate(tableau, i, col, prev)
 
 
 def minimize(
@@ -83,38 +95,38 @@ def minimize(
             raise ValueError("constraint dimension mismatch")
     m = len(rows)
     n_slack = sum(1 for _, _, ge in rows if ge)
-    # columns: u_0..u_{n-1}, w_0..w_{n-1}, slacks, artificials, rhs
+    # columns: u_0..u_{n-1}, w_0..w_{n-1}, slacks, artificials, rhs; the
+    # constraint rows are scaled by the common denominator D of their
+    # entries, the artificial columns are not
     n_core = 2 * n + n_slack
     total = n_core + m
-    tableau: list[list[Fraction]] = []
+    scale = lcm(
+        *(x.denominator for row, rhs, _ in rows for x in (*row.entries, rhs))
+    )
+    tableau: list[list[int]] = []
     slack_at = 0
     for i, (row, rhs, ge) in enumerate(rows):
-        line = [ZERO] * (total + 1)
-        sign = ONE if rhs >= 0 else -ONE
-        for j in range(n):
-            line[j] = sign * row[j]
-            line[n + j] = -sign * row[j]
+        line = [0] * (total + 1)
+        sign = scale if rhs >= 0 else -scale
+        for j, x in enumerate(row.entries):
+            line[j] = sign * x.numerator // x.denominator
+            line[n + j] = -line[j]
         if ge:
             line[2 * n + slack_at] = -sign
             slack_at += 1
-        line[n_core + i] = ONE
-        line[total] = sign * rhs
+        line[n_core + i] = 1
+        line[total] = sign * rhs.numerator // rhs.denominator
         tableau.append(line)
     basis = [n_core + i for i in range(m)]
 
     # phase 1: minimize the artificial sum
-    cost = [ZERO] * (total + 1)
-    for j in range(n_core, total):
-        cost[j] = ONE
-    tableau.append(cost)
-    # each basic column holds a unit pivot and zeros in the other
-    # constraint rows, so these steps only price out the cost row
-    for i, col in enumerate(basis):
-        eliminate(tableau, i, col)
+    tableau.append([0] * n_core + [1] * m + [0])
+    _price(tableau, basis, 1)
     if _run_simplex(tableau, basis, [True] * total) != OPTIMAL:
         raise TheoremViolationError("phase 1 unbounded, yet bounded below by 0")
     if tableau[-1][-1] != 0:
         return LPResult(INFEASIBLE, None, None)
+    prev = tableau[0][basis[0]] if basis else 1
 
     # drive leftover artificials out of the basis, drop redundant rows
     for i in range(m - 1, -1, -1):
@@ -126,22 +138,25 @@ def minimize(
                 del tableau[i]
                 del basis[i]
             else:
-                eliminate(tableau, i, col)
+                prev = eliminate(tableau, i, col, prev)
                 basis[i] = col
 
-    # phase 2: original objective over u - w
-    cost = [ZERO] * (total + 1)
-    for j in range(n):
-        cost[j] = objective[j]
-        cost[n + j] = -objective[j]
+    # phase 2: original objective over u - w, scaled by the common
+    # denominator of its entries
+    scale = lcm(*(x.denominator for x in objective.entries))
+    cost = [0] * (total + 1)
+    for j, x in enumerate(objective.entries):
+        cost[j] = x.numerator * (scale // x.denominator)
+        cost[n + j] = -cost[j]
     tableau[-1] = cost
-    for i, col in enumerate(basis):
-        eliminate(tableau, i, col)
+    _price(tableau, basis, prev)
     status = _run_simplex(tableau, basis, [j < n_core for j in range(total)])
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None)
-    values = {basis[i]: tableau[i][-1] for i in range(len(basis))}
-    point = QVector(
-        values.get(j, ZERO) - values.get(n + j, ZERO) for j in range(n)
+    if basis:
+        prev = tableau[0][basis[0]]
+    values = {col: tableau[i][-1] for i, col in enumerate(basis)}
+    point = QVector.from_ints(
+        (values.get(j, 0) - values.get(n + j, 0) for j in range(n)), prev
     )
-    return LPResult(OPTIMAL, -tableau[-1][-1], point)
+    return LPResult(OPTIMAL, Fraction(-tableau[-1][-1], prev * scale), point)

@@ -7,7 +7,6 @@ echelon form so that equal subspaces produce byte-identical bases.
 from .linalg import (
     DefectiveEigenvalueError,
     char_poly,
-    column_space_basis,
     fix_projection,
     intersect_kernels,
     kernel_basis,
@@ -45,7 +44,6 @@ __all__ = [
     "TheoremViolationError",
     "ZERO",
     "char_poly",
-    "column_space_basis",
     "cyclotomic",
     "cyclotomic_order",
     "euler_phi",

@@ -1,8 +1,12 @@
 """Exact linear algebra over the rationals.
 
-`eliminate` is the one Gauss-Jordan row step of the package: `rref`
-(and through it rank, kernels, solving and inversion) and the simplex
-in `conegeom.simplex` reduce with it and with nothing else.
+`eliminate` is the one row step of the package: a fraction-free
+(Bareiss) Gauss-Jordan step on integer rows that share one common
+denominator.  `rref` (and through it rank, kernels, solving and
+inversion), the double-description start in `conegeom.core` and the
+simplex in `conegeom.simplex` reduce with it and with nothing else.
+No step pays a gcd; results are still exact `Fraction`s, read off at
+the end as integers over the common denominator.
 
 Kernel bases are canonical: the spanning set produced by back
 substitution is itself brought to reduced row echelon form, so equal
@@ -20,36 +24,67 @@ from .polynomials import QPolynomial
 from .rational import ONE, ZERO, QMatrix, QVector
 
 
-def eliminate(rows: list[list[Fraction]], r: int, c: int) -> None:
-    """Gauss-Jordan row step, in place: scale row r to a unit pivot in
-    column c (no scaling when it already holds 1), then clear column c
-    from every other row."""
-    pivot = rows[r][c]
-    if pivot != 1:
-        rows[r] = [x / pivot for x in rows[r]]
+def eliminate(rows: list[list[int]], r: int, c: int, prev: int) -> int:
+    """Fraction-free Gauss-Jordan step on pivot (r, c), in place.
+
+    The rows are integers over the common denominator prev > 0.  Every
+    row i != r becomes (p row_i - row_i[c] row_r) / prev, p = row_r[c];
+    the division is exact (Bareiss 1968: the entries are minors of the
+    starting rows).  The pivot row is left as it is.  When p < 0 every
+    row is negated.  Returns |p|, the new common denominator.
+    """
     pivot_row = rows[r]
+    p = pivot_row[c]
     for i, row in enumerate(rows):
         f = row[c]
-        if i != r and f != 0:
-            rows[i] = [a - f * b for a, b in zip(row, pivot_row)]
+        if i != r and (f or p != prev):
+            rows[i] = [(p * a - f * b) // prev for a, b in zip(row, pivot_row)]
+    if p < 0:
+        rows[:] = [[-x for x in row] for row in rows]
+        p = -p
+    return p
 
 
-def rref(matrix: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column indices."""
-    rows = [list(r.entries) for r in matrix.rows]
+def row_reduce(rows: list[list[int]], width: int) -> tuple[int, list[int]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place,
+    pivoting greedily on the first `width` columns.
+
+    Returns the common denominator and the pivot columns; pivot k ends
+    in row k with the common denominator as its entry, and the rows
+    below the pivots are zero in the first `width` columns.
+    """
     nrows = len(rows)
+    prev = 1
     pivots: list[int] = []
-    for c in range(matrix.ncols):
+    for c in range(width):
         r = len(pivots)
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        eliminate(rows, r, c)
+        prev = eliminate(rows, r, c, prev)
         pivots.append(c)
         if r + 1 == nrows:
             break
-    return QMatrix(rows), tuple(pivots)
+    return prev, pivots
+
+
+def cleared(entries) -> list[int]:
+    """Fractions times their least common denominator."""
+    scale = lcm(*(x.denominator for x in entries))
+    return [x.numerator * (scale // x.denominator) for x in entries]
+
+
+def rref(matrix: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
+    """Reduced row echelon form and the pivot column indices: each row
+    cleared of its own denominator, reduced by `row_reduce`, and the
+    pivot rows divided by the common denominator they end with."""
+    rows = [cleared(r.entries) for r in matrix.rows]
+    prev, pivots = row_reduce(rows, matrix.ncols)
+    return (
+        QMatrix([QVector.from_ints(row, prev) for row in rows]),
+        tuple(pivots),
+    )
 
 
 def rank(matrix: QMatrix) -> int:
@@ -62,20 +97,19 @@ def row_space_basis(matrix: QMatrix) -> tuple[QVector, ...]:
     return tuple(reduced.rows[i] for i in range(len(pivots)))
 
 
-def column_space_basis(matrix: QMatrix) -> tuple[QVector, ...]:
-    """A basis of the column space: the pivot columns of the matrix."""
-    _, pivots = rref(matrix)
-    cols = matrix.transpose().rows
-    return tuple(cols[j] for j in pivots)
-
-
 def kernel_basis(matrix: QMatrix) -> tuple[QVector, ...]:
     """RREF-canonical basis of the null space {v : Mv = 0}.
 
     An empty tuple means the kernel is trivial.
     """
-    reduced, pivots = rref(matrix)
-    ncols = matrix.ncols
+    return _kernel_of_rref(*rref(matrix))
+
+
+def _kernel_of_rref(
+    reduced: QMatrix, pivots: tuple[int, ...]
+) -> tuple[QVector, ...]:
+    """kernel_basis, given the RREF of the matrix and its pivots."""
+    ncols = reduced.ncols
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     vectors = []
@@ -169,10 +203,13 @@ def fix_projection(matrix: QMatrix) -> QMatrix:
         raise ValueError("projection of a non-square matrix")
     n = matrix.nrows
     complement = QMatrix.identity(n) - matrix
-    fixed = kernel_basis(complement)
+    reduced, pivots = rref(complement)
+    fixed = _kernel_of_rref(reduced, pivots)
     if not fixed:
         return QMatrix.zero(n, n)
-    moving = column_space_basis(complement)
+    # the pivot columns of I - M are a basis of its range
+    columns = complement.transpose().rows
+    moving = [columns[j] for j in pivots]
     basis = QMatrix.from_columns(list(fixed) + list(moving))
     try:
         inverse = invert(basis)

@@ -43,6 +43,17 @@ class QVector:
     def __init__(self, entries: Iterable):
         self.entries: tuple[Fraction, ...] = tuple(rat(e) for e in entries)
 
+    @classmethod
+    def from_ints(cls, numerators: Iterable[int], denominator: int = 1) -> "QVector":
+        """The vector of numerators over one positive common
+        denominator, built without `rat`'s per-entry type checks."""
+        vector = object.__new__(cls)
+        if denominator == 1:
+            vector.entries = tuple(map(Fraction, numerators))
+        else:
+            vector.entries = tuple(Fraction(x, denominator) for x in numerators)
+        return vector
+
     @staticmethod
     def zero(dim: int) -> "QVector":
         return QVector([ZERO] * dim)

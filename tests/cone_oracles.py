@@ -1,6 +1,6 @@
 """Test-only cone oracles: conic-hull membership, the exhaustive
-sign-pattern sublattice decision, the randomized AM-property check and
-a reference double description.
+sign-pattern sublattice decision, the randomized AM-property check, a
+reference double description and a reference simplex.
 
 The first three decide by exact linear programs
 (`latfix.conegeom.minimize`), a route independent of the double
@@ -9,7 +9,9 @@ reference double description is the earlier `Fraction` version of
 `extreme_rays_of_inequality_cone` and `positive_cone`: it recomputes
 every tight set from dot products and maps rays back through
 `Subspace.from_coefficients`, so the integer version can be compared
-with it exactly.
+with it exactly.  The reference simplex is the earlier `Fraction`
+version of `minimize`: a tableau of `Fraction`s reduced by unit-pivot
+Gauss-Jordan steps, which the integer tableau must match exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +22,10 @@ from math import gcd, lcm
 from typing import Sequence
 
 from latfix.conegeom import (
+    INFEASIBLE,
     OPTIMAL,
+    UNBOUNDED,
+    LPResult,
     Subspace,
     Verdict,
     classify_subspace,
@@ -28,7 +33,8 @@ from latfix.conegeom import (
     minimize,
 )
 from latfix.exactnum.linalg import invert, rref
-from latfix.exactnum.rational import ONE, ZERO, QMatrix, QVector
+from latfix.exactnum import TheoremViolationError
+from latfix.exactnum.rational import ONE, ZERO, QMatrix, QVector, rat
 
 SIGN_ORACLE_DIM_BOUND = 12
 
@@ -201,3 +207,115 @@ def reference_positive_cone_rays(subspace: Subspace) -> tuple[QVector, ...]:
             key=tuple,
         )
     )
+
+
+def _unit_pivot(rows: list[list[Fraction]], r: int, c: int) -> None:
+    """Gauss-Jordan row step on `Fraction`s, in place: scale row r to a
+    unit pivot in column c, then clear column c from every other row."""
+    pivot = rows[r][c]
+    if pivot != 1:
+        rows[r] = [x / pivot for x in rows[r]]
+    pivot_row = rows[r]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if i != r and f != 0:
+            rows[i] = [a - f * b for a, b in zip(row, pivot_row)]
+
+
+def _reference_run_simplex(
+    tableau: list[list[Fraction]], basis: list[int], eligible: Sequence[bool]
+) -> str:
+    """Bland's rule on the cost carried in the last tableau row."""
+    m = len(tableau) - 1
+    while True:
+        cost = tableau[-1]
+        col = next(
+            (j for j in range(len(cost) - 1) if eligible[j] and cost[j] < 0),
+            None,
+        )
+        if col is None:
+            return OPTIMAL
+        row = None
+        best: Fraction | None = None
+        for i in range(m):
+            a = tableau[i][col]
+            if a > 0:
+                ratio = tableau[i][-1] / a
+                if (
+                    best is None
+                    or ratio < best
+                    or (ratio == best and basis[i] < basis[row])
+                ):
+                    best = ratio
+                    row = i
+        if row is None:
+            return UNBOUNDED
+        _unit_pivot(tableau, row, col)
+        basis[row] = col
+
+
+def reference_minimize(
+    objective: QVector,
+    equalities: Sequence[tuple[QVector, Fraction]] = (),
+    inequalities: Sequence[tuple[QVector, Fraction]] = (),
+) -> LPResult:
+    """Two-phase simplex with Bland's rule on a `Fraction` tableau; same
+    contract as `minimize`."""
+    n = objective.dim
+    rows = [(row, rat(rhs), False) for row, rhs in equalities]
+    rows += [(row, rat(rhs), True) for row, rhs in inequalities]
+    m = len(rows)
+    n_slack = sum(1 for _, _, ge in rows if ge)
+    # columns: u_0..u_{n-1}, w_0..w_{n-1}, slacks, artificials, rhs
+    n_core = 2 * n + n_slack
+    total = n_core + m
+    tableau: list[list[Fraction]] = []
+    slack_at = 0
+    for i, (row, rhs, ge) in enumerate(rows):
+        line = [ZERO] * (total + 1)
+        sign = ONE if rhs >= 0 else -ONE
+        for j in range(n):
+            line[j] = sign * row[j]
+            line[n + j] = -sign * row[j]
+        if ge:
+            line[2 * n + slack_at] = -sign
+            slack_at += 1
+        line[n_core + i] = ONE
+        line[total] = sign * rhs
+        tableau.append(line)
+    basis = [n_core + i for i in range(m)]
+
+    cost = [ZERO] * n_core + [ONE] * m + [ZERO]
+    tableau.append(cost)
+    for i, col in enumerate(basis):
+        _unit_pivot(tableau, i, col)
+    if _reference_run_simplex(tableau, basis, [True] * total) != OPTIMAL:
+        raise TheoremViolationError("phase 1 unbounded, yet bounded below by 0")
+    if tableau[-1][-1] != 0:
+        return LPResult(INFEASIBLE, None, None)
+
+    for i in range(m - 1, -1, -1):
+        if basis[i] >= n_core:
+            col = next((j for j in range(n_core) if tableau[i][j] != 0), None)
+            if col is None:
+                del tableau[i]
+                del basis[i]
+            else:
+                _unit_pivot(tableau, i, col)
+                basis[i] = col
+
+    cost = [ZERO] * (total + 1)
+    for j in range(n):
+        cost[j] = objective[j]
+        cost[n + j] = -objective[j]
+    tableau[-1] = cost
+    for i, col in enumerate(basis):
+        _unit_pivot(tableau, i, col)
+    eligible = [j < n_core for j in range(total)]
+    if _reference_run_simplex(tableau, basis, eligible) == UNBOUNDED:
+        return LPResult(UNBOUNDED, None, None)
+    values = {basis[i]: tableau[i][-1] for i in range(len(basis))}
+    point = QVector(
+        values.get(j, ZERO) - values.get(n + j, ZERO) for j in range(n)
+    )
+    return LPResult(OPTIMAL, -tableau[-1][-1], point)

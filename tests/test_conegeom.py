@@ -283,6 +283,53 @@ class TestFractionReference:
         assert positive_cone(f).rays == reference_positive_cone_rays(f)
 
 
+class TestStartWithoutRref:
+    """The double-description start is one integer elimination of
+    [R^T | I]: it calls neither `rref` nor `invert`."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        import latfix.conegeom.core as core
+        import latfix.exactnum.linalg as linalg
+
+        calls = {"rref": 0, "invert": 0}
+
+        def counting(name):
+            original = getattr(linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            wrapped = counting(name)
+            for module in (linalg, core):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapped)
+        return calls
+
+    def test_no_rref_or_invert(self, counted):
+        rng = rng_for("dd-start-no-rref")
+        for _ in range(20):
+            d = rng.randint(1, 5)
+            rows = [random_qvector(rng, d) for _ in range(rng.randint(d, d + 5))]
+            try:
+                extreme_rays_of_inequality_cone(rows)
+            except ValueError:
+                pass
+        rows = [QVector([1, 0, 0]), QVector([0, 1, 0]), QVector([0, 0, 1])]
+        assert extreme_rays_of_inequality_cone(rows) == tuple(reversed(rows))
+        assert counted == {"rref": 0, "invert": 0}
+
+    def test_non_spanning_rows_still_raise(self, counted):
+        rows = [QVector([1, 2, 0]), QVector([2, 4, 0]), QVector([0, 0, 1])]
+        with pytest.raises(ValueError, match="do not span"):
+            extreme_rays_of_inequality_cone(rows)
+        assert counted == {"rref": 0, "invert": 0}
+
+
 class TestCoordinates:
     @given(st.integers(1, 5), st.data())
     @settings(max_examples=80, deadline=None)

@@ -18,6 +18,7 @@ from latfix.exactnum.linalg import (
     char_poly,
     fix_projection,
     intersect_kernels,
+    invert,
     kernel_basis,
     poly_of_matrix,
     rank,
@@ -163,6 +164,84 @@ class TestKernel:
         assert solve(a, QVector([1, 3])) is None
         x = solve(QMatrix([[2, 1], [1, 1]]), QVector([3, 2]))
         assert x == QVector([1, 1])
+
+
+@st.composite
+def elimination_matrix_st(draw, square=False):
+    """Wide, tall and square matrices of size up to 6 x 7 over mixed and
+    coprime denominators, rank-deficient as often as not: rows are
+    rational combinations of at most as many generators as there are
+    rows, and some rows are zero."""
+    nrows = draw(st.integers(1, 6))
+    ncols = nrows if square else draw(st.integers(1, 7))
+
+    def scalar():
+        return Fraction(draw(st.integers(-9, 9)), draw(denominators_st))
+
+    generators = [
+        [scalar() for _ in range(ncols)]
+        for _ in range(draw(st.integers(1, nrows)))
+    ]
+    rows = []
+    for _ in range(nrows):
+        if draw(st.integers(0, 5)) == 0:
+            rows.append([Fraction(0)] * ncols)
+            continue
+        weights = [scalar() for _ in generators]
+        rows.append(
+            [sum(w * g[j] for w, g in zip(weights, generators)) for j in range(ncols)]
+        )
+    return QMatrix(rows)
+
+
+def to_sympy(a: QMatrix) -> sympy.Matrix:
+    return sympy.Matrix(
+        a.nrows,
+        a.ncols,
+        [sympy.Rational(x.numerator, x.denominator) for row in a.rows for x in row],
+    )
+
+
+def from_sympy(m: sympy.Matrix) -> list[list[Fraction]]:
+    return [
+        [Fraction(int(m[i, j].p), int(m[i, j].q)) for j in range(m.cols)]
+        for i in range(m.rows)
+    ]
+
+
+class TestAgainstSympy:
+    """The fraction-free elimination against sympy's, exactly."""
+
+    @given(elimination_matrix_st())
+    @settings(max_examples=150, deadline=None)
+    def test_rref(self, a):
+        expected, expected_pivots = to_sympy(a).rref()
+        reduced, pivots = rref(a)
+        assert [list(r) for r in reduced.rows] == from_sympy(expected)
+        assert pivots == expected_pivots
+        assert all(type(x) is Fraction for r in reduced.rows for x in r)
+
+    @given(elimination_matrix_st())
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_basis(self, a):
+        nullspace = to_sympy(a).nullspace()
+        if not nullspace:
+            assert kernel_basis(a) == ()
+            return
+        # sympy's kernel vectors, brought to RREF
+        canonical = sympy.Matrix.hstack(*nullspace).T.rref()[0]
+        expected = [row for row in from_sympy(canonical) if any(row)]
+        assert [list(v) for v in kernel_basis(a)] == expected
+
+    @given(elimination_matrix_st(square=True))
+    @settings(max_examples=100, deadline=None)
+    def test_invert(self, a):
+        oracle = to_sympy(a)
+        if oracle.rank() < a.nrows:
+            with pytest.raises(ValueError):
+                invert(a)
+            return
+        assert [list(r) for r in invert(a).rows] == from_sympy(oracle.inv())
 
 
 class TestCharPoly:

@@ -1,19 +1,24 @@
-"""Exact two-phase simplex against hand-worked programs and scipy.
+"""Exact two-phase simplex against hand-worked programs, scipy and the
+earlier `Fraction` simplex.
 
 scipy solves the same programs in floating point; statuses must agree
 and optimal values must match to 1e-7, which an exact solver passes
-with room to spare.
+with room to spare.  The `Fraction` simplex (tests/cone_oracles.py)
+takes the same Bland path as the integer tableau, so status, value and
+point must be exactly equal.
 """
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from latfix.conegeom.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, minimize
 from latfix.exactnum.rational import QVector, rat
 
+from cone_oracles import reference_minimize
 from conftest import random_qvector, rng_for
 
 
@@ -137,3 +142,90 @@ class TestAgainstScipy:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             minimize(QVector([1]), inequalities=[(QVector([1, 2]), rat(0))])
+
+
+# coprime and mixed denominators, so the common denominator of a
+# program's rows ranges from 1 to large products
+denominators_st = st.sampled_from((1, 1, 2, 3, 4, 5, 6, 7, 11, 13))
+
+
+@st.composite
+def programs(draw):
+    """Programs in 1-6 free variables with up to 3 equalities and 4 >=
+    rows over mixed and coprime denominators, signed and zero right-hand
+    sides.  Equalities come repeated exactly or scaled by a signed
+    factor, >= rows with their negation, and sometimes every variable is
+    boxed: so phase 1 ends with artificials in the basis that the
+    drive-out loop pivots out (on entries of either sign) or deletes."""
+    n = draw(st.integers(1, 6))
+
+    def scalar(denominator=None):
+        return Fraction(
+            draw(st.integers(-6, 6)), denominator or draw(denominators_st)
+        )
+
+    def row():
+        # a denominator of the row's own, so rows scale differently
+        own = draw(denominators_st)
+        return QVector(
+            [scalar(draw(st.sampled_from((1, own)))) for _ in range(n)]
+        )
+
+    def rhs():
+        # a zero right-hand side starts phase 1 at a degenerate vertex
+        return scalar() if draw(st.booleans()) else Fraction(0)
+
+    equalities = [(row(), rhs()) for _ in range(draw(st.integers(0, 3)))]
+    for r, b in list(equalities):
+        if draw(st.booleans()):
+            k = draw(st.sampled_from((1, -1, 2, Fraction(-3, 5), Fraction(7, 2))))
+            position = draw(st.integers(0, len(equalities)))
+            equalities.insert(position, (r.scale(k), b * k))
+    inequalities = [(row(), rhs()) for _ in range(draw(st.integers(0, 4)))]
+    for r, b in list(inequalities):
+        if draw(st.booleans()):
+            position = draw(st.integers(0, len(inequalities)))
+            inequalities.insert(position, (-r, -b))
+    if draw(st.booleans()):
+        for j in range(n):
+            inequalities.append((QVector.unit(n, j), -1 - abs(scalar())))
+            inequalities.append((-QVector.unit(n, j), -1 - abs(scalar())))
+    # a zero objective, or one parallel to a constraint, has many optimal
+    # points, so the point returned depends on the whole pivot path
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        objective = QVector.zero(n)
+    elif kind == 1 or not (equalities or inequalities):
+        objective = row()
+    else:
+        parallel = draw(st.sampled_from(equalities + inequalities))[0]
+        objective = parallel.scale(scalar())
+    return objective, equalities, inequalities
+
+
+class TestAgainstFractionSimplex:
+    # dropping the sign normalization of `eliminate` turns this unbounded
+    # program optimal: the drive-out loop pivots on the -1 slack entry of
+    # the zero row
+    @example((QVector([Fraction(-3, 7)]), [], [(QVector([0]), 0), (QVector([1]), 0)]))
+    # scaling each row by its own denominator instead of the common one
+    # weights the artificials unevenly and phase 1 ends on another vertex
+    @example(
+        (
+            QVector([0, 0, 0]),
+            [],
+            [
+                (QVector([-1, 3, 3]), 1),
+                (QVector([-1, Fraction(-3, 2), Fraction(1, 3)]), 0),
+            ],
+        )
+    )
+    @given(programs())
+    @settings(max_examples=400, deadline=None)
+    def test_exactly_equal(self, program):
+        objective, equalities, inequalities = program
+        ours = minimize(objective, equalities, inequalities)
+        assert ours == reference_minimize(objective, equalities, inequalities)
+        if ours.status == OPTIMAL:
+            assert type(ours.value) is Fraction
+            assert all(type(x) is Fraction for x in ours.point)
