@@ -37,13 +37,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
 from ..exactnum import TheoremViolationError
-from ..exactnum.linalg import cleared, invert, rank, row_reduce, row_space_basis
-from ..exactnum.rational import QMatrix, QVector
+from ..exactnum.linalg import invert, rank, row_reduce, row_space_basis
+from ..exactnum.rational import QMatrix, QVector, cleared, matvec_cleared
 from .simplex import INFEASIBLE, UNBOUNDED, minimize
 
 
@@ -103,10 +104,8 @@ class Subspace:
         return self.coefficients_of(v) is not None
 
     def from_coefficients(self, c: QVector) -> QVector:
-        out = QVector.zero(self.ambient_dim)
-        for ci, b in zip(c, self.basis):
-            out = out + b.scale(ci)
-        return out
+        """sum_i c_i b_i: one integer combination per ambient coordinate."""
+        return matvec_cleared(self._cleared_coordinate_rows, c.entries)
 
     def coordinate_rows(self) -> tuple[QVector, ...]:
         """Row j maps coefficients c to the j-th ambient coordinate of
@@ -114,6 +113,11 @@ class Subspace:
         return tuple(
             QVector(b[j] for b in self.basis) for j in range(self.ambient_dim)
         )
+
+    @cached_property
+    def _cleared_coordinate_rows(self) -> tuple[tuple[list[int], int], ...]:
+        """coordinate_rows cleared once per subspace, for from_coefficients."""
+        return tuple(cleared(row.entries) for row in self.coordinate_rows())
 
 
 @dataclass(frozen=True)
@@ -168,7 +172,7 @@ def extreme_rays_of_inequality_cone(
     d = rows[0].dim
     if any(r.dim != d for r in rows):
         raise ValueError("inequality rows of mixed dimension")
-    int_rows = [_primitive(cleared(r.entries)) for r in rows]
+    int_rows = [_primitive(cleared(r.entries)[0]) for r in rows]
     m = len(int_rows)
     table = [
         [r[k] for r in int_rows] + [int(i == k) for i in range(d)]
@@ -222,7 +226,7 @@ def positive_cone(subspace: Subspace) -> PolyhedralCone:
         return PolyhedralCone(subspace, ())
     coeff_rays = extreme_rays_of_inequality_cone(subspace.coordinate_rows())
     n = subspace.ambient_dim
-    scaled = cleared([x for b in subspace.basis for x in b])  # D * basis
+    scaled = cleared([x for b in subspace.basis for x in b])[0]  # D * basis
     columns = [scaled[j::n] for j in range(n)]
     ambient_rays = []
     for ray in coeff_rays:
@@ -338,10 +342,11 @@ def _least_upper_bound(
         QMatrix([subspace.coefficients_of(r) for r in rays])
     ).transpose()
     ray_coords = [to_rays.matvec(c) for c in coefficients]
-    out = QVector.zero(subspace.ambient_dim)
-    for i, r in enumerate(rays):
-        out = out + r.scale(max(a[i] for a in ray_coords))
-    return out
+    maxima = [max(a[i] for a in ray_coords) for i in range(len(rays))]
+    # sum_i maxima_i r_i, one integer combination per ambient coordinate
+    return matvec_cleared(
+        (cleared(col) for col in zip(*(r.entries for r in rays))), maxima
+    )
 
 
 def modulus_in(subspace: Subspace, x: QVector) -> QVector | None:

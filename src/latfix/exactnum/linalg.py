@@ -17,11 +17,10 @@ clearing one common denominator.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from .polynomials import QPolynomial
-from .rational import ONE, ZERO, QMatrix, QVector
+from .rational import ONE, ZERO, QMatrix, QVector, cleared
 
 
 def eliminate(rows: list[list[int]], r: int, c: int, prev: int) -> int:
@@ -69,17 +68,11 @@ def row_reduce(rows: list[list[int]], width: int) -> tuple[int, list[int]]:
     return prev, pivots
 
 
-def cleared(entries) -> list[int]:
-    """Fractions times their least common denominator."""
-    scale = lcm(*(x.denominator for x in entries))
-    return [x.numerator * (scale // x.denominator) for x in entries]
-
-
 def rref(matrix: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices: each row
     cleared of its own denominator, reduced by `row_reduce`, and the
     pivot rows divided by the common denominator they end with."""
-    rows = [cleared(r.entries) for r in matrix.rows]
+    rows = [cleared(r.entries)[0] for r in matrix.rows]
     prev, pivots = row_reduce(rows, matrix.ncols)
     return (
         QMatrix([QVector.from_ints(row, prev) for row in rows]),
@@ -156,8 +149,8 @@ def char_poly(matrix: QMatrix) -> QPolynomial:
     if not matrix.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = matrix.nrows
-    d = lcm(*(x.denominator for row in matrix.rows for x in row))
-    a = [[x.numerator * (d // x.denominator) for x in row] for row in matrix.rows]
+    flat, d = cleared([x for row in matrix.rows for x in row.entries])
+    a = [flat[i * n:(i + 1) * n] for i in range(n)]
     coeffs = [1]  # det(xI - A_k), descending
     for k in range(n):
         block = [a[i][:k] for i in range(k)]
@@ -210,21 +203,16 @@ def fix_projection(matrix: QMatrix) -> QMatrix:
     # the pivot columns of I - M are a basis of its range
     columns = complement.transpose().rows
     moving = [columns[j] for j in pivots]
-    basis = QMatrix.from_columns(list(fixed) + list(moving))
     try:
-        inverse = invert(basis)
+        inverse = invert(QMatrix.from_columns(list(fixed) + moving))
     except ValueError:
         raise DefectiveEigenvalueError(
             "eigenvalue 1 is defective: ker(I-M) meets range(I-M)"
         ) from None
+    # in the basis [fixed | moving] the projection keeps the first k
+    # coordinates: F times the first k rows of the inverse
     k = len(fixed)
-    selector = QMatrix(
-        [
-            [ONE if (i == j and i < k) else ZERO for j in range(n)]
-            for i in range(n)
-        ]
-    )
-    return basis.matmul(selector).matmul(inverse)
+    return QMatrix.from_columns(fixed).matmul(QMatrix(inverse.rows[:k]))
 
 
 def invert(matrix: QMatrix) -> QMatrix:

@@ -1,13 +1,20 @@
 """Exact rational scalars, vectors, and matrices.
 
-Scalars are ``fractions.Fraction`` values throughout; nothing in the
-certified code paths ever touches a float.  Serialized form of a scalar
-is the string ``"p/q"`` in lowest terms, or ``"p"`` when the denominator
-is one.
+Every entry is a ``fractions.Fraction``; nothing in the certified code
+paths ever touches a float.  The dense products (`QMatrix.matmul`,
+`QMatrix.matvec`, `QVector.dot` and `matvec_cleared`, which combines
+vectors) run on plain ints: each operand row, column or vector is
+cleared once to integers over its own least common denominator, and
+each output entry is one ``Fraction(sum of integer products, d_row *
+d_col)``, the same canonical value the ``Fraction`` sum of products
+gives.  Serialized form of a scalar is the string ``"p/q"`` in lowest
+terms, or ``"p"`` when the denominator is one.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -25,6 +32,28 @@ def rat(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value.strip())
     raise TypeError(f"cannot interpret {value!r} as a rational scalar")
+
+
+def cleared(entries: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Fractions as integers over their least common denominator d > 0:
+    (the numerators x * d, d)."""
+    dens = [x.denominator for x in entries]
+    d = lcm(*dens)
+    if d == 1:
+        return [x.numerator for x in entries], 1
+    return [x.numerator * (d // q) for x, q in zip(entries, dens)], d
+
+
+def matvec_cleared(
+    rows: Iterable[tuple[list[int], int]], x: Sequence[Fraction]
+) -> "QVector":
+    """The vector of dot products of the rows with x, the rows given
+    cleared as (numerators, denominator): x is cleared once, and each
+    entry is one Fraction of an integer dot product."""
+    xs, dx = cleared(x)
+    return QVector._trusted(
+        tuple(Fraction(sum(map(mul, a, xs)), d * dx) for a, d in rows)
+    )
 
 
 def rat_str(value: Fraction) -> str:
@@ -47,11 +76,16 @@ class QVector:
     def from_ints(cls, numerators: Iterable[int], denominator: int = 1) -> "QVector":
         """The vector of numerators over one positive common
         denominator, built without `rat`'s per-entry type checks."""
-        vector = object.__new__(cls)
         if denominator == 1:
-            vector.entries = tuple(map(Fraction, numerators))
-        else:
-            vector.entries = tuple(Fraction(x, denominator) for x in numerators)
+            return cls._trusted(tuple(map(Fraction, numerators)))
+        return cls._trusted(tuple(Fraction(x, denominator) for x in numerators))
+
+    @classmethod
+    def _trusted(cls, entries: tuple[Fraction, ...]) -> "QVector":
+        """The vector of a tuple whose entries are already Fractions,
+        built without `rat`."""
+        vector = object.__new__(cls)
+        vector.entries = entries
         return vector
 
     @staticmethod
@@ -86,29 +120,37 @@ class QVector:
 
     def __add__(self, other: "QVector") -> "QVector":
         self._check_dim(other)
-        return QVector(a + b for a, b in zip(self.entries, other.entries))
+        return QVector._trusted(
+            tuple(a + b for a, b in zip(self.entries, other.entries))
+        )
 
     def __sub__(self, other: "QVector") -> "QVector":
         self._check_dim(other)
-        return QVector(a - b for a, b in zip(self.entries, other.entries))
+        return QVector._trusted(
+            tuple(a - b for a, b in zip(self.entries, other.entries))
+        )
 
     def __neg__(self) -> "QVector":
-        return QVector(-a for a in self.entries)
+        return QVector._trusted(tuple(-a for a in self.entries))
 
     def scale(self, c) -> "QVector":
         c = rat(c)
-        return QVector(c * a for a in self.entries)
+        return QVector._trusted(tuple(c * a for a in self.entries))
 
     def dot(self, other: "QVector") -> Fraction:
         self._check_dim(other)
-        return sum((a * b for a, b in zip(self.entries, other.entries)), ZERO)
+        xs, dx = cleared(self.entries)
+        ys, dy = cleared(other.entries)
+        return Fraction(sum(map(mul, xs, ys)), dx * dy)
 
     def abs(self) -> "QVector":
-        return QVector(abs(a) for a in self.entries)
+        return QVector._trusted(tuple(abs(a) for a in self.entries))
 
     def cwise_max(self, other: "QVector") -> "QVector":
         self._check_dim(other)
-        return QVector(max(a, b) for a, b in zip(self.entries, other.entries))
+        return QVector._trusted(
+            tuple(max(a, b) for a, b in zip(self.entries, other.entries))
+        )
 
     def ge(self, other: "QVector") -> bool:
         self._check_dim(other)
@@ -199,15 +241,15 @@ class QMatrix:
     def matvec(self, v: QVector) -> QVector:
         if v.dim != self.ncols:
             raise ValueError("matvec dimension mismatch")
-        return QVector(r.dot(v) for r in self.rows)
+        return matvec_cleared((cleared(r.entries) for r in self.rows), v.entries)
 
     def matmul(self, other: "QMatrix") -> "QMatrix":
+        """The product, row i being the cleared columns of other applied
+        to row i of self: each row and column is cleared once."""
         if self.ncols != other.nrows:
             raise ValueError("matmul dimension mismatch")
-        cols = other.transpose().rows
-        return QMatrix(
-            QVector(row.dot(col) for col in cols) for row in self.rows
-        )
+        cols = [cleared(col) for col in zip(*(r.entries for r in other.rows))]
+        return QMatrix(matvec_cleared(cols, row.entries) for row in self.rows)
 
     def __matmul__(self, other):
         if isinstance(other, QVector):
@@ -229,9 +271,7 @@ class QMatrix:
         return result
 
     def transpose(self) -> "QMatrix":
-        return QMatrix(
-            QVector(r[j] for r in self.rows) for j in range(self.ncols)
-        )
+        return QMatrix(map(QVector._trusted, zip(*(r.entries for r in self.rows))))
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable
 
 from .exactnum import TheoremViolationError
@@ -28,7 +29,7 @@ from .exactnum.polynomials import (
     orders_with_phi_at_most,
     sturm_count,
 )
-from .exactnum.rational import ONE, QMatrix, QVector
+from .exactnum.rational import ONE, ZERO, QMatrix, QVector, cleared
 
 
 @dataclass(frozen=True)
@@ -130,25 +131,25 @@ class OperatorFamily:
 
 
 def operator_norm(op: PositiveMatrixOperator) -> Fraction:
-    """Exact induced norm of the operator for its norm tag."""
+    """Exact induced norm of the operator for its norm tag: the largest
+    absolute row sum (sup norm), absolute column sum (one norm) or
+    weighted absolute column sum over the column's weight (weighted one
+    norm), each an integer sum over its row or column's denominator."""
     m = op.matrix
-    n = m.nrows
     tag = op.norm_tag
+    lines = [r.entries for r in m.rows]
     if tag.kind == "sup":
-        if n == 0:
-            return Fraction(0)
-        return max(sum(map(abs, row), Fraction(0)) for row in m.rows)
+        sums = (Fraction(sum(map(abs, a)), d) for a, d in map(cleared, lines))
+        return max(sums, default=ZERO)
+    columns = map(cleared, zip(*lines))
     if tag.kind == "one":
-        if n == 0:
-            return Fraction(0)
-        return max(
-            sum((abs(m.entry(i, j)) for i in range(n)), Fraction(0))
-            for j in range(n)
-        )
-    w = tag.weights
+        sums = (Fraction(sum(map(abs, a)), d) for a, d in columns)
+        return max(sums, default=ZERO)
+    # sum_i w_i |m_ij| / w_j with w = W / dw and column j = a / d
+    w = cleared(tag.weights.entries)[0]
     return max(
-        sum((w[i] * abs(m.entry(i, j)) for i in range(n)), Fraction(0)) / w[j]
-        for j in range(n)
+        Fraction(sum(map(mul, w, map(abs, a))), d * wj)
+        for (a, d), wj in zip(columns, w)
     )
 
 

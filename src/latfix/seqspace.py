@@ -646,10 +646,14 @@ def _limit_matrix(m: QMatrix) -> QMatrix:
 
 
 def _limit_step(
-    op: ShiftInsertOperator, g: SymbolicVector, power: int
+    op: ShiftInsertOperator,
+    g: SymbolicVector,
+    power: int,
+    limits: dict[QMatrix, QMatrix],
 ) -> SymbolicVector:
     """Supremum of the increasing orbit g, T^p g, T^2p g, ... of a super
-    fixed g (p = power), certified to dominate g.
+    fixed g (p = power), certified to dominate g.  limits maps each
+    powered augmented matrix already seen to its _limit_matrix.
 
     Tails are orbit invariants, so the finite part follows the affine
     iteration x -> Ax + b whose limit is the fixed-space projection of
@@ -667,8 +671,10 @@ def _limit_step(
     aug_rows = [
         QVector(tuple(a.rows[i]) + (b[i],)) for i in range(nf)
     ] + [QVector((ZERO,) * nf + (ONE,))]
-    m_aug = QMatrix(aug_rows)
-    proj = _limit_matrix(m_aug.power(power))
+    m = QMatrix(aug_rows).power(power)
+    proj = limits.get(m)
+    if proj is None:
+        proj = limits[m] = _limit_matrix(m)
 
     finite_states = [g.finite_part]
     for _ in range(power - 1):
@@ -728,7 +734,8 @@ def orbit_sup(op: ShiftInsertOperator, g: SymbolicVector, power: int = 1) -> Orb
     norms geometrically without end.  That growth is certified by two
     further limit steps, each from the previous supremum (which must be
     super fixed), and reported as Unbounded with the norms of the three
-    successive suprema as evidence.
+    successive suprema as evidence.  When no finite input reads a tail,
+    the limit steps share one augmented matrix, certified once.
     """
     if power < 1:
         raise ValueError("power must be a positive integer")
@@ -736,14 +743,15 @@ def orbit_sup(op: ShiftInsertOperator, g: SymbolicVector, power: int = 1) -> Orb
         raise ValueError("schema mismatch")
     if not apply_power(op, g, power).ge(g):
         return OrbitSup("NotSuperFixed")
-    sup = _limit_step(op, g, power)
+    limits: dict[QMatrix, QMatrix] = {}
+    sup = _limit_step(op, g, power, limits)
     if abs(op.grid_cross) <= 1 or all(r.tail == 0 for r in sup.grid_rows):
         return OrbitSup("Stabilized", supremum=sup)
     norms = [sup.sup_norm()]
     for _ in range(2):
         if not apply_power(op, sup, power).ge(sup):
             raise TheoremViolationError("a growing limit step is not super fixed")
-        sup = _limit_step(op, sup, power)
+        sup = _limit_step(op, sup, power, limits)
         norms.append(sup.sup_norm())
     return OrbitSup("Unbounded", evidence=tuple(norms))
 

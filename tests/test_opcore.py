@@ -163,6 +163,36 @@ class TestFamily:
                 [PositiveMatrixOperator(a), PositiveMatrixOperator(b)]
             )
 
+    def test_rejects_products_differing_by_one_part_in_10_12(self):
+        e = Fraction(1, 10**6)
+        half = Fraction(1, 2)
+        a = QMatrix([[half, 0, 0], [0, half + e, 0], [0, 0, rat("1/3")]])
+        b = QMatrix([[half, e, 0], [0, half, 0], [0, 0, rat("2/7")]])
+        diff = a @ b - b @ a
+        nonzero = [(i, j) for i in range(3) for j in range(3) if diff.entry(i, j)]
+        assert nonzero == [(0, 1)]
+        assert abs(diff.entry(0, 1)) == Fraction(1, 10**12)
+        with pytest.raises(ValueError, match="members 0 and 1 do not commute"):
+            OperatorFamily(
+                [PositiveMatrixOperator(a), PositiveMatrixOperator(b)]
+            )
+
+    def test_accepts_polynomials_with_coprime_denominators(self):
+        m = QMatrix(
+            [
+                [rat("1/3"), rat("2/7"), 0],
+                [rat("1/5"), 0, rat("3/11")],
+                [0, rat("1/13"), rat("4/9")],
+            ]
+        )
+        eye = QMatrix.identity(3)
+        p = m.scale(rat("1/17")) + (m @ m).scale(rat("2/19")) + eye.scale(rat("1/23"))
+        q = m.power(3).scale(rat("5/29")) + eye.scale(rat("1/31"))
+        fam = OperatorFamily(
+            [PositiveMatrixOperator(x) for x in (m, p, q)]
+        )
+        assert len(fam.members) == 3
+
     def test_rejects_mixed_norms(self):
         eye = QMatrix.identity(2)
         with pytest.raises(ValueError):

@@ -590,6 +590,22 @@ class TestEnforcedChecks:
         assert result.evidence == (Fraction(1), Fraction(2), Fraction(4))
         assert len(calls) == 1
 
+    def test_growth_certifies_one_limit_matrix(self, monkeypatch):
+        # the square's three limit steps share one augmented matrix
+        op = builtin_operator("e43")
+        (f,) = symbolic_eigenspace(op, -1)
+        calls = []
+        real = seqspace.char_poly
+
+        def counted(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(seqspace, "char_poly", counted)
+        result = orbit_sup(op, f.abs(), power=2)
+        assert result.outcome == "Unbounded"
+        assert len(calls) == 1
+
     def test_raised_under_optimized_python(self):
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
