@@ -12,7 +12,8 @@ Kernel bases are canonical: the spanning set produced by back
 substitution is itself brought to reduced row echelon form, so equal
 subspaces always yield identical bases.  The characteristic polynomial
 is computed with division-free Berkowitz on plain integers, after
-clearing one common denominator.
+clearing one common denominator; `poly_of_matrix` runs Horner's scheme
+on the same integer matrix.
 """
 from __future__ import annotations
 
@@ -171,14 +172,31 @@ def char_poly(matrix: QMatrix) -> QPolynomial:
 
 
 def poly_of_matrix(poly: QPolynomial, matrix: QMatrix) -> QMatrix:
-    """Evaluate p(M) by Horner's scheme."""
+    """Evaluate p(M) by Horner's scheme on the integer matrix A = D*M,
+    D the common denominator of the entries.
+
+    With p cleared to integer coefficients c_k over E and m = deg p,
+    E D^m p(M) = sum c_k D^(m-k) A^k: Horner multiplies by A and adds
+    c_k D^(m-k) on the diagonal, and each entry of p(M) is one Fraction
+    over E D^m at the end.
+    """
     if not matrix.is_square():
         raise ValueError("polynomial of a non-square matrix")
     n = matrix.nrows
-    result = QMatrix.zero(n, n)
-    for c in reversed(poly.coeffs):
-        result = matrix.matmul(result) + QMatrix.identity(n).scale(c)
-    return result
+    if poly.is_zero():
+        return QMatrix.zero(n, n)
+    flat, d = cleared([x for row in matrix.rows for x in row.entries])
+    a = [flat[i * n:(i + 1) * n] for i in range(n)]
+    coeffs, e = cleared(poly.coeffs)
+    result = [[coeffs[-1] if i == j else 0 for j in range(n)] for i in range(n)]
+    power = 1
+    for c in reversed(coeffs[:-1]):
+        power *= d
+        cols = list(zip(*result))
+        result = [[sum(map(mul, row, col)) for col in cols] for row in a]
+        for i in range(n):
+            result[i][i] += c * power
+    return QMatrix(QVector.from_ints(row, e * power) for row in result)
 
 
 class DefectiveEigenvalueError(ValueError):

@@ -10,6 +10,11 @@ polynomial is the empty tuple).  The module provides
 * complete factorization over the rationals for degree at most 16,
 * exact detection of roots on the unit circle.
 
+The gcd and the Sturm chains run on plain ints: each polynomial is
+cleared of denominators once, and remainders are primitive
+pseudo-remainders (Collins 1967; Brown 1971) whose scaling by the
+absolute value of the divisor's leading coefficient keeps their signs.
+
 Root location never uses floating point.  Roots on the unit circle are
 isolated through the reciprocal-gcd construction and the substitution
 t = x + 1/x, which maps conjugate unimodular pairs to real points of
@@ -23,7 +28,7 @@ from functools import lru_cache
 from math import gcd as int_gcd
 from typing import Iterable
 
-from .rational import ONE, ZERO, rat
+from .rational import ONE, ZERO, cleared, rat
 
 DEGREE_BOUND = 16
 
@@ -176,30 +181,98 @@ class QPolynomial:
         and the rational unit u with  p = u * primitive."""
         if self.is_zero():
             return self, ONE
-        denom_lcm = 1
-        for c in self.coeffs:
-            denom_lcm = denom_lcm * c.denominator // int_gcd(
-                denom_lcm, c.denominator
-            )
-        ints = [int(c * denom_lcm) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = int_gcd(g, abs(v))
-        ints = [v // g for v in ints]
+        ints = _ints(self)
         if ints[-1] < 0:
             ints = [-v for v in ints]
         prim = QPolynomial(ints)
         return prim, self.leading / prim.leading
 
 
+# ---------------------------------------------------------------------------
+# integer polynomials: ascending lists of ints, the zero polynomial empty
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """a divided by its positive content, so every sign is kept."""
+    g = int_gcd(*a)
+    return [c // g for c in a] if g > 1 else a
+
+
+def _derivative(a: list[int]) -> list[int]:
+    return [k * c for k, c in enumerate(a)][1:]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of the remainder of a by the nonzero b.  Each
+    step scales by |lc(b)|, not lc(b), so the sign of the remainder is
+    the sign of the rational one (Sturm chains depend on it)."""
+    lead = b[-1]
+    scale, sign = abs(lead), (1 if lead > 0 else -1)
+    db = len(b) - 1
+    r = a
+    while len(r) > db:
+        f = sign * r[-1]
+        shift = len(r) - 1 - db
+        # the leading term cancels: |lc(b)| * r[-1] - f * lc(b) == 0
+        r = [scale * c for c in r[:shift]] + [
+            scale * c - f * d for c, d in zip(r[shift:-1], b)
+        ]
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _gcd_ints(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd with positive leading coefficient, by the primitive
+    pseudo-remainder sequence (empty only when a and b are both zero)."""
+    while b:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    a = _primitive(a)
+    return [-c for c in a] if a and a[-1] < 0 else a
+
+
+def exact_quotient(p: list[int], divisor: list[int]) -> list[int] | None:
+    """p / divisor when the nonzero integer divisor divides p in Z[x],
+    else None (for a primitive divisor, division over Q and over Z
+    agree by Gauss's lemma)."""
+    rem = list(p)
+    lead = divisor[-1]
+    shift = len(divisor) - 1
+    quotient = [0] * (len(rem) - shift)
+    for i in range(len(rem) - 1, shift - 1, -1):
+        f, r = divmod(rem[i], lead)
+        if r:
+            return None
+        if f:
+            quotient[i - shift] = f
+            for j, c in enumerate(divisor):
+                if c:
+                    rem[i - shift + j] -= f * c
+    return None if any(rem[:shift]) else quotient
+
+
+def _squarefree_ints(a: list[int]) -> list[int]:
+    """a over its gcd with its derivative: the distinct roots of a, once
+    each, with the sign of a's leading coefficient."""
+    if len(a) <= 2:
+        return a
+    return exact_quotient(a, _gcd_ints(a, _derivative(a)))
+
+
+def _monic(a: list[int]) -> QPolynomial:
+    lead = a[-1]
+    return QPolynomial(Fraction(c, lead) for c in a)
+
+
+def _ints(p: QPolynomial) -> list[int]:
+    """p cleared of denominators, divided by its positive content."""
+    return _primitive(cleared(p.coeffs)[0])
+
+
 def poly_gcd(a: QPolynomial, b: QPolynomial) -> QPolynomial:
     """Monic greatest common divisor (1 for coprime, 0 only if both zero)."""
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-        # content stripping keeps coefficient growth in check
-        if not b.is_zero():
-            b = b.primitive_integer()[0]
-    return a.monic() if not a.is_zero() else a
+    g = _gcd_ints(_ints(a), _ints(b))
+    return _monic(g) if g else QPolynomial.zero()
 
 
 def squarefree_decomposition(p: QPolynomial) -> list[tuple[QPolynomial, int]]:
@@ -301,35 +374,33 @@ def cyclotomic_order(p: QPolynomial) -> int | None:
 # Sturm sequences
 
 
-def _sturm_chain(f0: QPolynomial, f1: QPolynomial) -> list[QPolynomial]:
-    chain = [f0, f1]
-    while not chain[-1].is_zero():
-        rem = chain[-2].divmod(chain[-1])[1]
-        if rem.is_zero():
-            break
-        nxt = -rem
-        # shrink coefficients by the (positive) content only, signs matter
-        prim, unit = nxt.primitive_integer()
-        chain.append(prim if unit > 0 else prim.scale(-1))
-    return chain
+def _sturm_chain(a: list[int]) -> list[list[int]]:
+    """Sturm chain of a squarefree nonconstant a: a, a', then the negated
+    pseudo-remainders with their positive content removed, each a
+    positive multiple of the rational chain's term."""
+    chain = [a, _primitive(_derivative(a))]
+    while True:
+        rem = _pseudo_remainder(chain[-2], chain[-1])
+        if not rem:
+            return chain
+        chain.append(_primitive([-c for c in rem]))
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+def _sign_at(a: list[int], point: Fraction) -> int:
+    """Sign of a at a finite rational point p/q (q > 0), by Horner on
+    the homogenised form sum a_k p^k q^(n-k), a positive multiple of the
+    value."""
+    num, den = point.numerator, point.denominator
+    acc, den_power = 0, 1
+    for c in reversed(a):
+        acc = acc * num + c * den_power
+        den_power *= den
+    return (acc > 0) - (acc < 0)
 
 
-def _sign_at(p: QPolynomial, point) -> int:
-    """Sign of p at a finite point, or at -inf/+inf for point None pairs."""
-    return _sign(p.evaluate(point))
-
-
-def _sign_at_infinity(p: QPolynomial, positive: bool) -> int:
-    if p.is_zero():
-        return 0
-    s = _sign(p.leading)
-    if positive or p.degree % 2 == 0:
-        return s
-    return -s
+def _sign_at_infinity(a: list[int], positive: bool) -> int:
+    s = 1 if a[-1] > 0 else -1
+    return s if positive or len(a) % 2 else -s
 
 
 def _variations(signs: list[int]) -> int:
@@ -339,12 +410,12 @@ def _variations(signs: list[int]) -> int:
     )
 
 
-def _variations_at(chain: list[QPolynomial], point) -> int:
-    return _variations([_sign_at(p, point) for p in chain])
-
-
-def _variations_at_infinity(chain: list[QPolynomial], positive: bool) -> int:
-    return _variations([_sign_at_infinity(p, positive) for p in chain])
+def _variations_at(chain: list[list[int]], point, positive: bool) -> int:
+    """Sign variations of the chain at a rational point, or at +inf
+    (positive) or -inf when the point is None."""
+    if point is None:
+        return _variations([_sign_at_infinity(a, positive) for a in chain])
+    return _variations([_sign_at(a, point) for a in chain])
 
 
 def sturm_count(p: QPolynomial, lo=None, hi=None) -> int:
@@ -355,24 +426,18 @@ def sturm_count(p: QPolynomial, lo=None, hi=None) -> int:
     """
     if p.is_zero():
         raise ValueError("root counting on the zero polynomial")
-    p = p.divmod(poly_gcd(p, p.derivative()))[0] if p.degree > 0 else p
-    if p.degree == 0:
+    a = _squarefree_ints(_ints(p))
+    if len(a) == 1:
         return 0
+    lo = None if lo is None else rat(lo)
+    hi = None if hi is None else rat(hi)
     for endpoint in (lo, hi):
-        if endpoint is not None and p.evaluate(endpoint) == 0:
+        if endpoint is not None and _sign_at(a, endpoint) == 0:
             raise ValueError("interval endpoint is a root")
-    chain = _sturm_chain(p, p.derivative())
-    v_lo = (
-        _variations_at_infinity(chain, positive=False)
-        if lo is None
-        else _variations_at(chain, lo)
+    chain = _sturm_chain(a)
+    return _variations_at(chain, lo, positive=False) - _variations_at(
+        chain, hi, positive=True
     )
-    v_hi = (
-        _variations_at_infinity(chain, positive=True)
-        if hi is None
-        else _variations_at(chain, hi)
-    )
-    return v_lo - v_hi
 
 
 # ---------------------------------------------------------------------------
@@ -787,14 +852,16 @@ def _trace_polynomial(g: QPolynomial) -> QPolynomial:
 def _distinct_unimodular_count(g: QPolynomial) -> int:
     """Distinct unit-circle roots of a squarefree g with g(0) != 0 whose
     root set is closed under inversion."""
+    a = cleared(g.coeffs)[0]
     count = 0
-    for root in (ONE, -ONE):
-        if g.evaluate(root) == 0:
+    for root in (1, -1):
+        quotient = exact_quotient(a, [-root, 1])
+        if quotient is not None:
             count += 1
-            g = g.divmod(QPolynomial((-root, 1)))[0]
-    if g.degree == 0:
+            a = quotient
+    if len(a) == 1:
         return count
-    h = _trace_polynomial(g)
+    h = _trace_polynomial(QPolynomial(a))
     count += 2 * sturm_count(h, Fraction(-2), Fraction(2))
     return count
 
@@ -803,10 +870,15 @@ def unimodular_part(p: QPolynomial) -> QPolynomial:
     """The monic reciprocal gcd of the squarefree part of p (zero roots
     stripped): its roots are the distinct roots r of p with 1/r also a
     root, so it carries every unimodular root once.  When no root of p
-    lies outside the closed unit disk its roots are exactly those."""
-    p = _strip_zero_roots(p)
-    q = p.divmod(poly_gcd(p, p.derivative()))[0]
-    return poly_gcd(q, q.reciprocal())
+    lies outside the closed unit disk its roots are exactly those.
+
+    The reciprocal gcd is taken first, on integers, and only a
+    nonconstant one is made squarefree: both orders give the same
+    distinct roots."""
+    if p.is_zero():
+        raise ValueError("unimodular part of the zero polynomial")
+    a = _ints(_strip_zero_roots(p))
+    return _monic(_squarefree_ints(_gcd_ints(a, a[::-1])))
 
 
 def has_unimodular_root(p: QPolynomial) -> bool:

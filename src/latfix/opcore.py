@@ -25,6 +25,7 @@ from .exactnum.polynomials import (
     QPolynomial,
     cyclotomic,
     euler_phi,
+    exact_quotient,
     has_unimodular_root,
     orders_with_phi_at_most,
     sturm_count,
@@ -164,38 +165,22 @@ def super_fixed_check(op: PositiveMatrixOperator, g: QVector) -> bool:
     return op.apply(g).ge(g)
 
 
-_X_MINUS_ONE = QPolynomial((-ONE, ONE))
-
-
 def perron_root_vs_one(chi: QPolynomial) -> int:
     """Sign of rho - 1 for the spectral radius rho of a nonnegative
     matrix with characteristic polynomial chi.  rho is a real eigenvalue,
     so rho > 1 exactly when chi has a real root above 1: divide out the
-    factors x - 1, then Sturm count on (1, oo)."""
+    factors x - 1 (synthetic division on the integer form of chi), then
+    Sturm count on (1, oo)."""
+    if chi.is_zero():
+        raise ValueError("Perron root of the zero polynomial")
+    rest = cleared(chi.coeffs)[0]
     root_at_one = False
-    while chi.evaluate(ONE) == 0:
-        chi = chi.divmod(_X_MINUS_ONE)[0]
+    while (quotient := exact_quotient(rest, [-1, 1])) is not None:
+        rest = quotient
         root_at_one = True
-    if sturm_count(chi, lo=ONE) > 0:
+    if sturm_count(QPolynomial(rest), lo=ONE) > 0:
         return 1
     return 0 if root_at_one else -1
-
-
-def _exact_quotient(p: list[int], divisor: list[int]) -> list[int] | None:
-    """p / divisor when the monic integer divisor divides p exactly, else
-    None; ascending integer coefficients.  A monic divisor keeps every
-    quotient coefficient an integer."""
-    rem = list(p)
-    shift = len(divisor) - 1
-    quotient = [0] * (len(rem) - shift)
-    for i in range(len(rem) - 1, shift - 1, -1):
-        f = rem[i]
-        if f:
-            quotient[i - shift] = f
-            for j, c in enumerate(divisor):
-                if c:
-                    rem[i - shift + j] -= f * c
-    return None if any(rem[:shift]) else quotient
 
 
 def cyclotomic_content(
@@ -224,11 +209,11 @@ def cyclotomic_content(
         phi_n = cyclotomic(order)
         divisor = [int(c) for c in phi_n.coeffs]
         mult = 0
-        quotient = _exact_quotient(rest, divisor)
+        quotient = exact_quotient(rest, divisor)
         while quotient is not None:
             rest = quotient
             mult += 1
-            quotient = _exact_quotient(rest, divisor)
+            quotient = exact_quotient(rest, divisor)
         if mult == 0:
             continue
         algebraic[order] = mult

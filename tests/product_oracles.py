@@ -1,6 +1,7 @@
 """Test-only reference products: the earlier `Fraction` versions of
 `QVector.dot`, `QMatrix.matvec`, `QMatrix.matmul`,
-`Subspace.from_coefficients`/`coefficients_of` and `opcore.operator_norm`.
+`Subspace.from_coefficients`/`coefficients_of`, `opcore.operator_norm`
+and `linalg.poly_of_matrix`.
 
 Each sums `Fraction` products term by term, one gcd per operation, so
 the integer kernels (rows and columns cleared once, one `Fraction` per
@@ -12,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from latfix.conegeom import Subspace
+from latfix.exactnum.polynomials import QPolynomial
 from latfix.exactnum.rational import ZERO, QMatrix, QVector
 from latfix.opcore import PositiveMatrixOperator
 
@@ -35,6 +37,15 @@ def reference_matmul(a: QMatrix, b: QMatrix) -> QMatrix:
     return QMatrix(
         QVector(reference_dot(row, col) for col in cols) for row in a.rows
     )
+
+
+def reference_poly_of_matrix(poly: QPolynomial, m: QMatrix) -> QMatrix:
+    """Horner's scheme on `Fraction` matrices."""
+    n = m.nrows
+    result = QMatrix.zero(n, n)
+    for c in reversed(poly.coeffs):
+        result = reference_matmul(m, result) + QMatrix.identity(n).scale(c)
+    return result
 
 
 def reference_from_coefficients(subspace: Subspace, c: QVector) -> QVector:

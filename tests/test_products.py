@@ -1,9 +1,10 @@
 """Integer product kernels against their `Fraction` references.
 
 `QVector.dot`, `QMatrix.matvec`, `QMatrix.matmul` (and `@`, `power`),
-`Subspace.from_coefficients`/`coefficients_of` and `operator_norm` clear
-each row, column or vector to integers once and build one `Fraction`
-per output entry.  Hypothesis compares them exactly with the term-by-term
+`Subspace.from_coefficients`/`coefficients_of`, `operator_norm` and
+`poly_of_matrix` clear each row, column or vector (for `poly_of_matrix`
+the whole matrix and the polynomial) to integers once and build one
+`Fraction` per output entry.  Hypothesis compares them exactly with the term-by-term
 `Fraction` versions in `product_oracles.py`, on mixed and coprime
 denominators, signed and zero entries, and empty and 1x1 shapes; every
 output entry must be a `Fraction` itself.
@@ -15,6 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latfix.conegeom import Subspace
+from latfix.exactnum.linalg import poly_of_matrix
+from latfix.exactnum.polynomials import QPolynomial
 from latfix.exactnum.rational import QMatrix, QVector
 from latfix.opcore import (
     ONE_NORM,
@@ -31,6 +34,7 @@ from product_oracles import (
     reference_matmul,
     reference_matvec,
     reference_operator_norm,
+    reference_poly_of_matrix,
 )
 
 # coprime and mixed denominators, one of them large, so row and column
@@ -135,6 +139,24 @@ class TestMatmul:
         assert result == expected
         for row in result.rows:
             assert_all_fractions(row)
+
+
+class TestPolyOfMatrix:
+    @given(
+        st.integers(0, 4).flatmap(lambda n: matrix_st(n, n)),
+        st.lists(entry_st, max_size=5).map(QPolynomial),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, m, p):
+        result = poly_of_matrix(p, m)
+        assert result == reference_poly_of_matrix(p, m)
+        assert result.shape == m.shape
+        for row in result.rows:
+            assert_all_fractions(row)
+
+    def test_non_square_raises(self):
+        with pytest.raises(ValueError, match="non-square"):
+            poly_of_matrix(QPolynomial([1, 1]), QMatrix([[1, 2]]))
 
 
 class TestSubspaceCombinations:
