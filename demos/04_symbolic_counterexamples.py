@@ -7,9 +7,8 @@ constant tails, so suprema over infinite index sets stay exact.
 Run with: python3 demos/04_symbolic_counterexamples.py
 """
 
-from latfix.conegeom import classify_subspace
 from latfix.exactnum.rational import QMatrix
-from latfix.fixlattice import fixed_space_of_family, transfinite_trace
+from latfix.fixlattice import transfinite_trace
 from latfix.opcore import (
     OperatorFamily,
     PositiveMatrixOperator,
@@ -43,7 +42,7 @@ print("operator norm:", symbolic_operator_norm(op41))
 for v in basis:
     print("fixed direction:", show(v))
 embedded = constant_profile_embedding(op41.schema, basis)
-classification41 = classify_subspace(embedded)
+classification41 = embedded.classification
 print("classification:", classification41.verdict.value)
 print("positive fixed vectors:", [str(r) for r in classification41.rays] or "only zero")
 try:
@@ -79,7 +78,7 @@ analysis = power_bounded_analysis(op44)
 print("power bounded:", analysis.verdict)
 print("reason:", analysis.reason)
 print("the fixed space meets the positive cone only along (0,1,0):")
-fixed = fixed_space_of_family(OperatorFamily([op44]))
-classification44 = classify_subspace(fixed)
+fixed = OperatorFamily([op44]).fixed_space
+classification44 = fixed.classification
 print("  rays:", [[str(x) for x in r] for r in classification44.rays])
 print("  verdict:", classification44.verdict.value)

@@ -30,7 +30,6 @@ from .fixlattice import (
     FixedSpaceReport,
     TheoremViolationError,
     TransfiniteTrace,
-    fixed_space_of_family,
     fixed_space_report,
     least_fixed_above,
     sup_in_fixspace,
@@ -80,7 +79,6 @@ __all__ = [
     "FixedSpaceReport",
     "TheoremViolationError",
     "TransfiniteTrace",
-    "fixed_space_of_family",
     "fixed_space_report",
     "least_fixed_above",
     "sup_in_fixspace",

@@ -11,21 +11,15 @@ from fractions import Fraction
 from pathlib import Path
 
 from .. import serialize
-from ..conegeom import classify_subspace, least_element_above
-from ..conegeom.core import _least_upper_bound
+from ..conegeom import least_element_above, modulus_in
 from ..exactnum import TheoremViolationError
 from ..exactnum.linalg import char_poly
 from ..exactnum.rational import ONE, ZERO, QMatrix, QVector
-from ..fixlattice import (
-    fixed_space_of_family,
-    fixed_space_report,
-    transfinite_trace,
-)
+from ..fixlattice import fixed_space_report, transfinite_trace
 from ..opcore import (
     ONE_NORM,
     OperatorFamily,
     PositiveMatrixOperator,
-    contraction_check,
     operator_norm,
     power_bounded_analysis,
     super_fixed_check,
@@ -109,8 +103,8 @@ def case_intro_kb() -> dict:
     )
     op = PositiveMatrixOperator(matrix)
     family = OperatorFamily([op])
-    fixed = fixed_space_of_family(family)
-    classification = classify_subspace(fixed)
+    fixed = family.fixed_space
+    classification = fixed.classification
     bound = QVector((1, 0, 1))
     if not super_fixed_check(op, bound):
         raise TheoremViolationError("intro-kb: the bound is not super fixed")
@@ -121,7 +115,7 @@ def case_intro_kb() -> dict:
         "id": "intro-kb",
         "norm": "sup",
         "operator_norm": serialize.rational_str(operator_norm(op)),
-        "contractive": contraction_check(op),
+        "contractive": family.contractive,
         "power_bounded": serialize.power_bound_to_json(
             power_bounded_analysis(op)
         ),
@@ -145,7 +139,7 @@ def case_e41() -> dict:
     op = builtin_operator("e41")
     basis = symbolic_fixed_space(op)
     embedded = constant_profile_embedding(op.schema, basis)
-    classification = classify_subspace(embedded)
+    classification = embedded.classification
     rays = classification.rays
     return {
         "id": "e41",
@@ -168,9 +162,7 @@ def case_e42a() -> dict:
     family = OperatorFamily([PositiveMatrixOperator(_averaging_matrix())])
     report = fixed_space_report(family)
     f_hat = QVector((1, 0, -1))
-    modulus = _least_upper_bound(
-        report.fixed_space, report.classification, [f_hat, -f_hat]
-    )
+    modulus = modulus_in(report.fixed_space, f_hat)
     if modulus is None:
         raise TheoremViolationError("e42a: no modulus within a lattice subspace")
     return {
@@ -210,7 +202,7 @@ def case_e43() -> dict:
     plus = symbolic_eigenspace(op, 1)
     square_fix = symbolic_fixed_space(op, power=2)
     embedded = constant_profile_embedding(op.schema, square_fix)
-    classification = classify_subspace(embedded)
+    classification = embedded.classification
     f = minus[0]
     trace = transfinite_trace(op, [f, -f], power=2)
     return {

@@ -58,7 +58,8 @@ class Verdict(str, Enum):
 class Subspace:
     """A linear subspace of R^n with an RREF-canonical basis.  The RREF
     form is load-bearing: coefficients_of reads each coefficient at its
-    basis vector's pivot, so a basis given directly must be in RREF."""
+    basis vector's pivot, so a basis given directly must be in RREF.
+    The subspace carries its lattice classification, computed once."""
 
     ambient_dim: int
     basis: tuple[QVector, ...]
@@ -118,6 +119,11 @@ class Subspace:
     def _cleared_coordinate_rows(self) -> tuple[tuple[list[int], int], ...]:
         """coordinate_rows cleared once per subspace, for from_coefficients."""
         return tuple(cleared(row.entries) for row in self.coordinate_rows())
+
+    @cached_property
+    def classification(self) -> LatticeClassification:
+        """classify_subspace of this subspace."""
+        return classify_subspace(self)
 
 
 @dataclass(frozen=True)
@@ -308,27 +314,20 @@ def least_upper_bound_in(
 ) -> QVector | None:
     """The least element of {z in F : z >= g for all g}, or None.
 
-    Every input must lie in F.  On a lattice subspace the d extreme rays
-    r_i form a basis in which the order of F is coordinatewise, so the
-    result is sum_i (max_k a_ki) r_i, where a_k are the ray coordinates
-    of the k-th input: one d x d inverse, no LP, and never None.  On any
-    other subspace z >= g for all g collapses to a single coordinatewise
-    bound for least_element_above.
+    Every input must lie in F, and the classification F carries
+    (computed once per subspace) picks the route.  On a lattice subspace
+    the d extreme rays r_i form a basis in which the order of F is
+    coordinatewise, so the result is sum_i (max_k a_ki) r_i, where a_k
+    are the ray coordinates of the k-th input: one d x d inverse, no LP,
+    and never None.  On any other subspace z >= g for all g collapses to
+    a single coordinatewise bound for least_element_above.
     """
-    return _least_upper_bound(subspace, classify_subspace(subspace), vectors)
-
-
-def _least_upper_bound(
-    subspace: Subspace,
-    classification: LatticeClassification,
-    vectors: Sequence[QVector],
-) -> QVector | None:
-    """least_upper_bound_in, given the classification of the subspace."""
     if not vectors:
         raise ValueError("empty vector collection")
     coefficients = [subspace.coefficients_of(g) for g in vectors]
     if None in coefficients:
         raise ValueError("vector outside the subspace")
+    classification = subspace.classification
     if classification.verdict == Verdict.NOT_LATTICE_SUBSPACE:
         n = subspace.ambient_dim
         bound = QVector(max(g[j] for g in vectors) for j in range(n))

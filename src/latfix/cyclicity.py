@@ -39,9 +39,9 @@ from math import gcd
 from .exactnum.linalg import char_poly
 from .exactnum.polynomials import (
     QPolynomial,
-    _strip_zero_roots,
     has_unimodular_root,
     poly_gcd,
+    strip_zero_roots,
     sturm_count,
 )
 from .exactnum.rational import QMatrix, QVector
@@ -183,7 +183,7 @@ def _imaginary_pair_count(p: QPolynomial) -> int:
         common = even
     else:
         common = poly_gcd(even, odd)
-    common = _strip_zero_roots(common)
+    common = strip_zero_roots(common)
     if common.degree == 0:
         return 0
     reflected = QPolynomial(

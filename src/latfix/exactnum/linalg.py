@@ -82,7 +82,9 @@ def rref(matrix: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
 
 
 def rank(matrix: QMatrix) -> int:
-    return len(rref(matrix)[1])
+    """Pivot count of `row_reduce` on the rows cleared to integers."""
+    rows = [cleared(r.entries)[0] for r in matrix.rows]
+    return len(row_reduce(rows, matrix.ncols)[1])
 
 
 def row_space_basis(matrix: QMatrix) -> tuple[QVector, ...]:

@@ -422,15 +422,17 @@ def sturm_count(p: QPolynomial, lo=None, hi=None) -> int:
     """Distinct real roots of p in the open interval (lo, hi).
 
     ``None`` endpoints mean -infinity / +infinity.  Finite endpoints must
-    not be roots of p.
+    not be roots of p, and lo must not exceed hi.
     """
     if p.is_zero():
         raise ValueError("root counting on the zero polynomial")
+    lo = None if lo is None else rat(lo)
+    hi = None if hi is None else rat(hi)
+    if lo is not None and hi is not None and lo > hi:
+        raise ValueError("interval lower end exceeds its upper end")
     a = _squarefree_ints(_ints(p))
     if len(a) == 1:
         return 0
-    lo = None if lo is None else rat(lo)
-    hi = None if hi is None else rat(hi)
     for endpoint in (lo, hi):
         if endpoint is not None and _sign_at(a, endpoint) == 0:
             raise ValueError("interval endpoint is a root")
@@ -819,7 +821,7 @@ class BoundaryAnalysis:
     mixed_factors: tuple[tuple[QPolynomial, int], ...] = ()
 
 
-def _strip_zero_roots(p: QPolynomial) -> QPolynomial:
+def strip_zero_roots(p: QPolynomial) -> QPolynomial:
     coeffs = list(p.coeffs)
     while coeffs and coeffs[0] == 0:
         coeffs.pop(0)
@@ -877,7 +879,7 @@ def unimodular_part(p: QPolynomial) -> QPolynomial:
     distinct roots."""
     if p.is_zero():
         raise ValueError("unimodular part of the zero polynomial")
-    a = _ints(_strip_zero_roots(p))
+    a = _ints(strip_zero_roots(p))
     return _monic(_squarefree_ints(_gcd_ints(a, a[::-1])))
 
 
@@ -902,7 +904,7 @@ def unit_circle_root_count(p: QPolynomial) -> BoundaryAnalysis:
     """
     if p.is_zero():
         raise ValueError("boundary analysis of the zero polynomial")
-    p = _strip_zero_roots(p)
+    p = strip_zero_roots(p)
     count = 0
     boundary = QPolynomial.one()
     parts: dict[QPolynomial, int] = {}

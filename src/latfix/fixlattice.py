@@ -11,6 +11,11 @@ their positive cones (conegeom.least_upper_bound_in), and reproduces
 the transfinite iteration that climbs to a fixed point through repeated
 monotone limit steps.
 
+The report, the suprema and the least fixed vector read
+family.contractive, family.fixed_space and its classification, each
+computed once per object, so they share one kernel intersection and one
+double description per family.
+
 Two independent routes to the least fixed vector above a super fixed g
 coexist deliberately: the LP least-element construction (order
 certified) and the monotone-orbit limit through the fixed-space
@@ -19,7 +24,7 @@ implementation shortcut.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -27,18 +32,15 @@ from .conegeom import (
     LatticeClassification,
     Subspace,
     Verdict,
-    classify_subspace,
     least_element_above,
     least_upper_bound_in,
 )
-from .conegeom.core import _least_upper_bound
 from .exactnum import TheoremViolationError
-from .exactnum.linalg import fix_projection, intersect_kernels
-from .exactnum.rational import QMatrix, QVector
+from .exactnum.linalg import fix_projection
+from .exactnum.rational import QVector
 from .opcore import (
     OperatorFamily,
     PositiveMatrixOperator,
-    contraction_check,
     super_fixed_check,
     vector_norm,
 )
@@ -48,15 +50,6 @@ from .seqspace import ShiftInsertOperator, SymbolicVector
 
 class BudgetExceededError(RuntimeError):
     """The transfinite trace did not settle within its step budget."""
-
-
-def fixed_space_of_family(family: OperatorFamily) -> Subspace:
-    """Common fixed space: the intersection of ker(I - T) over the
-    family, with the RREF-canonical basis intersect_kernels returns."""
-    n = family.dim
-    eye = QMatrix.identity(n)
-    basis = intersect_kernels([eye - member.matrix for member in family.members])
-    return Subspace(n, basis)
 
 
 @dataclass(frozen=True)
@@ -88,9 +81,9 @@ def fixed_space_report(family: OperatorFamily) -> FixedSpaceReport:
     sublattice under a strictly monotone norm.  Failures are carried in
     the report, never raised.
     """
-    family_valid = all(contraction_check(t) for t in family.members)
-    fixed = fixed_space_of_family(family)
-    classification = classify_subspace(fixed)
+    family_valid = family.contractive
+    fixed = family.fixed_space
+    classification = fixed.classification
     if not family_valid:
         conformant: bool | None = None
     else:
@@ -101,7 +94,7 @@ def fixed_space_report(family: OperatorFamily) -> FixedSpaceReport:
     for i, b in enumerate(fixed.basis):
         ambient = b.abs()
         ambient_norm = vector_norm(ambient, family.norm_tag)
-        lub = _least_upper_bound(fixed, classification, [b, b.scale(-1)])
+        lub = least_upper_bound_in(fixed, [b, b.scale(-1)])
         fixed_norm = None if lub is None else vector_norm(lub, family.norm_tag)
         checks.append(
             NormCheck(
@@ -121,7 +114,7 @@ def fixed_space_report(family: OperatorFamily) -> FixedSpaceReport:
 
 
 def _require_valid(family: OperatorFamily) -> None:
-    if not all(contraction_check(t) for t in family.members):
+    if not family.contractive:
         raise ValueError("family is not contractive in its stated norm")
 
 
@@ -145,7 +138,7 @@ def sup_in_fixspace(
     _require_valid(family)
     if not vectors:
         raise ValueError("empty vector collection")
-    fixed = fixed_space_of_family(family)
+    fixed = family.fixed_space
     for v in vectors:
         if not fixed.contains(v):
             raise ValueError("vector outside the fixed space")
@@ -176,7 +169,7 @@ def least_fixed_above(family: OperatorFamily, g: QVector) -> QVector:
     for member in family.members:
         if not super_fixed_check(member, g):
             raise ValueError("vector is not super fixed for every member")
-    fixed = fixed_space_of_family(family)
+    fixed = family.fixed_space
     f = least_element_above(fixed, g)
     if f is None:
         raise TheoremViolationError(

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Iterable
 
+from .conegeom import Subspace
 from .exactnum import TheoremViolationError
-from .exactnum.linalg import char_poly, poly_of_matrix, rank
+from .exactnum.linalg import char_poly, intersect_kernels, poly_of_matrix, rank
 from .exactnum.polynomials import (
     QPolynomial,
     cyclotomic,
@@ -98,7 +100,8 @@ class PositiveMatrixOperator:
 
 @dataclass(frozen=True)
 class OperatorFamily:
-    """Commuting positive operators on one space with one norm."""
+    """Commuting positive operators on one space with one norm, carrying
+    their contractivity and common fixed space, each computed once."""
 
     members: tuple[PositiveMatrixOperator, ...]
 
@@ -129,6 +132,19 @@ class OperatorFamily:
     @property
     def norm_tag(self) -> NormTag:
         return self.members[0].norm_tag
+
+    @cached_property
+    def contractive(self) -> bool:
+        """Whether every member is a contraction in the family's norm."""
+        return all(contraction_check(t) for t in self.members)
+
+    @cached_property
+    def fixed_space(self) -> Subspace:
+        """Common fixed space: the intersection of ker(I - T) over the
+        members, with the RREF-canonical basis intersect_kernels returns."""
+        eye = QMatrix.identity(self.dim)
+        basis = intersect_kernels([eye - t.matrix for t in self.members])
+        return Subspace(self.dim, basis)
 
 
 def operator_norm(op: PositiveMatrixOperator) -> Fraction:

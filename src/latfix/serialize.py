@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 from .conegeom import LatticeClassification, Subspace
 from .cyclicity import CyclicityReport, ProbeSummary, SemigroupReport
 from .exactnum.polynomials import QPolynomial
-from .exactnum.rational import QMatrix, QVector, rat
+from .exactnum.rational import QMatrix, QVector, rat_str as rational_str
 from .fixlattice import FixedSpaceReport, TransfiniteTrace
 from .opcore import (
     NormTag,
@@ -26,11 +26,6 @@ from .opcore import (
     weighted_one_norm,
 )
 from .seqspace import ChainValue, SymbolicVector
-
-
-def rational_str(x) -> str:
-    x = rat(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def parse_rational(value) -> Fraction:

@@ -57,6 +57,8 @@ def _variations_at(chain: list[QPolynomial], point, positive: bool) -> int:
 def reference_sturm_count(p: QPolynomial, lo=None, hi=None) -> int:
     if p.is_zero():
         raise ValueError("root counting on the zero polynomial")
+    if lo is not None and hi is not None and lo > hi:
+        raise ValueError("interval lower end exceeds its upper end")
     p = p.divmod(reference_poly_gcd(p, p.derivative()))[0] if p.degree > 0 else p
     if p.degree == 0:
         return 0

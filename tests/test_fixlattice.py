@@ -9,6 +9,7 @@ dimensions against a Bareiss rank oracle.
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,17 +18,19 @@ import pytest
 from latfix import fixlattice, seqspace
 
 from latfix.conegeom.core import Verdict
+from latfix.conegeom import core as conegeom_core
+from latfix.exactnum import linalg
 from latfix.exactnum.linalg import DefectiveEigenvalueError, fix_projection
 from latfix.exactnum.rational import QMatrix, QVector, rat
 from latfix.fixlattice import (
     BudgetExceededError,
     TheoremViolationError,
-    fixed_space_of_family,
     fixed_space_report,
     least_fixed_above,
     sup_in_fixspace,
     transfinite_trace,
 )
+from latfix import opcore
 from latfix.opcore import ONE_NORM, SUP_NORM, OperatorFamily, PositiveMatrixOperator
 from latfix.seqspace import (
     ChainValue,
@@ -86,7 +89,7 @@ def random_block_stochastic(rng, sizes):
 
 class TestFixedSpace:
     def test_frozen_basis(self):
-        fixed = fixed_space_of_family(family_of(averaging_op()))
+        fixed = family_of(averaging_op()).fixed_space
         assert fixed.basis == (QVector([1, 0, -1]), QVector([0, 1, 2]))
 
     def test_random_families_dimension_and_fixity(self):
@@ -101,7 +104,7 @@ class TestFixedSpace:
                 for _ in range(rng.randint(1, 3))
             ]
             fam = OperatorFamily(members)
-            fixed = fixed_space_of_family(fam)
+            fixed = fam.fixed_space
             for b in fixed.basis:
                 for op in fam.members:
                     assert op.apply(b) == b
@@ -161,6 +164,62 @@ class TestFixedSpaceReport:
                 assert check.equal
 
 
+def count_calls(monkeypatch, *targets):
+    """Counter of calls to each (module, name), wrapped in every latfix
+    module namespace that holds the function, wherever it is called."""
+    calls = Counter()
+    modules = [
+        m for n, m in sys.modules.items()
+        if m is not None and (n == "latfix" or n.startswith("latfix."))
+    ]
+    for module, name in targets:
+        original = getattr(module, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, wrapper)
+    return calls
+
+
+class TestInvariantsComputedOnce:
+    def test_one_family_shares_its_fixed_space_and_classification(
+        self, monkeypatch
+    ):
+        calls = count_calls(
+            monkeypatch,
+            (linalg, "intersect_kernels"),
+            (conegeom_core, "extreme_rays_of_inequality_cone"),
+            (opcore, "contraction_check"),
+        )
+        t = averaging_op()
+        fam = family_of(t, PositiveMatrixOperator(t.matrix @ t.matrix, SUP_NORM))
+        report = fixed_space_report(fam)
+        assert report.classification.verdict == Verdict.LATTICE_SUBSPACE_ONLY
+        for b in report.fixed_space.basis:
+            g_f, g_e = sup_in_fixspace(fam, [b, -b])
+            assert g_f.ge(g_e)
+        assert least_fixed_above(fam, QVector([1, 0, 1])) == QVector([1, 1, 1])
+        assert calls == Counter(
+            intersect_kernels=1,
+            extreme_rays_of_inequality_cone=1,
+            contraction_check=len(fam.members),
+        )
+
+    def test_cached_invariants_leave_equality_and_hash_alone(self):
+        cached, fresh = family_of(averaging_op()), family_of(averaging_op())
+        assert cached.contractive
+        assert cached.fixed_space.classification.rays
+        assert cached == fresh
+        assert hash(cached) == hash(fresh)
+        assert cached.fixed_space == fresh.fixed_space
+        assert hash(cached.fixed_space) == hash(fresh.fixed_space)
+
+
 class TestSupInFixspace:
     def test_frozen_example(self):
         fam = family_of(averaging_op())
@@ -190,7 +249,7 @@ class TestSupInFixspace:
             sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 3))]
             t = random_block_stochastic(rng, sizes)
             fam = family_of(PositiveMatrixOperator(t, SUP_NORM))
-            fixed = fixed_space_of_family(fam)
+            fixed = fam.fixed_space
             if fixed.dim < 2:
                 continue
             coeffs = [
@@ -223,7 +282,7 @@ class TestLeastFixedAbove:
             sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 3))]
             t = random_block_stochastic(rng, sizes)
             fam = family_of(PositiveMatrixOperator(t, SUP_NORM))
-            fixed = fixed_space_of_family(fam)
+            fixed = fam.fixed_space
             if fixed.dim < 2:
                 continue
             f1 = fixed.from_coefficients(

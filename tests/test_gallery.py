@@ -60,7 +60,7 @@ def test_regenerate_writes_all(tmp_path, monkeypatch):
         ),
         (
             "e42a",
-            (gallery, "_least_upper_bound"),
+            (gallery, "modulus_in"),
             lambda *args: None,
             "no modulus",
         ),

@@ -151,6 +151,15 @@ class TestAgainstFractionReference:
         assert unimodular_part(c) == QPolynomial.one()
         assert perron_root_vs_one(c) == -1
 
+    def test_reversed_interval_rejected(self):
+        # (2, 0) once counted -1 root of x - 1
+        for p in (QPolynomial([-1, 1]), QPolynomial([Fraction(-3, 7)])):
+            for count in (sturm_count, reference_sturm_count):
+                with pytest.raises(ValueError, match="lower end exceeds"):
+                    count(p, 2, 0)
+        assert sturm_count(QPolynomial([-1, 1]), 2, 2) == 0
+        assert sturm_count(QPolynomial([-1, 1]), 0, 2) == 1
+
 
 def _to_sympy(p: QPolynomial) -> sympy.Poly:
     x = sympy.Symbol("x")
