@@ -43,7 +43,6 @@ from .opcore import (
     PositiveMatrixOperator,
     contraction_check,
     operator_norm,
-    power_bounded_verdict,
     super_fixed_check,
     weighted_one_norm,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "PositiveMatrixOperator",
     "contraction_check",
     "operator_norm",
-    "power_bounded_verdict",
     "super_fixed_check",
     "weighted_one_norm",
     "IndexSchema",

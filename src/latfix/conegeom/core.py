@@ -15,13 +15,14 @@ ordered spaces:
   sublattice the coordinatewise meet of distinct extreme rays must
   vanish.
 
-Double description runs on plain ints: each inequality row is scaled to
-a primitive integer vector, each ray is kept as one, and its tight set
+Everything here reads the integer numerators of the `QVector`s.  Double
+description runs on plain ints: each inequality row is scaled to a
+primitive integer vector, each ray is kept as one, and its tight set
 is a bitmask inherited from the parent rays, never recomputed from dot
 products.  Ray adjacency is the combinatorial test of Fukuda and Prodon
 (1996) on those bitmasks.  Coordinates in F are read off the pivots of
-its RREF basis, and rays are mapped back to R^n with one integer
-product.
+its RREF basis, found once per subspace, and rays are mapped back to
+R^n with one integer product.
 
 Least upper bounds inside a lattice subspace F are read off its extreme
 rays: the cone is simplicial, so in the ray basis the order of F is
@@ -34,17 +35,17 @@ in F, which certifies it as the least element.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
-from math import gcd
+from functools import cached_property, reduce
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
 from ..exactnum import TheoremViolationError
 from ..exactnum.linalg import invert, rank, row_reduce, row_space_basis
-from ..exactnum.rational import QMatrix, QVector, cleared, matvec_cleared
+from ..exactnum.rational import QMatrix, QVector
 from .simplex import INFEASIBLE, UNBOUNDED, minimize
 
 
@@ -59,23 +60,28 @@ class Subspace:
     """A linear subspace of R^n with an RREF-canonical basis.  The RREF
     form is load-bearing: coefficients_of reads each coefficient at its
     basis vector's pivot, so a basis given directly must be in RREF.
-    The subspace carries its lattice classification, computed once."""
+    The pivots are found once, on construction; the subspace carries
+    its lattice classification, also computed once."""
 
     ambient_dim: int
     basis: tuple[QVector, ...]
+    pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pivots = [next((j for j, x in enumerate(b) if x), None) for b in self.basis]
+        pivots = tuple(
+            next((j for j, x in enumerate(b.nums) if x), None) for b in self.basis
+        )
         if (
             None in pivots
-            or any(self.basis[i][p] != 1 for i, p in enumerate(pivots))
+            or any(b.nums[p] != b.den for b, p in zip(self.basis, pivots))
             or any(p >= q for p, q in zip(pivots, pivots[1:]))
             or any(
-                b[p] for i, p in enumerate(pivots)
+                b.nums[p] for i, p in enumerate(pivots)
                 for k, b in enumerate(self.basis) if k != i
             )
         ):
             raise ValueError("subspace basis is not in reduced row echelon form")
+        object.__setattr__(self, "pivots", pivots)
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[QVector]) -> "Subspace":
@@ -98,32 +104,44 @@ class Subspace:
         """Coefficients of v in the basis, or None when v is outside."""
         if v.dim != self.ambient_dim:
             raise ValueError("vector dimension mismatch")
-        c = QVector(v[next(j for j, x in enumerate(b) if x)] for b in self.basis)
+        c = QVector.from_ints([v.nums[p] for p in self.pivots], v.den)
         return c if self.from_coefficients(c) == v else None
 
     def contains(self, v: QVector) -> bool:
         return self.coefficients_of(v) is not None
 
     def from_coefficients(self, c: QVector) -> QVector:
-        """sum_i c_i b_i: one integer combination per ambient coordinate."""
-        return matvec_cleared(self._cleared_coordinate_rows, c.entries)
+        """sum_i c_i b_i, over c.den times the common denominator d of
+        the basis: one integer combination of the basis numerators."""
+        d = lcm(*(b.den for b in self.basis))
+        out = [0] * self.ambient_dim
+        for x, b in zip(c.nums, self.basis):
+            if x:
+                x *= d // b.den
+                out = [o + x * y for o, y in zip(out, b.nums)]
+        return QVector.from_ints(out, c.den * d)
 
     def coordinate_rows(self) -> tuple[QVector, ...]:
         """Row j maps coefficients c to the j-th ambient coordinate of
         the spanned vector."""
+        a, d = QMatrix(self.basis).int_rows()
         return tuple(
-            QVector(b[j] for b in self.basis) for j in range(self.ambient_dim)
+            QVector.from_ints([row[j] for row in a], d)
+            for j in range(self.ambient_dim)
         )
-
-    @cached_property
-    def _cleared_coordinate_rows(self) -> tuple[tuple[list[int], int], ...]:
-        """coordinate_rows cleared once per subspace, for from_coefficients."""
-        return tuple(cleared(row.entries) for row in self.coordinate_rows())
 
     @cached_property
     def classification(self) -> LatticeClassification:
         """classify_subspace of this subspace."""
         return classify_subspace(self)
+
+    @cached_property
+    def to_ray_coordinates(self) -> QMatrix:
+        """On a lattice subspace, the matrix taking coefficients c in the
+        basis to coordinates a in the extreme rays: c = a R for the
+        matrix R of ray coefficients, so a = (R^-1)^T c."""
+        rays = self.classification.rays
+        return invert(QMatrix([self.coefficients_of(r) for r in rays])).transpose()
 
 
 @dataclass(frozen=True)
@@ -178,7 +196,7 @@ def extreme_rays_of_inequality_cone(
     d = rows[0].dim
     if any(r.dim != d for r in rows):
         raise ValueError("inequality rows of mixed dimension")
-    int_rows = [_primitive(cleared(r.entries)[0]) for r in rows]
+    int_rows = [_primitive(r.nums) for r in rows]
     m = len(int_rows)
     table = [
         [r[k] for r in int_rows] + [int(i == k) for i in range(d)]
@@ -231,13 +249,12 @@ def positive_cone(subspace: Subspace) -> PolyhedralCone:
     if subspace.is_zero():
         return PolyhedralCone(subspace, ())
     coeff_rays = extreme_rays_of_inequality_cone(subspace.coordinate_rows())
-    n = subspace.ambient_dim
-    scaled = cleared([x for b in subspace.basis for x in b])[0]  # D * basis
-    columns = [scaled[j::n] for j in range(n)]
-    ambient_rays = []
-    for ray in coeff_rays:
-        c = [x.numerator for x in ray]  # the coefficient rays are integral
-        ambient_rays.append(_primitive([sum(map(mul, c, col)) for col in columns]))
+    columns = list(zip(*QMatrix(subspace.basis).int_rows()[0]))  # D * basis
+    ambient_rays = [
+        # the coefficient rays are integral: den 1
+        _primitive([sum(map(mul, ray.nums, col)) for col in columns])
+        for ray in coeff_rays
+    ]
     return PolyhedralCone(
         subspace, tuple(QVector.from_ints(r) for r in sorted(ambient_rays))
     )
@@ -290,7 +307,7 @@ def least_element_above(subspace: Subspace, bound: QVector) -> QVector | None:
     if bound.dim != n:
         raise ValueError("bound dimension mismatch")
     if subspace.is_zero():
-        return QVector.zero(n) if all(b <= 0 for b in bound) else None
+        return QVector.zero(n) if all(b <= 0 for b in bound.nums) else None
     coord_rows = subspace.coordinate_rows()
     constraints = [(coord_rows[j], bound[j]) for j in range(n)]
     minima: list[Fraction] = []
@@ -318,9 +335,10 @@ def least_upper_bound_in(
     (computed once per subspace) picks the route.  On a lattice subspace
     the d extreme rays r_i form a basis in which the order of F is
     coordinatewise, so the result is sum_i (max_k a_ki) r_i, where a_k
-    are the ray coordinates of the k-th input: one d x d inverse, no LP,
-    and never None.  On any other subspace z >= g for all g collapses to
-    a single coordinatewise bound for least_element_above.
+    are the ray coordinates of the k-th input: the d x d inverse is
+    computed once per subspace, there is no LP, and the result is never
+    None.  On any other subspace z >= g for all g collapses to a single
+    coordinatewise bound for least_element_above.
     """
     if not vectors:
         raise ValueError("empty vector collection")
@@ -329,23 +347,14 @@ def least_upper_bound_in(
         raise ValueError("vector outside the subspace")
     classification = subspace.classification
     if classification.verdict == Verdict.NOT_LATTICE_SUBSPACE:
-        n = subspace.ambient_dim
-        bound = QVector(max(g[j] for g in vectors) for j in range(n))
-        return least_element_above(subspace, bound)
+        return least_element_above(subspace, reduce(QVector.cwise_max, vectors))
     rays = classification.rays
     if not rays:
         return QVector.zero(subspace.ambient_dim)
-    # coefficients c = a R for the matrix R of ray coefficients, so the
-    # ray coordinates are a = c R^-1
-    to_rays = invert(
-        QMatrix([subspace.coefficients_of(r) for r in rays])
-    ).transpose()
-    ray_coords = [to_rays.matvec(c) for c in coefficients]
-    maxima = [max(a[i] for a in ray_coords) for i in range(len(rays))]
-    # sum_i maxima_i r_i, one integer combination per ambient coordinate
-    return matvec_cleared(
-        (cleared(col) for col in zip(*(r.entries for r in rays))), maxima
-    )
+    to_rays = subspace.to_ray_coordinates
+    maxima = reduce(QVector.cwise_max, (to_rays.matvec(c) for c in coefficients))
+    # sum_i maxima_i r_i
+    return QMatrix.from_columns(rays).matvec(maxima)
 
 
 def modulus_in(subspace: Subspace, x: QVector) -> QVector | None:

@@ -3,9 +3,9 @@
 A small two-phase simplex with Bland's rule, used to minimize linear
 objectives over systems of equality and >= constraints with free
 variables.  The tableau is integers over one common denominator: the
-constraint rows are scaled by the least common denominator of all their
-entries, and every pivot and cost-row pricing step is the fraction-free
-row step `exactnum.linalg.eliminate`, so no step pays a gcd.
+`QVector` numerators of the rows are brought to one least common
+denominator, and every pivot and cost-row pricing step is the
+fraction-free row step `exactnum.linalg.eliminate`, so no step pays a gcd.
 Feasibility, unboundedness, and optimal values are exact `Fraction`s,
 and Bland's rule guarantees termination.  Problem sizes here are tiny
 (tens of variables), so a dense tableau is the right tool.
@@ -100,16 +100,15 @@ def minimize(
     # entries, the artificial columns are not
     n_core = 2 * n + n_slack
     total = n_core + m
-    scale = lcm(
-        *(x.denominator for row, rhs, _ in rows for x in (*row.entries, rhs))
-    )
+    scale = lcm(*(d for row, rhs, _ in rows for d in (row.den, rhs.denominator)))
     tableau: list[list[int]] = []
     slack_at = 0
     for i, (row, rhs, ge) in enumerate(rows):
         line = [0] * (total + 1)
         sign = scale if rhs >= 0 else -scale
-        for j, x in enumerate(row.entries):
-            line[j] = sign * x.numerator // x.denominator
+        factor = sign // row.den
+        for j, x in enumerate(row.nums):
+            line[j] = factor * x
             line[n + j] = -line[j]
         if ge:
             line[2 * n + slack_at] = -sign
@@ -141,13 +140,12 @@ def minimize(
                 prev = eliminate(tableau, i, col, prev)
                 basis[i] = col
 
-    # phase 2: original objective over u - w, scaled by the common
-    # denominator of its entries
-    scale = lcm(*(x.denominator for x in objective.entries))
+    # phase 2: original objective over u - w, its numerators over its den
+    scale = objective.den
     cost = [0] * (total + 1)
-    for j, x in enumerate(objective.entries):
-        cost[j] = x.numerator * (scale // x.denominator)
-        cost[n + j] = -cost[j]
+    for j, x in enumerate(objective.nums):
+        cost[j] = x
+        cost[n + j] = -x
     tableau[-1] = cost
     _price(tableau, basis, prev)
     status = _run_simplex(tableau, basis, [j < n_core for j in range(total)])

@@ -26,7 +26,7 @@ from .polynomials import (
     squarefree_decomposition,
     sturm_count,
 )
-from .rational import ONE, ZERO, QMatrix, QVector, Rational, rat, rat_str
+from .rational import ONE, ZERO, QMatrix, QVector, rat, rat_str
 
 
 class TheoremViolationError(RuntimeError):
@@ -40,7 +40,6 @@ __all__ = [
     "QMatrix",
     "QPolynomial",
     "QVector",
-    "Rational",
     "TheoremViolationError",
     "ZERO",
     "char_poly",

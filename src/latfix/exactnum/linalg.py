@@ -5,8 +5,9 @@
 denominator.  `rref` (and through it rank, kernels, solving and
 inversion), the double-description start in `conegeom.core` and the
 simplex in `conegeom.simplex` reduce with it and with nothing else.
-No step pays a gcd; results are still exact `Fraction`s, read off at
-the end as integers over the common denominator.
+No step pays a gcd; rows enter as their `QVector` numerators (scaling
+a row keeps its RREF) and leave as `QVector`s over the final common
+denominator.
 
 Kernel bases are canonical: the spanning set produced by back
 substitution is itself brought to reduced row echelon form, so equal
@@ -18,10 +19,11 @@ on the same integer matrix.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from .polynomials import QPolynomial
-from .rational import ONE, ZERO, QMatrix, QVector, cleared
+from .rational import QMatrix, QVector
 
 
 def eliminate(rows: list[list[int]], r: int, c: int, prev: int) -> int:
@@ -70,10 +72,10 @@ def row_reduce(rows: list[list[int]], width: int) -> tuple[int, list[int]]:
 
 
 def rref(matrix: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column indices: each row
-    cleared of its own denominator, reduced by `row_reduce`, and the
-    pivot rows divided by the common denominator they end with."""
-    rows = [cleared(r.entries)[0] for r in matrix.rows]
+    """Reduced row echelon form and the pivot column indices: the row
+    numerators reduced by `row_reduce`, and the pivot rows divided by the
+    common denominator they end with."""
+    rows = [list(r.nums) for r in matrix.rows]
     prev, pivots = row_reduce(rows, matrix.ncols)
     return (
         QMatrix([QVector.from_ints(row, prev) for row in rows]),
@@ -82,8 +84,8 @@ def rref(matrix: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
 
 
 def rank(matrix: QMatrix) -> int:
-    """Pivot count of `row_reduce` on the rows cleared to integers."""
-    rows = [cleared(r.entries)[0] for r in matrix.rows]
+    """Pivot count of `row_reduce` on the row numerators."""
+    rows = [list(r.nums) for r in matrix.rows]
     return len(row_reduce(rows, matrix.ncols)[1])
 
 
@@ -104,17 +106,19 @@ def kernel_basis(matrix: QMatrix) -> tuple[QVector, ...]:
 def _kernel_of_rref(
     reduced: QMatrix, pivots: tuple[int, ...]
 ) -> tuple[QVector, ...]:
-    """kernel_basis, given the RREF of the matrix and its pivots."""
+    """kernel_basis, given the RREF of the matrix and its pivots; each
+    spanning vector is taken times d, which the final RREF undoes."""
     ncols = reduced.ncols
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
+    d = lcm(*(r.den for r in reduced.rows))
     vectors = []
     for free in free_cols:
-        v = [ZERO] * ncols
-        v[free] = ONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -reduced.rows[i][free]
-        vectors.append(QVector(v))
+        v = [0] * ncols
+        v[free] = d
+        for r, pc in zip(reduced.rows, pivots):
+            v[pc] = -r.nums[free] * (d // r.den)
+        vectors.append(QVector.from_ints(v))
     if not vectors:
         return ()
     return row_space_basis(QMatrix(vectors))
@@ -124,14 +128,16 @@ def solve(matrix: QMatrix, rhs: QVector) -> QVector | None:
     """One exact solution of Mx = b, or None when inconsistent."""
     if rhs.dim != matrix.nrows:
         raise ValueError("solve dimension mismatch")
+    # row i of [M | b] times row.den * rhs.den
     augmented = QMatrix(
-        [list(row.entries) + [rhs[i]] for i, row in enumerate(matrix.rows)]
+        QVector.from_ints((*(x * rhs.den for x in row.nums), b * row.den))
+        for row, b in zip(matrix.rows, rhs.nums)
     )
     reduced, pivots = rref(augmented)
     ncols = matrix.ncols
     if ncols in pivots:
         return None
-    x = [ZERO] * ncols
+    x = [0] * ncols
     for i, pc in enumerate(pivots):
         x[pc] = reduced.rows[i][ncols]
     return QVector(x)
@@ -152,8 +158,7 @@ def char_poly(matrix: QMatrix) -> QPolynomial:
     if not matrix.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = matrix.nrows
-    flat, d = cleared([x for row in matrix.rows for x in row.entries])
-    a = [flat[i * n:(i + 1) * n] for i in range(n)]
+    a, d = matrix.int_rows()
     coeffs = [1]  # det(xI - A_k), descending
     for k in range(n):
         block = [a[i][:k] for i in range(k)]
@@ -177,19 +182,19 @@ def poly_of_matrix(poly: QPolynomial, matrix: QMatrix) -> QMatrix:
     """Evaluate p(M) by Horner's scheme on the integer matrix A = D*M,
     D the common denominator of the entries.
 
-    With p cleared to integer coefficients c_k over E and m = deg p,
-    E D^m p(M) = sum c_k D^(m-k) A^k: Horner multiplies by A and adds
-    c_k D^(m-k) on the diagonal, and each entry of p(M) is one Fraction
-    over E D^m at the end.
+    With p's coefficients as one QVector, integers c_k over E, and
+    m = deg p, E D^m p(M) = sum c_k D^(m-k) A^k: Horner multiplies by A
+    and adds c_k D^(m-k) on the diagonal, and each row of p(M) is one
+    QVector over E D^m at the end.
     """
     if not matrix.is_square():
         raise ValueError("polynomial of a non-square matrix")
     n = matrix.nrows
     if poly.is_zero():
         return QMatrix.zero(n, n)
-    flat, d = cleared([x for row in matrix.rows for x in row.entries])
-    a = [flat[i * n:(i + 1) * n] for i in range(n)]
-    coeffs, e = cleared(poly.coeffs)
+    a, d = matrix.int_rows()
+    p = QVector(poly.coeffs)
+    coeffs, e = p.nums, p.den
     result = [[coeffs[-1] if i == j else 0 for j in range(n)] for i in range(n)]
     power = 1
     for c in reversed(coeffs[:-1]):
@@ -236,19 +241,17 @@ def fix_projection(matrix: QMatrix) -> QMatrix:
 
 
 def invert(matrix: QMatrix) -> QMatrix:
-    """Inverse of a square matrix by Gauss-Jordan on [M | I]."""
+    """Inverse of a square matrix by Gauss-Jordan on [M | I], row i
+    taken times its denominator: [D M | D] has the same RREF."""
     n = matrix.nrows
     augmented = QMatrix(
-        [
-            list(matrix.rows[i].entries)
-            + [ONE if j == i else ZERO for j in range(n)]
-            for i in range(n)
-        ]
+        QVector.from_ints((*row.nums, *(row.den if j == i else 0 for j in range(n))))
+        for i, row in enumerate(matrix.rows)
     )
     reduced, pivots = rref(augmented)
     if tuple(range(n)) != pivots[:n] or len(pivots) != n:
         raise ValueError("matrix is singular")
-    return QMatrix([row.entries[n:] for row in reduced.rows])
+    return QMatrix(QVector.from_ints(row.nums[n:], row.den) for row in reduced.rows)
 
 
 def intersect_kernels(matrices: list[QMatrix]) -> tuple[QVector, ...]:

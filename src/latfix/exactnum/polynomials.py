@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import gcd as int_gcd
 from typing import Iterable
 
-from .rational import ONE, ZERO, cleared, rat
+from .rational import ONE, ZERO, QVector, rat
 
 DEGREE_BOUND = 16
 
@@ -266,7 +266,7 @@ def _monic(a: list[int]) -> QPolynomial:
 
 def _ints(p: QPolynomial) -> list[int]:
     """p cleared of denominators, divided by its positive content."""
-    return _primitive(cleared(p.coeffs)[0])
+    return _primitive(list(QVector(p.coeffs).nums))
 
 
 def poly_gcd(a: QPolynomial, b: QPolynomial) -> QPolynomial:
@@ -854,7 +854,7 @@ def _trace_polynomial(g: QPolynomial) -> QPolynomial:
 def _distinct_unimodular_count(g: QPolynomial) -> int:
     """Distinct unit-circle roots of a squarefree g with g(0) != 0 whose
     root set is closed under inversion."""
-    a = cleared(g.coeffs)[0]
+    a = list(QVector(g.coeffs).nums)
     count = 0
     for root in (1, -1):
         quotient = exact_quotient(a, [-root, 1])

@@ -1,175 +1,171 @@
 """Exact rational scalars, vectors, and matrices.
 
-Every entry is a ``fractions.Fraction``; nothing in the certified code
-paths ever touches a float.  The dense products (`QMatrix.matmul`,
-`QMatrix.matvec`, `QVector.dot` and `matvec_cleared`, which combines
-vectors) run on plain ints: each operand row, column or vector is
-cleared once to integers over its own least common denominator, and
-each output entry is one ``Fraction(sum of integer products, d_row *
-d_col)``, the same canonical value the ``Fraction`` sum of products
-gives.  Serialized form of a scalar is the string ``"p/q"`` in lowest
-terms, or ``"p"`` when the denominator is one.
+Scalars are ``fractions.Fraction``s; nothing in the certified code paths
+ever touches a float.  A `QVector` is integers ``nums`` over one positive
+``den`` with ``gcd(den, *nums) == 1``: ``den`` is the least common
+denominator of the entries, the form is unique, and equality and hashing
+compare ints.  The kernels (`QMatrix` products, `exactnum.linalg`, double
+description and the simplex) read ``nums`` and ``den``; ``entries``,
+indexing and iteration are `Fraction` views for the API edge.  A
+`QMatrix` product clears its right operand to one common denominator
+and builds one `QVector` per output row.  Serialized form of a scalar is
+the string ``"p/q"`` in lowest terms, or ``"p"`` when the denominator is
+one.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Iterable, Sequence
-
-Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
 def rat(value) -> Fraction:
-    """Coerce ints, strings like ``"3/4"``, and Fractions to Fraction."""
+    """Coerce ints (not bools), strings like ``"3/4"``, and Fractions to
+    Fraction; a string with a zero denominator is a ValueError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational scalar")
 
 
-def cleared(entries: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Fractions as integers over their least common denominator d > 0:
-    (the numerators x * d, d)."""
-    dens = [x.denominator for x in entries]
-    d = lcm(*dens)
-    if d == 1:
-        return [x.numerator for x in entries], 1
-    return [x.numerator * (d // q) for x, q in zip(entries, dens)], d
-
-
-def matvec_cleared(
-    rows: Iterable[tuple[list[int], int]], x: Sequence[Fraction]
-) -> "QVector":
-    """The vector of dot products of the rows with x, the rows given
-    cleared as (numerators, denominator): x is cleared once, and each
-    entry is one Fraction of an integer dot product."""
-    xs, dx = cleared(x)
-    return QVector._trusted(
-        tuple(Fraction(sum(map(mul, a, xs)), d * dx) for a, d in rows)
-    )
+def ratio_str(num: int, den: int) -> str:
+    """Canonical string form of num/den, den > 0, ``"p/q"`` or ``"p"``."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def rat_str(value: Fraction) -> str:
     """Canonical string form, ``"p/q"`` or ``"p"`` for integers."""
     value = rat(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return ratio_str(value.numerator, value.denominator)
 
 
 class QVector:
-    """Immutable vector of Fractions."""
+    """Immutable vector of rationals: integer numerators ``nums`` over one
+    positive denominator ``den``, with ``gcd(den, *nums) == 1``."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, entries: Iterable):
-        self.entries: tuple[Fraction, ...] = tuple(rat(e) for e in entries)
+        values = [rat(e) for e in entries]
+        den = lcm(*(x.denominator for x in values))
+        self.nums: tuple[int, ...] = tuple(
+            x.numerator * (den // x.denominator) for x in values
+        )
+        self.den: int = den
 
     @classmethod
     def from_ints(cls, numerators: Iterable[int], denominator: int = 1) -> "QVector":
-        """The vector of numerators over one positive common
-        denominator, built without `rat`'s per-entry type checks."""
-        if denominator == 1:
-            return cls._trusted(tuple(map(Fraction, numerators)))
-        return cls._trusted(tuple(Fraction(x, denominator) for x in numerators))
-
-    @classmethod
-    def _trusted(cls, entries: tuple[Fraction, ...]) -> "QVector":
-        """The vector of a tuple whose entries are already Fractions,
-        built without `rat`."""
+        """The vector of numerators over one positive common denominator,
+        brought to lowest terms by one gcd."""
+        if denominator <= 0:
+            raise ValueError(f"denominator {denominator} is not positive")
+        nums = tuple(numerators)
+        g = gcd(denominator, *nums)
+        if g != 1:
+            nums = tuple(x // g for x in nums)
+            denominator //= g
         vector = object.__new__(cls)
-        vector.entries = entries
+        vector.nums = nums
+        vector.den = denominator
         return vector
 
     @staticmethod
     def zero(dim: int) -> "QVector":
-        return QVector([ZERO] * dim)
+        return QVector.from_ints([0] * dim)
 
     @staticmethod
     def unit(dim: int, k: int) -> "QVector":
-        return QVector([ONE if i == k else ZERO for i in range(dim)])
+        return QVector.from_ints([int(i == k) for i in range(dim)])
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self.nums)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.nums)
 
     def __iter__(self):
         return iter(self.entries)
 
     def __getitem__(self, i: int) -> Fraction:
-        return self.entries[i]
+        return Fraction(self.nums[i], self.den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QVector) and self.entries == other.entries
+        same = isinstance(other, QVector) and self.den == other.den
+        return same and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash((self.nums, self.den))
 
     def __repr__(self) -> str:
-        return "QVector(%s)" % ", ".join(rat_str(e) for e in self.entries)
+        return "QVector(%s)" % ", ".join(ratio_str(x, self.den) for x in self.nums)
 
     def __add__(self, other: "QVector") -> "QVector":
-        self._check_dim(other)
-        return QVector._trusted(
-            tuple(a + b for a, b in zip(self.entries, other.entries))
-        )
+        return self._combine(other, add)
 
     def __sub__(self, other: "QVector") -> "QVector":
-        self._check_dim(other)
-        return QVector._trusted(
-            tuple(a - b for a, b in zip(self.entries, other.entries))
-        )
+        return self._combine(other, sub)
 
     def __neg__(self) -> "QVector":
-        return QVector._trusted(tuple(-a for a in self.entries))
+        return QVector.from_ints([-x for x in self.nums], self.den)
 
     def scale(self, c) -> "QVector":
         c = rat(c)
-        return QVector._trusted(tuple(c * a for a in self.entries))
+        return QVector.from_ints(
+            [c.numerator * x for x in self.nums], c.denominator * self.den
+        )
 
     def dot(self, other: "QVector") -> Fraction:
         self._check_dim(other)
-        xs, dx = cleared(self.entries)
-        ys, dy = cleared(other.entries)
-        return Fraction(sum(map(mul, xs, ys)), dx * dy)
+        return Fraction(sum(map(mul, self.nums, other.nums)), self.den * other.den)
 
     def abs(self) -> "QVector":
-        return QVector._trusted(tuple(abs(a) for a in self.entries))
+        return QVector.from_ints(map(abs, self.nums), self.den)
 
     def cwise_max(self, other: "QVector") -> "QVector":
-        self._check_dim(other)
-        return QVector._trusted(
-            tuple(max(a, b) for a, b in zip(self.entries, other.entries))
-        )
+        return self._combine(other, max)
 
     def ge(self, other: "QVector") -> bool:
         self._check_dim(other)
-        return all(a >= b for a, b in zip(self.entries, other.entries))
+        return all(other.den * x >= self.den * y for x, y in zip(self.nums, other.nums))
 
     def is_nonneg(self) -> bool:
-        return all(a >= 0 for a in self.entries)
+        return all(x >= 0 for x in self.nums)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
+        return not any(self.nums)
 
     def support(self) -> frozenset[int]:
-        return frozenset(i for i, a in enumerate(self.entries) if a != 0)
+        return frozenset(i for i, x in enumerate(self.nums) if x)
 
     def sup_norm(self) -> Fraction:
-        return max((abs(a) for a in self.entries), default=ZERO)
+        return Fraction(max(map(abs, self.nums), default=0), self.den)
 
     def one_norm(self) -> Fraction:
-        return sum((abs(a) for a in self.entries), ZERO)
+        return Fraction(sum(map(abs, self.nums)), self.den)
+
+    def _combine(self, other: "QVector", f) -> "QVector":
+        """f entrywise on both numerators over the common denominator."""
+        self._check_dim(other)
+        d = lcm(self.den, other.den)
+        p, q = d // self.den, d // other.den
+        pairs = zip(self.nums, other.nums)
+        return QVector.from_ints([f(p * x, q * y) for x, y in pairs], d)
 
     def _check_dim(self, other: "QVector") -> None:
         if self.dim != other.dim:
@@ -177,7 +173,7 @@ class QVector:
 
 
 class QMatrix:
-    """Immutable matrix of Fractions, stored as a tuple of row QVectors."""
+    """Immutable matrix of rationals, stored as a tuple of row QVectors."""
 
     __slots__ = ("rows",)
 
@@ -218,6 +214,12 @@ class QMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
 
+    def int_rows(self) -> tuple[list[list[int]], int]:
+        """(D * rows, D): the rows as integers over the least common
+        denominator D of all entries."""
+        d = lcm(*(r.den for r in self.rows))
+        return [[x * (d // r.den) for x in r.nums] for r in self.rows], d
+
     def __eq__(self, other) -> bool:
         return isinstance(other, QMatrix) and self.rows == other.rows
 
@@ -239,17 +241,24 @@ class QMatrix:
         return QMatrix(r.scale(c) for r in self.rows)
 
     def matvec(self, v: QVector) -> QVector:
+        """One integer dot product per row, over D * v.den."""
         if v.dim != self.ncols:
             raise ValueError("matvec dimension mismatch")
-        return matvec_cleared((cleared(r.entries) for r in self.rows), v.entries)
+        a, d = self.int_rows()
+        return QVector.from_ints([sum(map(mul, row, v.nums)) for row in a], d * v.den)
 
     def matmul(self, other: "QMatrix") -> "QMatrix":
-        """The product, row i being the cleared columns of other applied
-        to row i of self: each row and column is cleared once."""
+        """The product, with other cleared once to integers over its
+        common denominator E: row i is row i of self applied to those
+        integer columns, over E times the row's denominator."""
         if self.ncols != other.nrows:
             raise ValueError("matmul dimension mismatch")
-        cols = [cleared(col) for col in zip(*(r.entries for r in other.rows))]
-        return QMatrix(matvec_cleared(cols, row.entries) for row in self.rows)
+        b, e = other.int_rows()
+        cols = list(zip(*b))
+        return QMatrix(
+            QVector.from_ints([sum(map(mul, r.nums, col)) for col in cols], r.den * e)
+            for r in self.rows
+        )
 
     def __matmul__(self, other):
         if isinstance(other, QVector):
@@ -271,7 +280,8 @@ class QMatrix:
         return result
 
     def transpose(self) -> "QMatrix":
-        return QMatrix(map(QVector._trusted, zip(*(r.entries for r in self.rows))))
+        a, d = self.int_rows()
+        return QMatrix(QVector.from_ints(col, d) for col in zip(*a))
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence, Union
 
 from .conegeom import (
@@ -118,13 +119,6 @@ def _require_valid(family: OperatorFamily) -> None:
         raise ValueError("family is not contractive in its stated norm")
 
 
-def _ambient_max(vectors: Sequence[QVector]) -> QVector:
-    out = vectors[0]
-    for v in vectors[1:]:
-        out = out.cwise_max(v)
-    return out
-
-
 def sup_in_fixspace(
     family: OperatorFamily, vectors: Sequence[QVector]
 ) -> tuple[QVector, QVector]:
@@ -142,7 +136,7 @@ def sup_in_fixspace(
     for v in vectors:
         if not fixed.contains(v):
             raise ValueError("vector outside the fixed space")
-    g_e = _ambient_max(vectors)
+    g_e = reduce(QVector.cwise_max, vectors)
     g_f = least_upper_bound_in(fixed, vectors)
     if g_f is None:
         raise TheoremViolationError(
@@ -213,7 +207,7 @@ def _matrix_trace(
     for v in vectors:
         if m @ v != v:
             raise ValueError("vector outside the fixed space")
-    g_e = _ambient_max(vectors)
+    g_e = reduce(QVector.cwise_max, vectors)
     proj = fix_projection(m)
     h = proj @ g_e
     if not h.ge(g_e):

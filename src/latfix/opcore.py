@@ -32,7 +32,7 @@ from .exactnum.polynomials import (
     orders_with_phi_at_most,
     sturm_count,
 )
-from .exactnum.rational import ONE, ZERO, QMatrix, QVector, cleared
+from .exactnum.rational import ONE, ZERO, QMatrix, QVector
 
 
 @dataclass(frozen=True)
@@ -151,22 +151,19 @@ def operator_norm(op: PositiveMatrixOperator) -> Fraction:
     """Exact induced norm of the operator for its norm tag: the largest
     absolute row sum (sup norm), absolute column sum (one norm) or
     weighted absolute column sum over the column's weight (weighted one
-    norm), each an integer sum over its row or column's denominator."""
+    norm), each an integer sum over the row's or the matrix's denominator."""
     m = op.matrix
     tag = op.norm_tag
-    lines = [r.entries for r in m.rows]
     if tag.kind == "sup":
-        sums = (Fraction(sum(map(abs, a)), d) for a, d in map(cleared, lines))
-        return max(sums, default=ZERO)
-    columns = map(cleared, zip(*lines))
+        return max((r.one_norm() for r in m.rows), default=ZERO)
+    a, d = m.int_rows()
+    columns = [list(map(abs, col)) for col in zip(*a)]
     if tag.kind == "one":
-        sums = (Fraction(sum(map(abs, a)), d) for a, d in columns)
-        return max(sums, default=ZERO)
-    # sum_i w_i |m_ij| / w_j with w = W / dw and column j = a / d
-    w = cleared(tag.weights.entries)[0]
+        return Fraction(max(map(sum, columns), default=0), d)
+    # sum_i w_i |m_ij| / w_j with w = W / dw, the dw cancelling
+    w = tag.weights.nums
     return max(
-        Fraction(sum(map(mul, w, map(abs, a))), d * wj)
-        for (a, d), wj in zip(columns, w)
+        Fraction(sum(map(mul, w, col)), d * wj) for col, wj in zip(columns, w)
     )
 
 
@@ -189,7 +186,7 @@ def perron_root_vs_one(chi: QPolynomial) -> int:
     Sturm count on (1, oo)."""
     if chi.is_zero():
         raise ValueError("Perron root of the zero polynomial")
-    rest = cleared(chi.coeffs)[0]
+    rest = list(QVector(chi.coeffs).nums)
     root_at_one = False
     while (quotient := exact_quotient(rest, [-1, 1])) is not None:
         rest = quotient
@@ -286,8 +283,3 @@ def power_bounded_analysis(op: PositiveMatrixOperator) -> PowerBoundAnalysis:
             "a repeated boundary factor is defective",
         )
     return PowerBoundAnalysis("Yes", None, "boundary roots all semisimple")
-
-
-def power_bounded_verdict(op: PositiveMatrixOperator) -> str:
-    """One of "Yes", "No"."""
-    return power_bounded_analysis(op).verdict

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 from .conegeom import LatticeClassification, Subspace
 from .cyclicity import CyclicityReport, ProbeSummary, SemigroupReport
 from .exactnum.polynomials import QPolynomial
-from .exactnum.rational import QMatrix, QVector, rat_str as rational_str
+from .exactnum.rational import QMatrix, QVector, rat, ratio_str, rat_str as rational_str
 from .fixlattice import FixedSpaceReport, TransfiniteTrace
 from .opcore import (
     NormTag,
@@ -29,20 +29,16 @@ from .seqspace import ChainValue, SymbolicVector
 
 
 def parse_rational(value) -> Fraction:
-    if isinstance(value, bool):
-        raise ValueError("expected a rational, got a boolean")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {value!r}") from exc
-    raise ValueError(f"not a rational: {value!r}")
+    """`rat` of a JSON value: an int or a "p/q" string; every other value
+    is a ValueError."""
+    try:
+        return rat(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"not a rational: {value!r}") from exc
 
 
 def vector_to_json(v: QVector) -> list[str]:
-    return [rational_str(x) for x in v]
+    return [ratio_str(x, v.den) for x in v.nums]
 
 
 def parse_vector(data) -> QVector:

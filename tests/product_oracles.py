@@ -4,8 +4,8 @@
 and `linalg.poly_of_matrix`.
 
 Each sums `Fraction` products term by term, one gcd per operation, so
-the integer kernels (rows and columns cleared once, one `Fraction` per
-output entry) can be compared with them exactly.
+the integer kernels (sums of the integer numerators over the operands'
+denominators) can be compared with them exactly.
 """
 
 from __future__ import annotations

@@ -210,10 +210,23 @@ class TestInvariantsComputedOnce:
             contraction_check=len(fam.members),
         )
 
+    def test_one_ray_inverse_per_fixed_space(self, monkeypatch):
+        calls = count_calls(monkeypatch, (linalg, "invert"))
+        t = averaging_op()
+        fam = family_of(t, PositiveMatrixOperator(t.matrix @ t.matrix, SUP_NORM))
+        report = fixed_space_report(fam)
+        assert report.fixed_space.dim == 2
+        for b in report.fixed_space.basis:
+            g_f, g_e = sup_in_fixspace(fam, [b, -b])
+            assert g_f.ge(g_e)
+        assert least_fixed_above(fam, QVector([1, 0, 1])) == QVector([1, 1, 1])
+        assert calls == Counter(invert=1)
+
     def test_cached_invariants_leave_equality_and_hash_alone(self):
         cached, fresh = family_of(averaging_op()), family_of(averaging_op())
         assert cached.contractive
         assert cached.fixed_space.classification.rays
+        assert cached.fixed_space.to_ray_coordinates.nrows == 2
         assert cached == fresh
         assert hash(cached) == hash(fresh)
         assert cached.fixed_space == fresh.fixed_space

@@ -32,7 +32,6 @@ from latfix.opcore import (
     operator_norm,
     perron_root_vs_one,
     power_bounded_analysis,
-    power_bounded_verdict,
     super_fixed_check,
     vector_norm,
     weighted_one_norm,
@@ -265,7 +264,7 @@ class TestPowerBounded:
         rng = rng_for("pb-substoch")
         for _ in range(40):
             t = PositiveMatrixOperator(random_substochastic(rng, rng.randint(1, 6)))
-            assert power_bounded_verdict(t) == "Yes"
+            assert power_bounded_analysis(t).verdict == "Yes"
 
     def test_matches_numpy_power_growth(self):
         cases = [
@@ -275,7 +274,7 @@ class TestPowerBounded:
         ]
         for rows, verdict in cases:
             m = QMatrix(rows)
-            assert power_bounded_verdict(PositiveMatrixOperator(m)) == verdict
+            assert power_bounded_analysis(PositiveMatrixOperator(m)).verdict == verdict
             a = to_numpy(m)
             norms = [np.abs(np.linalg.matrix_power(a, k)).sum() for k in (8, 32, 64)]
             if verdict == "Yes":

@@ -2,12 +2,11 @@
 
 `QVector.dot`, `QMatrix.matvec`, `QMatrix.matmul` (and `@`, `power`),
 `Subspace.from_coefficients`/`coefficients_of`, `operator_norm` and
-`poly_of_matrix` clear each row, column or vector (for `poly_of_matrix`
-the whole matrix and the polynomial) to integers once and build one
-`Fraction` per output entry.  Hypothesis compares them exactly with the term-by-term
-`Fraction` versions in `product_oracles.py`, on mixed and coprime
-denominators, signed and zero entries, and empty and 1x1 shapes; every
-output entry must be a `Fraction` itself.
+`poly_of_matrix` are integer sums over the operands' denominators.
+Hypothesis compares them exactly with the term-by-term `Fraction`
+versions in `product_oracles.py`, on mixed and coprime denominators,
+signed and zero entries, and empty and 1x1 shapes; every output entry
+must be a `Fraction` itself.
 """
 
 from fractions import Fraction

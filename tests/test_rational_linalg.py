@@ -100,6 +100,24 @@ class TestQVector:
             QVector([1]) + QVector([1, 2])
 
 
+class TestRat:
+    def test_rejects_bool(self):
+        for flag in (True, False):
+            with pytest.raises(TypeError):
+                rat(flag)
+        with pytest.raises(TypeError):
+            QVector([True, False])
+
+    def test_zero_denominator_is_value_error(self):
+        for text in ("1/0", " -3/0 ", "0/0"):
+            with pytest.raises(ValueError):
+                rat(text)
+
+    def test_surrounding_whitespace(self):
+        assert rat(" 3/4\n") == Fraction(3, 4)
+        assert rat("\t-2 ") == -2
+
+
 class TestQMatrix:
     def test_matvec_and_matmul(self):
         a = QMatrix([[1, 2], [3, 4]])

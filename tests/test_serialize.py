@@ -66,6 +66,43 @@ class TestRationalCodec:
             with pytest.raises(ValueError):
                 ser.parse_rational(bad)
 
+    ACCEPTANCE_PROBES = (
+        "3/4", " 3/4 ", "\t-3/4\n", "+3", "-0", "0/5", "007", "1/0", "0/0",
+        "3/-4", "3 / 4", "1.5", "1e3", "1_000", "0x10", "", " ", "/", "1/",
+        "\u0663/4", "\u00bd", 0, -12, 10**30, True, False, 1.5, None, [1], {},
+    )
+
+    @staticmethod
+    def earlier_parse_rational(value):
+        """The rule parse_rational kept before it called `rat`."""
+        if isinstance(value, bool):
+            raise ValueError("boolean")
+        if isinstance(value, int):
+            return Fraction(value)
+        if isinstance(value, str):
+            try:
+                return Fraction(value)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(value) from exc
+        raise ValueError(value)
+
+    def assert_same_acceptance(self, value):
+        try:
+            expected = self.earlier_parse_rational(value)
+        except ValueError:
+            with pytest.raises(ValueError):
+                ser.parse_rational(value)
+        else:
+            assert ser.parse_rational(value) == expected
+
+    def test_accepted_set_unchanged(self):
+        for value in self.ACCEPTANCE_PROBES:
+            self.assert_same_acceptance(value)
+
+    @given(st.text(alphabet="0123456789/+-. _eE\t", max_size=8))
+    def test_accepted_strings_unchanged(self, text):
+        self.assert_same_acceptance(text)
+
 
 class TestVectorMatrixCodec:
     @given(vectors_st)
