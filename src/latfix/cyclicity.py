@@ -163,8 +163,8 @@ class SemigroupReport:
 
 def _even_odd_split(p: QPolynomial) -> tuple[QPolynomial, QPolynomial]:
     """p(x) = E(x^2) + x * O(x^2)."""
-    even = QPolynomial(p.coeffs[0::2])
-    odd = QPolynomial(p.coeffs[1::2])
+    even = QPolynomial.from_ints(p.nums[0::2], p.den)
+    odd = QPolynomial.from_ints(p.nums[1::2], p.den)
     return even, odd
 
 
@@ -176,18 +176,11 @@ def _imaginary_pair_count(p: QPolynomial) -> int:
     -beta^2, so the count is a Sturm count of their gcd, reflected, on
     the positive axis.
     """
-    even, odd = _even_odd_split(p)
-    if even.is_zero():
-        common = odd
-    elif odd.is_zero():
-        common = even
-    else:
-        common = poly_gcd(even, odd)
-    common = strip_zero_roots(common)
+    common = strip_zero_roots(poly_gcd(*_even_odd_split(p)))
     if common.degree == 0:
         return 0
-    reflected = QPolynomial(
-        c if i % 2 == 0 else -c for i, c in enumerate(common.coeffs)
+    reflected = QPolynomial.from_ints(
+        (c if i % 2 == 0 else -c for i, c in enumerate(common.nums)), common.den
     )
     return sturm_count(reflected, lo=0, hi=None)
 

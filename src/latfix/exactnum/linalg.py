@@ -13,12 +13,11 @@ Kernel bases are canonical: the spanning set produced by back
 substitution is itself brought to reduced row echelon form, so equal
 subspaces always yield identical bases.  The characteristic polynomial
 is computed with division-free Berkowitz on plain integers, after
-clearing one common denominator; `poly_of_matrix` runs Horner's scheme
-on the same integer matrix.
+clearing one common denominator, into a `QPolynomial`'s ``nums`` over
+``den``; `poly_of_matrix` runs Horner's scheme on the same integer matrix.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from operator import mul
 
@@ -173,8 +172,8 @@ def char_poly(matrix: QMatrix) -> QPolynomial:
             sum(toeplitz[i - j] * coeffs[j] for j in range(min(i, k) + 1))
             for i in range(k + 2)
         ]
-    return QPolynomial(
-        Fraction(coeffs[n - i], d ** (n - i)) for i in range(n + 1)
+    return QPolynomial.from_ints(
+        [coeffs[n - i] * d**i for i in range(n + 1)], d**n
     )
 
 
@@ -182,7 +181,7 @@ def poly_of_matrix(poly: QPolynomial, matrix: QMatrix) -> QMatrix:
     """Evaluate p(M) by Horner's scheme on the integer matrix A = D*M,
     D the common denominator of the entries.
 
-    With p's coefficients as one QVector, integers c_k over E, and
+    With p's coefficients integers c_k over E, and
     m = deg p, E D^m p(M) = sum c_k D^(m-k) A^k: Horner multiplies by A
     and adds c_k D^(m-k) on the diagonal, and each row of p(M) is one
     QVector over E D^m at the end.
@@ -193,8 +192,7 @@ def poly_of_matrix(poly: QPolynomial, matrix: QMatrix) -> QMatrix:
     if poly.is_zero():
         return QMatrix.zero(n, n)
     a, d = matrix.int_rows()
-    p = QVector(poly.coeffs)
-    coeffs, e = p.nums, p.den
+    coeffs, e = poly.nums, poly.den
     result = [[coeffs[-1] if i == j else 0 for j in range(n)] for i in range(n)]
     power = 1
     for c in reversed(coeffs[:-1]):

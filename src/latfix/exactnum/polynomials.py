@@ -1,19 +1,20 @@
 """Exact univariate polynomial analysis over the rationals.
 
-Polynomials are stored as tuples of Fraction coefficients in ascending
-degree order, normalized so the last coefficient is nonzero (the zero
-polynomial is the empty tuple).  The module provides
+A `QPolynomial` holds its ascending coefficients as one `QVector`,
+integers ``nums`` over one positive ``den`` (the last numerator
+nonzero), and ``coeffs`` is a `Fraction` view for the API edge.  The
+module provides
 
-* arithmetic, gcd, and Yun squarefree decomposition,
+* integer arithmetic, exact division, gcd, Yun squarefree decomposition,
 * cyclotomic polynomial generation and identification,
 * Sturm-sequence real root counting on intervals,
 * complete factorization over the rationals for degree at most 16,
 * exact detection of roots on the unit circle.
 
-The gcd and the Sturm chains run on plain ints: each polynomial is
-cleared of denominators once, and remainders are primitive
+The gcd and the Sturm chains run on ``nums``: remainders are primitive
 pseudo-remainders (Collins 1967; Brown 1971) whose scaling by the
 absolute value of the divisor's leading coefficient keeps their signs.
+Only `divmod` works on the `Fraction` views.
 
 Root location never uses floating point.  Roots on the unit circle are
 isolated through the reciprocal-gcd construction and the substitution
@@ -25,10 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as int_gcd
-from typing import Iterable
+from itertools import zip_longest
+from math import gcd as int_gcd, lcm
+from typing import Iterable, Sequence
 
-from .rational import ONE, ZERO, QVector, rat
+from .rational import ONE, ZERO, QVector, rat, ratio_str
 
 DEGREE_BOUND = 16
 
@@ -46,15 +48,26 @@ class FactorSearchBudgetError(ValueError):
 
 
 class QPolynomial:
-    """Univariate polynomial with Fraction coefficients, ascending order."""
+    """Univariate polynomial over the rationals, its ascending
+    coefficients one canonical `QVector` (the last numerator nonzero)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("vector",)
 
     def __init__(self, coeffs: Iterable):
         cs = [rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.vector = QVector(cs)
+
+    @classmethod
+    def from_ints(cls, nums: Iterable[int], den: int = 1) -> "QPolynomial":
+        """The polynomial with ascending coefficients nums / den, den > 0."""
+        nums = list(nums)
+        while nums and not nums[-1]:
+            nums.pop()
+        p = object.__new__(cls)
+        p.vector = QVector.from_ints(nums, den)
+        return p
 
     @staticmethod
     def zero() -> "QPolynomial":
@@ -64,75 +77,79 @@ class QPolynomial:
     def one() -> "QPolynomial":
         return QPolynomial((ONE,))
 
-    @staticmethod
-    def x() -> "QPolynomial":
-        return QPolynomial((ZERO, ONE))
+    @property
+    def nums(self) -> tuple[int, ...]:
+        return self.vector.nums
+
+    @property
+    def den(self) -> int:
+        return self.vector.den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return self.vector.entries
 
     @property
     def degree(self) -> int:
         """Degree, with the convention that the zero polynomial has -1."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QPolynomial) and self.coeffs == other.coeffs
+        return isinstance(other, QPolynomial) and self.vector == other.vector
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash(self.vector)
 
     def __repr__(self) -> str:
-        from .rational import rat_str
-
-        if not self.coeffs:
+        if not self.nums:
             return "QPolynomial(0)"
         terms = []
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(self.nums):
             if c == 0:
                 continue
             if k == 0:
-                terms.append(rat_str(c))
+                terms.append(ratio_str(c, self.den))
             else:
                 xs = "x" if k == 1 else f"x^{k}"
-                terms.append(xs if c == 1 else f"{rat_str(c)}*{xs}")
+                terms.append(xs if c == self.den else f"{ratio_str(c, self.den)}*{xs}")
         return "QPolynomial(%s)" % " + ".join(reversed(terms))
 
     def __add__(self, other: "QPolynomial") -> "QPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPolynomial(out)
+        d = lcm(self.den, other.den)
+        p, q = d // self.den, d // other.den
+        pairs = zip_longest(self.nums, other.nums, fillvalue=0)
+        return QPolynomial.from_ints([p * x + q * y for x, y in pairs], d)
 
     def __sub__(self, other: "QPolynomial") -> "QPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "QPolynomial":
-        return QPolynomial(-c for c in self.coeffs)
+        return QPolynomial.from_ints([-c for c in self.nums], self.den)
 
     def __mul__(self, other: "QPolynomial") -> "QPolynomial":
         if self.is_zero() or other.is_zero():
             return QPolynomial.zero()
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        for i, a in enumerate(self.nums):
             if a == 0:
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in enumerate(other.nums):
                 out[i + j] += a * b
-        return QPolynomial(out)
+        return QPolynomial.from_ints(out, self.den * other.den)
 
     def scale(self, c) -> "QPolynomial":
         c = rat(c)
-        return QPolynomial(c * a for a in self.coeffs)
+        nums = [c.numerator * a for a in self.nums]
+        return QPolynomial.from_ints(nums, c.denominator * self.den)
 
     def power(self, k: int) -> "QPolynomial":
         result = QPolynomial.one()
@@ -157,48 +174,61 @@ class QPolynomial:
                 rem[i - dden + j] -= f * c
         return QPolynomial(quo), QPolynomial(rem)
 
+    def exact_quotient(self, divisor: "QPolynomial") -> "QPolynomial | None":
+        """self / divisor when the nonzero divisor divides self, else None.
+        With divisor = (g / divisor.den) * (d / g), g the content of its
+        numerators d, self / divisor is (nums / (d / g)) * divisor.den /
+        (den * g), and the primitive d / g divides the same polynomials
+        over Q and over Z (Gauss's lemma)."""
+        d = divisor.nums
+        if not d:
+            raise ZeroDivisionError("polynomial division by zero")
+        g = int_gcd(*d)
+        quotient = _exact_quotient(self.nums, [c // g for c in d])
+        if quotient is None:
+            return None
+        return QPolynomial.from_ints([divisor.den * c for c in quotient], self.den * g)
+
     def evaluate(self, x) -> Fraction:
         x = rat(x)
         acc = ZERO
-        for c in reversed(self.coeffs):
+        for c in reversed(self.nums):
             acc = acc * x + c
-        return acc
+        return acc / self.den
 
     def derivative(self) -> "QPolynomial":
-        return QPolynomial(k * c for k, c in enumerate(self.coeffs) if k > 0)
+        return QPolynomial.from_ints(_derivative(self.nums), self.den)
 
     def monic(self) -> "QPolynomial":
         if self.is_zero():
             return self
-        return self.scale(1 / self.leading)
+        return self.scale(Fraction(self.den, self.nums[-1]))
 
     def reciprocal(self) -> "QPolynomial":
         """x^deg * p(1/x): the coefficient sequence reversed."""
-        return QPolynomial(tuple(reversed(self.coeffs)))
+        return QPolynomial.from_ints(self.nums[::-1], self.den)
 
     def primitive_integer(self) -> tuple["QPolynomial", Fraction]:
         """Primitive integer polynomial with positive leading coefficient,
         and the rational unit u with  p = u * primitive."""
         if self.is_zero():
             return self, ONE
-        ints = _ints(self)
-        if ints[-1] < 0:
-            ints = [-v for v in ints]
-        prim = QPolynomial(ints)
-        return prim, self.leading / prim.leading
+        content = int_gcd(*self.nums) * (1 if self.nums[-1] > 0 else -1)
+        prim = QPolynomial.from_ints([c // content for c in self.nums])
+        return prim, Fraction(content, self.den)
 
 
 # ---------------------------------------------------------------------------
 # integer polynomials: ascending lists of ints, the zero polynomial empty
 
 
-def _primitive(a: list[int]) -> list[int]:
+def _primitive(a: Sequence[int]) -> list[int]:
     """a divided by its positive content, so every sign is kept."""
     g = int_gcd(*a)
-    return [c // g for c in a] if g > 1 else a
+    return [c // g for c in a] if g > 1 else list(a)
 
 
-def _derivative(a: list[int]) -> list[int]:
+def _derivative(a: Sequence[int]) -> list[int]:
     return [k * c for k, c in enumerate(a)][1:]
 
 
@@ -231,7 +261,7 @@ def _gcd_ints(a: list[int], b: list[int]) -> list[int]:
     return [-c for c in a] if a and a[-1] < 0 else a
 
 
-def exact_quotient(p: list[int], divisor: list[int]) -> list[int] | None:
+def _exact_quotient(p: Sequence[int], divisor: Sequence[int]) -> list[int] | None:
     """p / divisor when the nonzero integer divisor divides p in Z[x],
     else None (for a primitive divisor, division over Q and over Z
     agree by Gauss's lemma)."""
@@ -256,23 +286,13 @@ def _squarefree_ints(a: list[int]) -> list[int]:
     each, with the sign of a's leading coefficient."""
     if len(a) <= 2:
         return a
-    return exact_quotient(a, _gcd_ints(a, _derivative(a)))
-
-
-def _monic(a: list[int]) -> QPolynomial:
-    lead = a[-1]
-    return QPolynomial(Fraction(c, lead) for c in a)
-
-
-def _ints(p: QPolynomial) -> list[int]:
-    """p cleared of denominators, divided by its positive content."""
-    return _primitive(list(QVector(p.coeffs).nums))
+    return _exact_quotient(a, _gcd_ints(a, _derivative(a)))
 
 
 def poly_gcd(a: QPolynomial, b: QPolynomial) -> QPolynomial:
     """Monic greatest common divisor (1 for coprime, 0 only if both zero)."""
-    g = _gcd_ints(_ints(a), _ints(b))
-    return _monic(g) if g else QPolynomial.zero()
+    g = _gcd_ints(_primitive(a.nums), _primitive(b.nums))
+    return QPolynomial.from_ints(g, g[-1]) if g else QPolynomial.zero()
 
 
 def squarefree_decomposition(p: QPolynomial) -> list[tuple[QPolynomial, int]]:
@@ -336,12 +356,11 @@ def cyclotomic(n: int) -> QPolynomial:
     cached = _cyclotomic_cache.get(n)
     if cached is not None:
         return cached
-    xn_minus_1 = QPolynomial([-1] + [0] * (n - 1) + [1])
-    result = xn_minus_1
+    nums = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            result = result.divmod(cyclotomic(d))[0]
-    _cyclotomic_cache[n] = result
+            nums = _exact_quotient(nums, cyclotomic(d).nums)
+    result = _cyclotomic_cache[n] = QPolynomial.from_ints(nums)
     return result
 
 
@@ -430,7 +449,7 @@ def sturm_count(p: QPolynomial, lo=None, hi=None) -> int:
     hi = None if hi is None else rat(hi)
     if lo is not None and hi is not None and lo > hi:
         raise ValueError("interval lower end exceeds its upper end")
-    a = _squarefree_ints(_ints(p))
+    a = _squarefree_ints(_primitive(p.nums))
     if len(a) == 1:
         return 0
     for endpoint in (lo, hi):
@@ -822,10 +841,8 @@ class BoundaryAnalysis:
 
 
 def strip_zero_roots(p: QPolynomial) -> QPolynomial:
-    coeffs = list(p.coeffs)
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-    return QPolynomial(coeffs)
+    k = next((i for i, c in enumerate(p.nums) if c), 0)
+    return QPolynomial.from_ints(p.nums[k:], p.den)
 
 
 def _trace_polynomial(g: QPolynomial) -> QPolynomial:
@@ -854,16 +871,16 @@ def _trace_polynomial(g: QPolynomial) -> QPolynomial:
 def _distinct_unimodular_count(g: QPolynomial) -> int:
     """Distinct unit-circle roots of a squarefree g with g(0) != 0 whose
     root set is closed under inversion."""
-    a = list(QVector(g.coeffs).nums)
+    a = g.nums
     count = 0
     for root in (1, -1):
-        quotient = exact_quotient(a, [-root, 1])
+        quotient = _exact_quotient(a, (-root, 1))
         if quotient is not None:
             count += 1
             a = quotient
     if len(a) == 1:
         return count
-    h = _trace_polynomial(QPolynomial(a))
+    h = _trace_polynomial(QPolynomial.from_ints(a))
     count += 2 * sturm_count(h, Fraction(-2), Fraction(2))
     return count
 
@@ -879,8 +896,9 @@ def unimodular_part(p: QPolynomial) -> QPolynomial:
     distinct roots."""
     if p.is_zero():
         raise ValueError("unimodular part of the zero polynomial")
-    a = _ints(strip_zero_roots(p))
-    return _monic(_squarefree_ints(_gcd_ints(a, a[::-1])))
+    a = _primitive(strip_zero_roots(p).nums)
+    g = _squarefree_ints(_gcd_ints(a, a[::-1]))
+    return QPolynomial.from_ints(g, g[-1])
 
 
 def has_unimodular_root(p: QPolynomial) -> bool:

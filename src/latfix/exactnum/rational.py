@@ -5,12 +5,12 @@ ever touches a float.  A `QVector` is integers ``nums`` over one positive
 ``den`` with ``gcd(den, *nums) == 1``: ``den`` is the least common
 denominator of the entries, the form is unique, and equality and hashing
 compare ints.  The kernels (`QMatrix` products, `exactnum.linalg`, double
-description and the simplex) read ``nums`` and ``den``; ``entries``,
-indexing and iteration are `Fraction` views for the API edge.  A
-`QMatrix` product clears its right operand to one common denominator
-and builds one `QVector` per output row.  Serialized form of a scalar is
-the string ``"p/q"`` in lowest terms, or ``"p"`` when the denominator is
-one.
+description, the simplex and `exactnum.polynomials`, whose `QPolynomial`
+holds one `QVector`) read ``nums`` and ``den``; ``entries``, indexing and
+iteration are `Fraction` views for the API edge.  A `QMatrix` product
+clears its right operand to one common denominator and builds one
+`QVector` per output row.  A scalar serializes to ``"p/q"`` in lowest
+terms, or ``"p"`` when the denominator is one.
 """
 from __future__ import annotations
 

@@ -132,12 +132,9 @@ def sup_in_fixspace(
     _require_valid(family)
     if not vectors:
         raise ValueError("empty vector collection")
-    fixed = family.fixed_space
-    for v in vectors:
-        if not fixed.contains(v):
-            raise ValueError("vector outside the fixed space")
+    # least_upper_bound_in rejects a vector outside the fixed space
+    g_f = least_upper_bound_in(family.fixed_space, vectors)
     g_e = reduce(QVector.cwise_max, vectors)
-    g_f = least_upper_bound_in(fixed, vectors)
     if g_f is None:
         raise TheoremViolationError(
             "least upper bound absent in the fixed space of a valid family"

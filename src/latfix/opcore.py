@@ -27,7 +27,6 @@ from .exactnum.polynomials import (
     QPolynomial,
     cyclotomic,
     euler_phi,
-    exact_quotient,
     has_unimodular_root,
     orders_with_phi_at_most,
     sturm_count,
@@ -182,16 +181,15 @@ def perron_root_vs_one(chi: QPolynomial) -> int:
     """Sign of rho - 1 for the spectral radius rho of a nonnegative
     matrix with characteristic polynomial chi.  rho is a real eigenvalue,
     so rho > 1 exactly when chi has a real root above 1: divide out the
-    factors x - 1 (synthetic division on the integer form of chi), then
-    Sturm count on (1, oo)."""
+    factors x - 1, then Sturm count on (1, oo)."""
     if chi.is_zero():
         raise ValueError("Perron root of the zero polynomial")
-    rest = list(QVector(chi.coeffs).nums)
+    rest, x_minus_one = chi, QPolynomial.from_ints((-1, 1))
     root_at_one = False
-    while (quotient := exact_quotient(rest, [-1, 1])) is not None:
+    while (quotient := rest.exact_quotient(x_minus_one)) is not None:
         rest = quotient
         root_at_one = True
-    if sturm_count(QPolynomial(rest), lo=ONE) > 0:
+    if sturm_count(rest, lo=ONE) > 0:
         return 1
     return 0 if root_at_one else -1
 
@@ -201,8 +199,7 @@ def cyclotomic_content(
 ) -> tuple[dict[int, int], dict[int, int], QPolynomial]:
     """order -> geometric and order -> algebraic multiplicity of the
     primitive n-th roots of unity, and the cyclotomic-free remainder of
-    the characteristic polynomial chi.  Trial division runs on the
-    primitive integer form of chi.
+    the characteristic polynomial chi, by exact trial division.
 
     Those roots are algebraically indistinguishable over the rationals,
     so ker of the n-th cyclotomic at the matrix splits evenly among
@@ -211,22 +208,18 @@ def cyclotomic_content(
     that forces g = 1, and the matrix is not evaluated; otherwise g is
     read off the rank of the cyclotomic at the matrix."""
     n = op.dim
-    prim, unit = chi.primitive_integer()
-    rest = [int(c) for c in prim.coeffs]
+    rest = chi
     geometric: dict[int, int] = {}
     algebraic: dict[int, int] = {}
     for order in orders_with_phi_at_most(n):
         phi = euler_phi(order)
-        if phi > len(rest) - 1:
+        if phi > rest.degree:
             continue
         phi_n = cyclotomic(order)
-        divisor = [int(c) for c in phi_n.coeffs]
         mult = 0
-        quotient = exact_quotient(rest, divisor)
-        while quotient is not None:
+        while (quotient := rest.exact_quotient(phi_n)) is not None:
             rest = quotient
             mult += 1
-            quotient = exact_quotient(rest, divisor)
         if mult == 0:
             continue
         algebraic[order] = mult
@@ -241,7 +234,7 @@ def cyclotomic_content(
                 f" dimension {kernel_dim}, not g * {phi} with 1 <= g <= {mult}"
             )
         geometric[order] = g
-    return geometric, algebraic, QPolynomial(rest).scale(unit)
+    return geometric, algebraic, rest
 
 
 @dataclass(frozen=True)

@@ -638,7 +638,7 @@ def _limit_matrix(m: QMatrix) -> QMatrix:
             "finite block spectrum leaves the unit disk"
         )
     boundary = unimodular_part(p)
-    if boundary.degree > 0 and boundary != QPolynomial((-ONE, ONE)):
+    if boundary.degree > 0 and boundary != QPolynomial.from_ints((-1, 1)):
         raise UnsupportedClosedFormError(
             "finite block has unimodular spectrum other than 1"
         )

@@ -57,7 +57,7 @@ def parse_matrix(data) -> QMatrix:
 
 
 def polynomial_to_json(p: QPolynomial) -> dict:
-    return {"coeffs": [rational_str(c) for c in p.coeffs]}
+    return {"coeffs": [ratio_str(x, p.den) for x in p.nums]}
 
 
 def subspace_to_json(s: Subspace) -> dict:
@@ -71,7 +71,7 @@ def parse_subspace(data) -> Subspace:
     if not isinstance(data, Mapping) or "ambient_dim" not in data:
         raise ValueError('subspace must be a JSON object with "ambient_dim"')
     ambient = data["ambient_dim"]
-    if not isinstance(ambient, int) or ambient < 0:
+    if not isinstance(ambient, int) or isinstance(ambient, bool) or ambient < 0:
         raise ValueError("ambient_dim must be a nonnegative integer")
     basis = data.get("basis", [])
     if not isinstance(basis, list):

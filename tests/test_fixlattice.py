@@ -17,6 +17,7 @@ import pytest
 
 from latfix import fixlattice, seqspace
 
+from latfix.conegeom import Subspace
 from latfix.conegeom.core import Verdict
 from latfix.conegeom import core as conegeom_core
 from latfix.exactnum import linalg
@@ -221,6 +222,22 @@ class TestInvariantsComputedOnce:
             assert g_f.ge(g_e)
         assert least_fixed_above(fam, QVector([1, 0, 1])) == QVector([1, 1, 1])
         assert calls == Counter(invert=1)
+
+    def test_one_membership_check_per_sup_input(self, monkeypatch):
+        t = averaging_op()
+        fam = family_of(t, PositiveMatrixOperator(t.matrix @ t.matrix, SUP_NORM))
+        vectors = [b for b in fam.fixed_space.basis] + [-fam.fixed_space.basis[0]]
+        expected = sup_in_fixspace(fam, vectors)  # the invariants are cached
+        calls = Counter()
+        original = Subspace.coefficients_of
+
+        def counting(self, v):
+            calls["coefficients_of"] += 1
+            return original(self, v)
+
+        monkeypatch.setattr(Subspace, "coefficients_of", counting)
+        assert sup_in_fixspace(fam, vectors) == expected
+        assert calls == Counter(coefficients_of=len(vectors))
 
     def test_cached_invariants_leave_equality_and_hash_alone(self):
         cached, fresh = family_of(averaging_op()), family_of(averaging_op())

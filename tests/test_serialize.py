@@ -153,10 +153,15 @@ class TestSubspaceCodec:
         assert ser.parse_subspace(ser.subspace_to_json(s)) == s
 
     def test_rejects_bad_ambient(self):
-        with pytest.raises(ValueError):
-            ser.parse_subspace({"ambient_dim": -1, "basis": []})
-        with pytest.raises(ValueError):
-            ser.parse_subspace({"basis": []})
+        for text in (
+            '{"ambient_dim": -1, "basis": []}',
+            '{"basis": []}',
+            # a JSON boolean is a Python bool, which is an int subclass
+            '{"ambient_dim": true, "basis": [["1"]]}',
+            '{"ambient_dim": false, "basis": []}',
+        ):
+            with pytest.raises(ValueError):
+                ser.parse_subspace(json.loads(text))
 
 
 class TestNormAndOperatorCodec:

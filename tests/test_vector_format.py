@@ -5,8 +5,9 @@ gcd(den, *nums) == 1.  Hypothesis checks every `QVector` and `QMatrix`
 operation for exact equality with `vector_oracles.py`, on mixed, coprime
 and 10^12-size denominators, zero entries and empty vectors, and checks
 that every result is in that unique form.  A guard then counts
-`Fraction` constructions: the integer kernels build none from `QVector`
-inputs.
+`Fraction` constructions: the integer kernels, the characteristic
+polynomial and the spectral tail build none from `QVector` and
+`QPolynomial` inputs.
 """
 
 from fractions import Fraction
@@ -17,8 +18,16 @@ from hypothesis import given, settings, strategies as st
 
 from latfix.conegeom import Subspace
 from latfix.conegeom.core import extreme_rays_of_inequality_cone
-from latfix.exactnum.linalg import rank
+from latfix.exactnum import polynomials
+from latfix.exactnum.linalg import char_poly, poly_of_matrix, rank
+from latfix.exactnum.polynomials import (
+    QPolynomial,
+    cyclotomic,
+    poly_gcd,
+    unimodular_part,
+)
 from latfix.exactnum.rational import QMatrix, QVector
+from latfix.opcore import perron_root_vs_one
 
 from vector_oracles import FMatrix, FVector
 
@@ -194,7 +203,7 @@ class TestMatrixOperations:
 
 class TestNoFractionBuilt:
     """The integer kernels read `nums`/`den` and build no `Fraction` from
-    `QVector` inputs."""
+    `QVector` and `QPolynomial` inputs."""
 
     def test_kernels_build_no_fraction(self, monkeypatch):
         h = Fraction(1, 2)
@@ -205,11 +214,20 @@ class TestNoFractionBuilt:
         c = QVector([1, Fraction(-1, 3), h])
         outside = QVector([1, 0, 0, 0])
         rows = f.coordinate_rows()
+        # substochastic with an eigenvalue 1 and a 2-cycle: chi has the
+        # roots 1, -1 and 1/3
+        s = QMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0],
+                     [Fraction(1, 3), 0, Fraction(1, 3), Fraction(1, 3)]])
+        g = QPolynomial([Fraction(-1, 3), 0, 1, Fraction(5, 7)])
 
         def kernels():
             v = f.from_coefficients(c)
+            chi = char_poly(s)
             return (rank(m), m.matmul(b), v, f.coefficients_of(v),
-                    f.coefficients_of(outside), extreme_rays_of_inequality_cone(rows))
+                    f.coefficients_of(outside), extreme_rays_of_inequality_cone(rows),
+                    chi, poly_of_matrix(chi, s), perron_root_vs_one(chi),
+                    poly_gcd(chi, g * chi.derivative()), unimodular_part(chi),
+                    cyclotomic(12))
 
         expected = kernels()
         built = []
@@ -223,7 +241,15 @@ class TestNoFractionBuilt:
         Fraction(1, 3)
         assert built == [(1, 3)]  # the patch sees every construction
         built.clear()
+        # cyclotomic(12) and the cyclotomics of its divisors are built anew
+        monkeypatch.setattr(polynomials, "_cyclotomic_cache", {})
         got = kernels()
         assert built == []
         assert got == expected
         assert expected[0] == 3 and expected[3] == c and expected[4] is None
+        third = Fraction(1, 3)
+        chi = QPolynomial([-third, 4 * third, -2 * third, -4 * third, 1])
+        assert expected[6] == chi and expected[7] == QMatrix.zero(4, 4)
+        assert expected[8] == 0 and expected[9] == QPolynomial([-1, 1])
+        assert expected[10] == QPolynomial([-1, 0, 1])
+        assert expected[11] == QPolynomial([1, 0, -1, 0, 1])
