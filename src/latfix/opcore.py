@@ -47,7 +47,7 @@ class NormTag:
         if self.kind == "weighted_one":
             if self.weights is None or self.weights.dim == 0:
                 raise ValueError("weighted norm needs weights")
-            if any(w <= 0 for w in self.weights):
+            if any(w <= 0 for w in self.weights.nums):
                 raise ValueError("norm weights must be strictly positive")
         elif self.weights is not None:
             raise ValueError("weights only apply to the weighted norm")

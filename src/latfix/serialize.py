@@ -1,14 +1,22 @@
 """JSON codecs for the inputs and reports of the command line.
 
 Rationals render as "p/q" strings ("p" when the denominator is 1); no
-floating point appears anywhere.  Report dictionaries are built in a
-fixed key order and dumped with fixed separators, so equal values
-produce byte-identical canonical JSON across runs and platforms.
+floating point appears anywhere.  An input vector parses straight to
+integer numerators over one common denominator: an entry spelled
+``-?[0-9]+(/[0-9]+)?`` is read with two `int` calls and no `Fraction`,
+and every other value goes through `parse_rational`, so the accepted set,
+the values and the error messages are those of `fractions.Fraction`.
+Report dictionaries are built in a fixed key order and rendered by
+`canonical_json`, a small recursive renderer whose output is byte for
+byte ``json.dumps(data, indent=2, ensure_ascii=True)`` plus a newline, so
+equal values produce byte-identical JSON across runs and platforms.
 """
 from __future__ import annotations
 
-import json
+import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import lcm
 from typing import Mapping, Sequence
 
 from .conegeom import LatticeClassification, Subspace
@@ -37,6 +45,28 @@ def parse_rational(value) -> Fraction:
         raise ValueError(f"not a rational: {value!r}") from exc
 
 
+_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _ratio(value) -> tuple[int, int]:
+    """(numerator, denominator > 0) of a JSON value, not reduced.  The
+    common spelling ``"p"`` or ``"p/q"`` builds no `Fraction`; any other
+    value, a zero denominator, or digits beyond `int`'s limit go through
+    `parse_rational` and raise its error."""
+    match = _RATIO.fullmatch(value) if type(value) is str else None
+    if match is not None:
+        num, den = match.groups()
+        try:
+            num, den = int(num), 1 if den is None else int(den)
+        except ValueError:
+            pass
+        else:
+            if den:
+                return num, den
+    value = parse_rational(value)
+    return value.numerator, value.denominator
+
+
 def vector_to_json(v: QVector) -> list[str]:
     return [ratio_str(x, v.den) for x in v.nums]
 
@@ -44,7 +74,9 @@ def vector_to_json(v: QVector) -> list[str]:
 def parse_vector(data) -> QVector:
     if not isinstance(data, list):
         raise ValueError("vector must be a JSON list")
-    return QVector(parse_rational(x) for x in data)
+    pairs = [_ratio(x) for x in data]
+    den = lcm(*(d for _, d in pairs))
+    return QVector.from_ints([n * (den // d) for n, d in pairs], den)
 
 
 def parse_matrix(data) -> QMatrix:
@@ -253,7 +285,46 @@ def probe_summary_to_json(summary: ProbeSummary) -> dict:
     }
 
 
+def _render(value, pad: str) -> str:
+    """`value` as JSON at indent `pad`, as ``json.dumps`` with indent 2
+    and ASCII escapes would write it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key!r}")
+        items = [
+            encode_basestring_ascii(key) + ": " + _render(item, inner)
+            for key, item in value.items()
+        ]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_render(item, inner) for item in value]
+        brackets = "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    body = (",\n" + inner).join(items)
+    return brackets[0] + "\n" + inner + body + "\n" + pad + brackets[1]
+
+
 def canonical_json(data) -> str:
     """Byte-stable rendering: fixed key order (insertion order of the
-    report builders), two-space indent, trailing newline."""
-    return json.dumps(data, indent=2, ensure_ascii=True) + "\n"
+    report builders), two-space indent, ASCII escapes, trailing newline;
+    the bytes of ``json.dumps(data, indent=2, ensure_ascii=True) + "\\n"``
+    for dicts with str keys, lists, tuples, str, int, bool and None.  A
+    float or a non-str key is a TypeError."""
+    return _render(data, "") + "\n"

@@ -40,9 +40,45 @@ from latfix.seqspace import (
     symbolic_fixed_space,
 )
 from latfix import serialize as ser
+from latfix.cli import main
+from latfix.cli.gallery import GALLERY_IDS, run_gallery
 
 fractions_st = st.fractions(min_value=-100, max_value=100, max_denominator=60)
 vectors_st = st.lists(fractions_st, min_size=1, max_size=6).map(QVector)
+
+# vector entries in the common spelling, unreduced and with 30-digit parts
+part_st = st.one_of(st.integers(0, 12), st.integers(0, 10**30))
+ratio_entry_st = st.one_of(
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-10**30, 10**30),
+              part_st.filter(bool)),
+    st.builds(str, st.integers(-10**30, 10**30)),
+    st.integers(-10**30, 10**30),
+    st.sampled_from(["2/4", "-0", "007/010", "-6/4", "0/7", "10/5"]),
+)
+
+# JSON trees with every kind of string the encoder escapes
+text_st = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\x00\x08\x0c\x1f\x7f\n\r\t\u2028\U0001f600'),
+        st.characters(codec=None, categories=("Cc", "Cs", "Co", "L", "N", "P", "S", "Z")),
+    ),
+    max_size=10,
+)
+tree_st = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(-10**40, 10**40),
+        text_st,
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(text_st, children, max_size=4),
+    ),
+    max_leaves=25,
+)
 
 
 class TestRationalCodec:
@@ -70,6 +106,8 @@ class TestRationalCodec:
         "3/4", " 3/4 ", "\t-3/4\n", "+3", "-0", "0/5", "007", "1/0", "0/0",
         "3/-4", "3 / 4", "1.5", "1e3", "1_000", "0x10", "", " ", "/", "1/",
         "\u0663/4", "\u00bd", 0, -12, 10**30, True, False, 1.5, None, [1], {},
+        "3/4\n", "1/00", "-", "--1", "9" * 5000, "1/" + "9" * 5000,
+        "9" * 4300, "-" + "9" * 4300 + "/" + "7" * 4300,
     )
 
     @staticmethod
@@ -99,9 +137,37 @@ class TestRationalCodec:
         for value in self.ACCEPTANCE_PROBES:
             self.assert_same_acceptance(value)
 
+    @staticmethod
+    def assert_vector_parse_agrees(data):
+        """`parse_vector` gives the value of `parse_rational` on every
+        entry, or a ValueError with the same message."""
+        try:
+            expected = QVector([ser.parse_rational(x) for x in data])
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                ser.parse_vector(data)
+            assert str(info.value) == str(exc)
+        else:
+            assert ser.parse_vector(data) == expected
+
+    def test_vector_accepted_set_unchanged(self):
+        for value in self.ACCEPTANCE_PROBES:
+            self.assert_vector_parse_agrees([value])
+            self.assert_vector_parse_agrees([value, "1/3"])
+            self.assert_vector_parse_agrees(["1/3", value])
+
+    @given(st.lists(ratio_entry_st, max_size=6))
+    def test_vector_parse_matches_fractions(self, data):
+        got = ser.parse_vector(data)
+        expected = QVector(Fraction(x) for x in data)
+        assert (got.nums, got.den, hash(got)) == (
+            expected.nums, expected.den, hash(expected)
+        )
+
     @given(st.text(alphabet="0123456789/+-. _eE\t", max_size=8))
     def test_accepted_strings_unchanged(self, text):
         self.assert_same_acceptance(text)
+        self.assert_vector_parse_agrees([text, "-2/6"])
 
 
 class TestVectorMatrixCodec:
@@ -354,3 +420,60 @@ class TestCanonicalJson:
     def test_stable_across_calls(self):
         data = {"outcome": "Pass", "values": ["1/2", "3"]}
         assert ser.canonical_json(data) == ser.canonical_json(dict(data))
+
+    @staticmethod
+    def assert_matches_json_dumps(data):
+        expected = json.dumps(data, indent=2, ensure_ascii=True) + "\n"
+        assert ser.canonical_json(data) == expected
+
+    @given(tree_st)
+    def test_renderer_matches_json_dumps(self, data):
+        self.assert_matches_json_dumps(data)
+
+    def test_renderer_edge_cases(self):
+        for data in ({}, [], (), "", 0, -1, None, True, [[], {}, ()],
+                     {"": {"a": []}}, "\ud800", ["\udfff\ud83d\ude00"]):
+            self.assert_matches_json_dumps(data)
+
+    @pytest.mark.parametrize("case_id", GALLERY_IDS)
+    def test_renderer_on_gallery_reports(self, case_id):
+        self.assert_matches_json_dumps(run_gallery(case_id))
+
+    def test_renderer_on_each_command(self, tmp_path, capsys):
+        """The --json output of every command is the `json.dumps`
+        rendering of the data it encodes."""
+        def write(name, data):
+            path = tmp_path / name
+            path.write_text(json.dumps(data), encoding="utf-8")
+            return str(path)
+
+        third = "1/3"
+        family = write("family.json", {
+            "matrices": [{"rows": [["1", "0", "0"], [third, third, third],
+                                   ["0", "0", "1"]]}],
+            "norm": "sup",
+        })
+        commands = [
+            ["classify", "-i", write("subspace.json", {
+                "ambient_dim": 3, "basis": [["1", "-1", "0"], ["0", "1", "1/2"]]})],
+            ["fixspace", "-i", family],
+            ["sup-in-fix", "-i", family, "-g",
+             write("vectors.json", [["1", "1/2", "0"], ["0", "1/2", "1"]])],
+            ["cyclicity", "-i", write("operator.json", {
+                "matrix": {"rows": [["0", "1", "0"], ["0", "0", "1"], ["1", "0", "0"]]}})],
+            ["semigroup", "-i", write("generator.json", {"rows": [["-2", "1"], ["1", "-2"]]})],
+            ["probe", "--trials", "2", "--dim-max", "3", "--seed", "4"],
+            ["gallery", "run", "e41"],
+        ]
+        for argv in commands:
+            assert main(argv + ["--json"]) == 0, argv
+            text = capsys.readouterr().out
+            assert text == json.dumps(json.loads(text), indent=2, ensure_ascii=True) + "\n"
+
+    def test_renderer_rejects_float_and_non_str_key(self):
+        with pytest.raises(TypeError):
+            ser.canonical_json({"x": [1, 0.5]})
+        with pytest.raises(TypeError):
+            ser.canonical_json({1: "1"})
+        with pytest.raises(TypeError):
+            ser.canonical_json({"x": Fraction(1, 2)})

@@ -28,6 +28,7 @@ from latfix.exactnum.polynomials import (
 )
 from latfix.exactnum.rational import QMatrix, QVector
 from latfix.opcore import perron_root_vs_one
+from latfix import serialize as ser
 
 from vector_oracles import FMatrix, FVector
 
@@ -201,9 +202,27 @@ class TestMatrixOperations:
         assert_same_matrix(QMatrix.zero(n, n + 1), FMatrix.zero(n, n + 1))
 
 
+def count_fraction_builds(monkeypatch) -> list:
+    """Patch `Fraction.__new__` to record the arguments of every
+    construction from here on, in the list returned."""
+    built = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    Fraction(1, 3)
+    assert built == [(1, 3)]  # the patch sees every construction
+    built.clear()
+    return built
+
+
 class TestNoFractionBuilt:
     """The integer kernels read `nums`/`den` and build no `Fraction` from
-    `QVector` and `QPolynomial` inputs."""
+    `QVector` and `QPolynomial` inputs, and the JSON input edge builds none
+    from "p/q" and "p" strings."""
 
     def test_kernels_build_no_fraction(self, monkeypatch):
         h = Fraction(1, 2)
@@ -230,17 +249,7 @@ class TestNoFractionBuilt:
                     cyclotomic(12))
 
         expected = kernels()
-        built = []
-        original = Fraction.__new__
-
-        def counting_new(cls, *args, **kwargs):
-            built.append(args)
-            return original(cls, *args, **kwargs)
-
-        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
-        Fraction(1, 3)
-        assert built == [(1, 3)]  # the patch sees every construction
-        built.clear()
+        built = count_fraction_builds(monkeypatch)
         # cyclotomic(12) and the cyclotomics of its divisors are built anew
         monkeypatch.setattr(polynomials, "_cyclotomic_cache", {})
         got = kernels()
@@ -253,3 +262,30 @@ class TestNoFractionBuilt:
         assert expected[8] == 0 and expected[9] == QPolynomial([-1, 1])
         assert expected[10] == QPolynomial([-1, 0, 1])
         assert expected[11] == QPolynomial([1, 0, -1, 0, 1])
+
+    def test_input_edge_builds_no_fraction(self, monkeypatch):
+        rows = [["1/2", "1/3", "0", "1/6"], ["0", "1", "0", "0"],
+                ["1/4", "0", "3/4", "0"], ["0", "0", "0", "1"]]
+        weights = ["1", "2", "3/2", "007/010"]
+
+        def parse_all():
+            operator = ser.parse_operator(
+                {"matrix": {"rows": rows}, "norm": {"weighted_one": weights}})
+            identity = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+            family = ser.parse_family(
+                {"matrices": [{"rows": rows}, {"rows": identity}], "norm": "one"})
+            subspace = ser.parse_subspace(
+                {"ambient_dim": 4, "basis": [["2/4", "-1", "0", "3"], ["0", "1/3", "1", "-0"]]})
+            vectors = ser.parse_vector_list({"vectors": [["1/2", "0", "0", "1/2"]]})
+            norm = ser.parse_norm({"weighted_one": weights})
+            text = ser.canonical_json({"v": ser.vector_to_json(vectors[0]),
+                                       "ok": [True, None, -3, ("a", "\u00e9")]})
+            return operator.matrix, family.members[0].matrix, subspace, vectors, norm, text
+
+        expected = parse_all()
+        built = count_fraction_builds(monkeypatch)
+        got = parse_all()
+        assert built == []
+        assert got == expected
+        assert expected[0] == QMatrix([[Fraction(x) for x in row] for row in rows])
+        assert expected[2].basis == (QVector([1, 0, 6, 6]), QVector([0, 1, 3, 0]))
