@@ -47,17 +47,6 @@ GALLERY_IDS = (
 )
 
 
-def _averaging_matrix() -> QMatrix:
-    third = Fraction(1, 3)
-    return QMatrix(
-        [
-            QVector((ONE, ZERO, ZERO)),
-            QVector((third, third, third)),
-            QVector((ZERO, ZERO, ONE)),
-        ]
-    )
-
-
 def case_intro_strict() -> dict:
     """Strictly monotone norm: the fixed space of an l1-contraction is
     a sublattice, so moduli of fixed vectors stay fixed."""
@@ -159,7 +148,7 @@ def case_e42a() -> dict:
     """Finite part of the averaging example: the fixed space is a
     lattice subspace but not a sublattice, and the modulus within it
     differs from the ambient modulus."""
-    family = OperatorFamily([PositiveMatrixOperator(_averaging_matrix())])
+    family = OperatorFamily([PositiveMatrixOperator(builtin_operator("e42").finite_block)])
     report = fixed_space_report(family)
     f_hat = QVector((1, 0, -1))
     modulus = modulus_in(report.fixed_space, f_hat)

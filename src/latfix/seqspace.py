@@ -17,14 +17,19 @@ exact computation possible on this class:
   forms through the fixed-space projection of the (augmented) finite
   block.
 
-Vectors are kept canonical: chain prefixes never end in the tail value
-and grid rows never end in zero rows, so structural equality is value
-equality.
+A chain (or grid row) is one `QVector`, the prefix entries followed by
+the tail, and every symbolic-vector operation (sums, maxima, moduli,
+scaling, order, norms) is the matching `QVector` operation on the finite
+part and on each chain padded to a common prefix length; `Fraction`
+views appear only at the API edge.  Vectors are kept canonical: chain
+prefixes never end in the tail value and grid rows never end in zero
+rows, so structural equality is value equality.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .conegeom import Subspace
@@ -60,14 +65,7 @@ class ChainDecl:
             raise ValueError(f"unknown space tag {self.space_tag!r}")
 
 
-@dataclass(frozen=True)
-class GridDecl:
-    name: str
-    space_tag: str
-
-    def __post_init__(self) -> None:
-        if self.space_tag not in (C_ZERO, L_INFTY):
-            raise ValueError(f"unknown space tag {self.space_tag!r}")
+GridDecl = ChainDecl
 
 
 @dataclass(frozen=True)
@@ -101,41 +99,57 @@ class IndexSchema:
 
 @dataclass(frozen=True)
 class ChainValue:
-    """Eventually constant sequence: explicit prefix, then the tail."""
+    """Eventually constant sequence: the prefix entries, then the tail,
+    as one `QVector` whose prefix never ends in the tail value."""
 
-    prefix: tuple[Fraction, ...]
-    tail: Fraction
+    values: QVector
+
+    def __post_init__(self) -> None:
+        nums = self.values.nums
+        if not nums:
+            raise ValueError("a chain value needs a tail")
+        n = len(nums) - 1
+        while n and nums[n - 1] == nums[-1]:
+            n -= 1
+        if n < len(nums) - 1:
+            stripped = QVector.from_ints(nums[:n] + nums[-1:], self.values.den)
+            object.__setattr__(self, "values", stripped)
+
+    @property
+    def prefix(self) -> tuple[Fraction, ...]:
+        return self.values.entries[:-1]
+
+    @property
+    def tail(self) -> Fraction:
+        return self.values[-1]
 
     def at(self, j: int) -> Fraction:
-        return self.prefix[j] if j < len(self.prefix) else self.tail
+        return self.values[min(j, len(self.values) - 1)]
 
     def is_zero(self) -> bool:
-        return not self.prefix and self.tail == 0
+        return self.values.is_zero()
 
     def sup_norm(self) -> Fraction:
-        return max([abs(self.tail)] + [abs(x) for x in self.prefix])
+        return self.values.sup_norm()
+
+    def padded(self, n: int) -> QVector:
+        """The first n entries, then the tail; n is at least the prefix
+        length."""
+        nums = self.values.nums
+        return QVector.from_ints(nums + nums[-1:] * (n + 1 - len(nums)), self.values.den)
+
+    def shifted(self, entry: Fraction) -> "ChainValue":
+        """entry, then this sequence: the shift-insert image."""
+        p, q, den = entry.numerator, entry.denominator, self.values.den
+        nums = (p * den,) + tuple(q * x for x in self.values.nums)
+        return ChainValue(QVector.from_ints(nums, q * den))
 
 
 def chain_value(prefix: Iterable, tail) -> ChainValue:
-    t = rat(tail)
-    p = [rat(x) for x in prefix]
-    while p and p[-1] == t:
-        p.pop()
-    return ChainValue(tuple(p), t)
+    return ChainValue(QVector([*prefix, tail]))
 
 
-ZERO_CHAIN = ChainValue((), ZERO)
-
-
-def _chain_zip(a: ChainValue, b: ChainValue, f) -> ChainValue:
-    n = max(len(a.prefix), len(b.prefix))
-    return chain_value(
-        (f(a.at(j), b.at(j)) for j in range(n)), f(a.tail, b.tail)
-    )
-
-
-def _chain_map(a: ChainValue, f) -> ChainValue:
-    return chain_value((f(x) for x in a.prefix), f(a.tail))
+ZERO_CHAIN = ChainValue(QVector.zero(1))
 
 
 @dataclass(frozen=True)
@@ -151,22 +165,19 @@ class SymbolicVector:
             raise ValueError("finite part does not match the schema")
         if len(self.chains) != len(s.chains):
             raise ValueError("chain count does not match the schema")
-        chains = tuple(chain_value(c.prefix, c.tail) for c in self.chains)
-        for decl, c in zip(s.chains, chains):
-            if decl.space_tag == C_ZERO and c.tail != 0:
+        for decl, c in zip(s.chains, self.chains):
+            if decl.space_tag == C_ZERO and c.values.nums[-1]:
                 raise ValueError(
                     f"chain {decl.name!r} lives in c0 but has tail {c.tail}"
                 )
-        rows = [chain_value(r.prefix, r.tail) for r in self.grid_rows]
+        rows = list(self.grid_rows)
         if rows and s.grid is None:
             raise ValueError("grid rows without a grid in the schema")
         if s.grid is not None and s.grid.space_tag == C_ZERO:
-            for r in rows:
-                if r.tail != 0:
-                    raise ValueError("grid rows live in c0 but have a tail")
+            if any(r.values.nums[-1] for r in rows):
+                raise ValueError("grid rows live in c0 but have a tail")
         while rows and rows[-1].is_zero():
             rows.pop()
-        object.__setattr__(self, "chains", chains)
         object.__setattr__(self, "grid_rows", tuple(rows))
 
     @staticmethod
@@ -183,76 +194,67 @@ class SymbolicVector:
     def grid_row_tail(self, k: int) -> Fraction:
         return self.grid_row(k).tail
 
+    def parts(self) -> list[QVector]:
+        """The finite part, then each chain's and each grid row's values."""
+        return [self.finite_part, *(c.values for c in self.chains + self.grid_rows)]
+
     def is_zero(self) -> bool:
-        return (
-            self.finite_part.is_zero()
-            and all(c.is_zero() for c in self.chains)
-            and not self.grid_rows
-        )
+        return all(v.is_zero() for v in self.parts())
 
     def sup_norm(self) -> Fraction:
-        parts = [abs(x) for x in self.finite_part]
-        parts += [c.sup_norm() for c in self.chains]
-        parts += [r.sup_norm() for r in self.grid_rows]
-        return max(parts, default=Fraction(0))
+        return max(v.sup_norm() for v in self.parts())
 
     def _zip(self, other: "SymbolicVector", f) -> "SymbolicVector":
+        """f, a `QVector` operation, on each pair of matching parts; chains
+        are padded to a common prefix length first."""
         if self.schema != other.schema:
             raise ValueError("schema mismatch")
+
+        def chain(a: ChainValue, b: ChainValue) -> ChainValue:
+            n = max(len(a.values), len(b.values)) - 1
+            return ChainValue(f(a.padded(n), b.padded(n)))
+
         nrows = max(len(self.grid_rows), len(other.grid_rows))
         return SymbolicVector(
             self.schema,
-            QVector(f(a, b) for a, b in zip(self.finite_part, other.finite_part)),
-            tuple(
-                _chain_zip(a, b, f) for a, b in zip(self.chains, other.chains)
-            ),
-            tuple(
-                _chain_zip(self.grid_row(k), other.grid_row(k), f)
-                for k in range(nrows)
-            ),
+            f(self.finite_part, other.finite_part),
+            tuple(map(chain, self.chains, other.chains)),
+            tuple(chain(self.grid_row(k), other.grid_row(k)) for k in range(nrows)),
         )
 
     def _map(self, f) -> "SymbolicVector":
+        """f, a `QVector` operation, on every part."""
         return SymbolicVector(
             self.schema,
-            QVector(f(x) for x in self.finite_part),
-            tuple(_chain_map(c, f) for c in self.chains),
-            tuple(_chain_map(r, f) for r in self.grid_rows),
+            f(self.finite_part),
+            tuple(ChainValue(f(c.values)) for c in self.chains),
+            tuple(ChainValue(f(r.values)) for r in self.grid_rows),
         )
 
     def __add__(self, other: "SymbolicVector") -> "SymbolicVector":
-        return self._zip(other, lambda a, b: a + b)
+        return self._zip(other, QVector.__add__)
 
     def __sub__(self, other: "SymbolicVector") -> "SymbolicVector":
-        return self._zip(other, lambda a, b: a - b)
+        return self._zip(other, QVector.__sub__)
 
     def __neg__(self) -> "SymbolicVector":
-        return self._map(lambda a: -a)
+        return self._map(QVector.__neg__)
 
     def scale(self, c) -> "SymbolicVector":
         c = rat(c)
-        return self._map(lambda a: c * a)
+        return self._map(lambda v: v.scale(c))
 
     def abs(self) -> "SymbolicVector":
-        return self._map(abs)
+        return self._map(QVector.abs)
 
     def ge(self, other: "SymbolicVector") -> bool:
         """Componentwise self >= other across all coordinates."""
-        diff = self._zip(other, lambda a, b: a - b)
-        if any(x < 0 for x in diff.finite_part):
-            return False
-        for c in diff.chains:
-            if c.tail < 0 or any(x < 0 for x in c.prefix):
-                return False
-        for r in diff.grid_rows:
-            if r.tail < 0 or any(x < 0 for x in r.prefix):
-                return False
-        return True
+        return all(v.is_nonneg() for v in (self - other).parts())
 
 
 def pointwise_sup(u: SymbolicVector, v: SymbolicVector) -> SymbolicVector:
     """Coordinatewise maximum, the ambient lattice supremum."""
-    return u._zip(v, max)
+    return u._zip(v, QVector.cwise_max)
 
 
 def ambient_sup(vectors: Sequence[SymbolicVector]) -> SymbolicVector:
@@ -310,14 +312,18 @@ class LinearFunctionalSpec:
         return LinearFunctionalSpec(fin, cht, grt)
 
     def evaluate(self, v: SymbolicVector) -> Fraction:
-        total = Fraction(0)
-        for i, c in self.finite_terms:
-            total += c * v.finite_part[i]
-        for i, c in self.chain_tail_terms:
-            total += c * v.chains[i].tail
-        for k, c in self.grid_row_tail_terms:
-            total += c * v.grid_row_tail(k)
-        return total
+        """The sum of the terms over one common denominator, read off the
+        integer numerators of v's parts."""
+        reads = [(c, v.finite_part, i) for i, c in self.finite_terms]
+        reads += [(c, v.chains[i].values, -1) for i, c in self.chain_tail_terms]
+        reads += [(c, v.grid_row(k).values, -1) for k, c in self.grid_row_tail_terms]
+        num, den = 0, 1
+        for c, vec, j in reads:
+            d = c.denominator * vec.den
+            m = lcm(den, d)
+            num = num * (m // den) + c.numerator * vec.nums[j] * (m // d)
+            den = m
+        return Fraction(num, den)
 
     def mass(self) -> Fraction:
         return sum(
@@ -400,8 +406,7 @@ def apply(op: ShiftInsertOperator, v: SymbolicVector) -> SymbolicVector:
     for i, spec in op.finite_inputs:
         finite = finite + QVector.unit(finite.dim, i).scale(spec.evaluate(v))
     chains = tuple(
-        chain_value((spec.evaluate(v),) + c.prefix, c.tail)
-        for spec, c in zip(op.chain_sources, v.chains)
+        c.shifted(spec.evaluate(v)) for spec, c in zip(op.chain_sources, v.chains)
     )
     rows: list[ChainValue] = []
     if op.schema.grid is not None:
@@ -412,7 +417,7 @@ def apply(op: ShiftInsertOperator, v: SymbolicVector) -> SymbolicVector:
                 if k == 0
                 else op.grid_cross * v.grid_row_tail(k - 1)
             )
-            rows.append(chain_value((entry,) + old.prefix, old.tail))
+            rows.append(old.shifted(entry))
     return SymbolicVector(op.schema, finite, chains, tuple(rows))
 
 
@@ -426,13 +431,9 @@ def symbolic_operator_norm(op: ShiftInsertOperator) -> Fraction:
     """Induced sup norm: the largest l1 coefficient mass over all output
     coordinates.  Shift coordinates carry mass 1; the maximum is finite
     because only finitely many distinct coordinate rules exist."""
-    masses: list[Fraction] = []
-    extra = dict(op.finite_inputs)
-    for i, row in enumerate(op.finite_block.rows):
-        m = sum(map(abs, row), Fraction(0))
-        if i in extra:
-            m += extra[i].mass()
-        masses.append(m)
+    masses = [row.one_norm() for row in op.finite_block.rows]
+    for i, spec in op.finite_inputs:
+        masses[i] += spec.mass()
     for spec in op.chain_sources:
         masses.append(spec.mass())
     if op.schema.chains:
@@ -486,35 +487,27 @@ def symbolic_eigenspace(op: ShiftInsertOperator, lam) -> list[SymbolicVector]:
     nf = s.finite_dim
     nch = len(s.chains)
     nvars = nf + nch + (1 if s.grid is not None else 0)
-    rows: list[QVector] = []
-
-    def add(row: list[Fraction]) -> None:
-        rows.append(QVector(row))
-
-    extra = dict(op.finite_inputs)
-    for i in range(nf):
-        row = [ZERO] * nvars
-        for j in range(nf):
-            row[j] += op.finite_block.entry(i, j)
-        if i in extra:
-            srow = _spec_row(op, extra[i], nvars)
-            row = [a + b for a, b in zip(row, srow)]
+    rows: list[list[Fraction]] = []
+    for i, block_row in enumerate(op.finite_block.rows):
+        row = list(block_row) + [ZERO] * (nvars - nf)
         row[i] -= lam
-        add(row)
+        rows.append(row)
+    for i, spec in op.finite_inputs:
+        rows[i] = [a + b for a, b in zip(rows[i], _spec_row(op, spec, nvars))]
     for ci, (decl, spec) in enumerate(zip(s.chains, op.chain_sources)):
         row = _spec_row(op, spec, nvars)
         row[nf + ci] -= lam
-        add(row)
+        rows.append(row)
         active = lam == ONE and decl.space_tag == L_INFTY
         if not active:
             forced = [ZERO] * nvars
             forced[nf + ci] = ONE
-            add(forced)
+            rows.append(forced)
     if s.grid is not None:
         gv = nf + nch
         row = _spec_row(op, op.grid_row0_source, nvars)
         row[gv] -= lam
-        add(row)
+        rows.append(row)
         active = (
             lam == ONE
             and s.grid.space_tag == L_INFTY
@@ -523,17 +516,17 @@ def symbolic_eigenspace(op: ShiftInsertOperator, lam) -> list[SymbolicVector]:
         if not active:
             forced = [ZERO] * nvars
             forced[gv] = ONE
-            add(forced)
+            rows.append(forced)
     basis = kernel_basis(QMatrix(rows)) if rows else kernel_basis(
         QMatrix([QVector.zero(nvars)])
     )
     out: list[SymbolicVector] = []
     for k in basis:
         finite = QVector(k[i] for i in range(nf))
-        chains = tuple(ChainValue((), k[nf + ci]) for ci in range(nch))
+        chains = tuple(chain_value((), k[nf + ci]) for ci in range(nch))
         grid_rows: tuple[ChainValue, ...] = ()
         if s.grid is not None and k[nf + nch] != 0:
-            grid_rows = (ChainValue((), k[nf + nch]),)
+            grid_rows = (chain_value((), k[nf + nch]),)
         vec = SymbolicVector(s, finite, chains, grid_rows)
         if apply(op, vec) != vec.scale(lam):
             raise TheoremViolationError("eigenvector failed verification")
@@ -603,24 +596,24 @@ class OrbitSup:
     evidence: tuple[Fraction, ...] = ()
 
 
-def _folded_finite_map(
-    op: ShiftInsertOperator, g: SymbolicVector
-) -> tuple[QMatrix, QVector]:
+def _folded_finite_map(op: ShiftInsertOperator, g: SymbolicVector) -> QMatrix:
     """The finite part evolves as x -> Ax + b along the orbit: tail
     values never change under the shift-insert action, so functional
     inputs split into finite-coordinate coefficients (folded into the
-    block) and a constant drive read off from g's tails."""
+    block) and a constant drive read off from g's tails.  Returns the
+    augmented matrix [[A, b], [0, 1]], which maps (x, 1) to (Ax + b, 1)."""
     nf = op.schema.finite_dim
-    rows = [list(r) for r in op.finite_block.rows]
-    drive = [ZERO] * nf
+    rows = [QVector.from_ints(r.nums + (0,), r.den) for r in op.finite_block.rows]
     for i, spec in op.finite_inputs:
+        row = [ZERO] * (nf + 1)
         for j, c in spec.finite_terms:
-            rows[i][j] += c
+            row[j] += c
         for ci, c in spec.chain_tail_terms:
-            drive[i] += c * g.chains[ci].tail
+            row[nf] += c * g.chains[ci].tail
         for k, c in spec.grid_row_tail_terms:
-            drive[i] += c * g.grid_row_tail(k)
-    return QMatrix([QVector(r) for r in rows]), QVector(drive)
+            row[nf] += c * g.grid_row_tail(k)
+        rows[i] = rows[i] + QVector(row)
+    return QMatrix(rows + [QVector.unit(nf + 1, nf)])
 
 
 def _limit_matrix(m: QMatrix) -> QMatrix:
@@ -667,28 +660,26 @@ def _limit_step(
     """
     s = op.schema
     nf = s.finite_dim
-    a, b = _folded_finite_map(op, g)
-    aug_rows = [
-        QVector(tuple(a.rows[i]) + (b[i],)) for i in range(nf)
-    ] + [QVector((ZERO,) * nf + (ONE,))]
-    m = QMatrix(aug_rows).power(power)
+    aug = _folded_finite_map(op, g)
+    m = aug.power(power)
     proj = limits.get(m)
     if proj is None:
         proj = limits[m] = _limit_matrix(m)
 
-    finite_states = [g.finite_part]
+    x = g.finite_part
+    states = [QVector.from_ints(x.nums + (x.den,), x.den)]
     for _ in range(power - 1):
-        finite_states.append(a @ finite_states[-1] + b)
-    limits = []
-    for x in finite_states:
-        lim_aug = proj @ QVector(tuple(x) + (ONE,))
-        limits.append(QVector(lim_aug[i] for i in range(nf)))
+        states.append(aug @ states[-1])
+    finite_limits = []
+    for state in states:
+        lim = proj @ state
+        finite_limits.append(QVector.from_ints(lim.nums[:nf], lim.den))
 
     def residue_limits(spec: LinearFunctionalSpec) -> Fraction:
         values = set()
         for rho in range(power):
             r = (power - rho - 1) % power
-            frozen = SymbolicVector(s, limits[r], g.chains, g.grid_rows)
+            frozen = SymbolicVector(s, finite_limits[r], g.chains, g.grid_rows)
             values.add(spec.evaluate(frozen))
         if len(values) != 1:
             raise UnsupportedClosedFormError(
@@ -704,7 +695,7 @@ def _limit_step(
                 f"orbit supremum on c0 chain {decl.name!r} would have tail"
                 f" {limit}; the orbit has no supremum in the space"
             )
-        chains.append(ChainValue((), limit))
+        chains.append(chain_value((), limit))
 
     rows: list[ChainValue] = []
     if s.grid is not None:
@@ -717,9 +708,9 @@ def _limit_step(
                     f"orbit supremum on grid row {k} would have tail"
                     f" {limit}; the orbit has no supremum in the space"
                 )
-            rows.append(ChainValue((), limit))
+            rows.append(chain_value((), limit))
 
-    sup = SymbolicVector(s, limits[0], tuple(chains), tuple(rows))
+    sup = SymbolicVector(s, finite_limits[0], tuple(chains), tuple(rows))
     if not sup.ge(g):
         raise TheoremViolationError("orbit supremum fails to dominate the start")
     return sup

@@ -155,10 +155,8 @@ def parse_vector_list(data) -> list[QVector]:
 
 
 def chain_to_json(c: ChainValue) -> dict:
-    return {
-        "prefix": [rational_str(x) for x in c.prefix],
-        "tail": rational_str(c.tail),
-    }
+    *prefix, tail = vector_to_json(c.values)
+    return {"prefix": prefix, "tail": tail}
 
 
 def symbolic_vector_to_json(v: SymbolicVector) -> dict:

@@ -34,7 +34,6 @@ from latfix.fixlattice import (
 from latfix import opcore
 from latfix.opcore import ONE_NORM, SUP_NORM, OperatorFamily, PositiveMatrixOperator
 from latfix.seqspace import (
-    ChainValue,
     GridDecl,
     IndexSchema,
     L_INFTY,
@@ -42,6 +41,7 @@ from latfix.seqspace import (
     ShiftInsertOperator,
     SymbolicVector,
     builtin_operator,
+    chain_value,
     symbolic_eigenspace,
     symbolic_fixed_space,
 )
@@ -416,7 +416,7 @@ class TestSymbolicTrace:
     def test_vector_not_fixed_rejected(self):
         op = builtin_operator("e42")
         s = op.schema
-        zero = ChainValue((), 0)
+        zero = chain_value((), 0)
         bad = SymbolicVector(s, QVector([1, 0, 0]), chains=(zero, zero))
         with pytest.raises(ValueError):
             transfinite_trace(op, [bad])

@@ -24,7 +24,6 @@ from latfix.seqspace import (
     L_INFTY,
     ZERO_CHAIN,
     ChainDecl,
-    ChainValue,
     GridDecl,
     IndexSchema,
     LinearFunctionalSpec,
@@ -158,8 +157,8 @@ def mixed_operator() -> ShiftInsertOperator:
 
 class TestChainValue:
     def test_canonical_form_strips_trailing_tail(self):
-        assert chain_value([1, 1], 1) == ChainValue((), Fraction(1))
-        assert chain_value([1, 0], 0) == ChainValue((Fraction(1),), Fraction(0))
+        assert chain_value([1, 1], 1) == chain_value((), Fraction(1))
+        assert chain_value([1, 0], 0) == chain_value((Fraction(1),), Fraction(0))
         assert chain_value([], 2).at(17) == 2
 
     def test_sup_norm(self):
@@ -225,7 +224,7 @@ class TestSymbolicVector:
         w = SymbolicVector(s, QVector(()), (chain_value([], 1),))
         sup = pointwise_sup(u, w)
         # max is constant 1: the prefix disappears in canonical form
-        assert sup.chains[0] == ChainValue((), Fraction(1))
+        assert sup.chains[0] == chain_value((), Fraction(1))
         assert ambient_sup([u, w]) == sup
 
 
@@ -330,6 +329,31 @@ class TestOperatorNorm:
                 assert apply(op, v).sup_norm() <= norm * v.sup_norm()
 
 
+class TestRepeatedFiniteInputs:
+    """Two inputs on one coordinate add up, in every reader: the image,
+    the norm and the eigenspace all see the single input 1 * b."""
+
+    def operators(self):
+        s = IndexSchema(("a", "b"))
+        block = QMatrix([[rat("1/2"), 0], [0, 1]])
+        half = LinearFunctionalSpec.build(s, finite={"b": rat("1/2")})
+        one = LinearFunctionalSpec.build(s, finite={"b": 1})
+        repeated = ShiftInsertOperator(s, block, finite_inputs=((0, half), (0, half)))
+        single = ShiftInsertOperator(s, block, finite_inputs=((0, one),))
+        return repeated, single
+
+    def test_apply_norm_and_eigenspace(self):
+        repeated, single = self.operators()
+        v = SymbolicVector(repeated.schema, QVector([3, rat("5/7")]))
+        assert apply(repeated, v) == apply(single, v)
+        assert symbolic_operator_norm(repeated) == rat("3/2")
+        assert symbolic_operator_norm(single) == rat("3/2")
+        (u,) = symbolic_eigenspace(repeated, 1)
+        assert u.finite_part == QVector([1, rat("1/2")])
+        assert apply(repeated, u) == u
+        assert symbolic_eigenspace(single, 1) == [u]
+
+
 class TestEigenspaces:
     def test_e41_fixed_space(self):
         op = builtin_operator("e41")
@@ -409,7 +433,7 @@ class TestOrbitSup:
         assert result.outcome == "Stabilized"
         sup = result.supremum
         assert sup.finite_part == QVector([1, 1, 1])
-        assert sup.chains[0] == ChainValue((), Fraction(1))
+        assert sup.chains[0] == chain_value((), Fraction(1))
         assert sup.chains[1].is_zero()
 
     def test_orbit_members_below_supremum(self):

@@ -29,6 +29,18 @@ from latfix.exactnum.polynomials import (
 from latfix.exactnum.rational import QMatrix, QVector
 from latfix.opcore import perron_root_vs_one
 from latfix import serialize as ser
+from latfix.seqspace import (
+    C_ZERO,
+    L_INFTY,
+    ZERO_CHAIN,
+    ChainDecl,
+    GridDecl,
+    IndexSchema,
+    LinearFunctionalSpec,
+    SymbolicVector,
+    chain_value,
+    pointwise_sup,
+)
 
 from vector_oracles import FMatrix, FVector
 
@@ -221,8 +233,9 @@ def count_fraction_builds(monkeypatch) -> list:
 
 class TestNoFractionBuilt:
     """The integer kernels read `nums`/`den` and build no `Fraction` from
-    `QVector` and `QPolynomial` inputs, and the JSON input edge builds none
-    from "p/q" and "p" strings."""
+    `QVector` and `QPolynomial` inputs, the JSON input edge builds none
+    from "p/q" and "p" strings, and symbolic-vector arithmetic builds none
+    from its chains."""
 
     def test_kernels_build_no_fraction(self, monkeypatch):
         h = Fraction(1, 2)
@@ -289,3 +302,32 @@ class TestNoFractionBuilt:
         assert got == expected
         assert expected[0] == QMatrix([[Fraction(x) for x in row] for row in rows])
         assert expected[2].basis == (QVector([1, 0, 6, 6]), QVector([0, 1, 3, 0]))
+
+    def test_symbolic_arithmetic_builds_no_fraction(self, monkeypatch):
+        h, t = Fraction(1, 2), Fraction(1, 3)
+        s = IndexSchema(("a", "b"), (ChainDecl("c", L_INFTY), ChainDecl("z", C_ZERO)),
+                        GridDecl("g", L_INFTY))
+        u = SymbolicVector(s, QVector([h, -3]),
+                           (chain_value([1, -2 * t], Fraction(1, 4)), chain_value([5], 0)),
+                           (chain_value([], 2), chain_value([Fraction(1, 6)], -1)))
+        w = SymbolicVector(s, QVector([-t, 7]), (chain_value([h], 2), ZERO_CHAIN),
+                           (chain_value([3, 3], Fraction(1, 5)),))
+        spec = LinearFunctionalSpec.build(s, finite={"a": h, "b": 3},
+                                          chain_tails={"c": 2 * t}, grid_row_tails={1: 5})
+
+        def arithmetic():
+            sup = pointwise_sup(u, w)
+            return (u + w, u - w, -u, u.abs(), sup, u.ge(w), sup.ge(u),
+                    ser.chain_to_json(u.chains[0]), ser.chain_to_json(w.grid_rows[0]))
+
+        expected = arithmetic()
+        built = count_fraction_builds(monkeypatch)
+        got = arithmetic()
+        assert built == []
+        value = spec.evaluate(u)
+        assert len(built) == 1
+        assert got == expected
+        assert expected[5] is False and expected[6] is True
+        assert expected[7] == {"prefix": ["1", "-2/3"], "tail": "1/4"}
+        assert expected[8] == {"prefix": ["3", "3"], "tail": "1/5"}
+        assert value == h * h + 3 * -3 + 2 * t * Fraction(1, 4) + 5 * -1
