@@ -157,12 +157,15 @@ def _cmd_semigroup(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    summary = probe_random_contractions(
-        trials=args.trials,
-        dim_max=args.dim_max,
-        seed=args.seed,
-        out_path=args.out,
-    )
+    try:
+        summary = probe_random_contractions(
+            trials=args.trials,
+            dim_max=args.dim_max,
+            seed=args.seed,
+            out_path=args.out,
+        )
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.out}: {exc}") from exc
     _emit(serialize.probe_summary_to_json(summary), args.json)
     return DEFECT if summary.violations else OK
 

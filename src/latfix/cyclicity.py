@@ -4,15 +4,15 @@ For a positive contraction, every unimodular eigenvalue lambda that is
 a root of unity drags its whole power orbit along: lambda^k is again an
 eigenvalue and the eigenspace dimension can only grow when passing from
 lambda to lambda^k.  This module makes that dimension estimate an
-executable check in rational arithmetic, from one pass over the
-characteristic polynomial (``opcore.cyclotomic_content``, which the
-power-boundedness analysis shares): trial division by the cyclotomic
-polynomials gives the root-of-unity content, the n-th cyclotomic is
-evaluated at the matrix (its kernel has dimension multiplicity * phi(n))
-only when it divides the characteristic polynomial more than once (a
-simple factor forces multiplicity 1), and a Sturm count on the
-cyclotomic-free remainder finds the unimodular eigenvalues that are not
-roots of unity.  Nothing is factored, so there is no degree bound.
+executable check in rational arithmetic: trial division by the
+cyclotomic polynomials (``polynomials.cyclotomic_division``) gives the
+root-of-unity content of the characteristic polynomial, the n-th
+cyclotomic is evaluated at the matrix (its kernel has dimension
+multiplicity * phi(n)) only when it divides the characteristic
+polynomial more than once (a simple factor forces multiplicity 1), and
+a Sturm count on the cyclotomic-free remainder finds the unimodular
+eigenvalues that are not roots of unity.  Nothing is factored, so there
+is no degree bound.
 
 The related semigroup statement is covered in its finite-dimensional
 form: a Metzler matrix with nonpositive logarithmic sup norm generates
@@ -36,20 +36,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .exactnum.linalg import char_poly
+from .exactnum import TheoremViolationError
+from .exactnum.linalg import char_poly, poly_of_matrix, rank
 from .exactnum.polynomials import (
     QPolynomial,
+    cyclotomic,
+    cyclotomic_division,
+    euler_phi,
     has_unimodular_root,
     poly_gcd,
     strip_zero_roots,
     sturm_count,
 )
 from .exactnum.rational import QMatrix, QVector
-from .opcore import (
-    PositiveMatrixOperator,
-    contraction_check,
-    cyclotomic_content,
-)
+from .opcore import PositiveMatrixOperator, contraction_check
 
 PROBE_STRUCTURAL_NOTE = (
     "finite-dimensional positive matrices reduce to a block-triangular"
@@ -65,7 +65,7 @@ def root_of_unity_spectrum(
 ) -> list[tuple[int, int]]:
     """Orders n whose primitive n-th roots of unity are eigenvalues,
     with geometric multiplicities, ascending by order."""
-    return sorted(cyclotomic_content(op, char_poly(op.matrix))[0].items())
+    return list(verify_dimension_cyclicity(op).orders)
 
 
 def algebraic_root_of_unity_spectrum(
@@ -74,7 +74,7 @@ def algebraic_root_of_unity_spectrum(
     """Like root_of_unity_spectrum but with algebraic multiplicities,
     read off from repeated cyclotomic division of the characteristic
     polynomial."""
-    return sorted(cyclotomic_content(op, char_poly(op.matrix))[1].items())
+    return list(verify_dimension_cyclicity(op).algebraic_orders)
 
 
 def non_cyclotomic_boundary(op: PositiveMatrixOperator) -> bool:
@@ -83,8 +83,7 @@ def non_cyclotomic_boundary(op: PositiveMatrixOperator) -> bool:
     minimal polynomial, so these are the unimodular roots left after
     trial division by the cyclotomics; a Sturm count finds them, with no
     factorization and no degree bound."""
-    rest = cyclotomic_content(op, char_poly(op.matrix))[2]
-    return has_unimodular_root(rest)
+    return verify_dimension_cyclicity(op).non_cyclotomic_boundary
 
 
 @dataclass(frozen=True)
@@ -116,8 +115,24 @@ def verify_dimension_cyclicity(op: PositiveMatrixOperator) -> CyclicityReport:
     still carries the data), Fail when a validated instance violates
     the estimate (a defect signal), Pass otherwise.
     """
-    geometric, algebraic, rest = cyclotomic_content(op, char_poly(op.matrix))
-    orders = tuple(sorted(geometric.items()))
+    algebraic, rest = cyclotomic_division(char_poly(op.matrix))
+    # The primitive n-th roots of unity are conjugate over the rationals,
+    # so the kernel of the n-th cyclotomic at the matrix has dimension
+    # g * phi(n) with 1 <= g <= mult; a simple factor forces g = 1.
+    geometric = dict(algebraic)
+    for n, mult in algebraic.items():
+        if mult == 1:
+            continue
+        phi = euler_phi(n)
+        kernel_dim = op.dim - rank(poly_of_matrix(cyclotomic(n), op.matrix))
+        g, leftover = divmod(kernel_dim, phi)
+        if leftover or not 1 <= g <= mult:
+            raise TheoremViolationError(
+                f"kernel of the order-{n} cyclotomic at the matrix has"
+                f" dimension {kernel_dim}, not g * {phi} with 1 <= g <= {mult}"
+            )
+        geometric[n] = g
+    orders = tuple(geometric.items())
     estimates: list[DimensionEstimate] = []
     for n, m in orders:
         for k in range(n):
@@ -141,7 +156,7 @@ def verify_dimension_cyclicity(op: PositiveMatrixOperator) -> CyclicityReport:
         verdict = "Fail"
     return CyclicityReport(
         orders=orders,
-        algebraic_orders=tuple(sorted(algebraic.items())),
+        algebraic_orders=tuple(algebraic.items()),
         non_cyclotomic_boundary=has_unimodular_root(rest),
         estimates=tuple(estimates),
         verdict=verdict,

@@ -6,7 +6,7 @@ nonzero), and ``coeffs`` is a `Fraction` view for the API edge.  The
 module provides
 
 * integer arithmetic, exact division, gcd, Yun squarefree decomposition,
-* cyclotomic polynomial generation and identification,
+* cyclotomic polynomial generation, identification and trial division,
 * Sturm-sequence real root counting on intervals,
 * complete factorization over the rationals for degree at most 16,
 * exact detection of roots on the unit circle.
@@ -389,6 +389,25 @@ def cyclotomic_order(p: QPolynomial) -> int | None:
     return None
 
 
+def cyclotomic_division(p: QPolynomial) -> tuple[dict[int, int], QPolynomial]:
+    """order -> multiplicity of every cyclotomic factor of p, ascending by
+    order, and the cyclotomic-free rest, by exact trial division.  A
+    factor of p has degree phi(n) <= deg p, so no order is missed."""
+    rest = p
+    multiplicities: dict[int, int] = {}
+    for order in orders_with_phi_at_most(p.degree):
+        if euler_phi(order) > rest.degree:
+            continue
+        phi_n = cyclotomic(order)
+        mult = 0
+        while (quotient := rest.exact_quotient(phi_n)) is not None:
+            rest = quotient
+            mult += 1
+        if mult:
+            multiplicities[order] = mult
+    return multiplicities, rest
+
+
 # ---------------------------------------------------------------------------
 # Sturm sequences
 
@@ -718,18 +737,10 @@ def _factor_squarefree(q: QPolynomial) -> list[QPolynomial]:
         lin = QPolynomial((-root, 1)).primitive_integer()[0]
         factors.append(lin)
         work = work.divmod(lin)[0]
-    # cyclotomic trial division
+    # cyclotomic trial division (each factor once: q is squarefree)
     if work.degree > 1:
-        for n in orders_with_phi_at_most(work.degree):
-            if n <= 2:
-                continue  # the linear cyclotomics are rational roots
-            phi_n = cyclotomic(n)
-            if phi_n.degree > work.degree:
-                continue
-            quo, rem = work.divmod(phi_n)
-            if rem.is_zero():
-                factors.append(phi_n)
-                work = quo
+        orders, work = cyclotomic_division(work)
+        factors.extend(map(cyclotomic, orders))
     factors.extend(_factor_hard(work.primitive_integer()[0]))
     return factors
 

@@ -5,12 +5,13 @@ the lattice norms whose induced operator norms have exact closed forms.
 The l1 family is strictly monotone (0 <= x < y forces a strictly
 smaller norm); the sup norm is not.
 
-Unimodular spectra are decided from two cheap facts about the
-characteristic polynomial chi of a nonnegative matrix (Perron-Frobenius):
-the spectral radius rho is itself an eigenvalue, so a Sturm count of chi
-on (1, oo) compares rho with 1; and when rho = 1 every unimodular
-eigenvalue is a root of unity, so trial division of chi by the
-cyclotomic polynomials finds them all.  Nothing is factored.
+Unimodular spectra are decided from three facts about the characteristic
+polynomial chi of a nonnegative matrix M: the spectral radius rho is an
+eigenvalue (Perron-Frobenius), so a Sturm count of chi on (1, oo)
+compares rho with 1; when rho = 1 every unimodular eigenvalue is a root
+of unity, so trial division of chi by the cyclotomic polynomials finds
+them all; and none has a larger index than rho (Rothblum 1975), so only
+the rank of M - I is taken.  Nothing is factored.
 """
 from __future__ import annotations
 
@@ -22,13 +23,12 @@ from typing import Iterable
 
 from .conegeom import Subspace
 from .exactnum import TheoremViolationError
-from .exactnum.linalg import char_poly, intersect_kernels, poly_of_matrix, rank
+from .exactnum.linalg import char_poly, intersect_kernels, rank
 from .exactnum.polynomials import (
     QPolynomial,
     cyclotomic,
-    euler_phi,
+    cyclotomic_division,
     has_unimodular_root,
-    orders_with_phi_at_most,
     sturm_count,
 )
 from .exactnum.rational import ONE, ZERO, QMatrix, QVector
@@ -194,49 +194,6 @@ def perron_root_vs_one(chi: QPolynomial) -> int:
     return 0 if root_at_one else -1
 
 
-def cyclotomic_content(
-    op: PositiveMatrixOperator, chi: QPolynomial
-) -> tuple[dict[int, int], dict[int, int], QPolynomial]:
-    """order -> geometric and order -> algebraic multiplicity of the
-    primitive n-th roots of unity, and the cyclotomic-free remainder of
-    the characteristic polynomial chi, by exact trial division.
-
-    Those roots are algebraically indistinguishable over the rationals,
-    so ker of the n-th cyclotomic at the matrix splits evenly among
-    them: its dimension is g * phi(n) with 1 <= g <= the algebraic
-    multiplicity.  When the n-th cyclotomic divides chi exactly once
-    that forces g = 1, and the matrix is not evaluated; otherwise g is
-    read off the rank of the cyclotomic at the matrix."""
-    n = op.dim
-    rest = chi
-    geometric: dict[int, int] = {}
-    algebraic: dict[int, int] = {}
-    for order in orders_with_phi_at_most(n):
-        phi = euler_phi(order)
-        if phi > rest.degree:
-            continue
-        phi_n = cyclotomic(order)
-        mult = 0
-        while (quotient := rest.exact_quotient(phi_n)) is not None:
-            rest = quotient
-            mult += 1
-        if mult == 0:
-            continue
-        algebraic[order] = mult
-        if mult == 1:
-            geometric[order] = 1
-            continue
-        kernel_dim = n - rank(poly_of_matrix(phi_n, op.matrix))
-        g, leftover = divmod(kernel_dim, phi)
-        if leftover or not 1 <= g <= mult:
-            raise TheoremViolationError(
-                f"kernel of the order-{order} cyclotomic at the matrix has"
-                f" dimension {kernel_dim}, not g * {phi} with 1 <= g <= {mult}"
-            )
-        geometric[order] = g
-    return geometric, algebraic, rest
-
-
 @dataclass(frozen=True)
 class PowerBoundAnalysis:
     verdict: str
@@ -248,10 +205,11 @@ def power_bounded_analysis(op: PositiveMatrixOperator) -> PowerBoundAnalysis:
     """Power boundedness from the Perron root and the cyclotomic content.
 
     No when the spectral radius exceeds 1, Yes when it is below 1.  At
-    spectral radius 1 the unimodular eigenvalues are roots of unity:
-    No when one has geometric multiplicity below its algebraic
-    multiplicity (the offending factor is the smallest such cyclotomic
-    polynomial by degree, then coefficients), Yes otherwise.
+    spectral radius 1 no unimodular eigenvalue has a larger index than 1
+    itself, so the answer is No exactly when dim ker(M - I) is below the
+    multiplicity of the root 1 (the offending factor x - 1 is then the
+    smallest defective cyclotomic by degree, then coefficients), Yes
+    otherwise.
     """
     chi = char_poly(op.matrix)
     side = perron_root_vs_one(chi)
@@ -259,20 +217,14 @@ def power_bounded_analysis(op: PositiveMatrixOperator) -> PowerBoundAnalysis:
         return PowerBoundAnalysis("No", None, "a root lies outside the unit disk")
     if side < 0:
         return PowerBoundAnalysis("Yes", None, "all roots strictly inside")
-    geometric, algebraic, rest = cyclotomic_content(op, chi)
+    algebraic, rest = cyclotomic_division(chi)
     if has_unimodular_root(rest):
         raise TheoremViolationError(
             "unimodular eigenvalue of a nonnegative matrix is not a root of unity"
         )
-    defective = [
-        cyclotomic(order)
-        for order, mult in algebraic.items()
-        if geometric[order] < mult
-    ]
-    if defective:
+    mult = algebraic[1]  # a simple root 1 has a one-dimensional eigenspace
+    if mult > 1 and op.dim - rank(op.matrix - QMatrix.identity(op.dim)) < mult:
         return PowerBoundAnalysis(
-            "No",
-            min(defective, key=lambda f: (f.degree, f.coeffs)),
-            "a repeated boundary factor is defective",
+            "No", cyclotomic(1), "a repeated boundary factor is defective"
         )
     return PowerBoundAnalysis("Yes", None, "boundary roots all semisimple")

@@ -5,7 +5,8 @@ floating point appears anywhere.  An input vector parses straight to
 integer numerators over one common denominator: an entry spelled
 ``-?[0-9]+(/[0-9]+)?`` is read with two `int` calls and no `Fraction`,
 and every other value goes through `parse_rational`, so the accepted set,
-the values and the error messages are those of `fractions.Fraction`.
+the values and the error messages are those of `fractions.Fraction`,
+less the values with more digits than `str` renders.
 Report dictionaries are built in a fixed key order and rendered by
 `canonical_json`, a small recursive renderer whose output is byte for
 byte ``json.dumps(data, indent=2, ensure_ascii=True)`` plus a newline, so
@@ -37,12 +38,15 @@ from .seqspace import ChainValue, SymbolicVector
 
 
 def parse_rational(value) -> Fraction:
-    """`rat` of a JSON value: an int or a "p/q" string; every other value
-    is a ValueError."""
+    """`rat` of a JSON value: an int or a "p/q" string; every other value,
+    and one whose numerator or denominator has more digits than `str`
+    renders (``sys.get_int_max_str_digits()``), is a ValueError."""
     try:
-        return rat(value)
+        q = rat(value)
+        str(q)  # a ValueError beyond the digit limit
     except (TypeError, ValueError) as exc:
         raise ValueError(f"not a rational: {value!r}") from exc
+    return q
 
 
 _RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")

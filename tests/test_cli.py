@@ -190,6 +190,21 @@ class TestSupInFixCommand:
         vecs = write_json(tmp_path / "vecs.json", [["1", "0", "0"]])
         assert main(["sup-in-fix", "-i", fam, "-g", vecs]) == 2
 
+    def test_number_too_large_to_render(self, tmp_path, capsys):
+        """Beyond the digits `str` renders, an exponent spelling and a
+        digit string are rejected alike, while parsing."""
+        identity = {"matrices": [{"rows": [["1", "0"], ["0", "1"]]}]}
+        fam = write_json(tmp_path / "fam.json", identity)
+        spellings = ("1e5000", "9" * 5001)
+        errors = []
+        for big in spellings:
+            vecs = write_json(tmp_path / "vecs.json", [[big, "0"]])
+            assert main(["sup-in-fix", "-i", fam, "-g", vecs, "--json"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors == [f"error: not a rational: {big!r}\n" for big in spellings]
+
 
 E44_FAMILY = {
     "matrices": [{"rows": [["1", "0", "0"], ["1", "1", "1"], ["0", "0", "1"]]}]
@@ -303,7 +318,7 @@ class TestCyclicityCommand:
             evaluated.append(poly.degree)
             return poly_of_matrix(poly, matrix)
 
-        monkeypatch.setattr("latfix.opcore.poly_of_matrix", counting)
+        monkeypatch.setattr("latfix.cyclicity.poly_of_matrix", counting)
         orders = [[d, 1] for d in (1, 2, 3, 4, 6, 8, 12, 24)]
         path = write_json(tmp_path / "op.json", {"matrix": {"rows": cycle_rows(24)}})
         assert main(["cyclicity", "-i", path, "--json"]) == 0
@@ -320,7 +335,7 @@ class TestCyclicityCommand:
     def test_cyclotomic_kernel_defect(self, tmp_path, capsys, monkeypatch):
         # a full-rank cyclotomic at the matrix would leave the repeated
         # orders 1 and 2 with no eigenvector at all
-        monkeypatch.setattr("latfix.opcore.rank", lambda matrix: matrix.nrows)
+        monkeypatch.setattr("latfix.cyclicity.rank", lambda matrix: matrix.nrows)
         path = write_json(tmp_path / "op.json", TWO_SWAPS)
         assert main(["cyclicity", "-i", path]) == 1
         err = capsys.readouterr().err
@@ -382,6 +397,14 @@ class TestProbeCommand:
     def test_zero_trials_invalid(self, capsys):
         assert main(["probe", "--trials", "0", "--seed", "1"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "log.jsonl"
+        argv = ["probe", "--trials", "1", "--seed", "0", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in err
 
 
 def test_console_script_help():

@@ -1,23 +1,27 @@
 """Positive operators: norms, families, power boundedness.
 
 Operator norms are verified by exhibiting attaining vectors; power
-boundedness against the growth of floating-point powers; the cyclotomic
-content against a reference that evaluates every dividing cyclotomic at
-the matrix.
+boundedness against the growth of floating-point powers and, at spectral
+radius 1, against a route that evaluates every dividing cyclotomic at
+the matrix; the cyclotomic content against the same reference.
 """
 
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from latfix import opcore
+from latfix import cyclicity, opcore
+from latfix.cyclicity import verify_dimension_cyclicity
 from latfix.exactnum import TheoremViolationError
 from latfix.exactnum.linalg import char_poly, poly_of_matrix, rank
 from latfix.exactnum.polynomials import (
     QPolynomial,
     cyclotomic,
+    cyclotomic_division,
     euler_phi,
+    has_unimodular_root,
     orders_with_phi_at_most,
 )
 from latfix.exactnum.rational import QMatrix, QVector, rat
@@ -28,7 +32,6 @@ from latfix.opcore import (
     OperatorFamily,
     PositiveMatrixOperator,
     contraction_check,
-    cyclotomic_content,
     operator_norm,
     perron_root_vs_one,
     power_bounded_analysis,
@@ -356,9 +359,12 @@ class TestCyclotomicContent:
         for m in cases:
             t = PositiveMatrixOperator(m)
             chi = char_poly(m)
-            got = cyclotomic_content(t, chi)
-            assert got == reference_cyclotomic_content(t, chi)
-            geometric, algebraic, _ = got
+            geometric, algebraic, rest = reference_cyclotomic_content(t, chi)
+            assert cyclotomic_division(chi) == (algebraic, rest)
+            report = verify_dimension_cyclicity(t)
+            assert report.orders == tuple(sorted(geometric.items()))
+            assert report.algebraic_orders == tuple(sorted(algebraic.items()))
+            assert report.non_cyclotomic_boundary == has_unimodular_root(rest)
             repeated += any(mult > 1 for mult in algebraic.values())
             defective += geometric != algebraic
         assert repeated >= 20
@@ -371,16 +377,109 @@ class TestCyclotomicContent:
             calls.append(poly)
             return poly_of_matrix(poly, matrix)
 
-        monkeypatch.setattr(opcore, "poly_of_matrix", counting)
-        analysis = power_bounded_analysis(PositiveMatrixOperator(cycle_matrix(24)))
+        monkeypatch.setattr(cyclicity, "poly_of_matrix", counting)
+        t = PositiveMatrixOperator(cycle_matrix(24))
+        analysis = power_bounded_analysis(t)
         assert (analysis.verdict, analysis.offending_factor) == ("Yes", None)
+        report = verify_dimension_cyclicity(t)
+        assert report.orders == report.algebraic_orders
         assert calls == []
-        geometric, algebraic, _ = cyclotomic_content(
-            PositiveMatrixOperator(block_diag(cycle_matrix(2), cycle_matrix(2))),
-            QPolynomial([1, 0, -2, 0, 1]),
+        report = verify_dimension_cyclicity(
+            PositiveMatrixOperator(block_diag(cycle_matrix(2), cycle_matrix(2)))
         )
-        assert geometric == algebraic == {1: 2, 2: 2}
+        assert report.orders == report.algebraic_orders == ((1, 2), (2, 2))
         assert calls == [cyclotomic(1), cyclotomic(2)]
+
+
+def reference_power_bounded(geometric, algebraic):
+    """Verdict, offending factor and reason at spectral radius 1 from
+    every dividing cyclotomic: the smallest defective one offends."""
+    defective = [cyclotomic(n) for n, mult in algebraic.items() if geometric[n] < mult]
+    if defective:
+        worst = min(defective, key=lambda f: (f.degree, f.coeffs))
+        return "No", worst, "a repeated boundary factor is defective"
+    return "Yes", None, "boundary roots all semisimple"
+
+
+def coupled_cycles(rng):
+    """A nonnegative matrix with spectral radius 1: cycles of orders 1-4
+    and substochastic blocks halved (spectral radius at most 1/2) on the
+    diagonal of a block upper triangular matrix with random nonnegative
+    couplings, conjugated by a random permutation."""
+    blocks = [cycle_matrix(rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+    blocks += [
+        random_substochastic(rng, rng.randint(1, 2)).scale(Fraction(1, 2))
+        for _ in range(rng.randint(0, 2))
+    ]
+    rng.shuffle(blocks)
+    rows = [list(r) for r in block_diag(*blocks).rows]
+    starts = [0]
+    for b in blocks:
+        starts.append(starts[-1] + b.nrows)
+    for i in range(len(blocks)):
+        for j in range(i + 1, len(blocks)):
+            if rng.random() < 0.6:
+                for r in range(starts[i], starts[i + 1]):
+                    for c in range(starts[j], starts[j + 1]):
+                        if rng.random() < 0.4:
+                            rows[r][c] = Fraction(rng.randint(1, 3), rng.randint(1, 3))
+    perm = list(range(len(rows)))
+    rng.shuffle(perm)
+    return QMatrix([[rows[i][j] for j in perm] for i in perm])
+
+
+@pytest.fixture(scope="module")
+def spectral_radius_one_cases():
+    rng = rng_for("rothblum-coupled-cycles")
+    return [PositiveMatrixOperator(coupled_cycles(rng)) for _ in range(1000)]
+
+
+class TestRothblumRoute:
+    """At spectral radius 1 no peripheral eigenvalue has a larger index
+    than 1 itself (Rothblum 1975), so `power_bounded_analysis` decides
+    from the rank of M - I alone."""
+
+    def test_matches_every_order_route(self, spectral_radius_one_cases):
+        no = defective_above_one = 0
+        for t in spectral_radius_one_cases:
+            chi = char_poly(t.matrix)
+            assert perron_root_vs_one(chi) == 0
+            geometric, algebraic, _ = reference_cyclotomic_content(t, chi)
+            expected = reference_power_bounded(geometric, algebraic)
+            analysis = power_bounded_analysis(t)
+            assert (
+                analysis.verdict, analysis.offending_factor, analysis.reason
+            ) == expected
+            no += expected[0] == "No"
+            defective_above_one += any(
+                geometric[n] < mult for n, mult in algebraic.items() if n > 1
+            )
+        assert 300 <= no <= 700
+        assert defective_above_one >= 150
+
+    def test_evaluates_no_cyclotomic_at_the_matrix(
+        self, spectral_radius_one_cases, monkeypatch
+    ):
+        evaluated = []
+        original = poly_of_matrix
+
+        def counting(poly, matrix):
+            evaluated.append(poly)
+            return original(poly, matrix)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("latfix") and getattr(
+                module, "poly_of_matrix", None
+            ) is original:
+                monkeypatch.setattr(module, "poly_of_matrix", counting)
+        verify_dimension_cyclicity(
+            PositiveMatrixOperator(block_diag(cycle_matrix(2), cycle_matrix(2)))
+        )
+        assert evaluated  # the counter sees the cyclicity route
+        evaluated.clear()
+        for t in spectral_radius_one_cases:
+            power_bounded_analysis(t)
+        assert evaluated == []
 
 
 class TestEnforcedChecks:

@@ -5,6 +5,7 @@ never floats) and byte-stable under canonical_json.
 """
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -107,22 +108,29 @@ class TestRationalCodec:
         "3/-4", "3 / 4", "1.5", "1e3", "1_000", "0x10", "", " ", "/", "1/",
         "\u0663/4", "\u00bd", 0, -12, 10**30, True, False, 1.5, None, [1], {},
         "3/4\n", "1/00", "-", "--1", "9" * 5000, "1/" + "9" * 5000,
-        "9" * 4300, "-" + "9" * 4300 + "/" + "7" * 4300,
+        "9" * 4300, "-" + "9" * 4300 + "/" + "7" * 4300, "1e5000", "1e-5000",
     )
 
     @staticmethod
     def earlier_parse_rational(value):
-        """The rule parse_rational kept before it called `rat`."""
+        """The rule parse_rational kept before it called `rat`, plus the
+        render limit: a value whose numerator or denominator has more
+        digits than `int` renders as a string is rejected."""
         if isinstance(value, bool):
             raise ValueError("boolean")
         if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, str):
+            q = Fraction(value)
+        elif isinstance(value, str):
             try:
-                return Fraction(value)
+                q = Fraction(value)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(value) from exc
-        raise ValueError(value)
+        else:
+            raise ValueError(value)
+        limit = sys.get_int_max_str_digits()
+        if limit and max(abs(q.numerator), q.denominator) >= 10**limit:
+            raise ValueError(value)
+        return q
 
     def assert_same_acceptance(self, value):
         try:
