@@ -32,9 +32,20 @@ INVALID = 2
 
 
 def _load_json(path: str):
+    def parse_int(literal: str) -> int:
+        # json.load's own int() fails past the digit limit with a message
+        # that does not name the file
+        try:
+            return int(literal)
+        except ValueError:
+            raise ValueError(
+                f"{path} holds an integer of {len(literal.lstrip('-'))} digits,"
+                f" beyond the limit of {sys.get_int_max_str_digits()} digits"
+            ) from None
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, parse_int=parse_int)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -29,15 +29,16 @@ rays: the cone is simplicial, so in the ray basis the order of F is
 coordinatewise (Abramovich, Aliprantis and Polyrakis 1994; Polyrakis
 1996) and a supremum is the coordinatewise maximum of ray coordinates.
 On any other subspace the least element above a bound is found by exact
-coordinatewise minimization over the upper-bound set (a rational LP per
-coordinate); the assembled minimum is returned only when it itself lies
-in F, which certifies it as the least element.
+coordinatewise minimization over the upper-bound set: one rational LP
+call with an objective per coordinate, so one phase 1 per feasible
+region and one phase 2 per objective.  The assembled minimum is
+returned only when it itself lies in F, which certifies it as the least
+element.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd, lcm
 from operator import mul
@@ -298,10 +299,12 @@ def classify_subspace(subspace: Subspace) -> LatticeClassification:
 def least_element_above(subspace: Subspace, bound: QVector) -> QVector | None:
     """The least element of {z in F : z >= bound}, or None.
 
-    Each ambient coordinate of z is minimized by an exact simplex run
-    over the coefficient space; the assembled coordinatewise minimum is
-    the least element precisely when it lies in F itself, which is
-    checked exactly.
+    Each ambient coordinate of z is minimized exactly over the
+    coefficient space by one `minimize` call with the n coordinate rows
+    as objectives: the upper-bound set is one feasible region, so phase
+    1 runs once and each coordinate gets its own phase 2.  The assembled
+    coordinatewise minimum is the least element precisely when it lies
+    in F itself, which is checked exactly.
     """
     n = subspace.ambient_dim
     if bound.dim != n:
@@ -310,17 +313,14 @@ def least_element_above(subspace: Subspace, bound: QVector) -> QVector | None:
         return QVector.zero(n) if all(b <= 0 for b in bound.nums) else None
     coord_rows = subspace.coordinate_rows()
     constraints = [(coord_rows[j], bound[j]) for j in range(n)]
-    minima: list[Fraction] = []
-    for j in range(n):
-        result = minimize(coord_rows[j], inequalities=constraints)
-        if result.status == INFEASIBLE:
-            return None
-        if result.status == UNBOUNDED:
-            raise TheoremViolationError(
-                "upper-bound set unbounded below; order structure violated"
-            )
-        minima.append(result.value)
-    candidate = QVector(minima)
+    results = minimize(coord_rows, inequalities=constraints)
+    if results[0].status == INFEASIBLE:
+        return None
+    if any(result.status == UNBOUNDED for result in results):
+        raise TheoremViolationError(
+            "upper-bound set unbounded below; order structure violated"
+        )
+    candidate = QVector([result.value for result in results])
     if not subspace.contains(candidate):
         return None
     return candidate

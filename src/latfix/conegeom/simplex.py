@@ -2,8 +2,13 @@
 
 A small two-phase simplex with Bland's rule, used to minimize linear
 objectives over systems of equality and >= constraints with free
-variables.  The tableau is integers over one common denominator: the
-`QVector` numerators of the rows are brought to one least common
+variables.  `minimize(objectives, equalities, inequalities)` takes a
+sequence of objectives over one feasible region and returns one
+`LPResult` per objective: one phase 1 per feasible region, one phase 2
+per objective, each phase 2 started from the same feasible tableau, so
+a result never depends on the other objectives of the call.  The
+tableau is integers over one common denominator: the `QVector`
+numerators of the rows are brought to one least common
 denominator, and every pivot and cost-row pricing step is the
 fraction-free row step `exactnum.linalg.eliminate`, so no step pays a gcd.
 Feasibility, unboundedness, and optimal values are exact `Fraction`s,
@@ -78,19 +83,28 @@ def _price(tableau: list[list[int]], basis: list[int], prev: int) -> None:
 
 
 def minimize(
-    objective: QVector,
+    objectives: Sequence[QVector],
     equalities: Sequence[tuple[QVector, Fraction]] = (),
     inequalities: Sequence[tuple[QVector, Fraction]] = (),
-) -> LPResult:
-    """Minimize objective . y over free y subject to row . y == rhs for
-    equalities and row . y >= rhs for inequalities."""
-    n = objective.dim
+) -> tuple[LPResult, ...]:
+    """Minimize each objective . y over free y subject to row . y == rhs
+    for equalities and row . y >= rhs for inequalities: one `LPResult`
+    per objective, in order.
+
+    The feasible region is shared, so phase 1 and the drive-out of the
+    leftover artificials run once; each objective's phase 2 then runs on
+    its own copy of that tableau and basis, so every result is the one a
+    program with that objective alone would give.  An infeasible region
+    makes every result INFEASIBLE."""
+    if not objectives:
+        raise ValueError("no objectives")
+    n = objectives[0].dim
     rows: list[tuple[QVector, Fraction, bool]] = []
     for row, rhs in equalities:
         rows.append((row, rat(rhs), False))
     for row, rhs in inequalities:
         rows.append((row, rat(rhs), True))
-    for row, _, _ in rows:
+    for row in [*objectives, *(row for row, _, _ in rows)]:
         if row.dim != n:
             raise ValueError("constraint dimension mismatch")
     m = len(rows)
@@ -124,7 +138,7 @@ def minimize(
     if _run_simplex(tableau, basis, [True] * total) != OPTIMAL:
         raise TheoremViolationError("phase 1 unbounded, yet bounded below by 0")
     if tableau[-1][-1] != 0:
-        return LPResult(INFEASIBLE, None, None)
+        return (LPResult(INFEASIBLE, None, None),) * len(objectives)
     prev = tableau[0][basis[0]] if basis else 1
 
     # drive leftover artificials out of the basis, drop redundant rows
@@ -140,16 +154,35 @@ def minimize(
                 prev = eliminate(tableau, i, col, prev)
                 basis[i] = col
 
-    # phase 2: original objective over u - w, its numerators over its den
-    scale = objective.den
-    cost = [0] * (total + 1)
+    del tableau[-1]
+    eligible = [j < n_core for j in range(total)]
+    return tuple(
+        _phase_two(objective, tableau, basis, prev, eligible)
+        for objective in objectives
+    )
+
+
+def _phase_two(
+    objective: QVector,
+    constraints: list[list[int]],
+    basis: list[int],
+    prev: int,
+    eligible: Sequence[bool],
+) -> LPResult:
+    """Phase 2 from the feasible constraint rows and basis, which it
+    leaves as they are: the objective over u - w, its numerators over
+    its den, with only the eligible (non-artificial) columns allowed to
+    enter.  `eliminate` replaces rows and never writes into one, so a
+    new list of the same rows is a private tableau."""
+    n = objective.dim
+    cost = [0] * (len(eligible) + 1)
     for j, x in enumerate(objective.nums):
         cost[j] = x
         cost[n + j] = -x
-    tableau[-1] = cost
+    tableau = [*constraints, cost]
+    basis = basis[:]
     _price(tableau, basis, prev)
-    status = _run_simplex(tableau, basis, [j < n_core for j in range(total)])
-    if status == UNBOUNDED:
+    if _run_simplex(tableau, basis, eligible) == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None)
     if basis:
         prev = tableau[0][basis[0]]
@@ -157,4 +190,4 @@ def minimize(
     point = QVector.from_ints(
         (values.get(j, 0) - values.get(n + j, 0) for j in range(n)), prev
     )
-    return LPResult(OPTIMAL, Fraction(-tableau[-1][-1], prev * scale), point)
+    return LPResult(OPTIMAL, Fraction(-tableau[-1][-1], prev * objective.den), point)

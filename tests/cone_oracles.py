@@ -51,7 +51,8 @@ def in_conic_hull(rays: Sequence[QVector], x: QVector) -> bool:
         for j in range(n)
     ]
     ineqs = [(QVector.unit(k, i), ZERO) for i in range(k)]
-    return minimize(zero_obj, equalities=eqs, inequalities=ineqs).status == OPTIMAL
+    (result,) = minimize([zero_obj], equalities=eqs, inequalities=ineqs)
+    return result.status == OPTIMAL
 
 
 def sign_pattern_sublattice_oracle(subspace: Subspace) -> bool:
@@ -87,7 +88,7 @@ def sign_pattern_sublattice_oracle(subspace: Subspace) -> bool:
             for j in nonzero
         ]
         ineqs.append((QVector([ZERO] * d + [-ONE]), -ONE))  # t <= 1
-        result = minimize(obj, inequalities=ineqs)
+        (result,) = minimize([obj], inequalities=ineqs)
         if result.status != OPTIMAL or result.value >= 0:
             continue
         reflected_ok = all(
@@ -259,8 +260,9 @@ def reference_minimize(
     equalities: Sequence[tuple[QVector, Fraction]] = (),
     inequalities: Sequence[tuple[QVector, Fraction]] = (),
 ) -> LPResult:
-    """Two-phase simplex with Bland's rule on a `Fraction` tableau; same
-    contract as `minimize`."""
+    """Two-phase simplex with Bland's rule on a `Fraction` tableau for one
+    objective; the contract of `minimize([objective], ...)`, returning
+    its one result."""
     n = objective.dim
     rows = [(row, rat(rhs), False) for row, rhs in equalities]
     rows += [(row, rat(rhs), True) for row, rhs in inequalities]

@@ -96,6 +96,24 @@ class TestClassifyCommand:
         assert main(["classify", "-i", str(path)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_json_integer_beyond_digit_limit(self, tmp_path, capsys):
+        """A JSON integer literal past `int`'s digit limit fails inside
+        `json.load`; the error names the file and the limit."""
+        path = tmp_path / "op.json"
+        path.write_text(
+            '{"matrix": {"rows": [[' + "9" * 5001 + ", 0], [0, -1]]}}",
+            encoding="utf-8",
+        )
+        limit = sys.get_int_max_str_digits()
+        for command in ("cyclicity", "classify"):
+            assert main([command, "-i", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: {path} holds an integer of 5001 digits,"
+                f" beyond the limit of {limit} digits\n"
+            )
+
     def test_wrong_shape(self, tmp_path):
         path = write_json(tmp_path / "s.json", {"basis": []})
         assert main(["classify", "-i", path]) == 2
@@ -222,10 +240,13 @@ class TestDefectExit:
         [
             # phase 1 of the simplex reports unbounded
             ("latfix.conegeom.simplex._run_simplex", lambda *args: UNBOUNDED),
-            # the upper-bound set of a least-element search is unbounded
+            # the upper-bound set of a least-element search is unbounded:
+            # one UNBOUNDED result per coordinate objective
             (
                 "latfix.conegeom.core.minimize",
-                lambda *args, **kwargs: LPResult(UNBOUNDED, None, None),
+                lambda objectives, **kwargs: tuple(
+                    LPResult(UNBOUNDED, None, None) for _ in objectives
+                ),
             ),
         ],
         ids=["phase-one-unbounded", "upper-bound-set-unbounded"],

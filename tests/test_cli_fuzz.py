@@ -130,8 +130,11 @@ def table():
         cases.append((f"{command}-missing-file", [command, "-i", "{missing}/in.json"], []))
         cases.append((f"{command}-invalid-json", [command, "-i", "{text}"], []))
         cases.append((f"{command}-directory", [command, "-i", "{dir}"], []))
+        cases.append((f"{command}-huge-json-integer", [command, "-i", "{huge}"], []))
     cases.append(("sup-in-fix-missing-vectors",
                   ["sup-in-fix", "-i", "{0}", "-g", "{missing}/g.json"], [IDENTITY]))
+    cases.append(("sup-in-fix-huge-json-integer",
+                  ["sup-in-fix", "-i", "{0}", "-g", "{huge}"], [IDENTITY]))
     return cases
 
 
@@ -155,7 +158,11 @@ def test_exit_code_and_message(tmp_path, capsys, argv, docs):
         paths.append(str(path))
     text = tmp_path / "broken.json"
     text.write_text('{"rows": [["1"', encoding="utf-8")
-    fill = {"missing": str(tmp_path / "missing"), "dir": str(tmp_path), "text": str(text)}
+    # an integer literal past `int`'s digit limit fails inside json.load
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"rows": [[' + BIG_DIGITS + ", 0]]}", encoding="utf-8")
+    fill = {"missing": str(tmp_path / "missing"), "dir": str(tmp_path),
+            "text": str(text), "huge": str(huge)}
     argv = [a.format(*paths, **fill) for a in argv]
     code, err = run(argv, capsys)
     assert code in (0, 1, 2)

@@ -386,6 +386,27 @@ class TestLeastElementAbove:
         assert least_element_above(z, QVector([-1, 0])) == QVector([0, 0])
         assert least_element_above(z, QVector([1, 0])) is None
 
+    def test_one_minimize_call_per_search(self, monkeypatch):
+        """The n coordinate objectives share one feasible region, so a
+        search is one `minimize` call with n objectives, whether the
+        region is feasible or not."""
+        import latfix.conegeom.core as core
+
+        original = core.minimize
+        calls = []
+
+        def counting(objectives, *args, **kwargs):
+            calls.append(len(objectives))
+            return original(objectives, *args, **kwargs)
+
+        monkeypatch.setattr(core, "minimize", counting)
+        f = span(3, (1, 0, -1), (0, 1, 1))
+        assert least_element_above(f, QVector([1, 0, 1])) == QVector([1, 2, 1])
+        assert calls == [3]
+        f = span(3, (1, 0, -1), (0, 1, 0))
+        assert least_element_above(f, QVector([1, 0, 1])) is None
+        assert calls == [3, 3]
+
     def test_least_property_on_random_instances(self):
         rng = rng_for("least-above")
         found = 0

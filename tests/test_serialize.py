@@ -109,6 +109,7 @@ class TestRationalCodec:
         "\u0663/4", "\u00bd", 0, -12, 10**30, True, False, 1.5, None, [1], {},
         "3/4\n", "1/00", "-", "--1", "9" * 5000, "1/" + "9" * 5000,
         "9" * 4300, "-" + "9" * 4300 + "/" + "7" * 4300, "1e5000", "1e-5000",
+        "1e4000000", "-1E-4000000", "0e4000000",
     )
 
     @staticmethod
@@ -171,6 +172,27 @@ class TestRationalCodec:
         assert (got.nums, got.den, hash(got)) == (
             expected.nums, expected.den, hash(expected)
         )
+
+    def test_huge_exponents_build_no_fraction(self, monkeypatch):
+        """A short exponent spelling is decided from its exponent: the
+        whole string never reaches `rat`, whose `Fraction` would spend
+        seconds building 10**4000000."""
+        real_rat = ser.rat
+
+        def guarded(value):
+            if isinstance(value, str) and "4000000" in value:
+                pytest.fail(f"Fraction built for {value!r}")
+            return real_rat(value)
+
+        monkeypatch.setattr(ser, "rat", guarded)
+        for text in ("1e4000000", "-1E-4000000", " 25e+4000000\n"):
+            with pytest.raises(ValueError, match="^not a rational: "):
+                ser.parse_rational(text)
+            with pytest.raises(ValueError, match="^not a rational: "):
+                ser.parse_vector(["1/3", text])
+        assert ser.parse_rational("0e4000000") == 0
+        assert ser.parse_rational("-0.0E-4000000") == 0
+        assert ser.parse_vector(["0e4000000", "1/3"]) == QVector([0, rat("1/3")])
 
     @given(st.text(alphabet="0123456789/+-. _eE\t", max_size=8))
     def test_accepted_strings_unchanged(self, text):

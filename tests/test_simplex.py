@@ -25,8 +25,8 @@ from conftest import random_qvector, rng_for
 class TestFrozenPrograms:
     def test_basic_optimum(self):
         # min x + y  s.t.  x >= 1, y >= 2
-        res = minimize(
-            QVector([1, 1]),
+        (res,) = minimize(
+            [QVector([1, 1])],
             inequalities=[
                 (QVector([1, 0]), rat(1)),
                 (QVector([0, 1]), rat(2)),
@@ -38,8 +38,8 @@ class TestFrozenPrograms:
 
     def test_equality_constraints(self):
         # min x - y  s.t.  x + y == 4, x - y >= 0
-        res = minimize(
-            QVector([1, -1]),
+        (res,) = minimize(
+            [QVector([1, -1])],
             equalities=[(QVector([1, 1]), rat(4))],
             inequalities=[(QVector([1, -1]), rat(0))],
         )
@@ -48,8 +48,8 @@ class TestFrozenPrograms:
         assert res.point == QVector([2, 2])
 
     def test_infeasible(self):
-        res = minimize(
-            QVector([1]),
+        (res,) = minimize(
+            [QVector([1])],
             inequalities=[
                 (QVector([1]), rat(2)),
                 (QVector([-1]), rat(-1)),  # x <= 1
@@ -60,13 +60,13 @@ class TestFrozenPrograms:
         assert res.point is None
 
     def test_unbounded(self):
-        res = minimize(QVector([-1]), inequalities=[(QVector([1]), rat(0))])
+        (res,) = minimize([QVector([-1])], inequalities=[(QVector([1]), rat(0))])
         assert res.status == UNBOUNDED
 
     def test_free_variables(self):
         # variables are free: the optimum can be negative
-        res = minimize(
-            QVector([1, 0]),
+        (res,) = minimize(
+            [QVector([1, 0])],
             equalities=[(QVector([0, 1]), rat(0))],
             inequalities=[(QVector([1, 1]), rat(-3))],
         )
@@ -75,8 +75,8 @@ class TestFrozenPrograms:
 
     def test_exact_rational_answer(self):
         # min 3x + 5y  s.t.  2x + y >= 1, x + 3y >= 1
-        res = minimize(
-            QVector([3, 5]),
+        (res,) = minimize(
+            [QVector([3, 5])],
             inequalities=[
                 (QVector([2, 1]), rat(1)),
                 (QVector([1, 3]), rat(1)),
@@ -88,8 +88,8 @@ class TestFrozenPrograms:
 
     def test_degenerate_vertex_terminates(self):
         # three planes through one vertex: Bland's rule must not cycle
-        res = minimize(
-            QVector([1, 1, 1]),
+        (res,) = minimize(
+            [QVector([1, 1, 1])],
             inequalities=[
                 (QVector([1, 0, 0]), rat(0)),
                 (QVector([0, 1, 0]), rat(0)),
@@ -114,7 +114,7 @@ class TestAgainstScipy:
                 (random_qvector(rng, n, span=3, den_max=3), Fraction(rng.randint(-4, 4)))
                 for _ in range(m)
             ]
-            res = minimize(objective, inequalities=ineqs)
+            (res,) = minimize([objective], inequalities=ineqs)
 
             # scipy's linprog uses A_ub x <= b_ub and bounds=None for free
             a_ub = np.array([[-float(x) for x in row] for row, _ in ineqs])
@@ -141,7 +141,7 @@ class TestAgainstScipy:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            minimize(QVector([1]), inequalities=[(QVector([1, 2]), rat(0))])
+            minimize([QVector([1])], inequalities=[(QVector([1, 2]), rat(0))])
 
 
 # coprime and mixed denominators, so the common denominator of a
@@ -224,8 +224,123 @@ class TestAgainstFractionSimplex:
     @settings(max_examples=400, deadline=None)
     def test_exactly_equal(self, program):
         objective, equalities, inequalities = program
-        ours = minimize(objective, equalities, inequalities)
+        (ours,) = minimize([objective], equalities, inequalities)
         assert ours == reference_minimize(objective, equalities, inequalities)
         if ours.status == OPTIMAL:
             assert type(ours.value) is Fraction
             assert all(type(x) is Fraction for x in ours.point)
+
+
+@st.composite
+def multi_objective_programs(draw):
+    """A program of `programs()` with 1-6 objectives over its one
+    feasible region: the program's own objective, then negations of
+    earlier ones (the negation of a nonconstant bounded objective is
+    often unbounded, so optimal and unbounded results share a call),
+    repeats, multiples of constraint rows, zero and fresh rows."""
+    objective, equalities, inequalities = draw(programs())
+    n = objective.dim
+    constraint_rows = [row for row, _ in equalities + inequalities]
+    objectives = [objective]
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.integers(0, 4))
+        if kind == 0:
+            objectives.append(-draw(st.sampled_from(objectives)))
+        elif kind == 1:
+            objectives.append(draw(st.sampled_from(objectives)))
+        elif kind == 2 and constraint_rows:
+            factor = Fraction(draw(st.integers(-6, 6)), draw(denominators_st))
+            objectives.append(draw(st.sampled_from(constraint_rows)).scale(factor))
+        elif kind == 3:
+            objectives.append(QVector.zero(n))
+        else:
+            objectives.append(
+                QVector(
+                    Fraction(draw(st.integers(-6, 6)), draw(denominators_st))
+                    for _ in range(n)
+                )
+            )
+    return objectives, equalities, inequalities
+
+
+class TestSeveralObjectives:
+    """`minimize` runs phase 1 once per feasible region and a phase 2
+    per objective; each result must equal the `Fraction` simplex run on
+    that objective alone, point included."""
+
+    @staticmethod
+    def one_at_a_time(objectives, equalities=(), inequalities=()):
+        return tuple(
+            reference_minimize(objective, equalities, inequalities)
+            for objective in objectives
+        )
+
+    @given(multi_objective_programs())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_one_program_per_objective(self, program):
+        objectives, equalities, inequalities = program
+        results = minimize(objectives, equalities, inequalities)
+        assert type(results) is tuple
+        assert results == self.one_at_a_time(objectives, equalities, inequalities)
+
+    def test_optimal_and_unbounded_in_one_call(self):
+        # x >= 0, y >= 0
+        inequalities = [(QVector([1, 0]), rat(0)), (QVector([0, 1]), rat(0))]
+        objectives = [
+            QVector([1, 1]),
+            QVector([-1, 0]),
+            QVector([0, 1]),
+            QVector([-1, -1]),
+            QVector([1, 1]),
+        ]
+        results = minimize(objectives, inequalities=inequalities)
+        assert [r.status for r in results] == [
+            OPTIMAL, UNBOUNDED, OPTIMAL, UNBOUNDED, OPTIMAL
+        ]
+        assert results == self.one_at_a_time(objectives, (), inequalities)
+        assert results[0] == results[4]
+
+    def test_infeasible_region_fails_every_objective(self):
+        # x >= 2 and x <= 1
+        inequalities = [(QVector([1]), rat(2)), (QVector([-1]), rat(-1))]
+        objectives = [QVector([1]), QVector([-1]), QVector([0])]
+        results = minimize(objectives, inequalities=inequalities)
+        assert [r.status for r in results] == [INFEASIBLE] * 3
+        assert all(r.value is None and r.point is None for r in results)
+        assert results == self.one_at_a_time(objectives, (), inequalities)
+
+    def test_redundant_equalities_dropped_once(self):
+        # x + y == 4 three times over, x - y >= 0: phase 1 leaves
+        # artificials of the repeated rows basic on zero rows, and the
+        # drive-out deletes them before any phase 2
+        equalities = [
+            (QVector([1, 1]), rat(4)),
+            (QVector([2, 2]), rat(8)),
+            (QVector([rat("-1/2"), rat("-1/2")]), rat(-2)),
+        ]
+        inequalities = [(QVector([1, -1]), rat(0))]
+        objectives = [QVector([1, 0]), QVector([-1, 0]), QVector([1, -1])]
+        results = minimize(objectives, equalities, inequalities)
+        assert [r.status for r in results] == [OPTIMAL, UNBOUNDED, OPTIMAL]
+        assert results[0].point == QVector([2, 2])
+        assert results[2].value == 0
+        assert results == self.one_at_a_time(objectives, equalities, inequalities)
+
+    def test_six_objectives_without_constraints(self):
+        objectives = [QVector([0, 0])] * 3 + [QVector([1, 0])] * 3
+        results = minimize(objectives)
+        assert [r.status for r in results] == [OPTIMAL] * 3 + [UNBOUNDED] * 3
+        assert results == self.one_at_a_time(objectives)
+
+    def test_no_objectives(self):
+        with pytest.raises(ValueError):
+            minimize([], inequalities=[(QVector([1]), rat(0))])
+        with pytest.raises(ValueError):
+            minimize(())
+
+    def test_objective_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            minimize(
+                [QVector([1]), QVector([1, 0])],
+                inequalities=[(QVector([1]), rat(0))],
+            )
