@@ -48,6 +48,8 @@ def _load_json(path: str):
             return json.load(handle, parse_int=parse_int)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 

@@ -14,6 +14,8 @@ terms, or ``"p"`` when the denominator is one.
 """
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul, sub
@@ -25,17 +27,47 @@ ONE = Fraction(1)
 
 def rat(value) -> Fraction:
     """Coerce ints (not bools), strings like ``"3/4"``, and Fractions to
-    Fraction; a string with a zero denominator is a ValueError."""
+    Fraction; a string with a zero denominator, or with an exponent that
+    gives a numerator or denominator of more digits than `str` renders
+    (``sys.get_int_max_str_digits()``), is a ValueError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            q = _exponent_spelling(value)
+            return Fraction(value) if q is None else q
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational scalar")
+
+
+# "<mantissa>e<exponent>", the exponent as `Fraction` reads it; left to
+# `re`'s cache on first use, as compiling it costs a few tenths of a
+# millisecond at import
+_EXPONENT = r"(.*?)[eE]([-+]?\d+(?:_\d+)*)\s*"
+
+
+def _exponent_spelling(text: str) -> Fraction | None:
+    """The value of an exponent spelling, decided from the exponent before
+    `Fraction` builds 10**|e| (seconds for a nine-character string), or
+    None for a string without one.  The mantissa is read with exponent 0,
+    so `Fraction` accepts and rejects exactly the strings it would.  A
+    zero mantissa is 0.  A nonzero one with |e| > limit + len(text) is a
+    ValueError: its numerator or denominator would have more than `limit`
+    digits (the mantissa's digits cancel at most len(text) of them)."""
+    match = re.fullmatch(_EXPONENT, text, re.DOTALL)
+    if match is None:
+        return None
+    mantissa = Fraction(match[1] + "e0")
+    exponent = int(match[2])
+    if mantissa == 0:
+        return mantissa
+    limit = sys.get_int_max_str_digits()
+    if limit and abs(exponent) > limit + len(text):
+        raise ValueError(f"exponent {exponent} beyond the digit limit")
+    return Fraction(text)
 
 
 def ratio_str(num: int, den: int) -> str:

@@ -24,6 +24,15 @@ part and on each chain padded to a common prefix length; `Fraction`
 views appear only at the API edge.  Vectors are kept canonical: chain
 prefixes never end in the tail value and grid rows never end in zero
 rows, so structural equality is value equality.
+
+The coordinates that never leave their place under shift-insert, the
+*stable coordinates*, are read as one `QVector`: the finite part, then
+each chain's tail, then the tails of grid rows 0, 1, ...
+(`SymbolicVector.stable_coordinates`).  A functional is one coefficient
+vector in that layout, so evaluating it is one dot product; on an
+eigenvector at 1 or -1 (constant chains, at most a constant grid row 0)
+the stable coordinates carry the whole vector, so the eigensystem is
+S - lam*I over them, S the functionals' rows.
 """
 from __future__ import annotations
 
@@ -123,9 +132,6 @@ class ChainValue:
     def tail(self) -> Fraction:
         return self.values[-1]
 
-    def at(self, j: int) -> Fraction:
-        return self.values[min(j, len(self.values) - 1)]
-
     def is_zero(self) -> bool:
         return self.values.is_zero()
 
@@ -193,6 +199,18 @@ class SymbolicVector:
 
     def grid_row_tail(self, k: int) -> Fraction:
         return self.grid_row(k).tail
+
+    def stable_coordinates(self, n: int) -> QVector:
+        """The first n stable coordinates over one common denominator:
+        the finite part, each chain's tail, then the tails of grid rows
+        0, 1, ...; n is at least the finite dimension plus the chains."""
+        x = self.finite_part
+        tails = [c.values for c in self.chains]
+        tails += [self.grid_row(k).values for k in range(n - x.dim - len(tails))]
+        den = lcm(x.den, *(t.den for t in tails))
+        nums = [a * (den // x.den) for a in x.nums]
+        nums += [t.nums[-1] * (den // t.den) for t in tails]
+        return QVector.from_ints(nums, den)
 
     def parts(self) -> list[QVector]:
         """The finite part, then each chain's and each grid row's values."""
@@ -272,18 +290,18 @@ def ambient_sup(vectors: Sequence[SymbolicVector]) -> SymbolicVector:
 
 @dataclass(frozen=True)
 class LinearFunctionalSpec:
-    """Finite combination of finite coordinates and tail limits.
+    """A linear form in the stable coordinates: one coefficient per finite
+    coordinate, per chain tail, and per grid row tail up to the last row
+    it reads.
 
-    Tail-limit terms read a chain's (or grid row's) tail value, which is
-    the limit of the sequence along any free ultrafilter since the
+    Tail terms read a chain's (or grid row's) tail value, which is the
+    limit of the sequence along any free ultrafilter since the
     representable class is eventually constant.  References to interior
     chain coordinates are deliberately not expressible: they are not
     shift-stable and fall outside the operator class.
     """
 
-    finite_terms: tuple[tuple[int, Fraction], ...] = ()
-    chain_tail_terms: tuple[tuple[int, Fraction], ...] = ()
-    grid_row_tail_terms: tuple[tuple[int, Fraction], ...] = ()
+    coeffs: QVector
 
     @staticmethod
     def build(
@@ -292,64 +310,32 @@ class LinearFunctionalSpec:
         chain_tails: Mapping[str, object] | None = None,
         grid_row_tails: Mapping[int, object] | None = None,
     ) -> "LinearFunctionalSpec":
-        fin = tuple(
-            sorted(
-                (schema.finite_index(name), rat(c))
-                for name, c in (finite or {}).items()
-            )
-        )
-        cht = tuple(
-            sorted(
-                (schema.chain_index(name), rat(c))
-                for name, c in (chain_tails or {}).items()
-            )
-        )
-        grt = tuple(sorted((k, rat(c)) for k, c in (grid_row_tails or {}).items()))
-        if grt and schema.grid is None:
+        nf, nch = schema.finite_dim, len(schema.chains)
+        terms = [
+            (schema.finite_index(name), rat(c)) for name, c in (finite or {}).items()
+        ]
+        terms += [
+            (nf + schema.chain_index(name), rat(c))
+            for name, c in (chain_tails or {}).items()
+        ]
+        rows = [(k, rat(c)) for k, c in (grid_row_tails or {}).items()]
+        if rows and schema.grid is None:
             raise ValueError("grid row reference without a grid")
-        if any(k < 0 for k, _ in grt):
+        if any(k < 0 for k, _ in rows):
             raise ValueError("grid row index must be nonnegative")
-        return LinearFunctionalSpec(fin, cht, grt)
+        coeffs = [ZERO] * (nf + nch + max((k + 1 for k, _ in rows), default=0))
+        for j, c in terms + [(nf + nch + k, c) for k, c in rows]:
+            coeffs[j] = c
+        return LinearFunctionalSpec(QVector(coeffs))
 
     def evaluate(self, v: SymbolicVector) -> Fraction:
-        """The sum of the terms over one common denominator, read off the
-        integer numerators of v's parts."""
-        reads = [(c, v.finite_part, i) for i, c in self.finite_terms]
-        reads += [(c, v.chains[i].values, -1) for i, c in self.chain_tail_terms]
-        reads += [(c, v.grid_row(k).values, -1) for k, c in self.grid_row_tail_terms]
-        num, den = 0, 1
-        for c, vec, j in reads:
-            d = c.denominator * vec.den
-            m = lcm(den, d)
-            num = num * (m // den) + c.numerator * vec.nums[j] * (m // d)
-            den = m
-        return Fraction(num, den)
+        return self.coeffs.dot(v.stable_coordinates(len(self.coeffs)))
 
     def mass(self) -> Fraction:
-        return sum(
-            (
-                abs(c)
-                for _, c in (
-                    self.finite_terms
-                    + self.chain_tail_terms
-                    + self.grid_row_tail_terms
-                )
-            ),
-            Fraction(0),
-        )
+        return self.coeffs.one_norm()
 
     def is_nonneg(self) -> bool:
-        return all(
-            c >= 0
-            for _, c in (
-                self.finite_terms
-                + self.chain_tail_terms
-                + self.grid_row_tail_terms
-            )
-        )
-
-
-ZERO_FUNCTIONAL = LinearFunctionalSpec()
+        return self.coeffs.is_nonneg()
 
 
 # ---------------------------------------------------------------------------
@@ -449,21 +435,9 @@ def symbolic_operator_norm(op: ShiftInsertOperator) -> Fraction:
 # eigenspaces
 
 
-def _spec_row(op: ShiftInsertOperator, spec: LinearFunctionalSpec, nvars: int) -> list[Fraction]:
-    """Spec as a row over (finite coords, chain constants, grid row-0
-    constant): valid for eigenvectors, whose chains are constant and
-    whose grid rows vanish beyond row 0."""
-    nf = op.schema.finite_dim
-    nch = len(op.schema.chains)
-    row = [ZERO] * nvars
-    for i, c in spec.finite_terms:
-        row[i] += c
-    for i, c in spec.chain_tail_terms:
-        row[nf + i] += c
-    for k, c in spec.grid_row_tail_terms:
-        if k == 0:
-            row[nf + nch] += c
-    return row
+def _fit(v: QVector, n: int) -> QVector:
+    """v cut or padded with zeros to n entries."""
+    return QVector.from_ints((v.nums + (0,) * n)[:n], v.den)
 
 
 def symbolic_eigenspace(op: ShiftInsertOperator, lam) -> list[SymbolicVector]:
@@ -476,58 +450,33 @@ def symbolic_eigenspace(op: ShiftInsertOperator, lam) -> list[SymbolicVector]:
     an alternating profile is eventually constant only when zero.  Grid
     rows beyond row 0 are forced to zero by the finite-support
     invariant: row k would need value cross^k * row0, nonzero for all k
-    once cross != 0 and row0 != 0.  What remains is a finite rational
-    linear system over the finite coordinates and the surviving chain
-    constants.
+    once cross != 0 and row0 != 0.  What remains is S - lam*I over the
+    first nf + nch (+ 1 with a grid) stable coordinates, S's rows the
+    block rows plus their inputs, the chain sources and the grid row-0
+    source, with a unit row for each constant that cannot survive.
     """
     lam = rat(lam)
     if lam not in (ONE, -ONE):
         raise ValueError("eigenvalue must be 1 or -1")
     s = op.schema
-    nf = s.finite_dim
-    nch = len(s.chains)
-    nvars = nf + nch + (1 if s.grid is not None else 0)
-    rows: list[list[Fraction]] = []
-    for i, block_row in enumerate(op.finite_block.rows):
-        row = list(block_row) + [ZERO] * (nvars - nf)
-        row[i] -= lam
-        rows.append(row)
-    for i, spec in op.finite_inputs:
-        rows[i] = [a + b for a, b in zip(rows[i], _spec_row(op, spec, nvars))]
-    for ci, (decl, spec) in enumerate(zip(s.chains, op.chain_sources)):
-        row = _spec_row(op, spec, nvars)
-        row[nf + ci] -= lam
-        rows.append(row)
-        active = lam == ONE and decl.space_tag == L_INFTY
-        if not active:
-            forced = [ZERO] * nvars
-            forced[nf + ci] = ONE
-            rows.append(forced)
+    nf, nch = s.finite_dim, len(s.chains)
+    survives = [lam == ONE and decl.space_tag == L_INFTY for decl in s.chains]
+    sources = list(op.chain_sources)
     if s.grid is not None:
-        gv = nf + nch
-        row = _spec_row(op, op.grid_row0_source, nvars)
-        row[gv] -= lam
-        rows.append(row)
-        active = (
-            lam == ONE
-            and s.grid.space_tag == L_INFTY
-            and op.grid_cross == 0
-        )
-        if not active:
-            forced = [ZERO] * nvars
-            forced[gv] = ONE
-            rows.append(forced)
-    basis = kernel_basis(QMatrix(rows)) if rows else kernel_basis(
-        QMatrix([QVector.zero(nvars)])
-    )
+        survives.append(lam == ONE and s.grid.space_tag == L_INFTY and op.grid_cross == 0)
+        sources.append(op.grid_row0_source)
+    m = nf + len(survives)
+    rows = [_fit(row, m) for row in op.finite_block.rows]
+    for i, spec in op.finite_inputs:
+        rows[i] = rows[i] + _fit(spec.coeffs, m)
+    rows += [_fit(spec.coeffs, m) for spec in sources]
+    rows = [row - QVector.unit(m, j).scale(lam) for j, row in enumerate(rows)]
+    rows += [QVector.unit(m, nf + j) for j, ok in enumerate(survives) if not ok]
     out: list[SymbolicVector] = []
-    for k in basis:
-        finite = QVector(k[i] for i in range(nf))
-        chains = tuple(chain_value((), k[nf + ci]) for ci in range(nch))
-        grid_rows: tuple[ChainValue, ...] = ()
-        if s.grid is not None and k[nf + nch] != 0:
-            grid_rows = (chain_value((), k[nf + nch]),)
-        vec = SymbolicVector(s, finite, chains, grid_rows)
+    for k in kernel_basis(QMatrix(rows or [QVector.zero(m)])):
+        consts = tuple(ChainValue(QVector.from_ints((x,), k.den)) for x in k.nums[nf:])
+        finite = QVector.from_ints(k.nums[:nf], k.den)
+        vec = SymbolicVector(s, finite, consts[:nch], consts[nch:])
         if apply(op, vec) != vec.scale(lam):
             raise TheoremViolationError("eigenvector failed verification")
         out.append(vec)
@@ -562,22 +511,17 @@ def constant_profile_embedding(
     positivity, moduli, and suprema all commute with the embedding
     because each retained coordinate is read off pointwise.
     """
-    nf = schema.finite_dim
-    dim = nf + len(schema.chains) + (1 if schema.grid is not None else 0)
+    dim = schema.finite_dim + len(schema.chains)
+    dim += 1 if schema.grid is not None else 0
     embedded = []
     for v in vectors:
         if v.schema != schema:
             raise ValueError("schema mismatch")
-        coords = list(v.finite_part)
-        for c in v.chains:
-            if c.prefix:
-                raise ValueError("chain is not constant")
-            coords.append(c.tail)
-        if schema.grid is not None:
-            if len(v.grid_rows) > 1 or any(r.prefix for r in v.grid_rows):
-                raise ValueError("grid content beyond a constant row 0")
-            coords.append(v.grid_row_tail(0))
-        embedded.append(QVector(coords))
+        if any(len(c.values) > 1 for c in v.chains):
+            raise ValueError("chain is not constant")
+        if len(v.grid_rows) > 1 or any(len(r.values) > 1 for r in v.grid_rows):
+            raise ValueError("grid content beyond a constant row 0")
+        embedded.append(v.stable_coordinates(dim))
     return Subspace.from_vectors(dim, embedded)
 
 
@@ -598,21 +542,19 @@ class OrbitSup:
 
 def _folded_finite_map(op: ShiftInsertOperator, g: SymbolicVector) -> QMatrix:
     """The finite part evolves as x -> Ax + b along the orbit: tail
-    values never change under the shift-insert action, so functional
-    inputs split into finite-coordinate coefficients (folded into the
-    block) and a constant drive read off from g's tails.  Returns the
-    augmented matrix [[A, b], [0, 1]], which maps (x, 1) to (Ax + b, 1)."""
+    values never change under the shift-insert action, so each functional
+    input splits into its finite coefficients (folded into the block) and
+    a constant drive, its tail coefficients dotted with g's tails.  Returns
+    the augmented matrix [[A, b], [0, 1]], which maps (x, 1) to
+    (Ax + b, 1)."""
     nf = op.schema.finite_dim
     rows = [QVector.from_ints(r.nums + (0,), r.den) for r in op.finite_block.rows]
     for i, spec in op.finite_inputs:
-        row = [ZERO] * (nf + 1)
-        for j, c in spec.finite_terms:
-            row[j] += c
-        for ci, c in spec.chain_tail_terms:
-            row[nf] += c * g.chains[ci].tail
-        for k, c in spec.grid_row_tail_terms:
-            row[nf] += c * g.grid_row_tail(k)
-        rows[i] = rows[i] + QVector(row)
+        c = spec.coeffs
+        t = g.stable_coordinates(len(c))
+        drive = sum(a * b for a, b in zip(c.nums[nf:], t.nums[nf:]))
+        row = [a * t.den for a in c.nums[:nf]] + [drive]
+        rows[i] = rows[i] + QVector.from_ints(row, c.den * t.den)
     return QMatrix(rows + [QVector.unit(nf + 1, nf)])
 
 

@@ -15,7 +15,6 @@ equal values produce byte-identical JSON across runs and platforms.
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import lcm
@@ -43,40 +42,11 @@ def parse_rational(value) -> Fraction:
     and one whose numerator or denominator has more digits than `str`
     renders (``sys.get_int_max_str_digits()``), is a ValueError."""
     try:
-        q = _exponent_spelling(value) if type(value) is str else None
-        if q is None:
-            q = rat(value)
+        q = rat(value)
         str(q)  # a ValueError beyond the digit limit
     except (TypeError, ValueError) as exc:
         raise ValueError(f"not a rational: {value!r}") from exc
     return q
-
-
-# "<mantissa>e<exponent>", the exponent as `Fraction` reads it; left to
-# `re`'s cache on first use, as compiling it costs a few tenths of a
-# millisecond at import
-_EXPONENT = r"(.*?)[eE]([-+]?\d+(?:_\d+)*)\s*"
-
-
-def _exponent_spelling(text: str) -> Fraction | None:
-    """The value of an exponent spelling, decided from the exponent before
-    `Fraction` builds 10**|e| (seconds for a nine-character string), or
-    None for a string without one.  The mantissa is read with exponent 0,
-    so `Fraction` accepts and rejects exactly the strings it would.  A
-    zero mantissa is 0.  A nonzero one with |e| > limit + len(text) is a
-    ValueError: its numerator or denominator would have more than `limit`
-    digits (the mantissa's digits cancel at most len(text) of them)."""
-    match = re.fullmatch(_EXPONENT, text, re.DOTALL)
-    if match is None:
-        return None
-    mantissa = rat(match[1] + "e0")
-    exponent = int(match[2])
-    if mantissa == 0:
-        return mantissa
-    limit = sys.get_int_max_str_digits()
-    if limit and abs(exponent) > limit + len(text):
-        raise ValueError(f"exponent {exponent} beyond the digit limit")
-    return rat(text)
 
 
 _RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")

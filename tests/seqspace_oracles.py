@@ -1,23 +1,47 @@
-"""Test-only reference symbolic vectors: the earlier `ChainValue`, which
+"""Test-only reference symbolic vectors and functionals.
+
+`FChainValue` and `FSymbolicVector` are the earlier `ChainValue`, which
 stored a chain as a tuple of `Fraction` prefix entries and a `Fraction`
 tail, and the earlier `SymbolicVector` arithmetic, which mapped entry
 functions over those tuples and over the entries of the finite part.
-
 Every operation works entry by entry in `Fraction` arithmetic, so the
 one-`QVector` chain format (`QVector` operations on chains padded to a
 common prefix length) can be compared with it exactly.
-`reference_evaluate` and `reference_apply` are the earlier
-`LinearFunctionalSpec.evaluate` and `apply` on these vectors.
+`reference_evaluate` and `reference_apply` evaluate a functional and
+apply an operator on these vectors, entry by entry.
+
+`TermSpec` is the earlier `LinearFunctionalSpec`: three tuples of
+(index, coefficient) terms on the finite coordinates, the chain tails
+and the grid row tails.  `reference_eigenspace`,
+`reference_folded_finite_map` and `reference_embedding` are the earlier
+`symbolic_eigenspace`, `_folded_finite_map` and
+`constant_profile_embedding`, which read those terms one kind at a
+time; they run on operators whose functionals are `TermSpec`s, so the
+stable-coordinate functional (one coefficient `QVector`) can be
+compared with them exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from math import lcm
+from typing import Iterable, Mapping, Sequence
 
-from latfix.exactnum.rational import ZERO, rat
-from latfix.seqspace import IndexSchema, LinearFunctionalSpec, ShiftInsertOperator
+from latfix.conegeom import Subspace
+from latfix.exactnum import TheoremViolationError
+from latfix.exactnum.linalg import kernel_basis
+from latfix.exactnum.rational import ONE, ZERO, QMatrix, QVector, rat
+from latfix.seqspace import (
+    L_INFTY,
+    ChainValue,
+    IndexSchema,
+    LinearFunctionalSpec,
+    ShiftInsertOperator,
+    SymbolicVector,
+    apply,
+    chain_value,
+)
 
 
 @dataclass(frozen=True)
@@ -149,13 +173,13 @@ def reference_pointwise_sup(u: FSymbolicVector, v: FSymbolicVector) -> FSymbolic
 
 
 def reference_evaluate(spec: LinearFunctionalSpec, v: FSymbolicVector) -> Fraction:
+    """The coefficients, in order over the finite coordinates, the chain
+    tails and the grid row tails, times those entries of v."""
+    values = list(v.finite) + [c.tail for c in v.chains]
+    values += [v.grid_row_tail(k) for k in range(len(spec.coeffs) - len(values))]
     total = Fraction(0)
-    for i, c in spec.finite_terms:
-        total += c * v.finite[i]
-    for i, c in spec.chain_tail_terms:
-        total += c * v.chains[i].tail
-    for k, c in spec.grid_row_tail_terms:
-        total += c * v.grid_row_tail(k)
+    for c, x in zip(spec.coeffs, values):
+        total += c * x
     return total
 
 
@@ -185,3 +209,174 @@ def reference_apply(op: ShiftInsertOperator, v: FSymbolicVector) -> FSymbolicVec
             )
             rows.append(fchain_value((entry,) + old.prefix, old.tail))
     return FSymbolicVector(op.schema, tuple(finite), chains, tuple(rows))
+
+
+# ---------------------------------------------------------------------------
+# the term-tuple functional and its readers
+
+
+@dataclass(frozen=True)
+class TermSpec:
+    """Finite combination of finite coordinates and tail limits, as
+    sorted (index, coefficient) terms of each kind."""
+
+    finite_terms: tuple[tuple[int, Fraction], ...] = ()
+    chain_tail_terms: tuple[tuple[int, Fraction], ...] = ()
+    grid_row_tail_terms: tuple[tuple[int, Fraction], ...] = ()
+
+    @staticmethod
+    def build(
+        schema: IndexSchema,
+        finite: Mapping[str, object] | None = None,
+        chain_tails: Mapping[str, object] | None = None,
+        grid_row_tails: Mapping[int, object] | None = None,
+    ) -> "TermSpec":
+        fin = tuple(
+            sorted(
+                (schema.finite_index(name), rat(c))
+                for name, c in (finite or {}).items()
+            )
+        )
+        cht = tuple(
+            sorted(
+                (schema.chain_index(name), rat(c))
+                for name, c in (chain_tails or {}).items()
+            )
+        )
+        grt = tuple(sorted((k, rat(c)) for k, c in (grid_row_tails or {}).items()))
+        if grt and schema.grid is None:
+            raise ValueError("grid row reference without a grid")
+        if any(k < 0 for k, _ in grt):
+            raise ValueError("grid row index must be nonnegative")
+        return TermSpec(fin, cht, grt)
+
+    def evaluate(self, v: SymbolicVector) -> Fraction:
+        """The sum of the terms over one common denominator, read off the
+        integer numerators of v's parts."""
+        reads = [(c, v.finite_part, i) for i, c in self.finite_terms]
+        reads += [(c, v.chains[i].values, -1) for i, c in self.chain_tail_terms]
+        reads += [(c, v.grid_row(k).values, -1) for k, c in self.grid_row_tail_terms]
+        num, den = 0, 1
+        for c, vec, j in reads:
+            d = c.denominator * vec.den
+            m = lcm(den, d)
+            num = num * (m // den) + c.numerator * vec.nums[j] * (m // d)
+            den = m
+        return Fraction(num, den)
+
+    def terms(self) -> tuple[tuple[int, Fraction], ...]:
+        return self.finite_terms + self.chain_tail_terms + self.grid_row_tail_terms
+
+    def mass(self) -> Fraction:
+        return sum((abs(c) for _, c in self.terms()), Fraction(0))
+
+    def is_nonneg(self) -> bool:
+        return all(c >= 0 for _, c in self.terms())
+
+
+def reference_spec_row(op: ShiftInsertOperator, spec: TermSpec, nvars: int) -> list[Fraction]:
+    """Spec as a row over (finite coords, chain constants, grid row-0
+    constant): valid for eigenvectors, whose chains are constant and
+    whose grid rows vanish beyond row 0."""
+    nf = op.schema.finite_dim
+    nch = len(op.schema.chains)
+    row = [ZERO] * nvars
+    for i, c in spec.finite_terms:
+        row[i] += c
+    for i, c in spec.chain_tail_terms:
+        row[nf + i] += c
+    for k, c in spec.grid_row_tail_terms:
+        if k == 0:
+            row[nf + nch] += c
+    return row
+
+
+def reference_eigenspace(op: ShiftInsertOperator, lam) -> list[SymbolicVector]:
+    """The eigenspace at lam in {1, -1}, one row per coordinate rule and
+    one forced-zero row per constant that cannot survive."""
+    lam = rat(lam)
+    if lam not in (ONE, -ONE):
+        raise ValueError("eigenvalue must be 1 or -1")
+    s = op.schema
+    nf = s.finite_dim
+    nch = len(s.chains)
+    nvars = nf + nch + (1 if s.grid is not None else 0)
+    rows: list[list[Fraction]] = []
+    for i, block_row in enumerate(op.finite_block.rows):
+        row = list(block_row) + [ZERO] * (nvars - nf)
+        row[i] -= lam
+        rows.append(row)
+    for i, spec in op.finite_inputs:
+        rows[i] = [a + b for a, b in zip(rows[i], reference_spec_row(op, spec, nvars))]
+    for ci, (decl, spec) in enumerate(zip(s.chains, op.chain_sources)):
+        row = reference_spec_row(op, spec, nvars)
+        row[nf + ci] -= lam
+        rows.append(row)
+        active = lam == ONE and decl.space_tag == L_INFTY
+        if not active:
+            forced = [ZERO] * nvars
+            forced[nf + ci] = ONE
+            rows.append(forced)
+    if s.grid is not None:
+        gv = nf + nch
+        row = reference_spec_row(op, op.grid_row0_source, nvars)
+        row[gv] -= lam
+        rows.append(row)
+        active = lam == ONE and s.grid.space_tag == L_INFTY and op.grid_cross == 0
+        if not active:
+            forced = [ZERO] * nvars
+            forced[gv] = ONE
+            rows.append(forced)
+    basis = kernel_basis(QMatrix(rows)) if rows else kernel_basis(
+        QMatrix([QVector.zero(nvars)])
+    )
+    out: list[SymbolicVector] = []
+    for k in basis:
+        finite = QVector(k[i] for i in range(nf))
+        chains = tuple(chain_value((), k[nf + ci]) for ci in range(nch))
+        grid_rows: tuple[ChainValue, ...] = ()
+        if s.grid is not None and k[nf + nch] != 0:
+            grid_rows = (chain_value((), k[nf + nch]),)
+        vec = SymbolicVector(s, finite, chains, grid_rows)
+        if apply(op, vec) != vec.scale(lam):
+            raise TheoremViolationError("eigenvector failed verification")
+        out.append(vec)
+    return out
+
+
+def reference_embedding(schema: IndexSchema, vectors: Sequence[SymbolicVector]) -> Subspace:
+    """Constant-profile vectors as points of R^(finite + chains + grid)."""
+    nf = schema.finite_dim
+    dim = nf + len(schema.chains) + (1 if schema.grid is not None else 0)
+    embedded = []
+    for v in vectors:
+        if v.schema != schema:
+            raise ValueError("schema mismatch")
+        coords = list(v.finite_part)
+        for c in v.chains:
+            if c.prefix:
+                raise ValueError("chain is not constant")
+            coords.append(c.tail)
+        if schema.grid is not None:
+            if len(v.grid_rows) > 1 or any(r.prefix for r in v.grid_rows):
+                raise ValueError("grid content beyond a constant row 0")
+            coords.append(v.grid_row_tail(0))
+        embedded.append(QVector(coords))
+    return Subspace.from_vectors(dim, embedded)
+
+
+def reference_folded_finite_map(op: ShiftInsertOperator, g: SymbolicVector) -> QMatrix:
+    """The augmented matrix [[A, b], [0, 1]] of the finite part's affine
+    iteration, each input's terms folded in one kind at a time."""
+    nf = op.schema.finite_dim
+    rows = [QVector.from_ints(r.nums + (0,), r.den) for r in op.finite_block.rows]
+    for i, spec in op.finite_inputs:
+        row = [ZERO] * (nf + 1)
+        for j, c in spec.finite_terms:
+            row[j] += c
+        for ci, c in spec.chain_tail_terms:
+            row[nf] += c * g.chains[ci].tail
+        for k, c in spec.grid_row_tail_terms:
+            row[nf] += c * g.grid_row_tail(k)
+        rows[i] = rows[i] + QVector(row)
+    return QMatrix(rows + [QVector.unit(nf + 1, nf)])

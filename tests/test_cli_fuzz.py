@@ -131,10 +131,13 @@ def table():
         cases.append((f"{command}-invalid-json", [command, "-i", "{text}"], []))
         cases.append((f"{command}-directory", [command, "-i", "{dir}"], []))
         cases.append((f"{command}-huge-json-integer", [command, "-i", "{huge}"], []))
+        cases.append((f"{command}-not-utf8", [command, "-i", "{binary}"], []))
     cases.append(("sup-in-fix-missing-vectors",
                   ["sup-in-fix", "-i", "{0}", "-g", "{missing}/g.json"], [IDENTITY]))
     cases.append(("sup-in-fix-huge-json-integer",
                   ["sup-in-fix", "-i", "{0}", "-g", "{huge}"], [IDENTITY]))
+    cases.append(("sup-in-fix-not-utf8-vectors",
+                  ["sup-in-fix", "-i", "{0}", "-g", "{binary}"], [IDENTITY]))
     return cases
 
 
@@ -161,14 +164,20 @@ def test_exit_code_and_message(tmp_path, capsys, argv, docs):
     # an integer literal past `int`'s digit limit fails inside json.load
     huge = tmp_path / "huge.json"
     huge.write_text('{"rows": [[' + BIG_DIGITS + ", 0]]}", encoding="utf-8")
+    # a 0xff byte, which no UTF-8 text holds
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'{"rows": [["\xff"]]}')
     fill = {"missing": str(tmp_path / "missing"), "dir": str(tmp_path),
-            "text": str(text), "huge": str(huge)}
+            "text": str(text), "huge": str(huge), "binary": str(binary)}
+    reads_binary = "{binary}" in argv
     argv = [a.format(*paths, **fill) for a in argv]
     code, err = run(argv, capsys)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code:
         assert MESSAGE.search(err), err
+    if reads_binary:
+        assert code == 2 and f"error: {binary} is not UTF-8 text: " in err, err
 
 
 def test_table_covers_every_command():

@@ -51,29 +51,30 @@ from conftest import rng_for
 # truncation oracle
 
 
+def entry(c, j: int) -> Fraction:
+    """Entry j of a chain value: a prefix entry, or else the tail."""
+    return c.values[min(j, len(c.values) - 1)]
+
+
 def expand(v: SymbolicVector, length: int, rows: int):
     """Explicit arrays: finite coords, each chain to the given length,
     the first `rows` grid rows to the given length."""
     return (
         tuple(v.finite_part),
-        tuple(tuple(c.at(j) for j in range(length)) for c in v.chains),
+        tuple(tuple(entry(c, j) for j in range(length)) for c in v.chains),
         tuple(
-            tuple(v.grid_row(k).at(j) for j in range(length)) for k in range(rows)
+            tuple(entry(v.grid_row(k), j) for j in range(length)) for k in range(rows)
         ),
     )
 
 
 def eval_spec_expanded(spec, finite, chains, grid):
-    # the tail is read at the last retained index, so the truncation
-    # length must exceed every prefix
-    total = Fraction(0)
-    for i, c in spec.finite_terms:
-        total += c * finite[i]
-    for i, c in spec.chain_tail_terms:
-        total += c * chains[i][-1]
-    for k, c in spec.grid_row_tail_terms:
-        total += c * grid[k][-1]
-    return total
+    # the coefficients run over the finite coordinates, the chain tails,
+    # then the grid row tails; a tail is read at the last retained index,
+    # so the truncation length must exceed every prefix
+    values = list(finite) + [ch[-1] for ch in chains] + [row[-1] for row in grid]
+    assert len(spec.coeffs) <= len(values)
+    return sum((c * x for c, x in zip(spec.coeffs, values)), Fraction(0))
 
 
 def apply_expanded(op: ShiftInsertOperator, expanded):
@@ -159,7 +160,7 @@ class TestChainValue:
     def test_canonical_form_strips_trailing_tail(self):
         assert chain_value([1, 1], 1) == chain_value((), Fraction(1))
         assert chain_value([1, 0], 0) == chain_value((Fraction(1),), Fraction(0))
-        assert chain_value([], 2).at(17) == 2
+        assert entry(chain_value([], 2), 17) == 2
 
     def test_sup_norm(self):
         assert chain_value([3, -4], 1).sup_norm() == 4
@@ -232,7 +233,9 @@ class TestFunctionalSpec:
     def test_build_sorts_and_validates(self):
         s = mixed_schema()
         spec = LinearFunctionalSpec.build(s, finite={"q": 2, "p": 1})
-        assert spec.finite_terms == ((0, Fraction(1)), (1, Fraction(2)))
+        assert spec.coeffs == QVector([1, 2, 0, 0])
+        spec = LinearFunctionalSpec.build(s, chain_tails={"v": 3}, grid_row_tails={2: 5})
+        assert spec.coeffs == QVector([0, 0, 0, 3, 0, 0, 5])
         with pytest.raises(ValueError):
             LinearFunctionalSpec.build(s, finite={"zz": 1})
         no_grid = IndexSchema(("a",))

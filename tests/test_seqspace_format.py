@@ -8,15 +8,24 @@ exact equality with `seqspace_oracles.py` on random schemas: c0 and
 l-infinity chains, a grid or none, unequal prefix lengths, prefixes that
 end in their tail, zero grid rows, and entries given as unreduced
 "p/q" strings.
+
+A functional is one coefficient `QVector` over the stable coordinates.
+Every reader of it (`evaluate`, `mass`, `is_nonneg`, the operator norm,
+the eigenspaces at 1 and -1, the constant-profile embedding and orbit
+suprema) is checked against the term-tuple `TermSpec` reference on the
+same operators.
 """
 
 from fractions import Fraction
 from math import gcd
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latfix.exactnum.rational import ZERO, QMatrix, QVector
+from latfix import seqspace
+from latfix.exactnum import TheoremViolationError
+from latfix.exactnum.rational import ONE, ZERO, QMatrix, QVector
 from latfix.seqspace import (
     C_ZERO,
     L_INFTY,
@@ -26,18 +35,29 @@ from latfix.seqspace import (
     GridDecl,
     IndexSchema,
     LinearFunctionalSpec,
+    NoSupremumError,
+    OrbitSup,
     ShiftInsertOperator,
     SymbolicVector,
     apply,
+    builtin_operator,
     chain_value,
+    constant_profile_embedding,
+    orbit_sup,
     pointwise_sup,
+    symbolic_eigenspace,
+    symbolic_operator_norm,
 )
 
 from seqspace_oracles import (
     FSymbolicVector,
+    TermSpec,
     fchain_value,
     reference_apply,
+    reference_eigenspace,
+    reference_embedding,
     reference_evaluate,
+    reference_folded_finite_map,
     reference_pointwise_sup,
 )
 
@@ -50,6 +70,7 @@ entry_st = ratio_st.flatmap(
     lambda r: st.sampled_from((f"{r[0]}/{r[1]}", Fraction(*r)))
 )
 coeff_st = st.builds(Fraction, st.integers(0, 3), st.sampled_from((1, 2, 3, 4)))
+signed_st = st.builds(Fraction, st.integers(-5, 5), st.sampled_from((1, 2, 3, 10**12)))
 tag_st = st.sampled_from((C_ZERO, L_INFTY))
 
 
@@ -107,35 +128,61 @@ def build(schema, raw) -> tuple[SymbolicVector, FSymbolicVector]:
 
 
 @st.composite
-def spec_st(draw, schema, coeff=coeff_st):
+def spec_args_st(draw, schema, coeff=coeff_st):
+    """The finite, chain-tail and grid-row-tail coefficients of a
+    functional, as `LinearFunctionalSpec.build` takes them."""
+
     def terms(keys):
         return draw(st.dictionaries(st.sampled_from(keys), coeff)) if keys else {}
 
-    return LinearFunctionalSpec.build(
-        schema,
+    return (
         terms(schema.finite_coords),
         terms([c.name for c in schema.chains]),
         terms([0, 1, 2, 3] if schema.grid is not None else []),
     )
 
 
+def spec_st(schema, coeff=coeff_st):
+    return spec_args_st(schema, coeff).map(lambda a: LinearFunctionalSpec.build(schema, *a))
+
+
+def operator_pair(schema, block, inputs, sources, row0, cross):
+    """One operator twice: with `LinearFunctionalSpec` functionals and with
+    the `TermSpec` reference, each built from the same coefficients."""
+
+    def operator(spec_type):
+        def build(args):
+            return spec_type.build(schema, *args)
+
+        return ShiftInsertOperator(
+            schema=schema,
+            finite_block=QMatrix(block),
+            finite_inputs=tuple((i, build(args)) for i, args in inputs),
+            chain_sources=tuple(map(build, sources)),
+            grid_row0_source=None if row0 is None else build(row0),
+            grid_cross=cross,
+        )
+
+    return operator(LinearFunctionalSpec), operator(TermSpec)
+
+
 @st.composite
-def operator_st(draw, schema):
+def operator_pair_st(draw, schema, coeff=coeff_st):
     nf = schema.finite_dim
-    block = [[draw(coeff_st) for _ in range(nf)] for _ in range(nf)]
+    block = [[draw(coeff) for _ in range(nf)] for _ in range(nf)]
     inputs = []
     if nf:
         # repeated coordinates included: every input adds to its coordinate
-        inputs = draw(st.lists(st.tuples(st.integers(0, nf - 1), spec_st(schema)), max_size=3))
+        index_st = st.integers(0, nf - 1)
+        inputs = draw(st.lists(st.tuples(index_st, spec_args_st(schema, coeff)), max_size=3))
+    sources = [draw(spec_args_st(schema, coeff)) for _ in schema.chains]
     grid = schema.grid is not None
-    return ShiftInsertOperator(
-        schema=schema,
-        finite_block=QMatrix(block),
-        finite_inputs=tuple(inputs),
-        chain_sources=tuple(draw(spec_st(schema)) for _ in schema.chains),
-        grid_row0_source=draw(spec_st(schema)) if grid else None,
-        grid_cross=draw(coeff_st) if grid else ZERO,
-    )
+    row0 = draw(spec_args_st(schema, coeff)) if grid else None
+    return operator_pair(schema, block, inputs, sources, row0, draw(coeff) if grid else ZERO)
+
+
+def operator_st(schema):
+    return operator_pair_st(schema).map(lambda pair: pair[0])
 
 
 def assert_same(v: SymbolicVector, f: FSymbolicVector) -> None:
@@ -172,14 +219,108 @@ class TestAgainstFractionReference:
     def test_evaluate_and_apply(self, data):
         schema = data.draw(schema_st())
         v, fv = build(schema, data.draw(raw_vector_st(schema)))
-        signed = st.builds(Fraction, st.integers(-5, 5), st.sampled_from((1, 2, 3, 10**12)))
-        spec = data.draw(spec_st(schema, signed))
+        spec = data.draw(spec_st(schema, signed_st))
         value = spec.evaluate(v)
         assert type(value) is Fraction and value == reference_evaluate(spec, fv)
         op = data.draw(operator_st(schema))
         image, reference = apply(op, v), reference_apply(op, fv)
         assert_same(image, reference)
         assert_same(apply(op, image), reference_apply(op, reference))
+
+
+# few distinct coefficients, mostly 0 and 1, so that eigenvalues 1 and -1
+# and super fixed vectors are common; 2 gives grids that amplify tails
+sparse_st = st.sampled_from((ZERO, ZERO, ZERO, ONE, ONE, ONE, Fraction(1, 2), Fraction(2)))
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the error it raises."""
+    try:
+        return f(*args)
+    except (ValueError, TheoremViolationError) as exc:
+        return type(exc)
+
+
+def assert_readers_agree(op, reference, v):
+    """Every reader of the functionals gives the same result, or raises
+    the same error type, on op and on its `TermSpec` twin: the image of
+    v, the norm, both eigenspaces, their embedding, and the orbit
+    suprema of both powers from v, |v|, |v| v T|v| and each |u| for an
+    eigenvector u."""
+    schema = op.schema
+    assert apply(op, v) == apply(reference, v)
+    assert symbolic_operator_norm(op) == symbolic_operator_norm(reference)
+    eigenvectors = []
+    starts = [v, v.abs(), pointwise_sup(v.abs(), apply(op, v.abs()))]
+    for lam in (1, -1):
+        basis = outcome(symbolic_eigenspace, op, lam)
+        assert basis == outcome(reference_eigenspace, reference, lam)
+        if isinstance(basis, list):
+            eigenvectors += basis
+            starts += [u.abs() for u in basis]
+    for vectors in (eigenvectors, [v]):
+        embedded = outcome(constant_profile_embedding, schema, vectors)
+        assert embedded == outcome(reference_embedding, schema, vectors)
+    outcomes = []
+    for g in starts:
+        for power in (1, 2):
+            got = outcome(orbit_sup, op, g, power)
+            with patch.object(seqspace, "_folded_finite_map", reference_folded_finite_map):
+                assert got == outcome(orbit_sup, reference, g, power)
+            outcomes.append(got)
+    return outcomes
+
+
+H = Fraction(1, 2)
+# e41, e42 and e43 of `builtin_operator`, as the arguments of operator_pair
+BUILTIN_ARGS = {
+    "e41": (
+        IndexSchema(("-2", "-1"), (ChainDecl("n", C_ZERO),)),
+        [[1, 0], [0, 1]], [], [({"-2": H, "-1": H}, {}, {})], None, ZERO,
+    ),
+    "e42": (
+        IndexSchema(("1", "2", "3"), (ChainDecl("g", L_INFTY), ChainDecl("h", L_INFTY))),
+        [[1, 0, 0], [Fraction(1, 3)] * 3, [0, 0, 1]], [],
+        [({"1": H, "3": H}, {}, {}), ({}, {"g": 1}, {})], None, ZERO,
+    ),
+    "e43": (
+        IndexSchema(("-2", "-1"), grid=GridDecl("rows", L_INFTY)),
+        [[0, 1], [1, 0]], [], [], ({"-2": H, "-1": H}, {}, {}), Fraction(2),
+    ),
+}
+
+
+class TestAgainstTermSpec:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_functional(self, data):
+        schema = data.draw(schema_st())
+        v, _ = build(schema, data.draw(raw_vector_st(schema)))
+        args = data.draw(spec_args_st(schema, signed_st))
+        spec, reference = LinearFunctionalSpec.build(schema, *args), TermSpec.build(schema, *args)
+        assert spec.evaluate(v) == reference.evaluate(v)
+        assert spec.mass() == reference.mass()
+        assert spec.is_nonneg() == reference.is_nonneg()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_operator_readers(self, data):
+        schema = data.draw(schema_st())
+        op, reference = data.draw(operator_pair_st(schema, sparse_st))
+        v, _ = build(schema, data.draw(raw_vector_st(schema)))
+        assert_readers_agree(op, reference, v)
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_ARGS))
+    def test_builtin_operators(self, name):
+        op, reference = operator_pair(*BUILTIN_ARGS[name])
+        assert op == builtin_operator(name)
+        outcomes = assert_readers_agree(op, reference, SymbolicVector.zero(op.schema))
+        # the paper's verdicts: no supremum on the c0 chain of e41, a
+        # supremum for e42, and unbounded growth under the square of e43
+        verdicts = {r if isinstance(r, type) else r.outcome for r in outcomes}
+        assert {"e41": NoSupremumError, "e42": "Stabilized", "e43": "Unbounded"}[name] in verdicts
+        if name == "e43":
+            assert OrbitSup("Unbounded", evidence=(1, 2, 4)) in outcomes
 
 
 class TestCanonicalChain:
@@ -197,7 +338,8 @@ class TestCanonicalChain:
         c = chain_value(["-2/6", 4], "1/2")
         assert c.prefix == (Fraction(-1, 3), Fraction(4))
         assert c.tail == Fraction(1, 2)
-        assert [c.at(j) for j in range(4)] == [Fraction(-1, 3), 4, Fraction(1, 2), Fraction(1, 2)]
+        entries = [c.values[min(j, len(c.values) - 1)] for j in range(4)]
+        assert entries == [Fraction(-1, 3), 4, Fraction(1, 2), Fraction(1, 2)]
         assert c.padded(3) == QVector([Fraction(-1, 3), 4, Fraction(1, 2), Fraction(1, 2)])
         assert c.shifted(Fraction(7, 5)) == chain_value([Fraction(7, 5), Fraction(-1, 3), 4], "1/2")
         assert c.sup_norm() == 4 and not c.is_zero() and ZERO_CHAIN.is_zero()

@@ -5,6 +5,7 @@ never floats) and byte-stable under canonical_json.
 """
 
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -174,22 +175,28 @@ class TestRationalCodec:
         )
 
     def test_huge_exponents_build_no_fraction(self, monkeypatch):
-        """A short exponent spelling is decided from its exponent: the
-        whole string never reaches `rat`, whose `Fraction` would spend
-        seconds building 10**4000000."""
-        real_rat = ser.rat
+        """A short exponent spelling is decided from its exponent inside
+        `rat`: `Fraction` never sees the whole string, which would cost
+        seconds building 10**4000000.  The patched `Fraction` fails fast
+        where the unguarded one would hang."""
+        original = Fraction.__new__
 
-        def guarded(value):
-            if isinstance(value, str) and "4000000" in value:
-                pytest.fail(f"Fraction built for {value!r}")
-            return real_rat(value)
+        def guarded_new(cls, numerator=0, denominator=None, **kwargs):
+            if isinstance(numerator, str) and re.search(r"[eE][-+]?\d{5}", numerator):
+                pytest.fail(f"Fraction built from {numerator!r}")
+            return original(cls, numerator, denominator, **kwargs)
 
-        monkeypatch.setattr(ser, "rat", guarded)
-        for text in ("1e4000000", "-1E-4000000", " 25e+4000000\n"):
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(guarded_new))
+        for text in ("1e400000", "1e4000000", "-1E-4000000", " 25e+4000000\n"):
+            with pytest.raises(ValueError, match="beyond the digit limit"):
+                rat(text)
+            with pytest.raises(ValueError, match="beyond the digit limit"):
+                QVector(["1/3", text])
             with pytest.raises(ValueError, match="^not a rational: "):
                 ser.parse_rational(text)
             with pytest.raises(ValueError, match="^not a rational: "):
                 ser.parse_vector(["1/3", text])
+        assert rat("0e4000000") == 0 and rat("25e-2") == Fraction(1, 4)
         assert ser.parse_rational("0e4000000") == 0
         assert ser.parse_rational("-0.0E-4000000") == 0
         assert ser.parse_vector(["0e4000000", "1/3"]) == QVector([0, rat("1/3")])
