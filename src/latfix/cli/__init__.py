@@ -269,6 +269,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return INVALID
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -24,10 +24,12 @@ products.  Ray adjacency is the combinatorial test of Fukuda and Prodon
 its RREF basis, found once per subspace, and rays are mapped back to
 R^n with one integer product.
 
-Least upper bounds inside a lattice subspace F are read off its extreme
-rays: the cone is simplicial, so in the ray basis the order of F is
-coordinatewise (Abramovich, Aliprantis and Polyrakis 1994; Polyrakis
-1996) and a supremum is the coordinatewise maximum of ray coordinates.
+A lattice subspace F is the range of a positive projection Q (Ando
+1969; Abramovich, Aliprantis and Polyrakis 1994), built once per
+subspace from its extreme rays, and a supremum in F is Q applied to the
+coordinatewise maximum m of the inputs: Qm lies in F and dominates
+Qx = x for every input x, and any upper bound z in F satisfies z >= m,
+so z = Qz >= Qm.
 On any other subspace the least element above a bound is found by exact
 coordinatewise minimization over the upper-bound set: one rational LP
 call with an objective per coordinate, so one phase 1 per feasible
@@ -45,7 +47,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from ..exactnum import TheoremViolationError
-from ..exactnum.linalg import invert, rank, row_reduce, row_space_basis
+from ..exactnum.linalg import rank, row_reduce, row_space_basis
 from ..exactnum.rational import QMatrix, QVector
 from .simplex import INFEASIBLE, UNBOUNDED, minimize
 
@@ -137,12 +139,27 @@ class Subspace:
         return classify_subspace(self)
 
     @cached_property
-    def to_ray_coordinates(self) -> QMatrix:
-        """On a lattice subspace, the matrix taking coefficients c in the
-        basis to coordinates a in the extreme rays: c = a R for the
-        matrix R of ray coefficients, so a = (R^-1)^T c."""
-        rays = self.classification.rays
-        return invert(QMatrix([self.coefficients_of(r) for r in rays])).transpose()
+    def positive_projection(self) -> QMatrix:
+        """On a lattice subspace, a positive projection Q onto it:
+        Q = sum_r r e_j^T / r_j over the extreme rays r, where j is the
+        first coordinate on which r is nonzero and every other ray is
+        zero.  Such a j exists: the cone is simplicial, so the facet
+        spanned by the other rays is a face of F meet R^n_+, cut out by
+        the coordinates that vanish on it, and r is nonzero on one of
+        them.  Then Q >= 0, its columns lie in F and Q r = r for every
+        ray.  Raises ValueError on a subspace that is not a lattice
+        subspace."""
+        if self.classification.verdict == Verdict.NOT_LATTICE_SUBSPACE:
+            raise ValueError("not a lattice subspace: no positive projection")
+        n, rays = self.ambient_dim, self.classification.rays
+        owners = [sum(1 for r in rays if r.nums[j]) for j in range(n)]
+        columns = [QVector.zero(n)] * n
+        for r in rays:
+            j = next((j for j in range(n) if r.nums[j] and owners[j] == 1), None)
+            if j is None:
+                raise TheoremViolationError("an extreme ray owns no coordinate")
+            columns[j] = QVector.from_ints(r.nums, r.nums[j])
+        return QMatrix.from_columns(columns)
 
 
 @dataclass(frozen=True)
@@ -333,28 +350,19 @@ def least_upper_bound_in(
 
     Every input must lie in F, and the classification F carries
     (computed once per subspace) picks the route.  On a lattice subspace
-    the d extreme rays r_i form a basis in which the order of F is
-    coordinatewise, so the result is sum_i (max_k a_ki) r_i, where a_k
-    are the ray coordinates of the k-th input: the d x d inverse is
-    computed once per subspace, there is no LP, and the result is never
-    None.  On any other subspace z >= g for all g collapses to a single
-    coordinatewise bound for least_element_above.
+    the result is Q max(g_1, ..., g_k) for the positive projection Q
+    onto F, computed once per subspace: there is no LP, and the result is
+    never None.  On any other subspace z >= g for all g collapses to the
+    same coordinatewise bound for least_element_above.
     """
     if not vectors:
         raise ValueError("empty vector collection")
-    coefficients = [subspace.coefficients_of(g) for g in vectors]
-    if None in coefficients:
+    if not all(subspace.contains(g) for g in vectors):
         raise ValueError("vector outside the subspace")
-    classification = subspace.classification
-    if classification.verdict == Verdict.NOT_LATTICE_SUBSPACE:
-        return least_element_above(subspace, reduce(QVector.cwise_max, vectors))
-    rays = classification.rays
-    if not rays:
-        return QVector.zero(subspace.ambient_dim)
-    to_rays = subspace.to_ray_coordinates
-    maxima = reduce(QVector.cwise_max, (to_rays.matvec(c) for c in coefficients))
-    # sum_i maxima_i r_i
-    return QMatrix.from_columns(rays).matvec(maxima)
+    bound = reduce(QVector.cwise_max, vectors)
+    if subspace.classification.verdict == Verdict.NOT_LATTICE_SUBSPACE:
+        return least_element_above(subspace, bound)
+    return subspace.positive_projection @ bound
 
 
 def modulus_in(subspace: Subspace, x: QVector) -> QVector | None:

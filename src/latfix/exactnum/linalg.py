@@ -3,7 +3,7 @@
 `eliminate` is the one row step of the package: a fraction-free
 (Bareiss) Gauss-Jordan step on integer rows that share one common
 denominator.  `rref` (and through it rank, kernels, solving and
-inversion), the double-description start in `conegeom.core` and the
+projection), the double-description start in `conegeom.core` and the
 simplex in `conegeom.simplex` reduce with it and with nothing else.
 No step pays a gcd; rows enter as their `QVector` numerators (scaling
 a row keeps its RREF) and leave as `QVector`s over the final common
@@ -95,18 +95,12 @@ def row_space_basis(matrix: QMatrix) -> tuple[QVector, ...]:
 
 
 def kernel_basis(matrix: QMatrix) -> tuple[QVector, ...]:
-    """RREF-canonical basis of the null space {v : Mv = 0}.
+    """RREF-canonical basis of the null space {v : Mv = 0}; each
+    spanning vector is taken times d, which the final RREF undoes.
 
     An empty tuple means the kernel is trivial.
     """
-    return _kernel_of_rref(*rref(matrix))
-
-
-def _kernel_of_rref(
-    reduced: QMatrix, pivots: tuple[int, ...]
-) -> tuple[QVector, ...]:
-    """kernel_basis, given the RREF of the matrix and its pivots; each
-    spanning vector is taken times d, which the final RREF undoes."""
+    reduced, pivots = rref(matrix)
     ncols = reduced.ncols
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
@@ -210,46 +204,38 @@ class DefectiveEigenvalueError(ValueError):
 
 
 def fix_projection(matrix: QMatrix) -> QMatrix:
-    """Projection onto ker(I - M) along range(I - M).
+    """Projection onto ker(I - M) along range(I - M): F (G^T F)^-1 G^T,
+    where the columns of F span ker(I - M) and those of G span
+    ker((I - M)^T), whose orthogonal complement is range(I - M).  One
+    RREF of [G^T F | G^T] leaves (G^T F)^-1 G^T in its right block.
 
     Returns the zero matrix when 1 is not an eigenvalue.  Raises
-    DefectiveEigenvalueError when eigenvalue 1 is not semisimple.
+    DefectiveEigenvalueError when eigenvalue 1 is not semisimple, that
+    is when G^T F is singular.
     """
     if not matrix.is_square():
         raise ValueError("projection of a non-square matrix")
     n = matrix.nrows
     complement = QMatrix.identity(n) - matrix
-    reduced, pivots = rref(complement)
-    fixed = _kernel_of_rref(reduced, pivots)
+    fixed = kernel_basis(complement)
     if not fixed:
         return QMatrix.zero(n, n)
-    # the pivot columns of I - M are a basis of its range
-    columns = complement.transpose().rows
-    moving = [columns[j] for j in pivots]
-    try:
-        inverse = invert(QMatrix.from_columns(list(fixed) + moving))
-    except ValueError:
-        raise DefectiveEigenvalueError(
-            "eigenvalue 1 is defective: ker(I-M) meets range(I-M)"
-        ) from None
-    # in the basis [fixed | moving] the projection keeps the first k
-    # coordinates: F times the first k rows of the inverse
-    k = len(fixed)
-    return QMatrix.from_columns(fixed).matmul(QMatrix(inverse.rows[:k]))
-
-
-def invert(matrix: QMatrix) -> QMatrix:
-    """Inverse of a square matrix by Gauss-Jordan on [M | I], row i
-    taken times its denominator: [D M | D] has the same RREF."""
-    n = matrix.nrows
+    f = QMatrix.from_columns(fixed)
+    left = QMatrix(kernel_basis(complement.transpose()))
+    # row i of [G^T F | G^T], taken times both row denominators
     augmented = QMatrix(
-        QVector.from_ints((*row.nums, *(row.den if j == i else 0 for j in range(n))))
-        for i, row in enumerate(matrix.rows)
+        QVector.from_ints((*(x * g.den for x in a.nums), *(x * a.den for x in g.nums)))
+        for a, g in zip(left.matmul(f).rows, left.rows)
     )
     reduced, pivots = rref(augmented)
-    if tuple(range(n)) != pivots[:n] or len(pivots) != n:
-        raise ValueError("matrix is singular")
-    return QMatrix(QVector.from_ints(row.nums[n:], row.den) for row in reduced.rows)
+    k = len(fixed)
+    if pivots != tuple(range(k)):
+        raise DefectiveEigenvalueError(
+            "eigenvalue 1 is defective: ker(I-M) meets range(I-M)"
+        )
+    # the leading block is I, so the right block is (G^T F)^-1 G^T
+    right = QMatrix(QVector.from_ints(r.nums[k:], r.den) for r in reduced.rows)
+    return f.matmul(right)
 
 
 def intersect_kernels(matrices: list[QMatrix]) -> tuple[QVector, ...]:

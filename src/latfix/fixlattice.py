@@ -6,14 +6,14 @@ family the fixed space is always a lattice subspace (and under a
 strictly monotone norm a sublattice), suprema taken within the fixed
 space dominate ambient suprema, and for nonnegative ambient suprema the
 two have equal norm.  This module assembles those facts into checkable
-reports, computes suprema within fixed spaces from the extreme rays of
-their positive cones (conegeom.least_upper_bound_in), and reproduces
-the transfinite iteration that climbs to a fixed point through repeated
-monotone limit steps.
+reports, computes suprema within a fixed space as a positive projection
+of the coordinatewise maximum (conegeom.least_upper_bound_in), and
+reproduces the transfinite iteration that climbs to a fixed point
+through repeated monotone limit steps.
 
 The report, the suprema and the least fixed vector read
-family.contractive, family.fixed_space and its classification, each
-computed once per object, so they share one kernel intersection and one
+family.contractive, family.fixed_space, its classification and its
+positive projection, each computed once per object, so they share one kernel intersection and one
 double description per family.
 
 Two independent routes to the least fixed vector above a super fixed g

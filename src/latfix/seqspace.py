@@ -97,6 +97,8 @@ class IndexSchema:
         return len(self.finite_coords)
 
     def finite_index(self, name: str) -> int:
+        if name not in self.finite_coords:
+            raise ValueError(f"no finite coordinate named {name!r}")
         return self.finite_coords.index(name)
 
     def chain_index(self, name: str) -> int:

@@ -1,10 +1,14 @@
 """Test-only cone oracles: conic-hull membership, the exhaustive
 sign-pattern sublattice decision, the randomized AM-property check, a
-reference double description and a reference simplex.
+reference ray-basis supremum, a reference double description and a
+reference simplex.
 
 The first three decide by exact linear programs
 (`latfix.conegeom.minimize`), a route independent of the double
-description and the ray-basis suprema they are used to check.  The
+description and the suprema they are used to check.  The reference
+ray-basis supremum is the earlier route of `least_upper_bound_in`
+(coordinatewise maxima of ray coordinates, through a `Fraction`
+Gauss-Jordan inverse), which the positive projection must match.  The
 reference double description is the earlier `Fraction` version of
 `extreme_rays_of_inequality_cone` and `positive_cone`: it recomputes
 every tight set from dot products and maps rays back through
@@ -32,7 +36,7 @@ from latfix.conegeom import (
     least_upper_bound_in,
     minimize,
 )
-from latfix.exactnum.linalg import invert, rref
+from latfix.exactnum.linalg import rref
 from latfix.exactnum import TheoremViolationError
 from latfix.exactnum.rational import ONE, ZERO, QMatrix, QVector, rat
 
@@ -100,6 +104,55 @@ def sign_pattern_sublattice_oracle(subspace: Subspace) -> bool:
     return True
 
 
+def reference_inverse(matrix: QMatrix) -> QMatrix:
+    """Inverse of a square matrix by Gauss-Jordan on [M | I] with
+    `Fraction` entries and unit pivots; ValueError when M is singular."""
+    n = matrix.nrows
+    rows = [
+        list(r) + [Fraction(int(i == j)) for j in range(n)]
+        for i, r in enumerate(matrix.rows)
+    ]
+    for c in range(n):
+        p = next((i for i in range(c, n) if rows[i][c]), None)
+        if p is None:
+            raise ValueError("matrix is singular")
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c][c]
+        rows[c] = [x / pivot for x in rows[c]]
+        for i in range(n):
+            f = rows[i][c]
+            if i != c and f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return QMatrix(row[n:] for row in rows)
+
+
+def reference_ray_supremum(
+    subspace: Subspace, vectors: Sequence[QVector]
+) -> QVector:
+    """Supremum within a lattice subspace F read off its extreme rays,
+    the earlier route of `least_upper_bound_in`: the cone is simplicial,
+    so in the ray basis the order of F is coordinatewise and the
+    supremum is sum_i (max_k a_ki) r_i, a_k the ray coordinates of the
+    k-th input, found through the inverse of the ray coefficients."""
+    classification = classify_subspace(subspace)
+    if classification.verdict == Verdict.NOT_LATTICE_SUBSPACE:
+        raise ValueError("ray supremum needs a lattice subspace")
+    coefficients = [subspace.coefficients_of(g) for g in vectors]
+    if None in coefficients:
+        raise ValueError("vector outside the subspace")
+    rays = classification.rays
+    if not rays:
+        return QVector.zero(subspace.ambient_dim)
+    # c = a R for the matrix R of ray coefficients, so a = (R^-1)^T c
+    to_rays = reference_inverse(
+        QMatrix([subspace.coefficients_of(r) for r in rays])
+    ).transpose()
+    maxima = to_rays.matvec(coefficients[0])
+    for c in coefficients[1:]:
+        maxima = maxima.cwise_max(to_rays.matvec(c))
+    return QMatrix.from_columns(rays).matvec(maxima)
+
+
 def am_property_check(subspace: Subspace, trials: int, seed: int) -> bool:
     """Randomized sup-norm AM-property check on the positive cone of F:
     the least upper bound within F of positive x, y must carry norm
@@ -155,7 +208,7 @@ def reference_extreme_rays(rows: Sequence[QVector]) -> tuple[QVector, ...]:
     chosen = rref(QMatrix(rows).transpose())[1]
     if len(chosen) != d:
         raise ValueError("inequality rows do not span; cone is not pointed")
-    inverse = invert(QMatrix([rows[i] for i in chosen]))
+    inverse = reference_inverse(QMatrix([rows[i] for i in chosen]))
     rays = [
         _primitive_ray(QVector(inverse.entry(i, k) for i in range(d)))
         for k in range(d)

@@ -454,3 +454,17 @@ def test_gallery_under_optimized_python():
     assert proc.returncode == 0, proc.stderr
     matches = [line for line in proc.stderr.splitlines() if line.endswith("] match")]
     assert len(matches) == len(gallery.GALLERY_IDS) == 7
+
+
+def test_module_entry_point():
+    """`python -m latfix.cli` runs the command line."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "latfix.cli", "gallery", "run", "e41"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "[e41] match" in proc.stderr

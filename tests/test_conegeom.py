@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from latfix.conegeom.core import (
+    LatticeClassification,
     Subspace,
     Verdict,
     classify_subspace,
@@ -26,6 +27,7 @@ from latfix.conegeom.core import (
     modulus_in,
     positive_cone,
 )
+from latfix.exactnum import TheoremViolationError
 from latfix.exactnum.rational import QMatrix, QVector, rat
 from latfix.exactnum.linalg import kernel_basis, rank, solve
 
@@ -36,6 +38,7 @@ from cone_oracles import (
     primitive,
     reference_extreme_rays,
     reference_positive_cone_rays,
+    reference_ray_supremum,
     sign_pattern_sublattice_oracle,
 )
 from conftest import bareiss_rank, random_subspace_mix, random_qvector, rng_for
@@ -285,14 +288,14 @@ class TestFractionReference:
 
 class TestStartWithoutRref:
     """The double-description start is one integer elimination of
-    [R^T | I]: it calls neither `rref` nor `invert`."""
+    [R^T | I]: it calls no `rref`."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
         import latfix.conegeom.core as core
         import latfix.exactnum.linalg as linalg
 
-        calls = {"rref": 0, "invert": 0}
+        calls = {"rref": 0}
 
         def counting(name):
             original = getattr(linalg, name)
@@ -321,13 +324,13 @@ class TestStartWithoutRref:
                 pass
         rows = [QVector([1, 0, 0]), QVector([0, 1, 0]), QVector([0, 0, 1])]
         assert extreme_rays_of_inequality_cone(rows) == tuple(reversed(rows))
-        assert counted == {"rref": 0, "invert": 0}
+        assert counted == {"rref": 0}
 
     def test_non_spanning_rows_still_raise(self, counted):
         rows = [QVector([1, 2, 0]), QVector([2, 4, 0]), QVector([0, 0, 1])]
         with pytest.raises(ValueError, match="do not span"):
             extreme_rays_of_inequality_cone(rows)
-        assert counted == {"rref": 0, "invert": 0}
+        assert counted == {"rref": 0}
 
 
 class TestCoordinates:
@@ -523,32 +526,40 @@ def cone_shaped_span(rng, n, kind):
     return Subspace.from_vectors(n, [QVector(v) for v in vectors])
 
 
+def lattice_subspace_cases(seed, count, sizes=(9, 12)):
+    """(F, inputs in F) on fixed-space and classification shapes: the
+    absorbing-chain fixed spaces and the cone-shaped spans, every one a
+    lattice subspace, with 2 or 3 random inputs each."""
+    rng = rng_for(seed)
+    kinds = ("chain", "positive", "disjoint", "mixed")
+    for index in range(count):
+        n = rng.randint(*sizes)
+        kind = kinds[index % len(kinds)]
+        if kind == "chain":
+            f = absorbing_chain_fixed_space(rng, n)
+        else:
+            f = cone_shaped_span(rng, n, kind)
+        vectors = [
+            f.from_coefficients(
+                QVector(
+                    Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                    for _ in range(f.dim)
+                )
+            )
+            for _ in range(rng.randint(2, 3))
+        ]
+        yield f, vectors
+
+
 class TestRaySuprema:
     def test_matches_least_element_above(self):
-        """The ray-basis supremum equals the LP least element above the
+        """The projection supremum equals the LP least element above the
         ambient maximum, on fixed-space and classification shapes."""
-        rng = rng_for("ray-suprema")
         verdicts = []
-        kinds = ("chain", "positive", "disjoint", "mixed")
-        for index in range(60):
-            n = rng.randint(9, 12)
-            kind = kinds[index % len(kinds)]
-            if kind == "chain":
-                f = absorbing_chain_fixed_space(rng, n)
-            else:
-                f = cone_shaped_span(rng, n, kind)
+        for f, vectors in lattice_subspace_cases("ray-suprema", 60):
             verdict = classify_subspace(f).verdict
             assert verdict != Verdict.NOT_LATTICE_SUBSPACE
             verdicts.append(verdict)
-            vectors = [
-                f.from_coefficients(
-                    QVector(
-                        Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-                        for _ in range(f.dim)
-                    )
-                )
-                for _ in range(rng.randint(2, 3))
-            ]
             ambient_max = vectors[0]
             for v in vectors[1:]:
                 ambient_max = ambient_max.cwise_max(v)
@@ -558,9 +569,70 @@ class TestRaySuprema:
         assert verdicts.count(Verdict.SUBLATTICE) >= 15
         assert verdicts.count(Verdict.LATTICE_SUBSPACE_ONLY) >= 30
 
+    def test_matches_reference_ray_supremum(self):
+        """The projection supremum equals the ray-basis one: maxima of
+        ray coordinates through the inverse of the ray coefficients."""
+        for f, vectors in lattice_subspace_cases("ray-reference", 80, (4, 10)):
+            assert least_upper_bound_in(f, vectors) == reference_ray_supremum(
+                f, vectors
+            )
+        rng = rng_for("ray-reference-mix")
+        for index in range(60):
+            f = random_subspace_mix(rng, index)
+            if f.classification.verdict == Verdict.NOT_LATTICE_SUBSPACE:
+                continue
+            vectors = [
+                f.from_coefficients(random_qvector(rng, f.dim)) for _ in range(3)
+            ]
+            assert least_upper_bound_in(f, vectors) == reference_ray_supremum(
+                f, vectors
+            )
+
+    def test_positive_projection_projects_onto_f(self):
+        """Q >= 0, Q Q = Q, Q b = b on the basis and every column in F,
+        on sublattices and on lattice subspaces that are not."""
+        verdicts = []
+        for f, _ in lattice_subspace_cases("positive-projection", 60, (4, 10)):
+            verdicts.append(f.classification.verdict)
+            q = f.positive_projection
+            assert q.shape == (f.ambient_dim, f.ambient_dim)
+            assert q.is_nonneg()
+            assert q @ q == q
+            for b in f.basis:
+                assert q @ b == b
+            for column in q.transpose().rows:
+                assert f.contains(column)
+        assert verdicts.count(Verdict.SUBLATTICE) >= 15
+        assert verdicts.count(Verdict.LATTICE_SUBSPACE_ONLY) >= 25
+        assert Verdict.NOT_LATTICE_SUBSPACE not in verdicts
+
+    def test_positive_projection_needs_a_lattice_subspace(self):
+        for f in (
+            span(3, (1, 0, -1), (0, 1, 0)),
+            span(4, (1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0)),
+        ):
+            assert f.classification.verdict == Verdict.NOT_LATTICE_SUBSPACE
+            with pytest.raises(ValueError, match="not a lattice subspace"):
+                f.positive_projection
+
+    def test_positive_projection_enforces_owned_coordinates(self):
+        """Rays that do not each own a coordinate contradict a simplicial
+        cone: a defect, not a projection."""
+        f = span(3, (1, 1, 0), (0, 0, 1))
+        vars(f)["classification"] = LatticeClassification(
+            Verdict.LATTICE_SUBSPACE_ONLY,
+            True,
+            True,
+            False,
+            (QVector([1, 1, 0]), QVector([1, 1, 1])),
+        )
+        with pytest.raises(TheoremViolationError, match="owns no coordinate"):
+            f.positive_projection
+
     def test_zero_subspace(self):
         z = Subspace(3, ())
         assert least_upper_bound_in(z, [QVector.zero(3)]) == QVector.zero(3)
+        assert z.positive_projection == QMatrix.zero(3, 3)
 
 
 class TestBasisForm:

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -211,8 +212,19 @@ class TestInvariantsComputedOnce:
             contraction_check=len(fam.members),
         )
 
-    def test_one_ray_inverse_per_fixed_space(self, monkeypatch):
-        calls = count_calls(monkeypatch, (linalg, "invert"))
+    def test_one_positive_projection_per_fixed_space(self, monkeypatch):
+        """The fixed space builds its positive projection once, and every
+        supremum in it reuses that one matrix."""
+        calls = Counter()
+        build = Subspace.positive_projection.func
+
+        def counting(self):
+            calls["positive_projection"] += 1
+            return build(self)
+
+        counted = cached_property(counting)
+        counted.__set_name__(Subspace, "positive_projection")
+        monkeypatch.setattr(Subspace, "positive_projection", counted)
         t = averaging_op()
         fam = family_of(t, PositiveMatrixOperator(t.matrix @ t.matrix, SUP_NORM))
         report = fixed_space_report(fam)
@@ -221,7 +233,7 @@ class TestInvariantsComputedOnce:
             g_f, g_e = sup_in_fixspace(fam, [b, -b])
             assert g_f.ge(g_e)
         assert least_fixed_above(fam, QVector([1, 0, 1])) == QVector([1, 1, 1])
-        assert calls == Counter(invert=1)
+        assert calls == Counter(positive_projection=1)
 
     def test_one_membership_check_per_sup_input(self, monkeypatch):
         t = averaging_op()
@@ -243,7 +255,10 @@ class TestInvariantsComputedOnce:
         cached, fresh = family_of(averaging_op()), family_of(averaging_op())
         assert cached.contractive
         assert cached.fixed_space.classification.rays
-        assert cached.fixed_space.to_ray_coordinates.nrows == 2
+        # rays (0,1,2) and (2,1,0) own coordinates 2 and 0
+        assert cached.fixed_space.positive_projection == QMatrix(
+            [[1, 0, 0], [rat("1/2"), 0, rat("1/2")], [0, 0, 1]]
+        )
         assert cached == fresh
         assert hash(cached) == hash(fresh)
         assert cached.fixed_space == fresh.fixed_space

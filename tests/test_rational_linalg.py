@@ -18,7 +18,6 @@ from latfix.exactnum.linalg import (
     char_poly,
     fix_projection,
     intersect_kernels,
-    invert,
     kernel_basis,
     poly_of_matrix,
     rank,
@@ -253,13 +252,26 @@ class TestAgainstSympy:
 
     @given(elimination_matrix_st(square=True))
     @settings(max_examples=100, deadline=None)
-    def test_invert(self, a):
+    def test_fix_projection(self, a):
+        """fix_projection(I - A) against sympy's change of basis: the
+        kernel of A and its column space as columns of B, and the
+        projection B diag(1, ..., 1, 0, ..., 0) B^-1 keeping the kernel
+        coordinates; a singular B means eigenvalue 1 is defective."""
+        n = a.nrows
+        m = QMatrix.identity(n) - a
         oracle = to_sympy(a)
-        if oracle.rank() < a.nrows:
-            with pytest.raises(ValueError):
-                invert(a)
+        fixed = oracle.nullspace()
+        if not fixed:
+            assert fix_projection(m) == QMatrix.zero(n, n)
             return
-        assert [list(r) for r in invert(a).rows] == from_sympy(oracle.inv())
+        basis = sympy.Matrix.hstack(*fixed, *oracle.columnspace())
+        if basis.rank() < n:
+            with pytest.raises(DefectiveEigenvalueError):
+                fix_projection(m)
+            return
+        keep = sympy.diag(*([1] * len(fixed) + [0] * (n - len(fixed))))
+        expected = basis * keep * basis.inv()
+        assert [list(r) for r in fix_projection(m).rows] == from_sympy(expected)
 
 
 class TestCharPoly:
@@ -327,6 +339,9 @@ class TestFixProjection:
         jordan = QMatrix([[1, 1], [0, 1]])
         with pytest.raises(DefectiveEigenvalueError):
             fix_projection(jordan)
+        # a Jordan block beside a semisimple fixed vector
+        with pytest.raises(DefectiveEigenvalueError):
+            fix_projection(QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
 
 
 class TestRandomVectors:

@@ -236,10 +236,12 @@ class TestFunctionalSpec:
         assert spec.coeffs == QVector([1, 2, 0, 0])
         spec = LinearFunctionalSpec.build(s, chain_tails={"v": 3}, grid_row_tails={2: 5})
         assert spec.coeffs == QVector([0, 0, 0, 3, 0, 0, 5])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no finite coordinate named 'zz'"):
             LinearFunctionalSpec.build(s, finite={"zz": 1})
+        with pytest.raises(ValueError, match="no chain named 'zz'"):
+            LinearFunctionalSpec.build(s, chain_tails={"zz": 1})
         no_grid = IndexSchema(("a",))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="grid row reference without a grid"):
             LinearFunctionalSpec.build(no_grid, grid_row_tails={0: 1})
 
     def test_evaluate_reads_tails_only(self):
