@@ -8,7 +8,7 @@ Run with: python3 demos/01_exact_kernels.py
 from fractions import Fraction
 
 from latfix.exactnum.linalg import char_poly, fix_projection, kernel_basis, rank
-from latfix.exactnum.polynomials import factor_over_rationals
+from latfix.exactnum.polynomials import cyclotomic_division
 from latfix.exactnum.rational import QMatrix, QVector
 
 third = Fraction(1, 3)
@@ -36,10 +36,12 @@ print("rank of I - T:", rank(identity - averaging))
 p = char_poly(averaging)
 print("\ncharacteristic polynomial coefficients (ascending):")
 print("  ", [str(c) for c in p.coeffs])
-factored = factor_over_rationals(p)
-print("irreducible factors (primitive integer form):")
-for factor, multiplicity in factored.factors:
-    print("  ", [str(c) for c in factor.coeffs], "^", multiplicity)
+# chi = (x - 1)^2 (x - 1/3): the cyclotomic factor Phi_1 = x - 1 twice
+multiplicities, rest = cyclotomic_division(p)
+print("cyclotomic factors by exact trial division:")
+for order, multiplicity in multiplicities.items():
+    print(f"   order {order} with multiplicity {multiplicity}")
+print("cyclotomic-free rest (ascending):", [str(c) for c in rest.coeffs])
 
 # eigenvalue 1 is semisimple here, so the order-preserving projection
 # onto the fixed space exists and is computed exactly

@@ -8,7 +8,6 @@ from .linalg import (
     DefectiveEigenvalueError,
     char_poly,
     fix_projection,
-    intersect_kernels,
     kernel_basis,
     poly_of_matrix,
     rank,
@@ -47,7 +46,6 @@ __all__ = [
     "cyclotomic_order",
     "euler_phi",
     "fix_projection",
-    "intersect_kernels",
     "kernel_basis",
     "orders_with_phi_at_most",
     "poly_gcd",

@@ -2,15 +2,15 @@
 
 `eliminate` is the one row step of the package: a fraction-free
 (Bareiss) Gauss-Jordan step on integer rows that share one common
-denominator.  `rref` (and through it rank, kernels, solving and
-projection), the double-description start in `conegeom.core` and the
-simplex in `conegeom.simplex` reduce with it and with nothing else.
-No step pays a gcd; rows enter as their `QVector` numerators (scaling
-a row keeps its RREF) and leave as `QVector`s over the final common
-denominator.
+denominator.  `row_reduce` (and through it rank, RREF, solving, kernels
+and the fixed-space projection), the double-description start in
+`conegeom.core` and the simplex in `conegeom.simplex` reduce with it
+and with nothing else.  No step pays a gcd; rows enter as their
+`QVector` numerators (scaling a row keeps its RREF) and leave as
+`QVector`s over the final common denominator.
 
-Kernel bases are canonical: the spanning set produced by back
-substitution is itself brought to reduced row echelon form, so equal
+Kernel bases are canonical: one reduction with the columns reversed
+yields the RREF basis of the null space by back substitution, so equal
 subspaces always yield identical bases.  The characteristic polynomial
 is computed with division-free Berkowitz on plain integers, after
 clearing one common denominator, into a `QPolynomial`'s ``nums`` over
@@ -18,7 +18,6 @@ clearing one common denominator, into a `QPolynomial`'s ``nums`` over
 """
 from __future__ import annotations
 
-from math import lcm
 from operator import mul
 
 from .polynomials import QPolynomial
@@ -95,26 +94,26 @@ def row_space_basis(matrix: QMatrix) -> tuple[QVector, ...]:
 
 
 def kernel_basis(matrix: QMatrix) -> tuple[QVector, ...]:
-    """RREF-canonical basis of the null space {v : Mv = 0}; each
-    spanning vector is taken times d, which the final RREF undoes.
+    """RREF-canonical basis of the null space {v : Mv = 0}, or () when
+    it is trivial, from one `row_reduce` with the columns reversed.
 
-    An empty tuple means the kernel is trivial.
+    Back substitution gives one null vector per free column, zero at the
+    other free columns; the pivot rows reach only later columns in the
+    original order, so the free column is its first nonzero entry.
+    Scaled to a leading 1 and ordered by free column, these vectors are
+    the RREF basis itself, so equal kernels give identical bases.
     """
-    reduced, pivots = rref(matrix)
-    ncols = reduced.ncols
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    d = lcm(*(r.den for r in reduced.rows))
+    ncols = matrix.ncols
+    rows = [list(r.nums[::-1]) for r in matrix.rows]
+    prev, pivots = row_reduce(rows, ncols)
     vectors = []
-    for free in free_cols:
+    for free in sorted(set(range(ncols)) - set(pivots), reverse=True):
         v = [0] * ncols
-        v[free] = d
-        for r, pc in zip(reduced.rows, pivots):
-            v[pc] = -r.nums[free] * (d // r.den)
-        vectors.append(QVector.from_ints(v))
-    if not vectors:
-        return ()
-    return row_space_basis(QMatrix(vectors))
+        v[free] = prev
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[free]
+        vectors.append(QVector.from_ints(v[::-1], prev))
+    return tuple(vectors)
 
 
 def solve(matrix: QMatrix, rhs: QVector) -> QVector | None:
@@ -204,46 +203,35 @@ class DefectiveEigenvalueError(ValueError):
 
 
 def fix_projection(matrix: QMatrix) -> QMatrix:
-    """Projection onto ker(I - M) along range(I - M): F (G^T F)^-1 G^T,
-    where the columns of F span ker(I - M) and those of G span
-    ker((I - M)^T), whose orthogonal complement is range(I - M).  One
-    RREF of [G^T F | G^T] leaves (G^T F)^-1 G^T in its right block.
+    """Projection P onto ker(I - M) along range(I - M), from two
+    `row_reduce` calls; the zero matrix when 1 is not an eigenvalue.
 
-    Returns the zero matrix when 1 is not an eigenvalue.  Raises
-    DefectiveEigenvalueError when eigenvalue 1 is not semisimple, that
-    is when G^T F is singular.
+    With the rows of G^T spanning the left kernel of I - M, whose
+    orthogonal complement is range(I - M), P is the unique solution of
+    (I - M) P = 0 (fixed columns) and G^T P = G^T (columns of I - P in
+    range(I - M)).  The system is singular, a DefectiveEigenvalueError,
+    exactly when ker(I - M) meets range(I - M): when eigenvalue 1 is not
+    semisimple.  Reducing [I - M | I] leaves G^T in the right block of
+    the rows that are zero on the left; reducing the pivot rows beside a
+    zero block, stacked on [G^T | G^T], leaves den * [I | P].
     """
     if not matrix.is_square():
         raise ValueError("projection of a non-square matrix")
     n = matrix.nrows
-    complement = QMatrix.identity(n) - matrix
-    fixed = kernel_basis(complement)
-    if not fixed:
+    # row i of [I - M | I], taken times the row's denominator
+    rows = [
+        [r.den * (i == j) - x for j, x in enumerate(r.nums)]
+        + [r.den * (i == j) for j in range(n)]
+        for i, r in enumerate(matrix.rows)
+    ]
+    k = len(row_reduce(rows, n)[1])
+    if k == n:
         return QMatrix.zero(n, n)
-    f = QMatrix.from_columns(fixed)
-    left = QMatrix(kernel_basis(complement.transpose()))
-    # row i of [G^T F | G^T], taken times both row denominators
-    augmented = QMatrix(
-        QVector.from_ints((*(x * g.den for x in a.nums), *(x * a.den for x in g.nums)))
-        for a, g in zip(left.matmul(f).rows, left.rows)
-    )
-    reduced, pivots = rref(augmented)
-    k = len(fixed)
-    if pivots != tuple(range(k)):
+    system = [row[:n] + [0] * n for row in rows[:k]]
+    system += [row[n:] * 2 for row in rows[k:]]  # [G^T | G^T]
+    den, pivots = row_reduce(system, n)
+    if len(pivots) < n:
         raise DefectiveEigenvalueError(
             "eigenvalue 1 is defective: ker(I-M) meets range(I-M)"
         )
-    # the leading block is I, so the right block is (G^T F)^-1 G^T
-    right = QMatrix(QVector.from_ints(r.nums[k:], r.den) for r in reduced.rows)
-    return f.matmul(right)
-
-
-def intersect_kernels(matrices: list[QMatrix]) -> tuple[QVector, ...]:
-    """Canonical basis of the intersection of the kernels of the inputs."""
-    if not matrices:
-        raise ValueError("empty matrix list")
-    ncols = matrices[0].ncols
-    if any(m.ncols != ncols for m in matrices):
-        raise ValueError("ambient dimension mismatch")
-    stacked = QMatrix([row for m in matrices for row in m.rows])
-    return kernel_basis(stacked)
+    return QMatrix(QVector.from_ints(row[n:], den) for row in system)

@@ -13,8 +13,8 @@ through repeated monotone limit steps.
 
 The report, the suprema and the least fixed vector read
 family.contractive, family.fixed_space, its classification and its
-positive projection, each computed once per object, so they share one kernel intersection and one
-double description per family.
+positive projection, each computed once per object, so they share one
+kernel of the stacked I - T rows and one double description per family.
 
 Two independent routes to the least fixed vector above a super fixed g
 coexist deliberately: the LP least-element construction (order
@@ -49,8 +49,12 @@ from . import seqspace
 from .seqspace import ShiftInsertOperator, SymbolicVector
 
 
+# limit steps a symbolic transfinite trace takes before it gives up
+STEP_BUDGET = 8
+
+
 class BudgetExceededError(RuntimeError):
-    """The transfinite trace did not settle within its step budget."""
+    """The transfinite trace did not settle within STEP_BUDGET steps."""
 
 
 @dataclass(frozen=True)
@@ -228,14 +232,13 @@ def _symbolic_trace(
     op: ShiftInsertOperator,
     vectors: Sequence[SymbolicVector],
     power: int,
-    budget: int,
 ) -> TransfiniteTrace:
     for v in vectors:
         if seqspace.apply_power(op, v, power) != v:
             raise ValueError("vector outside the fixed space")
     current = seqspace.ambient_sup(vectors)
     steps: list[TraceStep] = []
-    for index in range(1, budget + 1):
+    for index in range(1, STEP_BUDGET + 1):
         result = seqspace.orbit_sup(op, current, power)
         if result.outcome == "NotSuperFixed":
             raise TheoremViolationError(
@@ -260,7 +263,7 @@ def _symbolic_trace(
                 limit_steps=index,
             )
     raise BudgetExceededError(
-        f"no fixed point within {budget} limit steps"
+        f"no fixed point within {STEP_BUDGET} limit steps"
     )
 
 
@@ -268,7 +271,6 @@ def transfinite_trace(
     op: Union[PositiveMatrixOperator, ShiftInsertOperator],
     vectors: Sequence,
     power: int = 1,
-    budget: int = 8,
 ) -> TransfiniteTrace:
     """Iterated monotone limit steps from the ambient supremum of fixed
     vectors up to a fixed point.
@@ -290,5 +292,5 @@ def transfinite_trace(
     if isinstance(op, PositiveMatrixOperator):
         return _matrix_trace(op, vectors, power)
     if isinstance(op, ShiftInsertOperator):
-        return _symbolic_trace(op, vectors, power, budget)
+        return _symbolic_trace(op, vectors, power)
     raise TypeError("unsupported operator type")

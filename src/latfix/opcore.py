@@ -23,7 +23,7 @@ from typing import Iterable
 
 from .conegeom import Subspace
 from .exactnum import TheoremViolationError
-from .exactnum.linalg import char_poly, intersect_kernels, rank
+from .exactnum.linalg import char_poly, kernel_basis, rank
 from .exactnum.polynomials import (
     QPolynomial,
     cyclotomic,
@@ -140,10 +140,10 @@ class OperatorFamily:
     @cached_property
     def fixed_space(self) -> Subspace:
         """Common fixed space: the intersection of ker(I - T) over the
-        members, with the RREF-canonical basis intersect_kernels returns."""
+        members, the RREF-canonical kernel of their stacked rows."""
         eye = QMatrix.identity(self.dim)
-        basis = intersect_kernels([eye - t.matrix for t in self.members])
-        return Subspace(self.dim, basis)
+        stacked = QMatrix(row for t in self.members for row in (eye - t.matrix).rows)
+        return Subspace(self.dim, kernel_basis(stacked))
 
 
 def operator_norm(op: PositiveMatrixOperator) -> Fraction:

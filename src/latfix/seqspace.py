@@ -36,7 +36,7 @@ S - lam*I over them, S the functionals' rows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
@@ -357,6 +357,10 @@ class ShiftInsertOperator:
     chain_sources: tuple[LinearFunctionalSpec, ...] = ()
     grid_row0_source: LinearFunctionalSpec | None = None
     grid_cross: Fraction = ZERO
+    # each powered augmented matrix already seen -> its _limit_matrix
+    _limits: dict[QMatrix, QMatrix] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         s = self.schema
@@ -582,15 +586,11 @@ def _limit_matrix(m: QMatrix) -> QMatrix:
     return fix_projection(m)
 
 
-def _limit_step(
-    op: ShiftInsertOperator,
-    g: SymbolicVector,
-    power: int,
-    limits: dict[QMatrix, QMatrix],
-) -> SymbolicVector:
+def _limit_step(op: ShiftInsertOperator, g: SymbolicVector, power: int) -> SymbolicVector:
     """Supremum of the increasing orbit g, T^p g, T^2p g, ... of a super
-    fixed g (p = power), certified to dominate g.  limits maps each
-    powered augmented matrix already seen to its _limit_matrix.
+    fixed g (p = power), certified to dominate g.  The operator keeps
+    each powered augmented matrix's _limit_matrix, so every orbit of it
+    certifies a matrix once.
 
     Tails are orbit invariants, so the finite part follows the affine
     iteration x -> Ax + b whose limit is the fixed-space projection of
@@ -606,9 +606,9 @@ def _limit_step(
     nf = s.finite_dim
     aug = _folded_finite_map(op, g)
     m = aug.power(power)
-    proj = limits.get(m)
+    proj = op._limits.get(m)
     if proj is None:
-        proj = limits[m] = _limit_matrix(m)
+        proj = op._limits[m] = _limit_matrix(m)
 
     x = g.finite_part
     states = [QVector.from_ints(x.nums + (x.den,), x.den)]
@@ -620,11 +620,10 @@ def _limit_step(
         finite_limits.append(QVector.from_ints(lim.nums[:nf], lim.den))
 
     def residue_limits(spec: LinearFunctionalSpec) -> Fraction:
-        values = set()
-        for rho in range(power):
-            r = (power - rho - 1) % power
-            frozen = SymbolicVector(s, finite_limits[r], g.chains, g.grid_rows)
-            values.add(spec.evaluate(frozen))
+        values = {
+            spec.evaluate(SymbolicVector(s, lim, g.chains, g.grid_rows))
+            for lim in finite_limits
+        }
         if len(values) != 1:
             raise UnsupportedClosedFormError(
                 "chain supremum oscillates between insertion residues"
@@ -670,7 +669,8 @@ def orbit_sup(op: ShiftInsertOperator, g: SymbolicVector, power: int = 1) -> Orb
     further limit steps, each from the previous supremum (which must be
     super fixed), and reported as Unbounded with the norms of the three
     successive suprema as evidence.  When no finite input reads a tail,
-    the limit steps share one augmented matrix, certified once.
+    the limit steps share one augmented matrix, certified once per
+    operator.
     """
     if power < 1:
         raise ValueError("power must be a positive integer")
@@ -678,15 +678,14 @@ def orbit_sup(op: ShiftInsertOperator, g: SymbolicVector, power: int = 1) -> Orb
         raise ValueError("schema mismatch")
     if not apply_power(op, g, power).ge(g):
         return OrbitSup("NotSuperFixed")
-    limits: dict[QMatrix, QMatrix] = {}
-    sup = _limit_step(op, g, power, limits)
+    sup = _limit_step(op, g, power)
     if abs(op.grid_cross) <= 1 or all(r.tail == 0 for r in sup.grid_rows):
         return OrbitSup("Stabilized", supremum=sup)
     norms = [sup.sup_norm()]
     for _ in range(2):
         if not apply_power(op, sup, power).ge(sup):
             raise TheoremViolationError("a growing limit step is not super fixed")
-        sup = _limit_step(op, sup, power, limits)
+        sup = _limit_step(op, sup, power)
         norms.append(sup.sup_norm())
     return OrbitSup("Unbounded", evidence=tuple(norms))
 

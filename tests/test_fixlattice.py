@@ -194,7 +194,7 @@ class TestInvariantsComputedOnce:
     ):
         calls = count_calls(
             monkeypatch,
-            (linalg, "intersect_kernels"),
+            (linalg, "kernel_basis"),
             (conegeom_core, "extreme_rays_of_inequality_cone"),
             (opcore, "contraction_check"),
         )
@@ -207,7 +207,7 @@ class TestInvariantsComputedOnce:
             assert g_f.ge(g_e)
         assert least_fixed_above(fam, QVector([1, 0, 1])) == QVector([1, 1, 1])
         assert calls == Counter(
-            intersect_kernels=1,
+            kernel_basis=1,
             extreme_rays_of_inequality_cone=1,
             contraction_check=len(fam.members),
         )
@@ -386,6 +386,23 @@ class TestMatrixTrace:
 
 
 class TestSymbolicTrace:
+    def test_e42_certifies_one_limit_matrix(self, monkeypatch):
+        # both limit steps power the same augmented matrix, and the
+        # operator certifies it once across the two orbit suprema
+        op = builtin_operator("e42")
+        f = next(v for v in symbolic_fixed_space(op) if not v.abs() == v)
+        calls = []
+        real = seqspace.char_poly
+
+        def counted(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(seqspace, "char_poly", counted)
+        trace = transfinite_trace(op, [f, f.scale(-1)])
+        assert trace.limit_steps == 2
+        assert len(calls) == 1
+
     def test_e42_two_limit_steps(self):
         op = builtin_operator("e42")
         basis = symbolic_fixed_space(op)
@@ -426,7 +443,7 @@ class TestSymbolicTrace:
         )
         (f,) = symbolic_eigenspace(op, -1)
         with pytest.raises(BudgetExceededError):
-            transfinite_trace(op, [f, f.scale(-1)], power=2, budget=4)
+            transfinite_trace(op, [f, f.scale(-1)], power=2)
 
     def test_vector_not_fixed_rejected(self):
         op = builtin_operator("e42")

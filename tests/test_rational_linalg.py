@@ -6,18 +6,19 @@ Cayley-Hamilton and numpy, and the
 fixed-space projection against its defining algebraic identities.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from latfix.exactnum import linalg
 from latfix.exactnum.linalg import (
     DefectiveEigenvalueError,
     char_poly,
     fix_projection,
-    intersect_kernels,
     kernel_basis,
     poly_of_matrix,
     rank,
@@ -169,11 +170,11 @@ class TestKernel:
             assert bareiss_rank(QMatrix(basis)) == len(basis)
 
     def test_intersect_kernels(self):
+        # the joint kernel of two matrices is the kernel of their
+        # stacked rows
         a = QMatrix([[1, -1, 0]])
         b = QMatrix([[0, 1, -1]])
-        joint = intersect_kernels([a, b])
-        assert len(joint) == 1
-        assert joint[0].scale(1 / joint[0][0]) == QVector([1, 1, 1])
+        assert kernel_basis(QMatrix(a.rows + b.rows)) == (QVector([1, 1, 1]),)
 
     def test_solve_consistent_and_inconsistent(self):
         a = QMatrix([[1, 2], [2, 4]])
@@ -239,6 +240,9 @@ class TestAgainstSympy:
         assert all(type(x) is Fraction for r in reduced.rows for x in r)
 
     @given(elimination_matrix_st())
+    @example(QMatrix([]))
+    @example(QMatrix.zero(2, 5))
+    @example(QMatrix.zero(5, 2))
     @settings(max_examples=150, deadline=None)
     def test_kernel_basis(self, a):
         nullspace = to_sympy(a).nullspace()
@@ -251,6 +255,10 @@ class TestAgainstSympy:
         assert [list(v) for v in kernel_basis(a)] == expected
 
     @given(elimination_matrix_st(square=True))
+    # I - A is a Jordan block at 1 beside a fixed vector: defective
+    @example(QMatrix([[0, -1, 0], [0, 0, 0], [0, 0, 0]]))
+    # A invertible: 1 is not an eigenvalue of I - A
+    @example(QMatrix([[rat("1/2"), 1], [0, rat("2/3")]]))
     @settings(max_examples=100, deadline=None)
     def test_fix_projection(self, a):
         """fix_projection(I - A) against sympy's change of basis: the
@@ -272,6 +280,57 @@ class TestAgainstSympy:
         keep = sympy.diag(*([1] * len(fixed) + [0] * (n - len(fixed))))
         expected = basis * keep * basis.inv()
         assert [list(r) for r in fix_projection(m).rows] == from_sympy(expected)
+
+
+class TestOneReduction:
+    """`kernel_basis` reads the null space off one `row_reduce` and
+    `fix_projection` reads P off two, with no RREF, kernel, transpose
+    or product in between."""
+
+    def count_calls(self, monkeypatch):
+        calls = Counter()
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in ("row_reduce", "rref", "kernel_basis"):
+            counting(linalg, name)
+        counting(QMatrix, "transpose")
+        counting(QMatrix, "matmul")
+        return calls
+
+    def test_kernel_basis_is_one_reduction(self, monkeypatch):
+        a = QMatrix([[1, 2, 0, 3], [2, 4, 1, 1], [3, 6, 1, 4]])
+        calls = self.count_calls(monkeypatch)
+        # the kernel is spanned by (-2, 1, 0, 0) and (-3, 0, 5, 1)
+        assert kernel_basis(a) == (
+            QVector([1, 0, rat("-5/3"), rat("-1/3")]),
+            QVector([0, 1, rat("-10/3"), rat("-2/3")]),
+        )
+        assert calls == Counter(row_reduce=1)
+
+    def test_fix_projection_is_two_reductions(self, monkeypatch):
+        third = rat("1/3")
+        a = QMatrix([[1, 0, 0], [third, third, third], [0, 0, 1]])
+        calls = self.count_calls(monkeypatch)
+        assert fix_projection(a) == QMatrix(
+            [[1, 0, 0], [rat("1/2"), 0, rat("1/2")], [0, 0, 1]]
+        )
+        assert calls == Counter(row_reduce=2)
+        calls.clear()
+        # no eigenvalue 1: the first reduction already decides
+        assert fix_projection(a.scale(rat("1/2"))) == QMatrix.zero(3, 3)
+        assert calls == Counter(row_reduce=1)
+        calls.clear()
+        with pytest.raises(DefectiveEigenvalueError):
+            fix_projection(QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+        assert calls == Counter(row_reduce=2)
 
 
 class TestCharPoly:

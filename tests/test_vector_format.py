@@ -19,7 +19,13 @@ from hypothesis import given, settings, strategies as st
 from latfix.conegeom import Subspace
 from latfix.conegeom.core import extreme_rays_of_inequality_cone
 from latfix.exactnum import polynomials
-from latfix.exactnum.linalg import char_poly, poly_of_matrix, rank
+from latfix.exactnum.linalg import (
+    char_poly,
+    fix_projection,
+    kernel_basis,
+    poly_of_matrix,
+    rank,
+)
 from latfix.exactnum.polynomials import (
     QPolynomial,
     cyclotomic,
@@ -259,7 +265,7 @@ class TestNoFractionBuilt:
                     f.coefficients_of(outside), extreme_rays_of_inequality_cone(rows),
                     chi, poly_of_matrix(chi, s), perron_root_vs_one(chi),
                     poly_gcd(chi, g * chi.derivative()), unimodular_part(chi),
-                    cyclotomic(12))
+                    cyclotomic(12), kernel_basis(m), fix_projection(s))
 
         expected = kernels()
         built = count_fraction_builds(monkeypatch)
@@ -275,6 +281,12 @@ class TestNoFractionBuilt:
         assert expected[8] == 0 and expected[9] == QPolynomial([-1, 1])
         assert expected[10] == QPolynomial([-1, 0, 1])
         assert expected[11] == QPolynomial([1, 0, -1, 0, 1])
+        assert expected[12] == (QVector([1, 0, Fraction(-7, 4), -h]),)
+        # s averages its 2-cycle, keeps coordinate 2, and its last
+        # coordinate settles at a quarter of the cycle and half of 2
+        q = Fraction(1, 4)
+        assert expected[13] == QMatrix([[h, h, 0, 0], [h, h, 0, 0],
+                                        [0, 0, 1, 0], [q, q, h, 0]])
 
     def test_input_edge_builds_no_fraction(self, monkeypatch):
         rows = [["1/2", "1/3", "0", "1/6"], ["0", "1", "0", "0"],
