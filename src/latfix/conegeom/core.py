@@ -15,6 +15,16 @@ ordered spaces:
   sublattice the coordinatewise meet of distinct extreme rays must
   vanish.
 
+A `Subspace` carries its cone: its cached `classification` runs double
+description once and holds the extreme rays, which `positive_cone` and
+`classify_subspace` read.  The flags come off the ray supports:
+
+* the cone C is generating iff the ray supports cover the basis
+  supports: the sum of the rays is then positive wherever F is nonzero,
+  an interior point, and every b in F = C - C has support inside them;
+* the rays have pairwise disjoint supports iff their support sizes add
+  up to the size of their union: a shared coordinate counts twice.
+
 Everything here reads the integer numerators of the `QVector`s.  Double
 description runs on plain ints: each inequality row is scaled to a
 primitive integer vector, each ray is kept as one, and its tight set
@@ -47,7 +57,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from ..exactnum import TheoremViolationError
-from ..exactnum.linalg import rank, row_reduce, row_space_basis
+from ..exactnum.linalg import row_reduce, row_space_basis
 from ..exactnum.rational import QMatrix, QVector
 from .simplex import INFEASIBLE, UNBOUNDED, minimize
 
@@ -60,17 +70,21 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace of R^n with an RREF-canonical basis.  The RREF
-    form is load-bearing: coefficients_of reads each coefficient at its
-    basis vector's pivot, so a basis given directly must be in RREF.
-    The pivots are found once, on construction; the subspace carries
-    its lattice classification, also computed once."""
+    """A linear subspace of R^n with an RREF-canonical basis of vectors in
+    R^ambient_dim.  The RREF form is load-bearing: coefficients_of reads
+    each coefficient at its basis vector's pivot, so a basis given
+    directly must be in RREF.  The pivots are found once, on
+    construction; the subspace carries its positive cone and lattice
+    classification, computed once, which `positive_cone` and
+    `classify_subspace` read."""
 
     ambient_dim: int
     basis: tuple[QVector, ...]
     pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if any(b.dim != self.ambient_dim for b in self.basis):
+            raise ValueError("subspace basis vector has wrong dimension")
         pivots = tuple(
             next((j for j, x in enumerate(b.nums) if x), None) for b in self.basis
         )
@@ -135,8 +149,32 @@ class Subspace:
 
     @cached_property
     def classification(self) -> LatticeClassification:
-        """classify_subspace of this subspace."""
-        return classify_subspace(self)
+        """Lattice classification under the inherited coordinate order,
+        carrying the extreme rays of the positive cone: double description
+        on the coefficient cone (rows: the columns of D times the basis, D
+        the common denominator), each integral ray mapped back by one
+        integer product.  The zero subspace is a vacuous sublattice with
+        all flags true and no rays."""
+        if self.is_zero():
+            return LatticeClassification(Verdict.SUBLATTICE, True, True, True, ())
+        columns = list(zip(*QMatrix(self.basis).int_rows()[0]))  # D * basis
+        coeff_rays = extreme_rays_of_inequality_cone(
+            [QVector.from_ints(col) for col in columns]
+        )
+        ambient = [[sum(map(mul, r.nums, c)) for c in columns] for r in coeff_rays]
+        rays = tuple(QVector.from_ints(r) for r in sorted(map(_primitive, ambient)))
+        supports = [r.support() for r in rays]
+        covered = frozenset().union(*supports)
+        generating = covered == frozenset().union(*(b.support() for b in self.basis))
+        simplicial = generating and len(rays) == self.dim
+        disjoint = sum(map(len, supports)) == len(covered)
+        if not simplicial:
+            verdict = Verdict.NOT_LATTICE_SUBSPACE
+        elif disjoint:
+            verdict = Verdict.SUBLATTICE
+        else:
+            verdict = Verdict.LATTICE_SUBSPACE_ONLY
+        return LatticeClassification(verdict, generating, simplicial, disjoint, rays)
 
     @cached_property
     def positive_projection(self) -> QMatrix:
@@ -260,53 +298,15 @@ def extreme_rays_of_inequality_cone(
 
 
 def positive_cone(subspace: Subspace) -> PolyhedralCone:
-    """Extreme rays of {x in F : x >= 0}, via double description on the
-    coefficient cone and mapped back to ambient coordinates by one
-    integer product with D times the basis, D the common denominator of
-    its entries.  The zero subspace has no rays."""
-    if subspace.is_zero():
-        return PolyhedralCone(subspace, ())
-    coeff_rays = extreme_rays_of_inequality_cone(subspace.coordinate_rows())
-    columns = list(zip(*QMatrix(subspace.basis).int_rows()[0]))  # D * basis
-    ambient_rays = [
-        # the coefficient rays are integral: den 1
-        _primitive([sum(map(mul, ray.nums, col)) for col in columns])
-        for ray in coeff_rays
-    ]
-    return PolyhedralCone(
-        subspace, tuple(QVector.from_ints(r) for r in sorted(ambient_rays))
-    )
-
-
-# ---------------------------------------------------------------------------
-# classification
+    """Extreme rays of {x in F : x >= 0}, read off the classification F
+    carries.  The zero subspace has no rays."""
+    return PolyhedralCone(subspace, subspace.classification.rays)
 
 
 def classify_subspace(subspace: Subspace) -> LatticeClassification:
-    """Lattice classification of F under the inherited coordinate order.
-
-    The extreme rays of the positive cone ride along in the result.  The
-    zero subspace is vacuously closed under the modulus and is
-    classified as a sublattice with all flags true and no rays.
-    """
-    if subspace.is_zero():
-        return LatticeClassification(Verdict.SUBLATTICE, True, True, True, ())
-    d = subspace.dim
-    rays = positive_cone(subspace).rays
-    generating = bool(rays) and rank(QMatrix(rays)) == d
-    simplicial = len(rays) == d and generating
-    disjoint = all(
-        not (rays[i].support() & rays[j].support())
-        for i in range(len(rays))
-        for j in range(i + 1, len(rays))
-    )
-    if not (generating and simplicial):
-        verdict = Verdict.NOT_LATTICE_SUBSPACE
-    elif disjoint:
-        verdict = Verdict.SUBLATTICE
-    else:
-        verdict = Verdict.LATTICE_SUBSPACE_ONLY
-    return LatticeClassification(verdict, generating, simplicial, disjoint, rays)
+    """Lattice classification of F under the inherited coordinate order:
+    the classification F carries, computed once per subspace."""
+    return subspace.classification
 
 
 # ---------------------------------------------------------------------------

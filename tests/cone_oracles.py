@@ -13,7 +13,10 @@ reference double description is the earlier `Fraction` version of
 `extreme_rays_of_inequality_cone` and `positive_cone`: it recomputes
 every tight set from dot products and maps rays back through
 `Subspace.from_coefficients`, so the integer version can be compared
-with it exactly.  The reference simplex is the earlier `Fraction`
+with it exactly.  The reference classification is the earlier route of
+`classify_subspace`: those reference rays, `rank` of the rays for the
+generating flag and a pairwise check of the ray supports, which the
+support criteria must match.  The reference simplex is the earlier `Fraction`
 version of `minimize`: a tableau of `Fraction`s reduced by unit-pivot
 Gauss-Jordan steps, which the integer tableau must match exactly.
 """
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from typing import Sequence
 
@@ -29,6 +33,7 @@ from latfix.conegeom import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    LatticeClassification,
     LPResult,
     Subspace,
     Verdict,
@@ -36,7 +41,7 @@ from latfix.conegeom import (
     least_upper_bound_in,
     minimize,
 )
-from latfix.exactnum.linalg import rref
+from latfix.exactnum.linalg import rank, rref
 from latfix.exactnum import TheoremViolationError
 from latfix.exactnum.rational import ONE, ZERO, QMatrix, QVector, rat
 
@@ -261,6 +266,28 @@ def reference_positive_cone_rays(subspace: Subspace) -> tuple[QVector, ...]:
             key=tuple,
         )
     )
+
+
+def reference_classification(subspace: Subspace) -> LatticeClassification:
+    """Lattice classification by the earlier route: the reference rays,
+    generating when they have rank dim F, simplicial when there are also
+    exactly dim F of them, disjoint when no two supports meet."""
+    if subspace.is_zero():
+        return LatticeClassification(Verdict.SUBLATTICE, True, True, True, ())
+    d = subspace.dim
+    rays = reference_positive_cone_rays(subspace)
+    generating = bool(rays) and rank(QMatrix(rays)) == d
+    simplicial = len(rays) == d and generating
+    disjoint = all(
+        not (r.support() & s.support()) for r, s in combinations(rays, 2)
+    )
+    if not simplicial:
+        verdict = Verdict.NOT_LATTICE_SUBSPACE
+    elif disjoint:
+        verdict = Verdict.SUBLATTICE
+    else:
+        verdict = Verdict.LATTICE_SUBSPACE_ONLY
+    return LatticeClassification(verdict, generating, simplicial, disjoint, rays)
 
 
 def _unit_pivot(rows: list[list[Fraction]], r: int, c: int) -> None:

@@ -13,7 +13,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from latfix.conegeom.core import (
@@ -36,6 +36,7 @@ from cone_oracles import (
     am_property_check,
     in_conic_hull,
     primitive,
+    reference_classification,
     reference_extreme_rays,
     reference_positive_cone_rays,
     reference_ray_supremum,
@@ -284,6 +285,92 @@ class TestFractionReference:
             vectors.append(data.draw(positive_st))
         f = Subspace.from_vectors(n, vectors)
         assert positive_cone(f).rays == reference_positive_cone_rays(f)
+
+
+@st.composite
+def subspaces(draw):
+    """Spans in R^1-R^7 of at most n rational vectors, each of mixed sign
+    or nonnegative, so every verdict is drawn."""
+    n = draw(st.integers(1, 7))
+    nonneg_st = st.fractions(min_value=0, max_value=5, max_denominator=6)
+    vectors = [
+        QVector(draw(st.lists(entry_st, min_size=n, max_size=n)))
+        for entry_st in draw(
+            st.lists(st.sampled_from([fractions_st, nonneg_st]), max_size=n)
+        )
+    ]
+    return Subspace.from_vectors(n, vectors)
+
+
+# Non-generating cones with at least dim F rays, which random spans
+# reach in about one draw in a thousand.  The first is the square cone
+# of test_not_lattice_subspace_too_many_rays beside a direction that no
+# positive vector uses: 4 rays of rank 3 in a 4-space.
+SQUARE_CONE_BESIDE_A_LINE = span(
+    6, (1, 0, 1, 0, 0, 0), (1, 0, 0, 1, 0, 0), (0, 1, 1, 0, 0, 0), (0, 0, 0, 0, 1, -1)
+)
+# 5 rays of rank 3 in a 4-space of R^7
+FIVE_RAYS_OF_RANK_THREE = span(
+    7,
+    (1, 0, 0, 0, rat("-5/4"), rat("1/2"), rat("-1/2")),
+    (0, 1, 0, 0, rat("-1/2"), 1, 0),
+    (0, 0, 1, 0, rat("7/6"), rat("-1/3"), 0),
+    (0, 0, 0, 1, rat("2/3"), rat("2/3"), 0),
+)
+
+
+class TestReferenceClassification:
+    """The flags read off the ray supports against the earlier route:
+    `rank` of the reference rays and pairwise-disjoint supports."""
+
+    def test_pinned_cases_are_not_generating(self):
+        for f, count in ((SQUARE_CONE_BESIDE_A_LINE, 4), (FIVE_RAYS_OF_RANK_THREE, 5)):
+            c = classify_subspace(f)
+            assert f.dim == 4 and len(c.rays) == count
+            assert not (c.cone_generating or c.cone_simplicial)
+            assert c.verdict == Verdict.NOT_LATTICE_SUBSPACE
+
+    @given(subspaces())
+    @example(SQUARE_CONE_BESIDE_A_LINE)
+    @example(FIVE_RAYS_OF_RANK_THREE)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, f):
+        c = classify_subspace(f)
+        assert c == reference_classification(f)
+        assert positive_cone(f).rays == c.rays
+
+
+class TestOneDoubleDescription:
+    def test_every_reader_shares_one_run(self, monkeypatch):
+        import latfix.conegeom.core as core
+        import latfix.exactnum.linalg as linalg
+
+        calls = []
+
+        def counting(name, original):
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            return wrapper
+
+        f = span(3, (1, 1, 1), (1, 0, -1))
+        monkeypatch.setattr(
+            core,
+            "extreme_rays_of_inequality_cone",
+            counting("dd", core.extreme_rays_of_inequality_cone),
+        )
+        rank = counting("rank", linalg.rank)
+        for module in (linalg, core):
+            if hasattr(module, "rank"):
+                monkeypatch.setattr(module, "rank", rank)
+        c = classify_subspace(f)
+        assert positive_cone(f).rays == c.rays
+        assert f.classification == c
+        assert f.positive_projection.matvec(c.rays[0]) == c.rays[0]
+        x = QVector([1, 0, -1])
+        assert least_upper_bound_in(f, [x, -x]) == QVector([1, 1, 1])
+        assert calls == ["dd"]
 
 
 class TestStartWithoutRref:
@@ -645,6 +732,12 @@ class TestBasisForm:
         ):
             with pytest.raises(ValueError):
                 Subspace(2, tuple(basis))
+
+    def test_rejects_basis_of_wrong_length(self):
+        # a ray in R^3 for a subspace of R^2; an index past a short vector
+        for ambient, nums in ((2, [1, 0, 5]), (3, [1, 0])):
+            with pytest.raises(ValueError, match="wrong dimension"):
+                Subspace(ambient, (QVector.from_ints(nums),))
 
 
 class TestAmProperty:
