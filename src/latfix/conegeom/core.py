@@ -40,12 +40,15 @@ subspace from its extreme rays, and a supremum in F is Q applied to the
 coordinatewise maximum m of the inputs: Qm lies in F and dominates
 Qx = x for every input x, and any upper bound z in F satisfies z >= m,
 so z = Qz >= Qm.
-On any other subspace the least element above a bound is found by exact
-coordinatewise minimization over the upper-bound set: one rational LP
-call with an objective per coordinate, so one phase 1 per feasible
-region and one phase 2 per objective.  The assembled minimum is
-returned only when it itself lies in F, which certifies it as the least
-element.
+The least element above a bound that need not lie in F (a supremum,
+on any other subspace) is found by exact minimization over the
+upper-bound set: one rational LP call, so one phase 1 per feasible
+region and one phase 2 per objective.  On a lattice subspace the
+objectives are the d coordinates that the extreme rays own, and Q
+applied to their minima is the only candidate; on any other subspace
+they are the n ambient coordinates, and the assembled minimum is
+returned only when it itself lies in F, which certifies it as the
+least element.
 """
 from __future__ import annotations
 
@@ -177,25 +180,36 @@ class Subspace:
         return LatticeClassification(verdict, generating, simplicial, disjoint, rays)
 
     @cached_property
-    def positive_projection(self) -> QMatrix:
-        """On a lattice subspace, a positive projection Q onto it:
-        Q = sum_r r e_j^T / r_j over the extreme rays r, where j is the
-        first coordinate on which r is nonzero and every other ray is
-        zero.  Such a j exists: the cone is simplicial, so the facet
-        spanned by the other rays is a face of F meet R^n_+, cut out by
-        the coordinates that vanish on it, and r is nonzero on one of
-        them.  Then Q >= 0, its columns lie in F and Q r = r for every
-        ray.  Raises ValueError on a subspace that is not a lattice
-        subspace."""
+    def owned_coordinates(self) -> tuple[int, ...]:
+        """On a lattice subspace, one coordinate per extreme ray, in ray
+        order: the first coordinate j on which the ray r is nonzero and
+        every other ray is zero, so r's coordinate in F is x_j / r_j.
+        Such a j exists: the cone is simplicial, so the facet spanned by
+        the other rays is a face of F meet R^n_+, cut out by the
+        coordinates that vanish on it, and r is nonzero on one of them.
+        Raises ValueError on a subspace that is not a lattice subspace."""
         if self.classification.verdict == Verdict.NOT_LATTICE_SUBSPACE:
             raise ValueError("not a lattice subspace: no positive projection")
-        n, rays = self.ambient_dim, self.classification.rays
-        owners = [sum(1 for r in rays if r.nums[j]) for j in range(n)]
-        columns = [QVector.zero(n)] * n
+        rays = self.classification.rays
+        owners = [sum(1 for r in rays if r.nums[j]) for j in range(self.ambient_dim)]
+        owned = []
         for r in rays:
-            j = next((j for j in range(n) if r.nums[j] and owners[j] == 1), None)
+            j = next((j for j, x in enumerate(r.nums) if x and owners[j] == 1), None)
             if j is None:
                 raise TheoremViolationError("an extreme ray owns no coordinate")
+            owned.append(j)
+        return tuple(owned)
+
+    @cached_property
+    def positive_projection(self) -> QMatrix:
+        """On a lattice subspace, a positive projection Q onto it:
+        Q = sum_r r e_j^T / r_j over the extreme rays r, j the coordinate
+        r owns (`owned_coordinates`).  Then Q >= 0, its columns lie in F
+        and Q r = r for every ray.  Raises ValueError on a subspace that
+        is not a lattice subspace."""
+        n = self.ambient_dim
+        columns = [QVector.zero(n)] * n
+        for r, j in zip(self.classification.rays, self.owned_coordinates):
             columns[j] = QVector.from_ints(r.nums, r.nums[j])
         return QMatrix.from_columns(columns)
 
@@ -316,12 +330,22 @@ def classify_subspace(subspace: Subspace) -> LatticeClassification:
 def least_element_above(subspace: Subspace, bound: QVector) -> QVector | None:
     """The least element of {z in F : z >= bound}, or None.
 
-    Each ambient coordinate of z is minimized exactly over the
-    coefficient space by one `minimize` call with the n coordinate rows
-    as objectives: the upper-bound set is one feasible region, so phase
-    1 runs once and each coordinate gets its own phase 2.  The assembled
-    coordinatewise minimum is the least element precisely when it lies
-    in F itself, which is checked exactly.
+    The upper-bound set is one feasible region for one `minimize` call,
+    so phase 1 runs once and each objective gets its own phase 2.
+
+    On a lattice subspace with extreme rays r_k, each owning the
+    coordinate j_k, the objectives are the d coordinates j_k: let m_k be
+    the minimum of z_{j_k} and z = sum_k (m_k / r_k(j_k)) r_k, which is
+    the positive projection Q applied to m placed at the j_k.  Every f
+    in the region is sum_k (f_{j_k} / r_k(j_k)) r_k with f_{j_k} >= m_k,
+    so f - z is a nonnegative combination of rays: z lies below the
+    whole region.  A least element, lying in the region, has exactly
+    the coordinates m_k, so it is z; z is returned when z >= bound and
+    None otherwise.
+
+    On any other subspace the objectives are the n ambient coordinates,
+    and the assembled coordinatewise minimum is the least element
+    precisely when it lies in F itself, which is checked exactly.
     """
     n = subspace.ambient_dim
     if bound.dim != n:
@@ -330,13 +354,21 @@ def least_element_above(subspace: Subspace, bound: QVector) -> QVector | None:
         return QVector.zero(n) if all(b <= 0 for b in bound.nums) else None
     coord_rows = subspace.coordinate_rows()
     constraints = [(coord_rows[j], bound[j]) for j in range(n)]
-    results = minimize(coord_rows, inequalities=constraints)
+    lattice = subspace.classification.verdict != Verdict.NOT_LATTICE_SUBSPACE
+    coords = subspace.owned_coordinates if lattice else range(n)
+    results = minimize([coord_rows[j] for j in coords], inequalities=constraints)
     if results[0].status == INFEASIBLE:
         return None
     if any(result.status == UNBOUNDED for result in results):
         raise TheoremViolationError(
             "upper-bound set unbounded below; order structure violated"
         )
+    if lattice:
+        minima = [0] * n
+        for j, result in zip(coords, results):
+            minima[j] = result.value
+        least = subspace.positive_projection @ QVector(minima)
+        return least if least.ge(bound) else None
     candidate = QVector([result.value for result in results])
     if not subspace.contains(candidate):
         return None

@@ -100,7 +100,12 @@ class PositiveMatrixOperator:
 @dataclass(frozen=True)
 class OperatorFamily:
     """Commuting positive operators on one space with one norm, carrying
-    their contractivity and common fixed space, each computed once."""
+    their contractivity and common fixed space, each computed once.
+
+    Commutation is checked on integers: with A = a / da and B = b / db
+    over their common denominators, AB and BA share the denominator
+    da db, so they are equal exactly when the integer products ab and
+    ba are."""
 
     members: tuple[PositiveMatrixOperator, ...]
 
@@ -115,10 +120,11 @@ class OperatorFamily:
                 raise ValueError("family members act on different spaces")
             if op.norm_tag != tag:
                 raise ValueError("family members carry different norms")
+        ints = [op.matrix.int_rows()[0] for op in mem]
         for i in range(len(mem)):
             for j in range(i + 1, len(mem)):
-                a, b = mem[i].matrix, mem[j].matrix
-                if a @ b != b @ a:
+                a, b = ints[i], ints[j]
+                if _int_product(a, b) != _int_product(b, a):
                     raise ValueError(
                         f"family members {i} and {j} do not commute"
                     )
@@ -140,10 +146,20 @@ class OperatorFamily:
     @cached_property
     def fixed_space(self) -> Subspace:
         """Common fixed space: the intersection of ker(I - T) over the
-        members, the RREF-canonical kernel of their stacked rows."""
-        eye = QMatrix.identity(self.dim)
-        stacked = QMatrix(row for t in self.members for row in (eye - t.matrix).rows)
+        members, the RREF-canonical kernel of their stacked rows, each
+        row of I - T taken times its denominator: den e_i - x."""
+        stacked = QMatrix(
+            QVector.from_ints([r.den * (i == j) - x for j, x in enumerate(r.nums)])
+            for t in self.members
+            for i, r in enumerate(t.matrix.rows)
+        )
         return Subspace(self.dim, kernel_basis(stacked))
+
+
+def _int_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """The product of two integer matrices given as lists of rows."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def operator_norm(op: PositiveMatrixOperator) -> Fraction:

@@ -1,7 +1,7 @@
 """Test-only cone oracles: conic-hull membership, the exhaustive
 sign-pattern sublattice decision, the randomized AM-property check, a
-reference ray-basis supremum, a reference double description and a
-reference simplex.
+reference ray-basis supremum, a reference double description, a
+reference least element and a reference simplex.
 
 The first three decide by exact linear programs
 (`latfix.conegeom.minimize`), a route independent of the double
@@ -16,7 +16,10 @@ every tight set from dot products and maps rays back through
 with it exactly.  The reference classification is the earlier route of
 `classify_subspace`: those reference rays, `rank` of the rays for the
 generating flag and a pairwise check of the ray supports, which the
-support criteria must match.  The reference simplex is the earlier `Fraction`
+support criteria must match.  The reference least element is the
+earlier route of `least_element_above` on every subspace, one LP with
+the n coordinate objectives, which the d objectives a lattice subspace
+now takes must match.  The reference simplex is the earlier `Fraction`
 version of `minimize`: a tableau of `Fraction`s reduced by unit-pivot
 Gauss-Jordan steps, which the integer tableau must match exactly.
 """
@@ -156,6 +159,31 @@ def reference_ray_supremum(
     for c in coefficients[1:]:
         maxima = maxima.cwise_max(to_rays.matvec(c))
     return QMatrix.from_columns(rays).matvec(maxima)
+
+
+def reference_least_element_above(
+    subspace: Subspace, bound: QVector
+) -> QVector | None:
+    """The least element of {z in F : z >= bound}, or None, by the
+    earlier route of `least_element_above` on every subspace: one
+    `minimize` call with the n coordinate rows as objectives, the
+    coordinatewise minimum returned when it lies in F."""
+    n = subspace.ambient_dim
+    if bound.dim != n:
+        raise ValueError("bound dimension mismatch")
+    if subspace.is_zero():
+        return QVector.zero(n) if all(b <= 0 for b in bound.nums) else None
+    coord_rows = subspace.coordinate_rows()
+    constraints = [(coord_rows[j], bound[j]) for j in range(n)]
+    results = minimize(coord_rows, inequalities=constraints)
+    if results[0].status == INFEASIBLE:
+        return None
+    if any(result.status == UNBOUNDED for result in results):
+        raise TheoremViolationError(
+            "upper-bound set unbounded below; order structure violated"
+        )
+    candidate = QVector([result.value for result in results])
+    return candidate if subspace.contains(candidate) else None
 
 
 def am_property_check(subspace: Subspace, trials: int, seed: int) -> bool:

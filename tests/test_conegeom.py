@@ -2,9 +2,10 @@
 bounds within a subspace.
 
 The classifier is cross-checked against the exhaustive sign-pattern
-oracle, least elements against per-coordinate scipy programs, ray
-computations against membership and independence invariants, and the
-integer double description exactly against the earlier Fraction one.
+oracle, least elements against per-coordinate scipy programs and
+exactly against the earlier n-objective route, ray computations against
+membership and independence invariants, and the integer double
+description exactly against the earlier Fraction one.
 """
 
 from fractions import Fraction
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
+from latfix.conegeom import INFEASIBLE, minimize
 from latfix.conegeom.core import (
     LatticeClassification,
     Subspace,
@@ -38,6 +40,7 @@ from cone_oracles import (
     primitive,
     reference_classification,
     reference_extreme_rays,
+    reference_least_element_above,
     reference_positive_cone_rays,
     reference_ray_supremum,
     sign_pattern_sublattice_oracle,
@@ -477,9 +480,10 @@ class TestLeastElementAbove:
         assert least_element_above(z, QVector([1, 0])) is None
 
     def test_one_minimize_call_per_search(self, monkeypatch):
-        """The n coordinate objectives share one feasible region, so a
-        search is one `minimize` call with n objectives, whether the
-        region is feasible or not."""
+        """The objectives share one feasible region, so a search is one
+        `minimize` call, whether the region is feasible or not: with the
+        d coordinates the extreme rays own on a lattice subspace, with
+        the n ambient coordinates on any other."""
         import latfix.conegeom.core as core
 
         original = core.minimize
@@ -491,11 +495,21 @@ class TestLeastElementAbove:
 
         monkeypatch.setattr(core, "minimize", counting)
         f = span(3, (1, 0, -1), (0, 1, 1))
+        assert f.classification.verdict == Verdict.LATTICE_SUBSPACE_ONLY
+        assert f.owned_coordinates == (2, 0)
         assert least_element_above(f, QVector([1, 0, 1])) == QVector([1, 2, 1])
-        assert calls == [3]
+        assert calls == [2]
+        assert least_element_above(f, QVector([0, 1, 0])) is None
+        assert calls == [2, 2]
+        line = span(3, (1, 0, 0))
+        assert least_element_above(line, QVector([0, 1, 0])) is None  # infeasible
+        assert calls == [2, 2, 1]
         f = span(3, (1, 0, -1), (0, 1, 0))
+        assert f.classification.verdict == Verdict.NOT_LATTICE_SUBSPACE
         assert least_element_above(f, QVector([1, 0, 1])) is None
-        assert calls == [3, 3]
+        assert calls == [2, 2, 1, 3]
+        assert least_element_above(f, QVector([-1, 0, -1])) is None
+        assert calls == [2, 2, 1, 3, 3]
 
     def test_least_property_on_random_instances(self):
         rng = rng_for("least-above")
@@ -528,6 +542,111 @@ class TestLeastElementAbove:
                 assert ref.status == 0
                 assert ref.fun >= float(result[j]) - 1e-7
         assert found >= 10
+
+
+@st.composite
+def lattice_spans(draw):
+    """Spans in R^1-R^7 of d nonnegative rational vectors, each positive
+    on a coordinate of its own where the others vanish: the cone is
+    simplicial with exactly these rays, so F is a lattice subspace, a
+    sublattice when the supports happen to be disjoint."""
+    n = draw(st.integers(1, 7))
+    d = draw(st.integers(1, min(n, 4)))
+    owned = draw(st.permutations(range(n)))[:d]
+    entry_st = st.sampled_from([0, 0, 1, 2, 3, Fraction(1, 2), Fraction(5, 3)])
+    vectors = []
+    for j in owned:
+        v = [0 if k in owned else draw(entry_st) for k in range(n)]
+        v[j] = draw(st.integers(1, 4))
+        vectors.append(QVector(v))
+    return Subspace.from_vectors(n, vectors)
+
+
+@st.composite
+def least_element_cases(draw):
+    """(F, bound) on lattice spans and on the mixed `subspaces()`, the
+    bound either arbitrary, which gives infeasible and None cases, or
+    the maximum of two elements of F, or an element of F moved by a
+    small vector."""
+    f = draw(st.one_of(lattice_spans(), subspaces()))
+    n = f.ambient_dim
+    small_st = st.lists(fractions_st, min_size=n, max_size=n).map(QVector)
+    kind = draw(st.sampled_from(["arbitrary", "max", "moved"]))
+    if kind == "arbitrary" or f.is_zero():
+        return f, draw(small_st)
+    coeff_st = st.lists(fractions_st, min_size=f.dim, max_size=f.dim).map(QVector)
+    x = f.from_coefficients(draw(coeff_st))
+    if kind == "max":
+        return f, x.cwise_max(f.from_coefficients(draw(coeff_st)))
+    return f, x + draw(small_st).scale(Fraction(1, 4))
+
+
+def least_or_error(f, bound, compute):
+    try:
+        return compute(f, bound)
+    except TheoremViolationError:
+        return TheoremViolationError
+
+
+def feasible(f, bound):
+    """Whether some z in F satisfies z >= bound."""
+    rows = f.coordinate_rows()
+    (result,) = minimize(
+        [QVector.zero(f.dim)], inequalities=[(r, b) for r, b in zip(rows, bound)]
+    )
+    return result.status != INFEASIBLE
+
+
+class TestLeastElementReference:
+    """The d owned-coordinate objectives on a lattice subspace against
+    the earlier n-objective route (tests/cone_oracles.py): the results,
+    None included, must be exactly equal."""
+
+    @given(least_element_cases())
+    @example((span(3, (1, 0, -1), (0, 1, 1)), QVector([1, 0, 1])))
+    @example((span(3, (1, 0, -1), (0, 1, 1)), QVector([0, 1, 0])))
+    @example((span(3, (1, 0, 0)), QVector([0, 1, 0])))
+    @example((span(3, (1, 0, -1), (0, 1, 0)), QVector([-1, 0, -1])))
+    @example((Subspace(2, ()), QVector([-1, 0])))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, case):
+        f, bound = case
+        assert least_or_error(f, bound, least_element_above) == least_or_error(
+            f, bound, reference_least_element_above
+        )
+
+    def test_matches_reference_on_every_outcome(self):
+        """Seeded lattice subspaces of the fixed-space and classification
+        shapes, each also beside a coordinate where F vanishes, and the
+        three-verdict mix, each with an arbitrary bound and the maximum
+        of two of its elements: every outcome (found, no least element,
+        infeasible) is reached on lattice subspaces."""
+        rng = rng_for("least-reference")
+        outcomes = {"found": 0, "none": 0, "infeasible": 0}
+        lattice = [f for f, _ in lattice_subspace_cases("least-reference", 30, (3, 7))]
+        padded = [
+            Subspace.from_vectors(f.ambient_dim + 1, [QVector([*b, 0]) for b in f.basis])
+            for f in lattice
+        ]
+        mixed = [random_subspace_mix(rng, index) for index in range(40)]
+        for f in lattice + padded + mixed:
+            n = f.ambient_dim
+            x, y = (
+                f.from_coefficients(random_qvector(rng, f.dim, span=3, den_max=2))
+                for _ in range(2)
+            )
+            for bound in (random_qvector(rng, n, span=3, den_max=3), x.cwise_max(y)):
+                result = least_element_above(f, bound)
+                assert result == reference_least_element_above(f, bound)
+                if f.classification.verdict == Verdict.NOT_LATTICE_SUBSPACE:
+                    continue
+                if result is not None:
+                    outcomes["found"] += 1
+                elif feasible(f, bound):
+                    outcomes["none"] += 1
+                else:
+                    outcomes["infeasible"] += 1
+        assert min(outcomes.values()) >= 5, outcomes
 
 
 class TestLubAndModulus:

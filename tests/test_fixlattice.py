@@ -320,6 +320,20 @@ class TestLeastFixedAbove:
         with pytest.raises(ValueError, match="super fixed"):
             least_fixed_above(fam, QVector([0, 1, 0]))
 
+    def test_absorbing_chain_needs_more_than_the_positive_projection(self):
+        """T = [[0, 1], [0, 1]] sends state 1 to the absorbing state 2,
+        so g = (0, 1) is super fixed and the least fixed vector above it
+        is (1, 1), while the fixed space's positive projection Q, which
+        reads the ray (1, 1) off the first coordinate, sends g to (0, 0):
+        Qg is not the answer for a general super fixed g, which is why
+        the search keeps its LP."""
+        t = PositiveMatrixOperator(QMatrix([[0, 1], [0, 1]]), SUP_NORM)
+        fam = family_of(t)
+        g = QVector([0, 1])
+        assert fam.fixed_space.positive_projection @ g == QVector([0, 0])
+        assert least_fixed_above(fam, g) == QVector([1, 1])
+        assert fix_projection(t.matrix) @ g == QVector([1, 1])
+
     def test_matches_projection_on_random_instances(self):
         rng = rng_for("lfa-vs-proj")
         checked = 0

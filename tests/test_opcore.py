@@ -3,7 +3,9 @@
 Operator norms are verified by exhibiting attaining vectors; power
 boundedness against the growth of floating-point powers and, at spectral
 radius 1, against a route that evaluates every dividing cyclotomic at
-the matrix; the cyclotomic content against the same reference.
+the matrix; the cyclotomic content against the same reference; the
+integer commute check and fixed space against the rational products
+and stacked `QMatrix` rows.
 """
 
 import sys
@@ -11,11 +13,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from latfix import cyclicity, opcore
 from latfix.cyclicity import verify_dimension_cyclicity
 from latfix.exactnum import TheoremViolationError
-from latfix.exactnum.linalg import char_poly, poly_of_matrix, rank
+from latfix.conegeom import Subspace
+from latfix.exactnum.linalg import char_poly, kernel_basis, poly_of_matrix, rank
 from latfix.exactnum.polynomials import (
     QPolynomial,
     cyclotomic,
@@ -216,6 +220,106 @@ class TestFamily:
         )
         assert fam.dim == 2
         assert fam.norm_tag == SUP_NORM
+
+
+@st.composite
+def nonneg_matrices(draw, n):
+    """Nonnegative n x n matrices, each row over its own denominator;
+    half of them row stochastic, some rows absorbing, so the fixed space
+    holds the constants and often more."""
+    stochastic = draw(st.booleans())
+    rows = []
+    for i in range(n):
+        nums = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+        if stochastic and draw(st.booleans()):
+            nums = [int(i == j) for j in range(n)]
+        den = sum(nums) if stochastic and any(nums) else draw(st.integers(1, 12))
+        rows.append([Fraction(x, den) for x in nums])
+    return QMatrix(rows)
+
+
+@st.composite
+def family_matrices(draw):
+    """Two or three n x n matrices: M, then each either a polynomial in M
+    with nonnegative weights summing to 1 (it commutes with M and keeps
+    M's fixed vectors), that polynomial with one entry raised, or an
+    unrelated matrix."""
+    n = draw(st.integers(1, 5))
+    m = draw(nonneg_matrices(n))
+    matrices = [m]
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["polynomial", "one-entry", "unrelated"]))
+        if kind == "unrelated":
+            matrices.append(draw(nonneg_matrices(n)))
+            continue
+        weights = draw(st.lists(st.integers(0, 5), min_size=1, max_size=3))
+        total = sum(weights) or 1
+        p, power = QMatrix.zero(n, n), QMatrix.identity(n)
+        for w in weights:
+            p, power = p + power.scale(Fraction(w, total)), power @ m
+        if kind == "one-entry":
+            rows = [list(r) for r in p.rows]
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            rows[i][j] += draw(st.sampled_from([Fraction(1, 7), Fraction(1, 2), 1]))
+            p = QMatrix(rows)
+        matrices.append(p)
+    return matrices
+
+
+def reference_family_error(matrices):
+    """The message the earlier check raised, comparing the rational
+    products A B and B A of every pair in order, or None."""
+    for i in range(len(matrices)):
+        for j in range(i + 1, len(matrices)):
+            a, b = matrices[i], matrices[j]
+            if a @ b != b @ a:
+                return f"family members {i} and {j} do not commute"
+    return None
+
+
+class TestIntegerFamilyChecks:
+    """The commute check on integer rows and the fixed space from the
+    row numerators against the earlier `QMatrix` route: the same error
+    message, and the kernel of the stacked rational rows of I - T."""
+
+    @given(family_matrices())
+    @example(
+        [
+            QMatrix([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]),
+            QMatrix([[Fraction(1, 5), 0], [0, Fraction(2, 7)]]),
+            QMatrix([[Fraction(1, 5), Fraction(1, 11)], [0, Fraction(2, 7)]]),
+        ]
+    )
+    @example(
+        [
+            QMatrix([[0, 1, 0], [0, 1, 0], [0, 0, 1]]),
+            QMatrix([[0, 1, 0], [0, 1, 0], [0, 0, 1]]),
+        ]
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_rational_products(self, matrices):
+        expected = reference_family_error(matrices)
+        ops = [PositiveMatrixOperator(m) for m in matrices]
+        if expected is not None:
+            with pytest.raises(ValueError) as info:
+                OperatorFamily(ops)
+            assert str(info.value) == expected
+            return
+        fam = OperatorFamily(ops)
+        eye = QMatrix.identity(fam.dim)
+        stacked = QMatrix(row for m in matrices for row in (eye - m).rows)
+        assert fam.fixed_space == Subspace(fam.dim, kernel_basis(stacked))
+
+    def test_builds_no_rational_product(self, monkeypatch):
+        """The commute check multiplies integer rows only."""
+        def forbidden(self, other):
+            raise AssertionError("QMatrix.matmul called")
+
+        m = QMatrix([[Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 4), Fraction(3, 4)]])
+        p = m @ m
+        monkeypatch.setattr(QMatrix, "matmul", forbidden)
+        fam = OperatorFamily([PositiveMatrixOperator(m), PositiveMatrixOperator(p)])
+        assert fam.fixed_space.basis == (QVector([1, 1]),)
 
 
 class TestPowerBounded:
