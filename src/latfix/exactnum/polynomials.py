@@ -896,28 +896,20 @@ def _distinct_unimodular_count(g: QPolynomial) -> int:
     return count
 
 
-def unimodular_part(p: QPolynomial) -> QPolynomial:
-    """The monic reciprocal gcd of the squarefree part of p (zero roots
-    stripped): its roots are the distinct roots r of p with 1/r also a
-    root, so it carries every unimodular root once.  When no root of p
-    lies outside the closed unit disk its roots are exactly those.
-
-    The reciprocal gcd is taken first, on integers, and only a
-    nonconstant one is made squarefree: both orders give the same
-    distinct roots."""
+def has_unimodular_root(p: QPolynomial) -> bool:
+    """True when p has a root on the unit circle, decided without
+    factoring: the reciprocal gcd of the squarefree part of p (zero
+    roots stripped; taken on integers before the squarefree step) has
+    the distinct roots r of p with 1/r also a root, so it carries every
+    unimodular root once, and a Sturm count on its trace polynomial
+    sees them."""
     if p.is_zero():
         raise ValueError("unimodular part of the zero polynomial")
     a = _primitive(strip_zero_roots(p).nums)
     g = _squarefree_ints(_gcd_ints(a, a[::-1]))
-    return QPolynomial.from_ints(g, g[-1])
-
-
-def has_unimodular_root(p: QPolynomial) -> bool:
-    """True when p has a root on the unit circle, decided without
-    factoring: a Sturm count on the trace polynomial of the unimodular
-    part sees them."""
-    g = unimodular_part(p)
-    return g.degree > 0 and _distinct_unimodular_count(g) > 0
+    if len(g) == 1:
+        return False
+    return _distinct_unimodular_count(QPolynomial.from_ints(g, g[-1])) > 0
 
 
 def unit_circle_root_count(p: QPolynomial) -> BoundaryAnalysis:

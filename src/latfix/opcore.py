@@ -5,13 +5,15 @@ the lattice norms whose induced operator norms have exact closed forms.
 The l1 family is strictly monotone (0 <= x < y forces a strictly
 smaller norm); the sup norm is not.
 
-Unimodular spectra are decided from three facts about the characteristic
-polynomial chi of a nonnegative matrix M: the spectral radius rho is an
-eigenvalue (Perron-Frobenius), so a Sturm count of chi on (1, oo)
-compares rho with 1; when rho = 1 every unimodular eigenvalue is a root
-of unity, so trial division of chi by the cyclotomic polynomials finds
-them all; and none has a larger index than rho (Rothblum 1975), so only
-the rank of M - I is taken.  Nothing is factored.
+Unimodular spectra are read off one trial division of the characteristic
+polynomial chi of a nonnegative matrix M by the cyclotomics.  The
+spectral radius rho is a real eigenvalue (Perron-Frobenius) and no
+cyclotomic has a real root other than +-1, so rho > 1 exactly when the
+cyclotomic-free rest has a root on (1, oo) (a Sturm count), and
+otherwise rho = 1 exactly when x - 1 divides chi; at rho = 1 every
+unimodular eigenvalue is a root of unity, and none has a larger index
+than rho (Rothblum 1975), so only the rank of M - I is taken.  Nothing
+is factored.
 """
 from __future__ import annotations
 
@@ -193,23 +195,6 @@ def super_fixed_check(op: PositiveMatrixOperator, g: QVector) -> bool:
     return op.apply(g).ge(g)
 
 
-def perron_root_vs_one(chi: QPolynomial) -> int:
-    """Sign of rho - 1 for the spectral radius rho of a nonnegative
-    matrix with characteristic polynomial chi.  rho is a real eigenvalue,
-    so rho > 1 exactly when chi has a real root above 1: divide out the
-    factors x - 1, then Sturm count on (1, oo)."""
-    if chi.is_zero():
-        raise ValueError("Perron root of the zero polynomial")
-    rest, x_minus_one = chi, QPolynomial.from_ints((-1, 1))
-    root_at_one = False
-    while (quotient := rest.exact_quotient(x_minus_one)) is not None:
-        rest = quotient
-        root_at_one = True
-    if sturm_count(rest, lo=ONE) > 0:
-        return 1
-    return 0 if root_at_one else -1
-
-
 @dataclass(frozen=True)
 class PowerBoundAnalysis:
     verdict: str
@@ -227,13 +212,11 @@ def power_bounded_analysis(op: PositiveMatrixOperator) -> PowerBoundAnalysis:
     smallest defective cyclotomic by degree, then coefficients), Yes
     otherwise.
     """
-    chi = char_poly(op.matrix)
-    side = perron_root_vs_one(chi)
-    if side > 0:
+    algebraic, rest = cyclotomic_division(char_poly(op.matrix))
+    if sturm_count(rest, lo=ONE) > 0:
         return PowerBoundAnalysis("No", None, "a root lies outside the unit disk")
-    if side < 0:
+    if 1 not in algebraic:
         return PowerBoundAnalysis("Yes", None, "all roots strictly inside")
-    algebraic, rest = cyclotomic_division(chi)
     if has_unimodular_root(rest):
         raise TheoremViolationError(
             "unimodular eigenvalue of a nonnegative matrix is not a root of unity"

@@ -44,9 +44,8 @@ from typing import Iterable, Mapping, Sequence
 from .conegeom import Subspace
 from .exactnum import TheoremViolationError
 from .exactnum.linalg import char_poly, fix_projection, kernel_basis
-from .exactnum.polynomials import QPolynomial, unimodular_part
+from .exactnum.polynomials import cyclotomic_division, has_unimodular_root, sturm_count
 from .exactnum.rational import ONE, ZERO, QMatrix, QVector, rat
-from .opcore import perron_root_vs_one
 
 C_ZERO = "CZero"
 L_INFTY = "LInfty"
@@ -570,16 +569,16 @@ def _limit_matrix(m: QMatrix) -> QMatrix:
 
     m is block-triangular: a power of the nonnegative folded block, plus
     the eigenvalue 1 of the drive row.  So the spectral radius of the
-    block is a real eigenvalue, the Perron-root test on chi decides the
-    disk, and inside the closed disk the unimodular part of chi carries
-    exactly the unimodular eigenvalues."""
-    p = char_poly(m)
-    if perron_root_vs_one(p) > 0:
+    block is a real eigenvalue and chi is read as in `opcore`: a root of
+    its cyclotomic-free rest on (1, oo) leaves the disk, and inside it
+    the unimodular eigenvalues are the cyclotomic orders and the
+    unimodular roots of the rest."""
+    algebraic, rest = cyclotomic_division(char_poly(m))
+    if sturm_count(rest, lo=ONE) > 0:
         raise UnsupportedClosedFormError(
             "finite block spectrum leaves the unit disk"
         )
-    boundary = unimodular_part(p)
-    if boundary.degree > 0 and boundary != QPolynomial.from_ints((-1, 1)):
+    if algebraic.keys() - {1} or has_unimodular_root(rest):
         raise UnsupportedClosedFormError(
             "finite block has unimodular spectrum other than 1"
         )

@@ -6,11 +6,14 @@ coefficient in `Fraction` arithmetic, so the integer form (numerators
 over one least common denominator) can be compared with it exactly.
 
 The earlier `Fraction` versions of `poly_gcd`, `sturm_count` (with its
-chain), `unimodular_part` and `opcore.perron_root_vs_one` run Euclid's
-algorithm on `FPolynomial.divmod`, so the integer pseudo-remainder code
-(primitive remainders scaled by |lc|) can be compared with them too.
-They take and return `QPolynomial`s and convert through the `Fraction`
-views at the edge.
+chain), the unimodular part (the reciprocal gcd of the squarefree part)
+and the Perron-root test (divide out x - 1, then a Sturm count on
+(1, oo)) run Euclid's algorithm on `FPolynomial.divmod`, so the integer
+pseudo-remainder code (primitive remainders scaled by |lc|) can be
+compared with them too.  `reference_has_unimodular_root` reads the
+unimodular part through its own trace substitution, peeled off from the
+top degree.  They take and return `QPolynomial`s and convert through the
+`Fraction` views at the edge.
 """
 
 from __future__ import annotations
@@ -255,3 +258,32 @@ def reference_perron_root_vs_one(chi: QPolynomial) -> int:
     if _sturm_count(f, lo=ONE) > 0:
         return 1
     return 0 if root_at_one else -1
+
+
+def _trace_substitution(g: FPolynomial) -> FPolynomial:
+    """The H with g(x) = x^m H(x + 1/x), for g self-reciprocal of degree
+    2m: x^m (x + 1/x)^k = x^(m-k) (x^2 + 1)^k has top degree m + k, so
+    the coefficients of H peel off from the top."""
+    m = g.degree // 2
+    rest, h = g, [ZERO] * (m + 1)
+    for k in range(m, -1, -1):
+        h[k] = rest.coeffs[m + k] if m + k < len(rest.coeffs) else ZERO
+        term = FPolynomial([ZERO] * (m - k) + [ONE]) * FPolynomial(
+            (ONE, ZERO, ONE)
+        ).power(k)
+        rest = rest - term.scale(h[k])
+    if not rest.is_zero():
+        raise ValueError("trace substitution needs a self-reciprocal input")
+    return FPolynomial(h)
+
+
+def reference_has_unimodular_root(p: QPolynomial) -> bool:
+    """A root at 1 or -1 of the unimodular part, or else a root of its
+    trace polynomial on (-2, 2): the rest of the part pairs roots r and
+    1/r other than +-1, so it is self-reciprocal of even degree."""
+    g = _f(reference_unimodular_part(p))
+    if g.evaluate(ONE) == 0 or g.evaluate(-ONE) == 0:
+        return True
+    if g.degree <= 0:
+        return False
+    return _sturm_count(_trace_substitution(g), Fraction(-2), Fraction(2)) > 0

@@ -1,15 +1,19 @@
 """The integer spectral tail against its `Fraction` references and sympy.
 
-`poly_gcd`, `sturm_count`, `unimodular_part` and `perron_root_vs_one`
-clear each polynomial to integers once and run primitive
-pseudo-remainder sequences.  Hypothesis compares them exactly with the
-`Fraction` Euclid versions in `poly_oracles.py`, on mixed, coprime and
-10^12-size denominators, repeated and zero roots, negative leading
-coefficients at odd and even degrees, constant inputs, and rational or
-infinite interval ends; sympy pins the gcd and the root counts.
+`poly_gcd`, `sturm_count` and `has_unimodular_root` clear each
+polynomial to integers once and run primitive pseudo-remainder
+sequences.  Hypothesis compares them exactly with the `Fraction` Euclid
+versions in `poly_oracles.py`, on mixed, coprime and 10^12-size
+denominators, repeated and zero roots, negative leading coefficients at
+odd and even degrees, constant inputs, and rational or infinite interval
+ends; sympy pins the gcd and the root counts.  The side of the Perron
+root against 1 is read from `cyclotomic_division` and a Sturm count on
+(1, oo) of the cyclotomic-free rest, and that reading is checked
+against the `Fraction` version that divides out x - 1 alone.
 """
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 import sympy
@@ -18,18 +22,18 @@ from hypothesis import given, settings, strategies as st
 from latfix.exactnum.polynomials import (
     QPolynomial,
     cyclotomic,
+    cyclotomic_division,
     has_unimodular_root,
     poly_gcd,
     sturm_count,
-    unimodular_part,
 )
-from latfix.opcore import perron_root_vs_one
+from latfix.exactnum.rational import ONE
 
 from poly_oracles import (
+    reference_has_unimodular_root,
     reference_perron_root_vs_one,
     reference_poly_gcd,
     reference_sturm_count,
-    reference_unimodular_part,
 )
 
 BIG = 10**12 + 39
@@ -69,6 +73,20 @@ inverted_root_poly_st = st.builds(
     st.lists(root_st, min_size=0, max_size=2),
     nonzero_coeff_st,
 )
+# x^2 + b x + 1 has a conjugate pair on the circle for |b| < 2 (roots
+# of unity only for b in {0, +-1}) and a real pair r, 1/r for |b| > 2
+reciprocal_quadratic_st = st.builds(
+    lambda n, d: QPolynomial([1, Fraction(n, d), 1]),
+    st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 5)),
+)
+circle_poly_st = st.builds(
+    lambda base, quadratics, orders: prod(
+        quadratics + [cyclotomic(n) for n in orders], start=base
+    ),
+    root_poly_st,
+    st.lists(reciprocal_quadratic_st, max_size=2),
+    st.lists(st.integers(1, 12), max_size=2),
+)
 poly_st = st.one_of(coeff_poly_st, root_poly_st, inverted_root_poly_st)
 nonzero_poly_st = poly_st.filter(lambda p: not p.is_zero())
 endpoint_st = st.one_of(
@@ -83,6 +101,15 @@ def _answer(f, *args):
         return f(*args)
     except ValueError as e:
         return f"ValueError: {e}"
+
+
+def _perron_side(p: QPolynomial) -> int:
+    """Sign of rho - 1 read as `opcore` and `seqspace` read it: a root of
+    the cyclotomic-free rest on (1, oo), else whether x - 1 divides p."""
+    algebraic, rest = cyclotomic_division(p)
+    if sturm_count(rest, lo=ONE) > 0:
+        return 1
+    return 0 if 1 in algebraic else -1
 
 
 class TestAgainstFractionReference:
@@ -106,15 +133,17 @@ class TestAgainstFractionReference:
             reference_sturm_count, p, lo, hi
         )
 
-    @given(nonzero_poly_st)
+    @given(st.one_of(nonzero_poly_st, circle_poly_st))
     @settings(max_examples=150, deadline=None)
-    def test_unimodular_part(self, p):
-        assert unimodular_part(p) == reference_unimodular_part(p)
+    def test_has_unimodular_root(self, p):
+        assert has_unimodular_root(p) == reference_has_unimodular_root(p)
 
-    @given(nonzero_poly_st)
+    @given(st.one_of(nonzero_poly_st, circle_poly_st))
     @settings(max_examples=100, deadline=None)
     def test_perron_root_vs_one(self, p):
-        assert perron_root_vs_one(p) == reference_perron_root_vs_one(p)
+        # no cyclotomic has a real root other than +-1, so dividing all
+        # of them out moves no root on (1, oo)
+        assert _perron_side(p) == reference_perron_root_vs_one(p)
 
     @pytest.mark.parametrize("degree", range(7))
     def test_negative_leading_coefficient(self, degree):
@@ -138,7 +167,8 @@ class TestAgainstFractionReference:
                 assert _answer(sturm_count, p, lo, hi) == _answer(
                     reference_sturm_count, p, lo, hi
                 )
-            assert perron_root_vs_one(p) == reference_perron_root_vs_one(p)
+            assert _perron_side(p) == reference_perron_root_vs_one(p)
+            assert has_unimodular_root(p) == reference_has_unimodular_root(p)
 
     def test_constant_inputs(self):
         c = QPolynomial([Fraction(-3, 7)])
@@ -148,8 +178,9 @@ class TestAgainstFractionReference:
         assert poly_gcd(c, QPolynomial([1, 1])) == QPolynomial.one()
         assert sturm_count(c) == 0
         assert sturm_count(c, lo=0, hi=1) == 0
-        assert unimodular_part(c) == QPolynomial.one()
-        assert perron_root_vs_one(c) == -1
+        assert not has_unimodular_root(c)
+        assert cyclotomic_division(c) == ({}, c)
+        assert _perron_side(c) == -1
 
     def test_reversed_interval_rejected(self):
         # (2, 0) once counted -1 root of x - 1
@@ -204,8 +235,8 @@ class TestAgainstSympy:
 
 
 class TestNoFractionDivision:
-    """The gcd, the Sturm chain, the unimodular part and the Perron test
-    never divide `QPolynomial`s."""
+    """The gcd, the Sturm chain, the cyclotomic division and the
+    unimodular-root test never divide `QPolynomial`s."""
 
     def test_answers_with_divmod_disabled(self, monkeypatch):
         salem = QPolynomial([1, -1, -1, -1, 1])
@@ -222,14 +253,15 @@ class TestNoFractionDivision:
         def answers():
             out = []
             for p in inputs:
+                algebraic, rest = cyclotomic_division(p)
                 out.append((
                     poly_gcd(p, p.derivative()),
                     poly_gcd(p, p.reciprocal()),
-                    unimodular_part(p),
+                    (algebraic, rest),
                     has_unimodular_root(p),
                     sturm_count(p),
                     sturm_count(p, lo=Fraction(-1, 2), hi=Fraction(5, 2)),
-                    perron_root_vs_one(p),
+                    sturm_count(rest, lo=ONE),
                 ))
             return out
 
@@ -242,16 +274,19 @@ class TestNoFractionDivision:
         assert answers() == expected
         assert expected[0][3] and expected[1][3] and expected[3][3]
         assert not expected[2][3]
+        # the Salem number, a root near 1.72, is the one root above 1
+        assert expected[0][6] == expected[1][6] == 1
+        assert expected[3][2] == ({1: 2, 2: 1, 3: 1}, QPolynomial.one())
         assert expected[3][6] == 0
 
 
 class TestZeroPolynomial:
-    def test_unimodular_part_rejects_zero(self):
-        with pytest.raises(ValueError, match="of the zero polynomial"):
-            unimodular_part(QPolynomial.zero())
+    def test_has_unimodular_root_rejects_zero(self):
         with pytest.raises(ValueError, match="of the zero polynomial"):
             has_unimodular_root(QPolynomial.zero())
 
     def test_perron_root_rejects_zero(self):
-        with pytest.raises(ValueError, match="of the zero polynomial"):
-            perron_root_vs_one(QPolynomial.zero())
+        zero = QPolynomial.zero()
+        assert cyclotomic_division(zero) == ({}, zero)
+        with pytest.raises(ValueError, match="on the zero polynomial"):
+            _perron_side(zero)

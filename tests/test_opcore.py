@@ -1,7 +1,8 @@
 """Positive operators: norms, families, power boundedness.
 
 Operator norms are verified by exhibiting attaining vectors; power
-boundedness against the growth of floating-point powers and, at spectral
+boundedness against the growth of floating-point powers, on each side
+of spectral radius 1 against numpy's spectral radius and, at spectral
 radius 1, against a route that evaluates every dividing cyclotomic at
 the matrix; the cyclotomic content against the same reference; the
 integer commute check and fixed space against the rational products
@@ -37,7 +38,6 @@ from latfix.opcore import (
     PositiveMatrixOperator,
     contraction_check,
     operator_norm,
-    perron_root_vs_one,
     power_bounded_analysis,
     super_fixed_check,
     vector_norm,
@@ -52,6 +52,7 @@ from conftest import (
     rng_for,
     to_numpy,
 )
+from poly_oracles import reference_perron_root_vs_one
 
 
 def op(rows, tag=SUP_NORM):
@@ -391,21 +392,41 @@ class TestPowerBounded:
 
 
 class TestPerronRoot:
+    """`power_bounded_analysis` on every side of spectral radius 1, with
+    numpy's spectral radius as the oracle for the side."""
+
     @pytest.mark.parametrize(
-        "scale, side", [(1, 0), (rat("1/2"), -1), (rat("3/2"), 1)]
+        "scale, side",
+        [(1, 0), (rat("1/2"), -1), (rat("3/2"), 1), (rat("101/100"), 1)],
     )
     def test_matches_numpy_spectral_radius(self, scale, side):
+        expected = {
+            1: ("No", "a root lies outside the unit disk"),
+            0: ("Yes", "boundary roots all semisimple"),
+            -1: ("Yes", "all roots strictly inside"),
+        }[side]
         rng = rng_for(f"perron-root-{scale}")
         for _ in range(20):
             m = random_row_stochastic(rng, rng.randint(1, 6)).scale(scale)
-            rho = max(abs(np.linalg.eigvals(to_numpy(m))))
+            a = to_numpy(m)
+            rho = max(abs(np.linalg.eigvals(a)))
             numpy_side = 0 if abs(rho - 1) < 1e-6 else (1 if rho > 1 else -1)
             assert numpy_side == side
-            assert perron_root_vs_one(char_poly(m)) == side
+            if side == 0:  # a stochastic matrix: its powers stay stochastic
+                assert np.abs(np.linalg.matrix_power(a, 64)).sum(axis=1).max() < 1.01
+            analysis = power_bounded_analysis(PositiveMatrixOperator(m))
+            assert (analysis.verdict, analysis.reason) == expected
+            assert analysis.offending_factor is None
 
     def test_nilpotent_and_defective(self):
-        assert perron_root_vs_one(char_poly(QMatrix([[0, 1], [0, 0]]))) == -1
-        assert perron_root_vs_one(char_poly(QMatrix([[1, 1], [0, 1]]))) == 0
+        nilpotent = power_bounded_analysis(op([[0, 1], [0, 0]]))
+        assert (nilpotent.verdict, nilpotent.reason) == (
+            "Yes", "all roots strictly inside"
+        )
+        jordan = power_bounded_analysis(op([[1, 1], [0, 1]]))
+        assert (jordan.verdict, jordan.offending_factor, jordan.reason) == (
+            "No", cyclotomic(1), "a repeated boundary factor is defective"
+        )
 
 
 def reference_cyclotomic_content(t, chi):
@@ -547,7 +568,7 @@ class TestRothblumRoute:
         no = defective_above_one = 0
         for t in spectral_radius_one_cases:
             chi = char_poly(t.matrix)
-            assert perron_root_vs_one(chi) == 0
+            assert reference_perron_root_vs_one(chi) == 0
             geometric, algebraic, _ = reference_cyclotomic_content(t, chi)
             expected = reference_power_bounded(geometric, algebraic)
             analysis = power_bounded_analysis(t)

@@ -20,11 +20,11 @@ from latfix.exactnum.polynomials import (
     cyclotomic_order,
     euler_phi,
     factor_over_rationals,
+    has_unimodular_root,
     orders_with_phi_at_most,
     poly_gcd,
     squarefree_decomposition,
     sturm_count,
-    unimodular_part,
     unit_circle_root_count,
 )
 from latfix.exactnum.rational import rat
@@ -218,17 +218,21 @@ class TestRootLocation:
         analysis_q = unit_circle_root_count(q)
         assert analysis_q.count_on_circle == 0
 
-    def test_unimodular_part(self):
-        # roots 0, 1 (twice), -1, 1/2, 2, 1/3: the part keeps each root
-        # r with 1/r also a root, once, as a monic polynomial
-        p = poly_from_roots(
+    def test_has_unimodular_root(self):
+        # the reciprocal gcd keeps the roots r with 1/r also a root; the
+        # pair 1/2, 2 passes it but lies off the circle
+        with_circle = poly_from_roots(
             [0, 1, 1, -1, rat("1/2"), 2, rat("1/3")]
         ).scale(5)
-        expected = poly_from_roots([1, -1, rat("1/2"), 2])
-        assert unimodular_part(p) == expected
-        assert unimodular_part(poly_from_roots([rat("1/3")])) == (
-            QPolynomial.one()
-        )
+        assert has_unimodular_root(with_circle)
+        assert not has_unimodular_root(poly_from_roots([0, rat("1/2"), 2]))
+        assert not has_unimodular_root(poly_from_roots([rat("1/3")]))
+        # x^2 - x/2 + 1: a conjugate pair on the circle, no root of unity;
+        # x^2 - 3x + 1: the real pair (3 +- sqrt 5)/2
+        assert has_unimodular_root(QPolynomial([1, rat("-1/2"), 1]))
+        assert not has_unimodular_root(QPolynomial([1, -3, 1]))
+        for n in range(1, 13):
+            assert has_unimodular_root(cyclotomic(n))
 
     def test_boundary_analysis_type(self):
         assert isinstance(unit_circle_root_count(QPolynomial([- 1, 1])), BoundaryAnalysis)

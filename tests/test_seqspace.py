@@ -10,13 +10,16 @@ brute-force orbit iteration.
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from latfix import seqspace
-from latfix.exactnum import TheoremViolationError
+from latfix.exactnum import DefectiveEigenvalueError, TheoremViolationError
+from latfix.exactnum.linalg import char_poly, fix_projection
+from latfix.exactnum.polynomials import QPolynomial
 from latfix.exactnum.rational import QMatrix, QVector, rat
 from latfix.conegeom.core import Subspace
 from latfix.seqspace import (
@@ -44,7 +47,8 @@ from latfix.seqspace import (
     symbolic_operator_norm,
 )
 
-from conftest import rng_for
+from conftest import random_substochastic, rng_for
+from poly_oracles import reference_perron_root_vs_one, reference_unimodular_part
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +544,75 @@ class TestOrbitSup:
         result = orbit_sup(op, g)
         assert result.outcome == "Stabilized"
         assert result.supremum.grid_row_tail(0) == 1
+
+
+def reference_limit_certificate(m: QMatrix) -> QMatrix:
+    """The limit certificate as it read chi before the cyclotomic
+    division: the Perron-root test, then the unimodular part (the
+    reciprocal gcd), which inside the closed disk carries exactly the
+    unimodular eigenvalues; both from the `Fraction` oracles."""
+    chi = char_poly(m)
+    if reference_perron_root_vs_one(chi) > 0:
+        raise UnsupportedClosedFormError(
+            "finite block spectrum leaves the unit disk"
+        )
+    boundary = reference_unimodular_part(chi)
+    if boundary.degree > 0 and boundary != QPolynomial([-1, 1]):
+        raise UnsupportedClosedFormError(
+            "finite block has unimodular spectrum other than 1"
+        )
+    return fix_projection(m)
+
+
+def leaky_permutation(rng, n: int) -> QMatrix:
+    """A permutation matrix with up to two rows scaled by 0, 1/3 or 2/3."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rows = [[Fraction(int(j == perm[i])) for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(0, 2)):
+        i = rng.randrange(n)
+        rows[i] = [x * Fraction(rng.randint(0, 2), 3) for x in rows[i]]
+    return QMatrix(rows)
+
+
+def _outcome(f, m):
+    try:
+        return f(m)
+    except (UnsupportedClosedFormError, DefectiveEigenvalueError) as e:
+        return type(e), str(e)
+
+
+class TestLimitMatrixAgainstOracle:
+    """`_limit_matrix` on [[A, b], [0, 1]]^p, p = 1, 2, 3, with A a
+    scaled substochastic matrix or a leaky permutation and b of either
+    sign: the same refusal, message included, as the oracle certificate,
+    and otherwise the same projection or the same defective 1."""
+
+    def test_matches_the_oracle_certificate(self):
+        rng = rng_for("limit-matrix-differential")
+        seen = Counter()
+        for k in range(160):
+            n = rng.randint(1, 5)
+            if k % 2:
+                a = leaky_permutation(rng, n)
+            else:
+                a = random_substochastic(rng, n).scale(
+                    rng.choice((Fraction(1, 2), 1, Fraction(101, 100), Fraction(3, 2)))
+                )
+            b = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+            aug = QMatrix([list(r) + [x] for r, x in zip(a.rows, b)] + [[0] * n + [1]])
+            for p in (1, 2, 3):
+                m = aug.power(p)
+                expected = _outcome(reference_limit_certificate, m)
+                assert _outcome(seqspace._limit_matrix, m) == expected
+                seen[expected[1] if isinstance(expected, tuple) else "limit"] += 1
+        assert set(seen) == {
+            "finite block spectrum leaves the unit disk",
+            "finite block has unimodular spectrum other than 1",
+            "eigenvalue 1 is defective: ker(I-M) meets range(I-M)",
+            "limit",
+        }
+        assert min(seen.values()) >= 20
 
 
 E42_ORBIT_UNDER_ZERO_LIMIT = """

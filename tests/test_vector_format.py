@@ -29,11 +29,12 @@ from latfix.exactnum.linalg import (
 from latfix.exactnum.polynomials import (
     QPolynomial,
     cyclotomic,
+    cyclotomic_division,
+    has_unimodular_root,
     poly_gcd,
-    unimodular_part,
+    sturm_count,
 )
-from latfix.exactnum.rational import QMatrix, QVector
-from latfix.opcore import perron_root_vs_one
+from latfix.exactnum.rational import ONE, QMatrix, QVector
 from latfix import serialize as ser
 from latfix.seqspace import (
     C_ZERO,
@@ -261,10 +262,12 @@ class TestNoFractionBuilt:
         def kernels():
             v = f.from_coefficients(c)
             chi = char_poly(s)
+            algebraic, rest = cyclotomic_division(chi)
             return (rank(m), m.matmul(b), v, f.coefficients_of(v),
                     f.coefficients_of(outside), extreme_rays_of_inequality_cone(rows),
-                    chi, poly_of_matrix(chi, s), perron_root_vs_one(chi),
-                    poly_gcd(chi, g * chi.derivative()), unimodular_part(chi),
+                    chi, poly_of_matrix(chi, s),
+                    (algebraic, rest, sturm_count(rest, lo=ONE)),
+                    poly_gcd(chi, g * chi.derivative()), has_unimodular_root(rest),
                     cyclotomic(12), kernel_basis(m), fix_projection(s))
 
         expected = kernels()
@@ -278,8 +281,9 @@ class TestNoFractionBuilt:
         third = Fraction(1, 3)
         chi = QPolynomial([-third, 4 * third, -2 * third, -4 * third, 1])
         assert expected[6] == chi and expected[7] == QMatrix.zero(4, 4)
-        assert expected[8] == 0 and expected[9] == QPolynomial([-1, 1])
-        assert expected[10] == QPolynomial([-1, 0, 1])
+        assert expected[8] == ({1: 2, 2: 1}, QPolynomial([-third, 1]), 0)
+        assert expected[9] == QPolynomial([-1, 1])
+        assert expected[10] is False
         assert expected[11] == QPolynomial([1, 0, -1, 0, 1])
         assert expected[12] == (QVector([1, 0, Fraction(-7, 4), -h]),)
         # s averages its 2-cycle, keeps coordinate 2, and its last
