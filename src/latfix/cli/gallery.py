@@ -7,8 +7,8 @@ and compares byte-for-byte against the fixtures.
 """
 from __future__ import annotations
 
+import os
 from fractions import Fraction
-from pathlib import Path
 
 from .. import serialize
 from ..conegeom import least_element_above, modulus_in
@@ -34,7 +34,9 @@ from ..seqspace import (
     symbolic_operator_norm,
 )
 
-FIXTURE_DIR = Path(__file__).resolve().parent.parent / "gallery_fixtures"
+FIXTURE_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.realpath(__file__))), "gallery_fixtures"
+)
 
 GALLERY_IDS = (
     "intro-strict",
@@ -258,15 +260,16 @@ def run_gallery(case_id: str) -> dict:
     return CASE_BUILDERS[case_id]()
 
 
-def fixture_path(case_id: str) -> Path:
-    return FIXTURE_DIR / f"{case_id}.json"
+def fixture_path(case_id: str) -> str:
+    return os.path.join(FIXTURE_DIR, f"{case_id}.json")
 
 
 def expected_text(case_id: str) -> str:
     path = fixture_path(case_id)
-    if not path.exists():
-        raise ValueError(f"missing gallery fixture {path.name}")
-    return path.read_text(encoding="utf-8")
+    if not os.path.exists(path):
+        raise ValueError(f"missing gallery fixture {os.path.basename(path)}")
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
 
 
 def case_matches(case_id: str) -> tuple[bool, str]:
@@ -276,10 +279,11 @@ def case_matches(case_id: str) -> tuple[bool, str]:
 
 
 def regenerate_fixtures() -> list[str]:
-    FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
+    os.makedirs(FIXTURE_DIR, exist_ok=True)
     written = []
     for case_id in GALLERY_IDS:
         text = serialize.canonical_json(run_gallery(case_id))
-        fixture_path(case_id).write_text(text, encoding="utf-8")
+        with open(fixture_path(case_id), "w", encoding="utf-8") as handle:
+            handle.write(text)
         written.append(case_id)
     return written

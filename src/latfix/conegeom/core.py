@@ -52,16 +52,16 @@ least element.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from enum import Enum
 from functools import cached_property, reduce
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
 
 from ..exactnum import TheoremViolationError
 from ..exactnum.linalg import row_reduce, row_space_basis
 from ..exactnum.rational import QMatrix, QVector
+from ..exactnum.record import field, record
 from .simplex import INFEASIBLE, UNBOUNDED, minimize
 
 
@@ -71,7 +71,7 @@ class Verdict(str, Enum):
     SUBLATTICE = "Sublattice"
 
 
-@dataclass(frozen=True)
+@record
 class Subspace:
     """A linear subspace of R^n with an RREF-canonical basis of vectors in
     R^ambient_dim.  The RREF form is load-bearing: coefficients_of reads
@@ -214,13 +214,13 @@ class Subspace:
         return QMatrix.from_columns(columns)
 
 
-@dataclass(frozen=True)
+@record
 class PolyhedralCone:
     ambient: Subspace
     rays: tuple[QVector, ...]
 
 
-@dataclass(frozen=True)
+@record
 class LatticeClassification:
     verdict: Verdict
     cone_generating: bool

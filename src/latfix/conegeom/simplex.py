@@ -17,21 +17,21 @@ and Bland's rule guarantees termination.  Problem sizes here are tiny
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
 
 from ..exactnum import TheoremViolationError
 from ..exactnum.linalg import eliminate
 from ..exactnum.rational import QVector, rat
+from ..exactnum.record import record
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
+@record
 class LPResult:
     status: str
     value: Fraction | None

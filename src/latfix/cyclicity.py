@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -49,6 +48,7 @@ from .exactnum.polynomials import (
     sturm_count,
 )
 from .exactnum.rational import QMatrix, QVector
+from .exactnum.record import record
 from .opcore import PositiveMatrixOperator, contraction_check
 
 PROBE_STRUCTURAL_NOTE = (
@@ -86,7 +86,7 @@ def non_cyclotomic_boundary(op: PositiveMatrixOperator) -> bool:
     return verify_dimension_cyclicity(op).non_cyclotomic_boundary
 
 
-@dataclass(frozen=True)
+@record
 class DimensionEstimate:
     order: int
     k: int
@@ -96,7 +96,7 @@ class DimensionEstimate:
     holds: bool
 
 
-@dataclass(frozen=True)
+@record
 class CyclicityReport:
     orders: tuple[tuple[int, int], ...]
     algebraic_orders: tuple[tuple[int, int], ...]
@@ -167,7 +167,7 @@ def verify_dimension_cyclicity(op: PositiveMatrixOperator) -> CyclicityReport:
 # semigroup generators
 
 
-@dataclass(frozen=True)
+@record
 class SemigroupReport:
     metzler: bool
     log_norm_sup: Fraction
@@ -268,7 +268,7 @@ def semigroup_imaginary_check(matrix: QMatrix) -> SemigroupReport:
 # randomized probing
 
 
-@dataclass(frozen=True)
+@record
 class ProbeRecord:
     trial: int
     dim: int
@@ -277,7 +277,7 @@ class ProbeRecord:
     non_cyclotomic_boundary: bool
 
 
-@dataclass(frozen=True)
+@record
 class ProbeSummary:
     trials: int
     dim_max: int

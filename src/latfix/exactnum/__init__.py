@@ -3,6 +3,12 @@
 Scalars are arbitrary-precision rationals; no certified code path ever
 touches floating point.  Kernel bases are canonicalized by reduced row
 echelon form so that equal subspaces produce byte-identical bases.
+
+`record` (in `exactnum.record`) is the frozen-record decorator of every
+latfix result and operator class.  It stands in for the standard frozen
+dataclass because each command is a fresh interpreter: that module's
+import and its per-class method generation cost more than a small
+command's answer.
 """
 from .linalg import (
     DefectiveEigenvalueError,

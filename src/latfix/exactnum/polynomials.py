@@ -23,14 +23,14 @@ t = x + 1/x, which maps conjugate unimodular pairs to real points of
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from math import gcd as int_gcd, lcm
-from typing import Iterable, Sequence
 
 from .rational import ONE, ZERO, QVector, rat, ratio_str
+from .record import record
 
 DEGREE_BOUND = 16
 
@@ -484,7 +484,7 @@ def sturm_count(p: QPolynomial, lo=None, hi=None) -> int:
 # factorization over the rationals
 
 
-@dataclass(frozen=True)
+@record
 class FactoredPolynomial:
     """Complete factorization p = unit * prod(factor^multiplicity).
 
@@ -832,7 +832,7 @@ def factor_over_rationals(p: QPolynomial) -> FactoredPolynomial:
 # roots relative to the unit circle
 
 
-@dataclass(frozen=True)
+@record
 class BoundaryAnalysis:
     """Unit-circle content of a polynomial.
 

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul, sub
-from typing import Iterable, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

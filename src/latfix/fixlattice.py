@@ -24,10 +24,9 @@ implementation shortcut.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import reduce
-from typing import Sequence, Union
 
 from .conegeom import (
     LatticeClassification,
@@ -39,6 +38,7 @@ from .conegeom import (
 from .exactnum import TheoremViolationError
 from .exactnum.linalg import fix_projection
 from .exactnum.rational import QVector
+from .exactnum.record import record
 from .opcore import (
     OperatorFamily,
     PositiveMatrixOperator,
@@ -57,7 +57,7 @@ class BudgetExceededError(RuntimeError):
     """The transfinite trace did not settle within STEP_BUDGET steps."""
 
 
-@dataclass(frozen=True)
+@record
 class NormCheck:
     """Norm comparison for G = {b, -b}: the ambient supremum |b| versus
     the least upper bound within the fixed space."""
@@ -68,7 +68,7 @@ class NormCheck:
     equal: bool
 
 
-@dataclass(frozen=True)
+@record
 class FixedSpaceReport:
     family_valid: bool
     fixed_space: Subspace
@@ -181,14 +181,14 @@ def least_fixed_above(family: OperatorFamily, g: QVector) -> QVector:
 # transfinite iteration
 
 
-@dataclass(frozen=True)
+@record
 class TraceStep:
     limit_step_index: int
-    vector: Union[QVector, SymbolicVector]
+    vector: QVector | SymbolicVector
     is_fixed: bool
 
 
-@dataclass(frozen=True)
+@record
 class TransfiniteTrace:
     """Record of repeated monotone limit steps.  outcome is
     "FixedPointReached" (fixed_point and limit_steps set) or
@@ -196,7 +196,7 @@ class TransfiniteTrace:
 
     steps: tuple[TraceStep, ...]
     outcome: str
-    fixed_point: Union[QVector, SymbolicVector, None] = None
+    fixed_point: QVector | SymbolicVector | None = None
     limit_steps: int | None = None
     evidence: tuple[Fraction, ...] = ()
 
@@ -268,7 +268,7 @@ def _symbolic_trace(
 
 
 def transfinite_trace(
-    op: Union[PositiveMatrixOperator, ShiftInsertOperator],
+    op: PositiveMatrixOperator | ShiftInsertOperator,
     vectors: Sequence,
     power: int = 1,
 ) -> TransfiniteTrace:

@@ -17,11 +17,10 @@ is factored.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Iterable
 
 from .conegeom import Subspace
 from .exactnum import TheoremViolationError
@@ -34,9 +33,10 @@ from .exactnum.polynomials import (
     sturm_count,
 )
 from .exactnum.rational import ONE, ZERO, QMatrix, QVector
+from .exactnum.record import record
 
 
-@dataclass(frozen=True)
+@record
 class NormTag:
     """Identifies the lattice norm carried by an operator's space."""
 
@@ -77,7 +77,7 @@ def vector_norm(x: QVector, tag: NormTag) -> Fraction:
     return sum((w * abs(v) for w, v in zip(tag.weights, x)), Fraction(0))
 
 
-@dataclass(frozen=True)
+@record
 class PositiveMatrixOperator:
     matrix: QMatrix
     norm_tag: NormTag = SUP_NORM
@@ -99,7 +99,7 @@ class PositiveMatrixOperator:
         return self.matrix @ x
 
 
-@dataclass(frozen=True)
+@record
 class OperatorFamily:
     """Commuting positive operators on one space with one norm, carrying
     their contractivity and common fixed space, each computed once.
@@ -195,7 +195,7 @@ def super_fixed_check(op: PositiveMatrixOperator, g: QVector) -> bool:
     return op.apply(g).ge(g)
 
 
-@dataclass(frozen=True)
+@record
 class PowerBoundAnalysis:
     verdict: str
     offending_factor: QPolynomial | None

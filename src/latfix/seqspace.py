@@ -36,16 +36,16 @@ S - lam*I over them, S the functionals' rows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence
 
 from .conegeom import Subspace
 from .exactnum import TheoremViolationError
 from .exactnum.linalg import char_poly, fix_projection, kernel_basis
 from .exactnum.polynomials import cyclotomic_division, has_unimodular_root, sturm_count
 from .exactnum.rational import ONE, ZERO, QMatrix, QVector, rat
+from .exactnum.record import field, record
 
 C_ZERO = "CZero"
 L_INFTY = "LInfty"
@@ -63,7 +63,7 @@ class NoSupremumError(ValueError):
     not monotonically complete)."""
 
 
-@dataclass(frozen=True)
+@record
 class ChainDecl:
     name: str
     space_tag: str
@@ -76,7 +76,7 @@ class ChainDecl:
 GridDecl = ChainDecl
 
 
-@dataclass(frozen=True)
+@record
 class IndexSchema:
     """Finite named coordinates, named chains, optionally one grid."""
 
@@ -107,7 +107,7 @@ class IndexSchema:
         raise ValueError(f"no chain named {name!r}")
 
 
-@dataclass(frozen=True)
+@record
 class ChainValue:
     """Eventually constant sequence: the prefix entries, then the tail,
     as one `QVector` whose prefix never ends in the tail value."""
@@ -159,7 +159,7 @@ def chain_value(prefix: Iterable, tail) -> ChainValue:
 ZERO_CHAIN = ChainValue(QVector.zero(1))
 
 
-@dataclass(frozen=True)
+@record
 class SymbolicVector:
     schema: IndexSchema
     finite_part: QVector
@@ -289,7 +289,7 @@ def ambient_sup(vectors: Sequence[SymbolicVector]) -> SymbolicVector:
 # functionals
 
 
-@dataclass(frozen=True)
+@record
 class LinearFunctionalSpec:
     """A linear form in the stable coordinates: one coefficient per finite
     coordinate, per chain tail, and per grid row tail up to the last row
@@ -343,7 +343,7 @@ class LinearFunctionalSpec:
 # operators
 
 
-@dataclass(frozen=True)
+@record
 class ShiftInsertOperator:
     """Positive operator: finite block on the named coordinates (plus
     optional functional inputs added per coordinate), each chain shifted
@@ -534,7 +534,7 @@ def constant_profile_embedding(
 # monotone orbit suprema
 
 
-@dataclass(frozen=True)
+@record
 class OrbitSup:
     """Outcome of a monotone orbit supremum: Stabilized carries the
     supremum, Unbounded carries the norms of three successive limit

@@ -15,10 +15,10 @@ equal values produce byte-identical JSON across runs and platforms.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import lcm
-from typing import Mapping, Sequence
 
 from .conegeom import LatticeClassification, Subspace
 from .cyclicity import CyclicityReport, ProbeSummary, SemigroupReport
