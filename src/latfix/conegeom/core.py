@@ -61,7 +61,7 @@ from operator import mul
 from ..exactnum import TheoremViolationError
 from ..exactnum.linalg import row_reduce, row_space_basis
 from ..exactnum.rational import QMatrix, QVector
-from ..exactnum.record import field, record
+from ..exactnum.record import record
 from .simplex import INFEASIBLE, UNBOUNDED, minimize
 
 
@@ -83,7 +83,6 @@ class Subspace:
 
     ambient_dim: int
     basis: tuple[QVector, ...]
-    pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if any(b.dim != self.ambient_dim for b in self.basis):

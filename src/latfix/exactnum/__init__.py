@@ -8,7 +8,8 @@ echelon form so that equal subspaces produce byte-identical bases.
 latfix result and operator class.  It stands in for the standard frozen
 dataclass because each command is a fresh interpreter: that module's
 import and its per-class method generation cost more than a small
-command's answer.
+command's answer.  A record holds only its fields; derived state is a
+``cached_property`` or is set by ``__post_init__``.
 """
 from .linalg import (
     DefectiveEigenvalueError,

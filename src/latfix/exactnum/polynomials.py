@@ -490,12 +490,13 @@ class FactoredPolynomial:
 
     Factors are primitive integer polynomials with positive leading
     coefficient, sorted by degree then coefficients.  ``cyclotomic_orders``
-    maps a factor index to n when that factor equals cyclotomic(n).
+    holds a pair (index, n), in index order, for each factor that equals
+    cyclotomic(n).
     """
 
     unit: Fraction
     factors: tuple[tuple[QPolynomial, int], ...]
-    cyclotomic_orders: dict[int, int]
+    cyclotomic_orders: tuple[tuple[int, int], ...]
 
     def expand(self) -> QPolynomial:
         p = QPolynomial((self.unit,))
@@ -804,7 +805,7 @@ def factor_over_rationals(p: QPolynomial) -> FactoredPolynomial:
             f"degree {p.degree} exceeds the factorization bound {DEGREE_BOUND}"
         )
     if p.degree == 0:
-        return FactoredPolynomial(p.coeffs[0], (), {})
+        return FactoredPolynomial(p.coeffs[0], (), ())
     merged: dict[QPolynomial, int] = {}
     for level, mult in squarefree_decomposition(p):
         for f in _factor_squarefree(level):
@@ -817,11 +818,11 @@ def factor_over_rationals(p: QPolynomial) -> FactoredPolynomial:
     result = FactoredPolynomial(
         unit,
         tuple(ordered),
-        {
-            i: order
+        tuple(
+            (i, order)
             for i, (f, _) in enumerate(ordered)
             if (order := cyclotomic_order(f)) is not None
-        },
+        ),
     )
     if result.expand() != p:
         raise AssertionError("factorization failed to reproduce the input")

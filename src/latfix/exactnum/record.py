@@ -6,57 +6,27 @@
     class Pair:
         left: int
         right: int = 0
-        cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+A record holds only its fields: its annotated attributes, each with an
+optional plain default, which stays a class attribute.  State derived
+from the fields is a ``functools.cached_property`` (instances keep their
+``__dict__``) or is set by ``__post_init__`` with ``object.__setattr__``,
+and is never a field.
 
 ``__init__``, ``__eq__`` and ``__hash__`` come from one generated source
 per class, so they run as fast as the standard ones.  ``__init__`` takes
-the ``init`` fields in annotation order, positionally or by keyword,
-sets every field (a ``default_factory`` field gets a fresh value) and
-calls ``__post_init__`` if the class has one; an ``init=False`` field
-with no default is left for ``__post_init__``, which sets fields with
-``object.__setattr__``.  ``__eq__`` and ``__hash__`` read the tuple of
-``compare`` fields, and ``__eq__`` answers only for instances of the
-same class.  ``__repr__`` shows the ``repr`` fields.  Setting or
-deleting an attribute raises ``FrozenRecordError``.  Instances keep
-their ``__dict__``, so ``functools.cached_property`` works on them.  A
-method the class defines itself is kept.
+the fields in annotation order, positionally or by keyword, sets them
+and calls ``__post_init__`` if the class has one.  ``__eq__``,
+``__hash__`` and ``__repr__`` read every field, and ``__eq__`` answers
+only for instances of the same class.  These four replace any the class
+defines, so a record checks its arguments in ``__post_init__``.  Setting
+or deleting an attribute raises ``FrozenRecordError``.
 """
 from __future__ import annotations
-
-# the default and default_factory of a field that has none
-MISSING = object()
 
 
 class FrozenRecordError(AttributeError):
     """An attempt to set or delete an attribute of a record."""
-
-
-class Field:
-    """How one annotated attribute of a record is initialised, shown and
-    compared."""
-
-    __slots__ = ("name", "default", "default_factory", "init", "repr", "compare")
-
-    def __init__(
-        self,
-        *,
-        default=MISSING,
-        default_factory=MISSING,
-        init: bool = True,
-        repr: bool = True,
-        compare: bool = True,
-    ) -> None:
-        if default is not MISSING and default_factory is not MISSING:
-            raise ValueError("cannot specify both default and default_factory")
-        self.name = None
-        self.default = default
-        self.default_factory = default_factory
-        self.init = init
-        self.repr = repr
-        self.compare = compare
-
-
-field = Field
 
 
 def _frozen_setattr(self, name, value):
@@ -69,48 +39,23 @@ def _frozen_delattr(self, name):
 
 def record(cls):
     """Make cls a frozen record over its annotated attributes."""
-    fields = []
-    for name in cls.__annotations__:
-        spec = cls.__dict__.get(name, MISSING)
-        if not isinstance(spec, Field):
-            spec = Field(default=spec)
-        spec.name = name
-        fields.append(spec)
-        if spec.default is MISSING:
-            if name in cls.__dict__:
-                delattr(cls, name)
-        else:
-            setattr(cls, name, spec.default)
-    cls.__record_fields__ = tuple(fields)
+    names = tuple(cls.__annotations__)
+    cls.__record_fields__ = names
 
-    # one generated source; defaults and factories are its globals
-    scope = {"MISSING": MISSING, "_set": object.__setattr__}
+    # one generated source; the defaults are its globals
+    scope = {"_set": object.__setattr__}
     params, body = ["self"], []
-    for f in fields:
-        name = f.name
-        scope[f"_dflt_{name}"] = f.default
-        scope[f"_fact_{name}"] = f.default_factory
-        if f.init:
-            value = name
-            if f.default is not MISSING:
-                params.append(f"{name}=_dflt_{name}")
-            elif f.default_factory is not MISSING:
-                params.append(f"{name}=MISSING")
-                value = f"_fact_{name}() if {name} is MISSING else {name}"
-            else:
-                params.append(name)
-        elif f.default is not MISSING:
-            value = f"_dflt_{name}"
-        elif f.default_factory is not MISSING:
-            value = f"_fact_{name}()"
+    for name in names:
+        if name in cls.__dict__:
+            scope[f"_dflt_{name}"] = cls.__dict__[name]
+            params.append(f"{name}=_dflt_{name}")
         else:
-            continue
-        body.append(f"    _set(self, {name!r}, {value})")
+            params.append(name)
+        body.append(f"    _set(self, {name!r}, {name})")
     if hasattr(cls, "__post_init__"):
         body.append("    self.__post_init__()")
-    compared = [f.name for f in fields if f.compare]
-    key = "".join(f"self.{name}," for name in compared)
-    other = "".join(f"other.{name}," for name in compared)
+    key = "".join(f"self.{name}," for name in names)
+    other = "".join(f"other.{name}," for name in names)
     exec(
         f"def __init__({', '.join(params)}):\n" + "\n".join(body) + "\n"
         "def __eq__(self, other):\n"
@@ -122,22 +67,13 @@ def record(cls):
         scope,
     )
 
-    shown = tuple(f.name for f in fields if f.repr)
-
     def __repr__(self):
-        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in shown)
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
         return f"{self.__class__.__qualname__}({inner})"
 
-    methods = {
-        "__init__": scope["__init__"],
-        "__repr__": __repr__,
-        "__eq__": scope["__eq__"],
-        "__hash__": scope["__hash__"],
-    }
-    for name, method in methods.items():
-        if name not in cls.__dict__:
-            method.__qualname__ = f"{cls.__qualname__}.{name}"
-            setattr(cls, name, method)
+    for method in (scope["__init__"], __repr__, scope["__eq__"], scope["__hash__"]):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
     cls.__setattr__ = _frozen_setattr
     cls.__delattr__ = _frozen_delattr
     return cls

@@ -17,7 +17,6 @@ is factored.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -103,6 +102,7 @@ class PositiveMatrixOperator:
 class OperatorFamily:
     """Commuting positive operators on one space with one norm, carrying
     their contractivity and common fixed space, each computed once.
+    The members may be given as any iterable; they are kept as a tuple.
 
     Commutation is checked on integers: with A = a / da and B = b / db
     over their common denominators, AB and BA share the denominator
@@ -111,8 +111,8 @@ class OperatorFamily:
 
     members: tuple[PositiveMatrixOperator, ...]
 
-    def __init__(self, members: Iterable[PositiveMatrixOperator]) -> None:
-        mem = tuple(members)
+    def __post_init__(self) -> None:
+        mem = tuple(self.members)
         if not mem:
             raise ValueError("empty operator family")
         dim = mem[0].dim

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .conegeom import Subspace
@@ -45,7 +46,7 @@ from .exactnum import TheoremViolationError
 from .exactnum.linalg import char_poly, fix_projection, kernel_basis
 from .exactnum.polynomials import cyclotomic_division, has_unimodular_root, sturm_count
 from .exactnum.rational import ONE, ZERO, QMatrix, QVector, rat
-from .exactnum.record import field, record
+from .exactnum.record import record
 
 C_ZERO = "CZero"
 L_INFTY = "LInfty"
@@ -356,10 +357,6 @@ class ShiftInsertOperator:
     chain_sources: tuple[LinearFunctionalSpec, ...] = ()
     grid_row0_source: LinearFunctionalSpec | None = None
     grid_cross: Fraction = ZERO
-    # each powered augmented matrix already seen -> its _limit_matrix
-    _limits: dict[QMatrix, QMatrix] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         s = self.schema
@@ -387,6 +384,11 @@ class ShiftInsertOperator:
                 raise ValueError("a grid needs a row-0 entry source")
             if not self.grid_row0_source.is_nonneg() or self.grid_cross < 0:
                 raise ValueError("operator coefficients must be nonnegative")
+
+    @cached_property
+    def _limits(self) -> dict[QMatrix, QMatrix]:
+        """Each powered augmented matrix already seen -> its _limit_matrix."""
+        return {}
 
 
 def apply(op: ShiftInsertOperator, v: SymbolicVector) -> SymbolicVector:

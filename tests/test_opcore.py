@@ -202,7 +202,7 @@ class TestFamily:
 
     def test_rejects_mixed_norms(self):
         eye = QMatrix.identity(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^family members carry different norms$"):
             OperatorFamily(
                 [
                     PositiveMatrixOperator(eye, SUP_NORM),
@@ -210,9 +210,47 @@ class TestFamily:
                 ]
             )
 
+    def test_rejects_mixed_dimensions(self):
+        with pytest.raises(ValueError, match="^family members act on different spaces$"):
+            OperatorFamily(
+                [
+                    PositiveMatrixOperator(QMatrix.identity(2)),
+                    PositiveMatrixOperator(QMatrix.identity(3)),
+                ]
+            )
+
+    def test_checks_each_member_in_order_dimension_before_norm(self):
+        eye2, eye3 = QMatrix.identity(2), QMatrix.identity(3)
+        both = [PositiveMatrixOperator(eye2), PositiveMatrixOperator(eye3, ONE_NORM)]
+        with pytest.raises(ValueError, match="different spaces"):
+            OperatorFamily(both)
+        norm_first = [
+            PositiveMatrixOperator(eye2),
+            PositiveMatrixOperator(eye2, ONE_NORM),
+            PositiveMatrixOperator(eye3),
+        ]
+        with pytest.raises(ValueError, match="different norms"):
+            OperatorFamily(norm_first)
+        # shapes and norms are checked before commutation
+        a = QMatrix([[0, 1], [0, 0]])
+        b = QMatrix([[1, 0], [1, 1]])
+        mixed = [PositiveMatrixOperator(a), PositiveMatrixOperator(b), PositiveMatrixOperator(eye3)]
+        with pytest.raises(ValueError, match="different spaces"):
+            OperatorFamily(mixed)
+
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^empty operator family$"):
             OperatorFamily([])
+        with pytest.raises(ValueError, match="^empty operator family$"):
+            OperatorFamily(iter(()))
+
+    def test_one_shot_generator_keeps_every_member_in_order(self):
+        m = QMatrix([[rat("1/2"), rat("1/2")], [rat("1/4"), rat("1/2")]])
+        mats = [m.power(k) for k in (1, 2, 3)]
+        fam = OperatorFamily(PositiveMatrixOperator(x) for x in mats)
+        assert isinstance(fam.members, tuple)
+        assert [op.matrix for op in fam.members] == mats
+        assert fam == OperatorFamily(members=tuple(PositiveMatrixOperator(x) for x in mats))
 
     def test_accepts_powers(self):
         m = QMatrix([[rat("1/2"), rat("1/2")], [rat("1/4"), rat("1/2")]])
