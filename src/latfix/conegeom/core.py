@@ -2,7 +2,7 @@
 
 A subspace F carries the order inherited from the coordinate lattice.
 Its positive cone F `intersect` R^n_+ is polyhedral; the double
-description method run in coefficient space yields the extreme rays.
+description method run on the vectors of F yields the extreme rays.
 The classification rests on two classical facts about finite-dimensional
 ordered spaces:
 
@@ -26,13 +26,14 @@ description once and holds the extreme rays, which `positive_cone` and
   up to the size of their union: a shared coordinate counts twice.
 
 Everything here reads the integer numerators of the `QVector`s.  Double
-description runs on plain ints: each inequality row is scaled to a
-primitive integer vector, each ray is kept as one, and its tight set
-is a bitmask inherited from the parent rays, never recomputed from dot
-products.  Ray adjacency is the combinatorial test of Fukuda and Prodon
-(1996) on those bitmasks.  Coordinates in F are read off the pivots of
-its RREF basis, found once per subspace, and rays are mapped back to
-R^n with one integer product.
+description runs on plain ints in R^n: the RREF basis, each vector
+made primitive, is the start, and the inequalities x_j >= 0 are the
+coordinates themselves, so a ray's value on one is its entry and no
+product is taken.  Each ray is kept as a primitive integer vector, and
+its tight set is a bitmask inherited from the parent rays, never
+recomputed.  Ray adjacency is the combinatorial test of Fukuda and
+Prodon (1996) on those bitmasks.  Coordinates in F are read off the
+pivots of its RREF basis, found once per subspace.
 
 A lattice subspace F is the range of a positive projection Q (Ando
 1969; Abramovich, Aliprantis and Polyrakis 1994), built once per
@@ -56,10 +57,9 @@ from collections.abc import Iterable, Sequence
 from enum import Enum
 from functools import cached_property, reduce
 from math import gcd, lcm
-from operator import mul
 
 from ..exactnum import TheoremViolationError
-from ..exactnum.linalg import row_reduce, row_space_basis
+from ..exactnum.linalg import row_space_basis
 from ..exactnum.rational import QMatrix, QVector
 from ..exactnum.record import record
 from .simplex import INFEASIBLE, UNBOUNDED, minimize
@@ -152,19 +152,11 @@ class Subspace:
     @cached_property
     def classification(self) -> LatticeClassification:
         """Lattice classification under the inherited coordinate order,
-        carrying the extreme rays of the positive cone: double description
-        on the coefficient cone (rows: the columns of D times the basis, D
-        the common denominator), each integral ray mapped back by one
-        integer product.  The zero subspace is a vacuous sublattice with
-        all flags true and no rays."""
-        if self.is_zero():
-            return LatticeClassification(Verdict.SUBLATTICE, True, True, True, ())
-        columns = list(zip(*QMatrix(self.basis).int_rows()[0]))  # D * basis
-        coeff_rays = extreme_rays_of_inequality_cone(
-            [QVector.from_ints(col) for col in columns]
-        )
-        ambient = [[sum(map(mul, r.nums, c)) for c in columns] for r in coeff_rays]
-        rays = tuple(QVector.from_ints(r) for r in sorted(map(_primitive, ambient)))
+        carrying the extreme rays of the positive cone, found by one
+        double description on the subspace's own vectors.  The zero
+        subspace is a vacuous sublattice with all flags true and no
+        rays."""
+        rays = extreme_rays_of_inequality_cone(self)
         supports = [r.support() for r in rays]
         covered = frozenset().union(*supports)
         generating = covered == frozenset().union(*(b.support() for b in self.basis))
@@ -233,56 +225,41 @@ class LatticeClassification:
 
 
 def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
-    """ints divided by their gcd, a positive factor, so a row keeps its
-    half-space and a ray its direction; a zero vector stays zero."""
+    """ints divided by their gcd, a positive factor, so a ray keeps its
+    direction; a zero vector stays zero."""
     g = gcd(*ints) or 1
     return tuple(v // g for v in ints)
 
 
-def extreme_rays_of_inequality_cone(
-    rows: Sequence[QVector],
-) -> tuple[QVector, ...]:
-    """Extreme rays of {c : row . c >= 0 for every row}.
+def extreme_rays_of_inequality_cone(subspace: Subspace) -> tuple[QVector, ...]:
+    """Extreme rays of {x in F : x_j >= 0 for every j}, F the subspace.
 
-    The rows must span the dual space, which makes the cone pointed; the
-    rays come back as coprime integer vectors, lexicographically sorted.
-    Everything runs on plain ints: rows and rays are primitive integer
-    vectors, and a ray's tight set (the processed rows it lies on) is a
-    bitmask.  One fraction-free elimination of [R^T | I], R the rows,
-    pivoting greedily on the R^T block, picks the first d independent
-    rows B and leaves D B^-T in the right block, D > 0: its row k is the
-    start ray tight on every chosen row but the k-th.  The other rows
-    are inserted in index order.
+    The cone lies in R^n_+, so it is pointed; the rays come back as
+    coprime integer vectors of R^n, lexicographically sorted.
+    Everything runs on plain ints: a ray is a primitive integer vector
+    and its tight set (the processed coordinates on which it vanishes)
+    is a bitmask.  The start is the RREF basis: x_{p_k} is the k-th
+    coefficient of x for the k-th pivot p_k, so the pivot coordinates
+    cut out a simplicial cone whose rays are the basis vectors, b_k
+    tight on every pivot but its own.  The other coordinates are
+    inserted in index order, a ray's value on coordinate j being its
+    entry r_j.
     A kept ray on the new hyperplane gains its bit; a new ray
-    v_p r_m - v_m r_p, both parents satisfying every processed row, is
-    tight exactly where both are, plus the new row.  Two rays are
-    adjacent when no other ray's tight set contains their common tight
-    set (Fukuda and Prodon, 1996), so the output is deterministic.
+    v_p r_m - v_m r_p, both parents satisfying every processed
+    coordinate, is tight exactly where both are, plus the new one.  Two
+    rays are adjacent when no other ray's tight set contains their
+    common tight set (Fukuda and Prodon, 1996), so the output is
+    deterministic.
     """
-    rows = [r if isinstance(r, QVector) else QVector(r) for r in rows]
-    if not rows:
-        raise ValueError("no inequality rows")
-    d = rows[0].dim
-    if any(r.dim != d for r in rows):
-        raise ValueError("inequality rows of mixed dimension")
-    int_rows = [_primitive(r.nums) for r in rows]
-    m = len(int_rows)
-    table = [
-        [r[k] for r in int_rows] + [int(i == k) for i in range(d)]
-        for k in range(d)
-    ]
-    chosen = row_reduce(table, m)[1]
-    if len(chosen) != d:
-        raise ValueError("inequality rows do not span; cone is not pointed")
-    rays = [_primitive(row[m:]) for row in table]
-    start = sum(1 << i for i in chosen)
-    tights = [start & ~(1 << i) for i in chosen]
-
-    for j, row in enumerate(int_rows):
-        if j in chosen:
-            continue
+    d = subspace.dim
+    start = sum(1 << p for p in subspace.pivots)
+    rays = [_primitive(b.nums) for b in subspace.basis]
+    tights = [start & ~(1 << p) for p in subspace.pivots]
+    for j in range(subspace.ambient_dim):
         bit = 1 << j
-        values = [sum(map(mul, row, r)) for r in rays]
+        if start & bit:
+            continue
+        values = [r[j] for r in rays]
         new_rays: list[tuple[int, ...]] = []
         new_tights: list[int] = []
         for r, tight, v in zip(rays, tights, values):

@@ -31,7 +31,6 @@ infinite-dimensional question, never a counterexample.
 from __future__ import annotations
 
 import json
-import random
 from fractions import Fraction
 from math import gcd
 
@@ -319,6 +318,8 @@ def probe_random_contractions(
         raise ValueError("at least one trial is required")
     if dim_max < 1:
         raise ValueError("dimension bound must be positive")
+    import random  # here, so that no other command pays for the import
+
     records: list[ProbeRecord] = []
     violations = 0
     for trial in range(trials):

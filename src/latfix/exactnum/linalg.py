@@ -3,9 +3,10 @@
 `eliminate` is the one row step of the package: a fraction-free
 (Bareiss) Gauss-Jordan step on integer rows that share one common
 denominator.  `row_reduce` (and through it rank, RREF, solving, kernels
-and the fixed-space projection), the double-description start in
-`conegeom.core` and the simplex in `conegeom.simplex` reduce with it
-and with nothing else.  No step pays a gcd; rows enter as their
+and the fixed-space projection) and the simplex in `conegeom.simplex`
+reduce with it and with nothing else; double description in
+`conegeom.core` starts from a subspace's RREF basis and reduces
+nothing.  No step pays a gcd; rows enter as their
 `QVector` numerators (scaling a row keeps its RREF) and leave as
 `QVector`s over the final common denominator.
 

@@ -10,7 +10,7 @@ load them first:
 import os
 import sys
 
-SLOW = ("dataclasses", "inspect", "typing", "pathlib")
+SLOW = ("dataclasses", "inspect", "typing", "pathlib", "random")
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 

@@ -9,10 +9,12 @@ description and the suprema they are used to check.  The reference
 ray-basis supremum is the earlier route of `least_upper_bound_in`
 (coordinatewise maxima of ray coordinates, through a `Fraction`
 Gauss-Jordan inverse), which the positive projection must match.  The
-reference double description is the earlier `Fraction` version of
-`extreme_rays_of_inequality_cone` and `positive_cone`: it recomputes
-every tight set from dot products and maps rays back through
-`Subspace.from_coefficients`, so the integer version can be compared
+reference double description is an independent `Fraction` route to
+the rays of `extreme_rays_of_inequality_cone` and `positive_cone`: it
+runs in coefficient space on rows that must span, starting from a
+Gauss-Jordan inverse, recomputes every tight set from dot products and
+maps rays back through `Subspace.from_coefficients`, so the integer
+version, which runs on the subspace's own vectors, can be compared
 with it exactly.  The reference classification is the earlier route of
 `classify_subspace`: those reference rays, `rank` of the rays for the
 generating flag and a pairwise check of the ray supports, which the
@@ -230,8 +232,9 @@ def _primitive_ray(v: QVector) -> QVector:
 def reference_extreme_rays(rows: Sequence[QVector]) -> tuple[QVector, ...]:
     """Extreme rays of {c : row . c >= 0 for every row} by double
     description on `Fraction`s, with every tight set recomputed from dot
-    products at each insertion; same contract as
-    `extreme_rays_of_inequality_cone`."""
+    products at each insertion.  The rows must span, which makes the
+    cone pointed; ValueError otherwise.  Rays come back as coprime
+    integer vectors, lexicographically sorted."""
     rows = [QVector(tuple(r)) for r in rows]
     if not rows:
         raise ValueError("no inequality rows")

@@ -151,24 +151,23 @@ class TestClassification:
 
 class TestExtremeRays:
     def test_orthant_rays(self):
-        rows = [QVector([1, 0]), QVector([0, 1])]
-        assert set(extreme_rays_of_inequality_cone(rows)) == {
-            QVector([1, 0]),
+        assert extreme_rays_of_inequality_cone(span(2, (1, 0), (0, 1))) == (
             QVector([0, 1]),
-        }
-
-    def test_rejects_non_pointed(self):
-        with pytest.raises(ValueError):
-            extreme_rays_of_inequality_cone([QVector([1, 0])])
+            QVector([1, 0]),
+        )
 
     def test_rays_keep_their_sign(self):
-        rows = [QVector([-1, 0]), QVector([0, 1])]
-        assert extreme_rays_of_inequality_cone(rows) == (
-            QVector([-1, 0]),
-            QVector([0, 1]),
+        # the basis vector (1, 0, -1) leaves the cone at coordinate 2;
+        # the new ray is its positive combination with (0, 1, 1)
+        f = span(3, (1, 0, -1), (0, 1, 1))
+        assert extreme_rays_of_inequality_cone(f) == (
+            QVector([0, 1, 1]),
+            QVector([1, 1, 0]),
         )
 
     def test_matches_brute_force_enumeration(self):
+        """F is the column space of random integer rows R (m x d): on
+        spanning R, its cone is R applied to {c : R c >= 0}."""
         rng = rng_for("rays-brute-force")
         cones = nontrivial = 0
         while cones < 150:
@@ -177,12 +176,22 @@ class TestExtremeRays:
                 [rng.randint(-3, 3) for _ in range(d)]
                 for _ in range(rng.randint(d, 8))
             ]
-            if bareiss_rank(QMatrix(rows)) < d:
+            matrix = QMatrix(rows)
+            f = Subspace.from_vectors(len(rows), matrix.transpose().rows)
+            rays = extreme_rays_of_inequality_cone(f)
+            if bareiss_rank(matrix) < d:
+                assert rays == reference_positive_cone_rays(f)
                 continue
-            rays = extreme_rays_of_inequality_cone([QVector(r) for r in rows])
-            expected = brute_force_rays(rows, d)
-            assert {tuple(int(x) for x in r) for r in rays} == expected
-            assert list(rays) == sorted(rays, key=tuple)
+            expected = tuple(
+                sorted(
+                    (
+                        primitive(matrix.matvec(QVector(c)))
+                        for c in brute_force_rays(rows, d)
+                    ),
+                    key=tuple,
+                )
+            )
+            assert rays == expected
             cones += 1
             nontrivial += bool(expected)
         assert nontrivial >= 50
@@ -231,13 +240,6 @@ def inequality_rows(draw):
     return [QVector(r) for r in rows]
 
 
-def rays_or_error(compute, argument):
-    try:
-        return compute(argument)
-    except ValueError:
-        return ValueError
-
-
 class TestFractionReference:
     """The integer double description against the earlier Fraction one
     (tests/cone_oracles.py): the outputs must be exactly equal."""
@@ -251,26 +253,20 @@ class TestFractionReference:
     @given(inequality_rows())
     @settings(max_examples=300, deadline=None)
     def test_rays_match_reference(self, rows):
-        expected = rays_or_error(reference_extreme_rays, rows)
-        assert rays_or_error(extreme_rays_of_inequality_cone, rows) == expected
-
-    @given(st.integers(2, 6), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_non_spanning_rows_raise(self, d, data):
-        vector_st = st.lists(fractions_st, min_size=d, max_size=d)
-        generators = data.draw(st.lists(vector_st, min_size=1, max_size=d - 1))
-        weights_st = st.lists(
-            fractions_st, min_size=len(generators), max_size=len(generators)
-        )
-        rows = [
-            QVector(
-                sum(w * g[i] for w, g in zip(weights, generators)) for i in range(d)
+        """F is the column space of the rows R: on spanning R, its cone
+        is R applied to the reference rays of {c : R c >= 0}."""
+        matrix = QMatrix(rows)
+        f = Subspace.from_vectors(len(rows), matrix.transpose().rows)
+        if rank(matrix) < matrix.ncols:
+            expected = reference_positive_cone_rays(f)
+        else:
+            expected = tuple(
+                sorted(
+                    (primitive(matrix.matvec(c)) for c in reference_extreme_rays(rows)),
+                    key=tuple,
+                )
             )
-            for weights in data.draw(st.lists(weights_st, min_size=1, max_size=12))
-        ]
-        for compute in (reference_extreme_rays, extreme_rays_of_inequality_cone):
-            with pytest.raises(ValueError):
-                compute(rows)
+        assert extreme_rays_of_inequality_cone(f) == expected
 
     @given(st.integers(2, 7), st.data())
     @settings(max_examples=120, deadline=None)
@@ -343,6 +339,55 @@ class TestReferenceClassification:
         assert positive_cone(f).rays == c.rays
 
 
+@st.composite
+def spans_with_degeneracies(draw):
+    """Spans in R^1-R^7 of 1 to n rational vectors, some nonnegative and
+    some of small integers (so rays often vanish where a coordinate is
+    inserted), vanishing on a drawn set of dead coordinates, with
+    repeated and zero spanning vectors mixed in, so d runs from 0 to n."""
+    n = draw(st.integers(1, 7))
+    dead = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    nonneg_st = st.fractions(min_value=0, max_value=5, max_denominator=6)
+    small_st = st.integers(-1, 2)
+    vectors = [
+        [0 if j in dead else x for j, x in enumerate(v)]
+        for v in draw(
+            st.lists(
+                st.one_of(
+                    *(
+                        st.lists(entry_st, min_size=n, max_size=n)
+                        for entry_st in (fractions_st, nonneg_st, small_st)
+                    )
+                ),
+                min_size=1,
+                max_size=n,
+            )
+        )
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        extra = draw(st.sampled_from(vectors)) if draw(st.booleans()) else [0] * n
+        vectors.insert(draw(st.integers(0, len(vectors))), extra)
+    return Subspace.from_vectors(n, [QVector(v) for v in vectors])
+
+
+class TestRaysOfTheSubspace:
+    """Double description on the subspace's own vectors against the
+    reference run on its coefficient cone (tests/cone_oracles.py)."""
+
+    @given(spans_with_degeneracies())
+    @example(SQUARE_CONE_BESIDE_A_LINE)
+    @example(FIVE_RAYS_OF_RANK_THREE)
+    @example(span(1, (rat("2/3"),)))
+    @example(span(4, (1, -1, 0, 2), (0, 0, 0, 0), (1, -1, 0, 2)))
+    @example(span(3, (1, 2, 0), (0, -1, 1), (2, 0, -1)))
+    # (0, 0, 0, 2, 1) vanishes on coordinate 2 when it is inserted, and
+    # the ray (1, 1, 0, 1, 0) needs the tight bit it gains there
+    @example(span(5, (2, 0, 1, 0, -1), (0, 2, -1, 0, 0), (0, 0, 0, 2, 1)))
+    @settings(max_examples=300, deadline=None)
+    def test_rays_match_reference(self, f):
+        assert extreme_rays_of_inequality_cone(f) == reference_positive_cone_rays(f)
+
+
 class TestOneDoubleDescription:
     def test_every_reader_shares_one_run(self, monkeypatch):
         import latfix.conegeom.core as core
@@ -377,15 +422,17 @@ class TestOneDoubleDescription:
 
 
 class TestStartWithoutRref:
-    """The double-description start is one integer elimination of
-    [R^T | I]: it calls no `rref`."""
+    """The double-description start is the subspace's RREF basis: it
+    calls neither `rref` nor `row_reduce`."""
 
-    @pytest.fixture
-    def counted(self, monkeypatch):
+    def test_no_rref_or_invert(self, monkeypatch):
         import latfix.conegeom.core as core
         import latfix.exactnum.linalg as linalg
 
-        calls = {"rref": 0}
+        rng = rng_for("dd-start-no-rref")
+        subspaces = [random_subspace_mix(rng, index) for index in range(20)]
+        full = span(3, (1, 0, 0), (0, 1, 0), (0, 0, 1))
+        calls = {"rref": 0, "row_reduce": 0}
 
         def counting(name):
             original = getattr(linalg, name)
@@ -401,26 +448,10 @@ class TestStartWithoutRref:
             for module in (linalg, core):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, wrapped)
-        return calls
-
-    def test_no_rref_or_invert(self, counted):
-        rng = rng_for("dd-start-no-rref")
-        for _ in range(20):
-            d = rng.randint(1, 5)
-            rows = [random_qvector(rng, d) for _ in range(rng.randint(d, d + 5))]
-            try:
-                extreme_rays_of_inequality_cone(rows)
-            except ValueError:
-                pass
-        rows = [QVector([1, 0, 0]), QVector([0, 1, 0]), QVector([0, 0, 1])]
-        assert extreme_rays_of_inequality_cone(rows) == tuple(reversed(rows))
-        assert counted == {"rref": 0}
-
-    def test_non_spanning_rows_still_raise(self, counted):
-        rows = [QVector([1, 2, 0]), QVector([2, 4, 0]), QVector([0, 0, 1])]
-        with pytest.raises(ValueError, match="do not span"):
-            extreme_rays_of_inequality_cone(rows)
-        assert counted == {"rref": 0}
+        for f in subspaces:
+            extreme_rays_of_inequality_cone(f)
+        assert extreme_rays_of_inequality_cone(full) == tuple(reversed(full.basis))
+        assert calls == {"rref": 0, "row_reduce": 0}
 
 
 class TestCoordinates:

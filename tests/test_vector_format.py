@@ -252,7 +252,6 @@ class TestNoFractionBuilt:
         f = Subspace.from_vectors(4, m.rows)
         c = QVector([1, Fraction(-1, 3), h])
         outside = QVector([1, 0, 0, 0])
-        rows = f.coordinate_rows()
         # substochastic with an eigenvalue 1 and a 2-cycle: chi has the
         # roots 1, -1 and 1/3
         s = QMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0],
@@ -264,7 +263,7 @@ class TestNoFractionBuilt:
             chi = char_poly(s)
             algebraic, rest = cyclotomic_division(chi)
             return (rank(m), m.matmul(b), v, f.coefficients_of(v),
-                    f.coefficients_of(outside), extreme_rays_of_inequality_cone(rows),
+                    f.coefficients_of(outside), extreme_rays_of_inequality_cone(f),
                     chi, poly_of_matrix(chi, s),
                     (algebraic, rest, sturm_count(rest, lo=ONE)),
                     poly_gcd(chi, g * chi.derivative()), has_unimodular_root(rest),
