@@ -52,6 +52,8 @@ def _load_json(path: str):
         raise ValueError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError(f"{path} nests too deeply to read as JSON") from None
 
 
 def _inline(value) -> str | None:

@@ -12,10 +12,10 @@ exact computation possible on this class:
 * the tail-limit functional (standing in for a free ultrafilter limit)
   is simply the tail value, which agrees with the true limit on every
   representable vector;
-* tails are invariant under the shift-insert action, so the finite
-  block evolves autonomously and monotone orbit suprema have closed
-  forms through the fixed-space projection of the (augmented) finite
-  block.
+* tails are invariant under the shift-insert action and the finite
+  part evolves as x -> Ax on its own, so monotone orbit suprema have
+  closed forms through the fixed-space projection of a power of the
+  finite block.
 
 A chain (or grid row) is one `QVector`, the prefix entries followed by
 the tail, and every symbolic-vector operation (sums, maxima, moduli,
@@ -25,14 +25,20 @@ views appear only at the API edge.  Vectors are kept canonical: chain
 prefixes never end in the tail value and grid rows never end in zero
 rows, so structural equality is value equality.
 
+Each finite coordinate is fed by its row of the finite block, each
+chain's entry by a functional, grid row 0's entry by a functional and
+grid row k's entry by cross * (tail of row k-1).  A functional reads
+the finite coordinates and the chain tails only.
+
 The coordinates that never leave their place under shift-insert, the
 *stable coordinates*, are read as one `QVector`: the finite part, then
 each chain's tail, then the tails of grid rows 0, 1, ...
 (`SymbolicVector.stable_coordinates`).  A functional is one coefficient
-vector in that layout, so evaluating it is one dot product; on an
-eigenvector at 1 or -1 (constant chains, at most a constant grid row 0)
-the stable coordinates carry the whole vector, so the eigensystem is
-S - lam*I over them, S the functionals' rows.
+vector over the first of them, the finite part and the chain tails, so
+evaluating it is one dot product; on an eigenvector at 1 or -1
+(constant chains, at most a constant grid row 0) the stable coordinates
+carry the whole vector, so the eigensystem is S - lam*I over them, S
+the block rows and the functionals' rows.
 """
 from __future__ import annotations
 
@@ -292,15 +298,14 @@ def ambient_sup(vectors: Sequence[SymbolicVector]) -> SymbolicVector:
 
 @record
 class LinearFunctionalSpec:
-    """A linear form in the stable coordinates: one coefficient per finite
-    coordinate, per chain tail, and per grid row tail up to the last row
-    it reads.
+    """A linear form in the finite coordinates and the chain tails: one
+    coefficient per finite coordinate, then one per chain.
 
-    Tail terms read a chain's (or grid row's) tail value, which is the
-    limit of the sequence along any free ultrafilter since the
-    representable class is eventually constant.  References to interior
-    chain coordinates are deliberately not expressible: they are not
-    shift-stable and fall outside the operator class.
+    A tail term reads a chain's tail value, which is the limit of the
+    sequence along any free ultrafilter since the representable class is
+    eventually constant.  References to interior chain coordinates and
+    to grid rows are deliberately not expressible: interior coordinates
+    are not shift-stable and fall outside the operator class.
     """
 
     coeffs: QVector
@@ -310,24 +315,13 @@ class LinearFunctionalSpec:
         schema: IndexSchema,
         finite: Mapping[str, object] | None = None,
         chain_tails: Mapping[str, object] | None = None,
-        grid_row_tails: Mapping[int, object] | None = None,
     ) -> "LinearFunctionalSpec":
-        nf, nch = schema.finite_dim, len(schema.chains)
-        terms = [
-            (schema.finite_index(name), rat(c)) for name, c in (finite or {}).items()
-        ]
-        terms += [
-            (nf + schema.chain_index(name), rat(c))
-            for name, c in (chain_tails or {}).items()
-        ]
-        rows = [(k, rat(c)) for k, c in (grid_row_tails or {}).items()]
-        if rows and schema.grid is None:
-            raise ValueError("grid row reference without a grid")
-        if any(k < 0 for k, _ in rows):
-            raise ValueError("grid row index must be nonnegative")
-        coeffs = [ZERO] * (nf + nch + max((k + 1 for k, _ in rows), default=0))
-        for j, c in terms + [(nf + nch + k, c) for k, c in rows]:
-            coeffs[j] = c
+        nf = schema.finite_dim
+        coeffs = [ZERO] * (nf + len(schema.chains))
+        for name, c in (finite or {}).items():
+            coeffs[schema.finite_index(name)] = rat(c)
+        for name, c in (chain_tails or {}).items():
+            coeffs[nf + schema.chain_index(name)] = rat(c)
         return LinearFunctionalSpec(QVector(coeffs))
 
     def evaluate(self, v: SymbolicVector) -> Fraction:
@@ -346,14 +340,13 @@ class LinearFunctionalSpec:
 
 @record
 class ShiftInsertOperator:
-    """Positive operator: finite block on the named coordinates (plus
-    optional functional inputs added per coordinate), each chain shifted
-    right with its entry coordinate fed by a functional, and grid row k
-    fed by cross * (tail of row k-1), row 0 by its own functional."""
+    """Positive operator: the finite block maps the finite part to
+    itself, each chain is shifted right with its entry coordinate fed by
+    a functional, and grid row k is shifted right with its entry fed by
+    cross * (tail of row k-1), row 0's by its own functional."""
 
     schema: IndexSchema
     finite_block: QMatrix
-    finite_inputs: tuple[tuple[int, LinearFunctionalSpec], ...] = ()
     chain_sources: tuple[LinearFunctionalSpec, ...] = ()
     grid_row0_source: LinearFunctionalSpec | None = None
     grid_cross: Fraction = ZERO
@@ -365,11 +358,6 @@ class ShiftInsertOperator:
             raise ValueError("finite block does not match the schema")
         if not self.finite_block.is_nonneg():
             raise ValueError("finite block must be entrywise nonnegative")
-        for i, spec in self.finite_inputs:
-            if not 0 <= i < nf:
-                raise ValueError("finite input index out of range")
-            if not spec.is_nonneg():
-                raise ValueError("operator coefficients must be nonnegative")
         if len(self.chain_sources) != len(s.chains):
             raise ValueError("one entry source per chain is required")
         for spec in self.chain_sources:
@@ -387,7 +375,7 @@ class ShiftInsertOperator:
 
     @cached_property
     def _limits(self) -> dict[QMatrix, QMatrix]:
-        """Each powered augmented matrix already seen -> its _limit_matrix."""
+        """Each power of the finite block already seen -> its _limit_matrix."""
         return {}
 
 
@@ -396,8 +384,6 @@ def apply(op: ShiftInsertOperator, v: SymbolicVector) -> SymbolicVector:
     if v.schema != op.schema:
         raise ValueError("schema mismatch")
     finite = op.finite_block @ v.finite_part
-    for i, spec in op.finite_inputs:
-        finite = finite + QVector.unit(finite.dim, i).scale(spec.evaluate(v))
     chains = tuple(
         c.shifted(spec.evaluate(v)) for spec, c in zip(op.chain_sources, v.chains)
     )
@@ -425,15 +411,13 @@ def symbolic_operator_norm(op: ShiftInsertOperator) -> Fraction:
     coordinates.  Shift coordinates carry mass 1; the maximum is finite
     because only finitely many distinct coordinate rules exist."""
     masses = [row.one_norm() for row in op.finite_block.rows]
-    for i, spec in op.finite_inputs:
-        masses[i] += spec.mass()
     for spec in op.chain_sources:
         masses.append(spec.mass())
     if op.schema.chains:
         masses.append(Fraction(1))
     if op.schema.grid is not None:
         masses.append(op.grid_row0_source.mass())
-        masses.append(abs(op.grid_cross))
+        masses.append(op.grid_cross)
         masses.append(Fraction(1))
     return max(masses, default=Fraction(0))
 
@@ -459,8 +443,8 @@ def symbolic_eigenspace(op: ShiftInsertOperator, lam) -> list[SymbolicVector]:
     invariant: row k would need value cross^k * row0, nonzero for all k
     once cross != 0 and row0 != 0.  What remains is S - lam*I over the
     first nf + nch (+ 1 with a grid) stable coordinates, S's rows the
-    block rows plus their inputs, the chain sources and the grid row-0
-    source, with a unit row for each constant that cannot survive.
+    block rows, the chain sources and the grid row-0 source, with a unit
+    row for each constant that cannot survive.
     """
     lam = rat(lam)
     if lam not in (ONE, -ONE):
@@ -473,11 +457,8 @@ def symbolic_eigenspace(op: ShiftInsertOperator, lam) -> list[SymbolicVector]:
         survives.append(lam == ONE and s.grid.space_tag == L_INFTY and op.grid_cross == 0)
         sources.append(op.grid_row0_source)
     m = nf + len(survives)
-    rows = [_fit(row, m) for row in op.finite_block.rows]
-    for i, spec in op.finite_inputs:
-        rows[i] = rows[i] + _fit(spec.coeffs, m)
-    rows += [_fit(spec.coeffs, m) for spec in sources]
-    rows = [row - QVector.unit(m, j).scale(lam) for j, row in enumerate(rows)]
+    rows = [*op.finite_block.rows, *(spec.coeffs for spec in sources)]
+    rows = [_fit(row, m) - QVector.unit(m, j).scale(lam) for j, row in enumerate(rows)]
     rows += [QVector.unit(m, nf + j) for j, ok in enumerate(survives) if not ok]
     out: list[SymbolicVector] = []
     for k in kernel_basis(QMatrix(rows or [QVector.zero(m)])):
@@ -547,31 +528,12 @@ class OrbitSup:
     evidence: tuple[Fraction, ...] = ()
 
 
-def _folded_finite_map(op: ShiftInsertOperator, g: SymbolicVector) -> QMatrix:
-    """The finite part evolves as x -> Ax + b along the orbit: tail
-    values never change under the shift-insert action, so each functional
-    input splits into its finite coefficients (folded into the block) and
-    a constant drive, its tail coefficients dotted with g's tails.  Returns
-    the augmented matrix [[A, b], [0, 1]], which maps (x, 1) to
-    (Ax + b, 1)."""
-    nf = op.schema.finite_dim
-    rows = [QVector.from_ints(r.nums + (0,), r.den) for r in op.finite_block.rows]
-    for i, spec in op.finite_inputs:
-        c = spec.coeffs
-        t = g.stable_coordinates(len(c))
-        drive = sum(a * b for a, b in zip(c.nums[nf:], t.nums[nf:]))
-        row = [a * t.den for a in c.nums[:nf]] + [drive]
-        rows[i] = rows[i] + QVector.from_ints(row, c.den * t.den)
-    return QMatrix(rows + [QVector.unit(nf + 1, nf)])
-
-
 def _limit_matrix(m: QMatrix) -> QMatrix:
     """lim m^n, certified: spectrum inside the closed disk, boundary
     content exactly a semisimple eigenvalue 1.
 
-    m is block-triangular: a power of the nonnegative folded block, plus
-    the eigenvalue 1 of the drive row.  So the spectral radius of the
-    block is a real eigenvalue and chi is read as in `opcore`: a root of
+    m is A^p, a power of the nonnegative finite block, so its spectral
+    radius is a real eigenvalue and chi is read as in `opcore`: a root of
     its cyclotomic-free rest on (1, oo) leaves the disk, and inside it
     the unimodular eigenvalues are the cyclotomic orders and the
     unimodular roots of the rest."""
@@ -590,40 +552,34 @@ def _limit_matrix(m: QMatrix) -> QMatrix:
 def _limit_step(op: ShiftInsertOperator, g: SymbolicVector, power: int) -> SymbolicVector:
     """Supremum of the increasing orbit g, T^p g, T^2p g, ... of a super
     fixed g (p = power), certified to dominate g.  The operator keeps
-    each powered augmented matrix's _limit_matrix, so every orbit of it
-    certifies a matrix once.
+    the _limit_matrix of each A^p, so every orbit of it certifies a
+    matrix once.
 
-    Tails are orbit invariants, so the finite part follows the affine
-    iteration x -> Ax + b whose limit is the fixed-space projection of
-    the augmented matrix; each chain's inserted values increase to the
-    source functional evaluated on that limit, and monotonicity forces
-    every original value below it, so the chain supremum is the constant
-    source limit.  Grid row k >= 1 receives the constant cross * (tail
+    The finite part evolves as x -> Ax on its own, so along T^p its
+    limits from the states x, Ax, ..., A^(p-1)x are the fixed-space
+    projection of A^p applied to each; tails are orbit invariants, so
+    each chain's inserted values increase to the source functional
+    evaluated on those limits and on g's chain tails, and monotonicity
+    forces every original value below it, so the chain supremum is the
+    constant source limit.  Grid row k >= 1 receives the constant cross * (tail
     of row k-1 of g), which bounds its supremum the same way.  With p >
     1 the source limit is computed per residue class of the insertion
     position; the supremum is representable only when all classes agree.
     """
     s = op.schema
-    nf = s.finite_dim
-    aug = _folded_finite_map(op, g)
-    m = aug.power(power)
+    m = op.finite_block.power(power)
     proj = op._limits.get(m)
     if proj is None:
         proj = op._limits[m] = _limit_matrix(m)
 
-    x = g.finite_part
-    states = [QVector.from_ints(x.nums + (x.den,), x.den)]
+    states = [g.finite_part]
     for _ in range(power - 1):
-        states.append(aug @ states[-1])
-    finite_limits = []
-    for state in states:
-        lim = proj @ state
-        finite_limits.append(QVector.from_ints(lim.nums[:nf], lim.den))
+        states.append(op.finite_block @ states[-1])
+    finite_limits = [proj @ state for state in states]
 
     def residue_limits(spec: LinearFunctionalSpec) -> Fraction:
         values = {
-            spec.evaluate(SymbolicVector(s, lim, g.chains, g.grid_rows))
-            for lim in finite_limits
+            spec.evaluate(SymbolicVector(s, lim, g.chains)) for lim in finite_limits
         }
         if len(values) != 1:
             raise UnsupportedClosedFormError(
@@ -669,9 +625,8 @@ def orbit_sup(op: ShiftInsertOperator, g: SymbolicVector, power: int = 1) -> Orb
     norms geometrically without end.  That growth is certified by two
     further limit steps, each from the previous supremum (which must be
     super fixed), and reported as Unbounded with the norms of the three
-    successive suprema as evidence.  When no finite input reads a tail,
-    the limit steps share one augmented matrix, certified once per
-    operator.
+    successive suprema as evidence.  The limit steps share one matrix,
+    A^p, certified once per operator.
     """
     if power < 1:
         raise ValueError("power must be a positive integer")
@@ -680,7 +635,7 @@ def orbit_sup(op: ShiftInsertOperator, g: SymbolicVector, power: int = 1) -> Orb
     if not apply_power(op, g, power).ge(g):
         return OrbitSup("NotSuperFixed")
     sup = _limit_step(op, g, power)
-    if abs(op.grid_cross) <= 1 or all(r.tail == 0 for r in sup.grid_rows):
+    if op.grid_cross <= 1 or all(r.tail == 0 for r in sup.grid_rows):
         return OrbitSup("Stabilized", supremum=sup)
     norms = [sup.sup_norm()]
     for _ in range(2):

@@ -8,13 +8,14 @@ Every operation works entry by entry in `Fraction` arithmetic, so the
 one-`QVector` chain format (`QVector` operations on chains padded to a
 common prefix length) can be compared with it exactly.
 `reference_evaluate` and `reference_apply` evaluate a functional and
-apply an operator on these vectors, entry by entry.
+apply an operator on these vectors, entry by entry: the finite block
+feeds the finite coordinates, a functional each chain's entry and grid
+row 0's entry, and cross * (tail of row k-1) grid row k's entry.
 
-`TermSpec` is the earlier `LinearFunctionalSpec`: three tuples of
-(index, coefficient) terms on the finite coordinates, the chain tails
-and the grid row tails.  `reference_eigenspace`,
-`reference_folded_finite_map` and `reference_embedding` are the earlier
-`symbolic_eigenspace`, `_folded_finite_map` and
+`TermSpec` is the earlier `LinearFunctionalSpec`: two tuples of
+(index, coefficient) terms, on the finite coordinates and on the chain
+tails, which are all that a functional reads.  `reference_eigenspace`
+and `reference_embedding` are the earlier `symbolic_eigenspace` and
 `constant_profile_embedding`, which read those terms one kind at a
 time; they run on operators whose functionals are `TermSpec`s, so the
 stable-coordinate functional (one coefficient `QVector`) can be
@@ -173,10 +174,9 @@ def reference_pointwise_sup(u: FSymbolicVector, v: FSymbolicVector) -> FSymbolic
 
 
 def reference_evaluate(spec: LinearFunctionalSpec, v: FSymbolicVector) -> Fraction:
-    """The coefficients, in order over the finite coordinates, the chain
-    tails and the grid row tails, times those entries of v."""
+    """The coefficients, in order over the finite coordinates and the
+    chain tails, times those entries of v."""
     values = list(v.finite) + [c.tail for c in v.chains]
-    values += [v.grid_row_tail(k) for k in range(len(spec.coeffs) - len(values))]
     total = Fraction(0)
     for c, x in zip(spec.coeffs, values):
         total += c * x
@@ -184,16 +184,14 @@ def reference_evaluate(spec: LinearFunctionalSpec, v: FSymbolicVector) -> Fracti
 
 
 def reference_apply(op: ShiftInsertOperator, v: FSymbolicVector) -> FSymbolicVector:
-    """The shift-insert image, entry by entry: every finite input adds its
-    functional to its coordinate, each chain takes its source value at
-    position 0, and grid row k takes cross * (tail of row k-1)."""
+    """The shift-insert image, entry by entry: the finite block maps the
+    finite part, each chain takes its source value at position 0, and
+    grid row k takes cross * (tail of row k-1)."""
     nf = op.schema.finite_dim
     finite = [
         sum((op.finite_block.entry(i, j) * v.finite[j] for j in range(nf)), ZERO)
         for i in range(nf)
     ]
-    for i, spec in op.finite_inputs:
-        finite[i] += reference_evaluate(spec, v)
     chains = tuple(
         fchain_value((reference_evaluate(spec, v),) + c.prefix, c.tail)
         for spec, c in zip(op.chain_sources, v.chains)
@@ -217,19 +215,17 @@ def reference_apply(op: ShiftInsertOperator, v: FSymbolicVector) -> FSymbolicVec
 
 @dataclass(frozen=True)
 class TermSpec:
-    """Finite combination of finite coordinates and tail limits, as
-    sorted (index, coefficient) terms of each kind."""
+    """Finite combination of finite coordinates and chain tail limits,
+    as sorted (index, coefficient) terms of each kind."""
 
     finite_terms: tuple[tuple[int, Fraction], ...] = ()
     chain_tail_terms: tuple[tuple[int, Fraction], ...] = ()
-    grid_row_tail_terms: tuple[tuple[int, Fraction], ...] = ()
 
     @staticmethod
     def build(
         schema: IndexSchema,
         finite: Mapping[str, object] | None = None,
         chain_tails: Mapping[str, object] | None = None,
-        grid_row_tails: Mapping[int, object] | None = None,
     ) -> "TermSpec":
         fin = tuple(
             sorted(
@@ -243,19 +239,13 @@ class TermSpec:
                 for name, c in (chain_tails or {}).items()
             )
         )
-        grt = tuple(sorted((k, rat(c)) for k, c in (grid_row_tails or {}).items()))
-        if grt and schema.grid is None:
-            raise ValueError("grid row reference without a grid")
-        if any(k < 0 for k, _ in grt):
-            raise ValueError("grid row index must be nonnegative")
-        return TermSpec(fin, cht, grt)
+        return TermSpec(fin, cht)
 
     def evaluate(self, v: SymbolicVector) -> Fraction:
         """The sum of the terms over one common denominator, read off the
         integer numerators of v's parts."""
         reads = [(c, v.finite_part, i) for i, c in self.finite_terms]
         reads += [(c, v.chains[i].values, -1) for i, c in self.chain_tail_terms]
-        reads += [(c, v.grid_row(k).values, -1) for k, c in self.grid_row_tail_terms]
         num, den = 0, 1
         for c, vec, j in reads:
             d = c.denominator * vec.den
@@ -265,7 +255,7 @@ class TermSpec:
         return Fraction(num, den)
 
     def terms(self) -> tuple[tuple[int, Fraction], ...]:
-        return self.finite_terms + self.chain_tail_terms + self.grid_row_tail_terms
+        return self.finite_terms + self.chain_tail_terms
 
     def mass(self) -> Fraction:
         return sum((abs(c) for _, c in self.terms()), Fraction(0))
@@ -276,18 +266,13 @@ class TermSpec:
 
 def reference_spec_row(op: ShiftInsertOperator, spec: TermSpec, nvars: int) -> list[Fraction]:
     """Spec as a row over (finite coords, chain constants, grid row-0
-    constant): valid for eigenvectors, whose chains are constant and
-    whose grid rows vanish beyond row 0."""
+    constant): valid for eigenvectors, whose chains are constant."""
     nf = op.schema.finite_dim
-    nch = len(op.schema.chains)
     row = [ZERO] * nvars
     for i, c in spec.finite_terms:
         row[i] += c
     for i, c in spec.chain_tail_terms:
         row[nf + i] += c
-    for k, c in spec.grid_row_tail_terms:
-        if k == 0:
-            row[nf + nch] += c
     return row
 
 
@@ -306,8 +291,6 @@ def reference_eigenspace(op: ShiftInsertOperator, lam) -> list[SymbolicVector]:
         row = list(block_row) + [ZERO] * (nvars - nf)
         row[i] -= lam
         rows.append(row)
-    for i, spec in op.finite_inputs:
-        rows[i] = [a + b for a, b in zip(rows[i], reference_spec_row(op, spec, nvars))]
     for ci, (decl, spec) in enumerate(zip(s.chains, op.chain_sources)):
         row = reference_spec_row(op, spec, nvars)
         row[nf + ci] -= lam
@@ -364,19 +347,3 @@ def reference_embedding(schema: IndexSchema, vectors: Sequence[SymbolicVector]) 
         embedded.append(QVector(coords))
     return Subspace.from_vectors(dim, embedded)
 
-
-def reference_folded_finite_map(op: ShiftInsertOperator, g: SymbolicVector) -> QMatrix:
-    """The augmented matrix [[A, b], [0, 1]] of the finite part's affine
-    iteration, each input's terms folded in one kind at a time."""
-    nf = op.schema.finite_dim
-    rows = [QVector.from_ints(r.nums + (0,), r.den) for r in op.finite_block.rows]
-    for i, spec in op.finite_inputs:
-        row = [ZERO] * (nf + 1)
-        for j, c in spec.finite_terms:
-            row[j] += c
-        for ci, c in spec.chain_tail_terms:
-            row[nf] += c * g.chains[ci].tail
-        for k, c in spec.grid_row_tail_terms:
-            row[nf] += c * g.grid_row_tail(k)
-        rows[i] = rows[i] + QVector(row)
-    return QMatrix(rows + [QVector.unit(nf + 1, nf)])

@@ -132,6 +132,7 @@ def table():
         cases.append((f"{command}-directory", [command, "-i", "{dir}"], []))
         cases.append((f"{command}-huge-json-integer", [command, "-i", "{huge}"], []))
         cases.append((f"{command}-not-utf8", [command, "-i", "{binary}"], []))
+        cases.append((f"{command}-deeply-nested", [command, "-i", "{deep}"], []))
     cases.append(("sup-in-fix-missing-vectors",
                   ["sup-in-fix", "-i", "{0}", "-g", "{missing}/g.json"], [IDENTITY]))
     cases.append(("sup-in-fix-huge-json-integer",
@@ -167,9 +168,15 @@ def test_exit_code_and_message(tmp_path, capsys, argv, docs):
     # a 0xff byte, which no UTF-8 text holds
     binary = tmp_path / "binary.json"
     binary.write_bytes(b'{"rows": [["\xff"]]}')
+    # nesting past the parser's recursion limit, which json.dumps cannot
+    # write, so it is raw text
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
     fill = {"missing": str(tmp_path / "missing"), "dir": str(tmp_path),
-            "text": str(text), "huge": str(huge), "binary": str(binary)}
+            "text": str(text), "huge": str(huge), "binary": str(binary),
+            "deep": str(deep)}
     reads_binary = "{binary}" in argv
+    reads_deep = "{deep}" in argv
     argv = [a.format(*paths, **fill) for a in argv]
     code, err = run(argv, capsys)
     assert code in (0, 1, 2)
@@ -178,6 +185,8 @@ def test_exit_code_and_message(tmp_path, capsys, argv, docs):
         assert MESSAGE.search(err), err
     if reads_binary:
         assert code == 2 and f"error: {binary} is not UTF-8 text: " in err, err
+    if reads_deep:
+        assert code == 2 and f"error: {deep} nests too deeply" in err, err
 
 
 def test_table_covers_every_command():

@@ -401,7 +401,7 @@ class TestMatrixTrace:
 
 class TestSymbolicTrace:
     def test_e42_certifies_one_limit_matrix(self, monkeypatch):
-        # both limit steps power the same augmented matrix, and the
+        # both limit steps power the same finite block, and the
         # operator certifies it once across the two orbit suprema
         op = builtin_operator("e42")
         f = next(v for v in symbolic_fixed_space(op) if not v.abs() == v)

@@ -73,11 +73,11 @@ def expand(v: SymbolicVector, length: int, rows: int):
 
 
 def eval_spec_expanded(spec, finite, chains, grid):
-    # the coefficients run over the finite coordinates, the chain tails,
-    # then the grid row tails; a tail is read at the last retained index,
-    # so the truncation length must exceed every prefix
-    values = list(finite) + [ch[-1] for ch in chains] + [row[-1] for row in grid]
-    assert len(spec.coeffs) <= len(values)
+    # the coefficients run over the finite coordinates, then the chain
+    # tails; a tail is read at the last retained index, so the truncation
+    # length must exceed every prefix
+    values = list(finite) + [ch[-1] for ch in chains]
+    assert len(spec.coeffs) == len(values)
     return sum((c * x for c, x in zip(spec.coeffs, values)), Fraction(0))
 
 
@@ -88,8 +88,6 @@ def apply_expanded(op: ShiftInsertOperator, expanded):
         sum(op.finite_block.entry(i, j) * finite[j] for j in range(nf))
         for i in range(nf)
     ]
-    for i, spec in op.finite_inputs:
-        new_finite[i] += eval_spec_expanded(spec, finite, chains, grid)
     new_chains = tuple(
         (eval_spec_expanded(src, finite, chains, grid),) + ch[:-1]
         for src, ch in zip(op.chain_sources, chains)
@@ -140,12 +138,9 @@ def mixed_operator() -> ShiftInsertOperator:
     return ShiftInsertOperator(
         schema=s,
         finite_block=QMatrix([[rat("1/2"), rat("1/4")], [0, rat("1/2")]]),
-        finite_inputs=(
-            (0, LinearFunctionalSpec.build(s, chain_tails={"u": rat("1/4")})),
-        ),
         chain_sources=(
             LinearFunctionalSpec.build(
-                s, finite={"p": rat("1/2")}, grid_row_tails={0: rat("1/4")}
+                s, finite={"p": rat("1/2")}, chain_tails={"u": rat("1/4")}
             ),
             LinearFunctionalSpec.build(s, finite={"q": rat("1/3")}),
         ),
@@ -238,29 +233,24 @@ class TestFunctionalSpec:
         s = mixed_schema()
         spec = LinearFunctionalSpec.build(s, finite={"q": 2, "p": 1})
         assert spec.coeffs == QVector([1, 2, 0, 0])
-        spec = LinearFunctionalSpec.build(s, chain_tails={"v": 3}, grid_row_tails={2: 5})
-        assert spec.coeffs == QVector([0, 0, 0, 3, 0, 0, 5])
+        spec = LinearFunctionalSpec.build(s, chain_tails={"v": 3})
+        assert spec.coeffs == QVector([0, 0, 0, 3])
         with pytest.raises(ValueError, match="no finite coordinate named 'zz'"):
             LinearFunctionalSpec.build(s, finite={"zz": 1})
         with pytest.raises(ValueError, match="no chain named 'zz'"):
             LinearFunctionalSpec.build(s, chain_tails={"zz": 1})
-        no_grid = IndexSchema(("a",))
-        with pytest.raises(ValueError, match="grid row reference without a grid"):
-            LinearFunctionalSpec.build(no_grid, grid_row_tails={0: 1})
 
     def test_evaluate_reads_tails_only(self):
         s = mixed_schema()
-        spec = LinearFunctionalSpec.build(
-            s, finite={"p": 1}, chain_tails={"u": 10}, grid_row_tails={1: 100}
-        )
+        spec = LinearFunctionalSpec.build(s, finite={"p": 1}, chain_tails={"u": 10})
         v = SymbolicVector(
             s,
             QVector([2, 0]),
             (chain_value([7], 3), ZERO_CHAIN),
             (ZERO_CHAIN, chain_value([9], 5)),
         )
-        # prefix values 7 and 9 are invisible; tails 3 and 5 count
-        assert spec.evaluate(v) == 2 + 30 + 500
+        # the prefix value 7 and the grid rows are invisible; tail 3 counts
+        assert spec.evaluate(v) == 2 + 30
 
 
 class TestOperatorValidation:
@@ -336,31 +326,6 @@ class TestOperatorNorm:
                 if v.is_zero():
                     continue
                 assert apply(op, v).sup_norm() <= norm * v.sup_norm()
-
-
-class TestRepeatedFiniteInputs:
-    """Two inputs on one coordinate add up, in every reader: the image,
-    the norm and the eigenspace all see the single input 1 * b."""
-
-    def operators(self):
-        s = IndexSchema(("a", "b"))
-        block = QMatrix([[rat("1/2"), 0], [0, 1]])
-        half = LinearFunctionalSpec.build(s, finite={"b": rat("1/2")})
-        one = LinearFunctionalSpec.build(s, finite={"b": 1})
-        repeated = ShiftInsertOperator(s, block, finite_inputs=((0, half), (0, half)))
-        single = ShiftInsertOperator(s, block, finite_inputs=((0, one),))
-        return repeated, single
-
-    def test_apply_norm_and_eigenspace(self):
-        repeated, single = self.operators()
-        v = SymbolicVector(repeated.schema, QVector([3, rat("5/7")]))
-        assert apply(repeated, v) == apply(single, v)
-        assert symbolic_operator_norm(repeated) == rat("3/2")
-        assert symbolic_operator_norm(single) == rat("3/2")
-        (u,) = symbolic_eigenspace(repeated, 1)
-        assert u.finite_part == QVector([1, rat("1/2")])
-        assert apply(repeated, u) == u
-        assert symbolic_eigenspace(single, 1) == [u]
 
 
 class TestEigenspaces:
@@ -693,7 +658,7 @@ class TestEnforcedChecks:
         assert len(calls) == 1
 
     def test_growth_certifies_one_limit_matrix(self, monkeypatch):
-        # the square's three limit steps share one augmented matrix
+        # the square's three limit steps share one matrix, the block squared
         op = builtin_operator("e43")
         (f,) = symbolic_eigenspace(op, -1)
         calls = []

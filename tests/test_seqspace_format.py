@@ -18,12 +18,10 @@ same operators.
 
 from fractions import Fraction
 from math import gcd
-from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latfix import seqspace
 from latfix.exactnum import TheoremViolationError
 from latfix.exactnum.rational import ONE, ZERO, QMatrix, QVector
 from latfix.seqspace import (
@@ -57,7 +55,6 @@ from seqspace_oracles import (
     reference_eigenspace,
     reference_embedding,
     reference_evaluate,
-    reference_folded_finite_map,
     reference_pointwise_sup,
 )
 
@@ -129,24 +126,20 @@ def build(schema, raw) -> tuple[SymbolicVector, FSymbolicVector]:
 
 @st.composite
 def spec_args_st(draw, schema, coeff=coeff_st):
-    """The finite, chain-tail and grid-row-tail coefficients of a
-    functional, as `LinearFunctionalSpec.build` takes them."""
+    """The finite and chain-tail coefficients of a functional, as
+    `LinearFunctionalSpec.build` takes them."""
 
     def terms(keys):
         return draw(st.dictionaries(st.sampled_from(keys), coeff)) if keys else {}
 
-    return (
-        terms(schema.finite_coords),
-        terms([c.name for c in schema.chains]),
-        terms([0, 1, 2, 3] if schema.grid is not None else []),
-    )
+    return terms(schema.finite_coords), terms([c.name for c in schema.chains])
 
 
 def spec_st(schema, coeff=coeff_st):
     return spec_args_st(schema, coeff).map(lambda a: LinearFunctionalSpec.build(schema, *a))
 
 
-def operator_pair(schema, block, inputs, sources, row0, cross):
+def operator_pair(schema, block, sources, row0, cross):
     """One operator twice: with `LinearFunctionalSpec` functionals and with
     the `TermSpec` reference, each built from the same coefficients."""
 
@@ -157,7 +150,6 @@ def operator_pair(schema, block, inputs, sources, row0, cross):
         return ShiftInsertOperator(
             schema=schema,
             finite_block=QMatrix(block),
-            finite_inputs=tuple((i, build(args)) for i, args in inputs),
             chain_sources=tuple(map(build, sources)),
             grid_row0_source=None if row0 is None else build(row0),
             grid_cross=cross,
@@ -170,15 +162,10 @@ def operator_pair(schema, block, inputs, sources, row0, cross):
 def operator_pair_st(draw, schema, coeff=coeff_st):
     nf = schema.finite_dim
     block = [[draw(coeff) for _ in range(nf)] for _ in range(nf)]
-    inputs = []
-    if nf:
-        # repeated coordinates included: every input adds to its coordinate
-        index_st = st.integers(0, nf - 1)
-        inputs = draw(st.lists(st.tuples(index_st, spec_args_st(schema, coeff)), max_size=3))
     sources = [draw(spec_args_st(schema, coeff)) for _ in schema.chains]
     grid = schema.grid is not None
     row0 = draw(spec_args_st(schema, coeff)) if grid else None
-    return operator_pair(schema, block, inputs, sources, row0, draw(coeff) if grid else ZERO)
+    return operator_pair(schema, block, sources, row0, draw(coeff) if grid else ZERO)
 
 
 def operator_st(schema):
@@ -265,8 +252,7 @@ def assert_readers_agree(op, reference, v):
     for g in starts:
         for power in (1, 2):
             got = outcome(orbit_sup, op, g, power)
-            with patch.object(seqspace, "_folded_finite_map", reference_folded_finite_map):
-                assert got == outcome(orbit_sup, reference, g, power)
+            assert got == outcome(orbit_sup, reference, g, power)
             outcomes.append(got)
     return outcomes
 
@@ -276,16 +262,16 @@ H = Fraction(1, 2)
 BUILTIN_ARGS = {
     "e41": (
         IndexSchema(("-2", "-1"), (ChainDecl("n", C_ZERO),)),
-        [[1, 0], [0, 1]], [], [({"-2": H, "-1": H}, {}, {})], None, ZERO,
+        [[1, 0], [0, 1]], [({"-2": H, "-1": H}, {})], None, ZERO,
     ),
     "e42": (
         IndexSchema(("1", "2", "3"), (ChainDecl("g", L_INFTY), ChainDecl("h", L_INFTY))),
-        [[1, 0, 0], [Fraction(1, 3)] * 3, [0, 0, 1]], [],
-        [({"1": H, "3": H}, {}, {}), ({}, {"g": 1}, {})], None, ZERO,
+        [[1, 0, 0], [Fraction(1, 3)] * 3, [0, 0, 1]],
+        [({"1": H, "3": H}, {}), ({}, {"g": 1})], None, ZERO,
     ),
     "e43": (
         IndexSchema(("-2", "-1"), grid=GridDecl("rows", L_INFTY)),
-        [[0, 1], [1, 0]], [], [], ({"-2": H, "-1": H}, {}, {}), Fraction(2),
+        [[0, 1], [1, 0]], [], ({"-2": H, "-1": H}, {}), Fraction(2),
     ),
 }
 

@@ -328,7 +328,7 @@ class TestNoFractionBuilt:
         w = SymbolicVector(s, QVector([-t, 7]), (chain_value([h], 2), ZERO_CHAIN),
                            (chain_value([3, 3], Fraction(1, 5)),))
         spec = LinearFunctionalSpec.build(s, finite={"a": h, "b": 3},
-                                          chain_tails={"c": 2 * t}, grid_row_tails={1: 5})
+                                          chain_tails={"c": 2 * t})
 
         def arithmetic():
             sup = pointwise_sup(u, w)
@@ -345,4 +345,4 @@ class TestNoFractionBuilt:
         assert expected[5] is False and expected[6] is True
         assert expected[7] == {"prefix": ["1", "-2/3"], "tail": "1/4"}
         assert expected[8] == {"prefix": ["3", "3"], "tail": "1/5"}
-        assert value == h * h + 3 * -3 + 2 * t * Fraction(1, 4) + 5 * -1
+        assert value == h * h + 3 * -3 + 2 * t * Fraction(1, 4)
