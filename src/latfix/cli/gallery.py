@@ -268,8 +268,11 @@ def expected_text(case_id: str) -> str:
     path = fixture_path(case_id)
     if not os.path.exists(path):
         raise ValueError(f"missing gallery fixture {os.path.basename(path)}")
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 def case_matches(case_id: str) -> tuple[bool, str]:
@@ -279,11 +282,14 @@ def case_matches(case_id: str) -> tuple[bool, str]:
 
 
 def regenerate_fixtures() -> list[str]:
-    os.makedirs(FIXTURE_DIR, exist_ok=True)
-    written = []
-    for case_id in GALLERY_IDS:
-        text = serialize.canonical_json(run_gallery(case_id))
-        with open(fixture_path(case_id), "w", encoding="utf-8") as handle:
-            handle.write(text)
-        written.append(case_id)
-    return written
+    texts = {i: serialize.canonical_json(run_gallery(i)) for i in GALLERY_IDS}
+    path = FIXTURE_DIR
+    try:
+        os.makedirs(FIXTURE_DIR, exist_ok=True)
+        for case_id, text in texts.items():
+            path = fixture_path(case_id)
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
+    return list(texts)

@@ -44,11 +44,13 @@ so z = Qz >= Qm.
 The least element above a bound that need not lie in F (a supremum,
 on any other subspace) is found by exact minimization over the
 upper-bound set: one rational LP call, so one phase 1 per feasible
-region and one phase 2 per objective.  On a lattice subspace the
-objectives are the d coordinates that the extreme rays own, and Q
-applied to their minima is the only candidate; on any other subspace
-they are the n ambient coordinates, and the assembled minimum is
-returned only when it itself lies in F, which certifies it as the
+region and one phase 2 per objective.  Its variables are y >= 0, the
+coefficients of z in F less the bound at the pivots, so the pivots are
+bounds and only the n - d other coordinates are >= rows.  On a lattice
+subspace the objectives are the d coordinates that the extreme rays
+own, and Q applied to their minima is the only candidate; on any other
+subspace they are the n ambient coordinates, and the assembled minimum
+is returned only when it itself lies in F, which certifies it as the
 least element.
 """
 from __future__ import annotations
@@ -307,7 +309,11 @@ def least_element_above(subspace: Subspace, bound: QVector) -> QVector | None:
     """The least element of {z in F : z >= bound}, or None.
 
     The upper-bound set is one feasible region for one `minimize` call,
-    so phase 1 runs once and each objective gets its own phase 2.
+    so phase 1 runs once and each objective gets its own phase 2.  The
+    k-th coefficient of z in F is z at the k-th pivot, so with the
+    coefficients bound_P + y, bound_P the bound at the pivots, the pivot
+    constraints are y >= 0 and z_j = shifts[j] + coord_rows[j] . y for
+    shifts[j] = coord_rows[j] . bound_P: only the other z_j are rows.
 
     On a lattice subspace with extreme rays r_k, each owning the
     coordinate j_k, the objectives are the d coordinates j_k: let m_k be
@@ -329,10 +335,15 @@ def least_element_above(subspace: Subspace, bound: QVector) -> QVector | None:
     if subspace.is_zero():
         return QVector.zero(n) if all(b <= 0 for b in bound.nums) else None
     coord_rows = subspace.coordinate_rows()
-    constraints = [(coord_rows[j], bound[j]) for j in range(n)]
+    pivots = subspace.pivots
+    bound_p = QVector.from_ints([bound.nums[p] for p in pivots], bound.den)
+    shifts = [row.dot(bound_p) for row in coord_rows]
+    rows = [
+        (row, bound[j] - shifts[j]) for j, row in enumerate(coord_rows) if j not in pivots
+    ]
     lattice = subspace.classification.verdict != Verdict.NOT_LATTICE_SUBSPACE
     coords = subspace.owned_coordinates if lattice else range(n)
-    results = minimize([coord_rows[j] for j in coords], inequalities=constraints)
+    results = minimize([coord_rows[j] for j in coords], inequalities=rows)
     if results[0].status == INFEASIBLE:
         return None
     if any(result.status == UNBOUNDED for result in results):
@@ -342,10 +353,10 @@ def least_element_above(subspace: Subspace, bound: QVector) -> QVector | None:
     if lattice:
         minima = [0] * n
         for j, result in zip(coords, results):
-            minima[j] = result.value
+            minima[j] = result.value + shifts[j]
         least = subspace.positive_projection @ QVector(minima)
         return least if least.ge(bound) else None
-    candidate = QVector([result.value for result in results])
+    candidate = QVector([r.value + shift for r, shift in zip(results, shifts)])
     if not subspace.contains(candidate):
         return None
     return candidate

@@ -1,9 +1,9 @@
 """Exact linear programming over the rationals.
 
 A small two-phase simplex with Bland's rule, used to minimize linear
-objectives over systems of equality and >= constraints with free
-variables.  `minimize(objectives, equalities, inequalities)` takes a
-sequence of objectives over one feasible region and returns one
+objectives over y >= 0 subject to rows row . y >= rhs, the one form
+the least-element search needs.  `minimize(objectives, inequalities)`
+takes a sequence of objectives over one feasible region and returns one
 `LPResult` per objective: one phase 1 per feasible region, one phase 2
 per objective, each phase 2 started from the same feasible tableau, so
 a result never depends on the other objectives of the call.  The
@@ -84,12 +84,10 @@ def _price(tableau: list[list[int]], basis: list[int], prev: int) -> None:
 
 def minimize(
     objectives: Sequence[QVector],
-    equalities: Sequence[tuple[QVector, Fraction]] = (),
     inequalities: Sequence[tuple[QVector, Fraction]] = (),
 ) -> tuple[LPResult, ...]:
-    """Minimize each objective . y over free y subject to row . y == rhs
-    for equalities and row . y >= rhs for inequalities: one `LPResult`
-    per objective, in order.
+    """Minimize each objective . y over y >= 0 subject to row . y >= rhs
+    for every inequality: one `LPResult` per objective, in order.
 
     The feasible region is shared, so phase 1 and the drive-out of the
     leftover artificials run once; each objective's phase 2 then runs on
@@ -99,34 +97,23 @@ def minimize(
     if not objectives:
         raise ValueError("no objectives")
     n = objectives[0].dim
-    rows: list[tuple[QVector, Fraction, bool]] = []
-    for row, rhs in equalities:
-        rows.append((row, rat(rhs), False))
-    for row, rhs in inequalities:
-        rows.append((row, rat(rhs), True))
-    for row in [*objectives, *(row for row, _, _ in rows)]:
+    rows = [(row, rat(rhs)) for row, rhs in inequalities]
+    for row in [*objectives, *(row for row, _ in rows)]:
         if row.dim != n:
             raise ValueError("constraint dimension mismatch")
     m = len(rows)
-    n_slack = sum(1 for _, _, ge in rows if ge)
-    # columns: u_0..u_{n-1}, w_0..w_{n-1}, slacks, artificials, rhs; the
-    # constraint rows are scaled by the common denominator D of their
-    # entries, the artificial columns are not
-    n_core = 2 * n + n_slack
+    # columns: y_0..y_{n-1}, one slack per row, one artificial per row,
+    # rhs; the constraint rows are scaled by the common denominator D of
+    # their entries, the artificial columns are not
+    n_core = n + m
     total = n_core + m
-    scale = lcm(*(d for row, rhs, _ in rows for d in (row.den, rhs.denominator)))
+    scale = lcm(*(d for row, rhs in rows for d in (row.den, rhs.denominator)))
     tableau: list[list[int]] = []
-    slack_at = 0
-    for i, (row, rhs, ge) in enumerate(rows):
-        line = [0] * (total + 1)
+    for i, (row, rhs) in enumerate(rows):
         sign = scale if rhs >= 0 else -scale
         factor = sign // row.den
-        for j, x in enumerate(row.nums):
-            line[j] = factor * x
-            line[n + j] = -line[j]
-        if ge:
-            line[2 * n + slack_at] = -sign
-            slack_at += 1
+        line = [factor * x for x in row.nums] + [0] * (2 * m + 1)
+        line[n + i] = -sign
         line[n_core + i] = 1
         line[total] = sign * rhs.numerator // rhs.denominator
         tableau.append(line)
@@ -141,18 +128,14 @@ def minimize(
         return (LPResult(INFEASIBLE, None, None),) * len(objectives)
     prev = tableau[0][basis[0]] if basis else 1
 
-    # drive leftover artificials out of the basis, drop redundant rows
+    # drive leftover artificials out of the basis: the slack columns give
+    # the core columns full row rank, so every row has a nonzero core
+    # entry, and a basic column is zero outside its own row
     for i in range(m - 1, -1, -1):
         if basis[i] >= n_core:
-            col = next(
-                (j for j in range(n_core) if tableau[i][j] != 0), None
-            )
-            if col is None:
-                del tableau[i]
-                del basis[i]
-            else:
-                prev = eliminate(tableau, i, col, prev)
-                basis[i] = col
+            col = next(j for j in range(n_core) if tableau[i][j] != 0)
+            prev = eliminate(tableau, i, col, prev)
+            basis[i] = col
 
     del tableau[-1]
     eligible = [j < n_core for j in range(total)]
@@ -170,15 +153,12 @@ def _phase_two(
     eligible: Sequence[bool],
 ) -> LPResult:
     """Phase 2 from the feasible constraint rows and basis, which it
-    leaves as they are: the objective over u - w, its numerators over
-    its den, with only the eligible (non-artificial) columns allowed to
-    enter.  `eliminate` replaces rows and never writes into one, so a
-    new list of the same rows is a private tableau."""
+    leaves as they are: the objective's numerators over its den, with
+    only the eligible (non-artificial) columns allowed to enter.
+    `eliminate` replaces rows and never writes into one, so a new list
+    of the same rows is a private tableau."""
     n = objective.dim
-    cost = [0] * (len(eligible) + 1)
-    for j, x in enumerate(objective.nums):
-        cost[j] = x
-        cost[n + j] = -x
+    cost = [*objective.nums] + [0] * (len(eligible) + 1 - n)
     tableau = [*constraints, cost]
     basis = basis[:]
     _price(tableau, basis, prev)
@@ -187,7 +167,5 @@ def _phase_two(
     if basis:
         prev = tableau[0][basis[0]]
     values = {col: tableau[i][-1] for i, col in enumerate(basis)}
-    point = QVector.from_ints(
-        (values.get(j, 0) - values.get(n + j, 0) for j in range(n)), prev
-    )
+    point = QVector.from_ints((values.get(j, 0) for j in range(n)), prev)
     return LPResult(OPTIMAL, Fraction(-tableau[-1][-1], prev * objective.den), point)

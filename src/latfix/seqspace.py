@@ -32,7 +32,7 @@ the finite coordinates and the chain tails only.
 
 The coordinates that never leave their place under shift-insert, the
 *stable coordinates*, are read as one `QVector`: the finite part, then
-each chain's tail, then the tails of grid rows 0, 1, ...
+each chain's tail, then, when asked for, grid row 0's tail
 (`SymbolicVector.stable_coordinates`).  A functional is one coefficient
 vector over the first of them, the finite part and the chain tails, so
 evaluating it is one dot product; on an eigenvector at 1 or -1
@@ -209,12 +209,13 @@ class SymbolicVector:
         return self.grid_row(k).tail
 
     def stable_coordinates(self, n: int) -> QVector:
-        """The first n stable coordinates over one common denominator:
-        the finite part, each chain's tail, then the tails of grid rows
-        0, 1, ...; n is at least the finite dimension plus the chains."""
+        """The finite part and each chain's tail over one common
+        denominator, then grid row 0's tail when n, the finite dimension
+        plus the chains, is one more."""
         x = self.finite_part
         tails = [c.values for c in self.chains]
-        tails += [self.grid_row(k).values for k in range(n - x.dim - len(tails))]
+        if n > x.dim + len(tails):
+            tails.append(self.grid_row(0).values)
         den = lcm(x.den, *(t.den for t in tails))
         nums = [a * (den // x.den) for a in x.nums]
         nums += [t.nums[-1] * (den // t.den) for t in tails]

@@ -3,15 +3,18 @@ sign-pattern sublattice decision, the randomized AM-property check, a
 reference ray-basis supremum, a reference double description, a
 reference least element and a reference simplex.
 
-The first three decide by exact linear programs
-(`latfix.conegeom.minimize`), a route independent of the double
-description and the suprema they are used to check.  The reference
-ray-basis supremum is the earlier route of `least_upper_bound_in`
-(coordinatewise maxima of ray coordinates, through a `Fraction`
-Gauss-Jordan inverse), which the positive projection must match.  The
-reference double description is an independent `Fraction` route to
-the rays of `extreme_rays_of_inequality_cone` and `positive_cone`: it
-runs in coefficient space on rows that must span, starting from a
+The first three decide by exact linear programs over free variables
+through `minimize_free`, a test-only adapter to
+`latfix.conegeom.minimize` (which takes y >= 0 and >= rows only): it
+writes y = u - w and each equality as two >= rows.  That is a route
+independent of the double description and the suprema they are used
+to check.  The reference ray-basis supremum is the earlier route of
+`least_upper_bound_in` (coordinatewise maxima of ray coordinates,
+through a `Fraction` Gauss-Jordan inverse), which the positive
+projection must match.  The reference double description is an
+independent `Fraction` route to the rays of
+`extreme_rays_of_inequality_cone` and `positive_cone`: it runs in
+coefficient space on rows that must span, starting from a
 Gauss-Jordan inverse, recomputes every tight set from dot products and
 maps rays back through `Subspace.from_coefficients`, so the integer
 version, which runs on the subspace's own vectors, can be compared
@@ -19,10 +22,12 @@ with it exactly.  The reference classification is the earlier route of
 `classify_subspace`: those reference rays, `rank` of the rays for the
 generating flag and a pairwise check of the ray supports, which the
 support criteria must match.  The reference least element is the
-earlier route of `least_element_above` on every subspace, one LP with
-the n coordinate objectives, which the d objectives a lattice subspace
-now takes must match.  The reference simplex is the earlier `Fraction`
-version of `minimize`: a tableau of `Fraction`s reduced by unit-pivot
+earlier route of `least_element_above` on every subspace, one LP over
+the free coefficients with the n coordinate objectives and n rows,
+which the d objectives a lattice subspace now takes, and the pivot
+coordinates turned into the bounds y >= 0, must match.  The reference
+simplex is the earlier `Fraction` version of `minimize`, on the same
+y >= 0 and >= rows form: a tableau of `Fraction`s reduced by unit-pivot
 Gauss-Jordan steps, which the integer tableau must match exactly.
 """
 
@@ -32,6 +37,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import sub
 from typing import Sequence
 
 from latfix.conegeom import (
@@ -53,6 +59,34 @@ from latfix.exactnum.rational import ONE, ZERO, QMatrix, QVector, rat
 SIGN_ORACLE_DIM_BOUND = 12
 
 
+def minimize_free(
+    objectives: Sequence[QVector],
+    equalities: Sequence[tuple[QVector, Fraction]] = (),
+    inequalities: Sequence[tuple[QVector, Fraction]] = (),
+) -> tuple[LPResult, ...]:
+    """`minimize` over free y subject to row . y == rhs for equalities
+    and row . y >= rhs for inequalities: y = u - w with u, w >= 0, and
+    each equality as the two rows row . y >= rhs and -row . y >= -rhs.
+    Each optimal point comes back as u - w."""
+
+    def split(row: QVector) -> QVector:
+        return QVector.from_ints([*row.nums, *(-x for x in row.nums)], row.den)
+
+    rows = [(split(row), rhs) for row, rhs in inequalities]
+    for row, rhs in equalities:
+        rows += [(split(row), rhs), (split(-row), -rat(rhs))]
+    results = minimize([split(c) for c in objectives], inequalities=rows)
+    n = objectives[0].dim
+    free = []
+    for r in results:
+        if r.point is not None:
+            u, w = r.point.nums[:n], r.point.nums[n:]
+            point = QVector.from_ints(map(sub, u, w), r.point.den)
+            r = LPResult(r.status, r.value, point)
+        free.append(r)
+    return tuple(free)
+
+
 def in_conic_hull(rays: Sequence[QVector], x: QVector) -> bool:
     """Exact membership of x in the conic hull of the rays."""
     if not rays:
@@ -65,7 +99,7 @@ def in_conic_hull(rays: Sequence[QVector], x: QVector) -> bool:
         for j in range(n)
     ]
     ineqs = [(QVector.unit(k, i), ZERO) for i in range(k)]
-    (result,) = minimize([zero_obj], equalities=eqs, inequalities=ineqs)
+    (result,) = minimize_free([zero_obj], equalities=eqs, inequalities=ineqs)
     return result.status == OPTIMAL
 
 
@@ -102,7 +136,7 @@ def sign_pattern_sublattice_oracle(subspace: Subspace) -> bool:
             for j in nonzero
         ]
         ineqs.append((QVector([ZERO] * d + [-ONE]), -ONE))  # t <= 1
-        (result,) = minimize([obj], inequalities=ineqs)
+        (result,) = minimize_free([obj], inequalities=ineqs)
         if result.status != OPTIMAL or result.value >= 0:
             continue
         reflected_ok = all(
@@ -168,8 +202,10 @@ def reference_least_element_above(
 ) -> QVector | None:
     """The least element of {z in F : z >= bound}, or None, by the
     earlier route of `least_element_above` on every subspace: one
-    `minimize` call with the n coordinate rows as objectives, the
-    coordinatewise minimum returned when it lies in F."""
+    `minimize_free` call over the free coefficients, with the n
+    coordinate rows both as objectives and as the n rows z_j >= bound_j
+    (no pivot coordinate becomes a bound), the coordinatewise minimum
+    returned when it lies in F."""
     n = subspace.ambient_dim
     if bound.dim != n:
         raise ValueError("bound dimension mismatch")
@@ -177,7 +213,7 @@ def reference_least_element_above(
         return QVector.zero(n) if all(b <= 0 for b in bound.nums) else None
     coord_rows = subspace.coordinate_rows()
     constraints = [(coord_rows[j], bound[j]) for j in range(n)]
-    results = minimize(coord_rows, inequalities=constraints)
+    results = minimize_free(coord_rows, inequalities=constraints)
     if results[0].status == INFEASIBLE:
         return None
     if any(result.status == UNBOUNDED for result in results):
@@ -368,31 +404,24 @@ def _reference_run_simplex(
 
 def reference_minimize(
     objective: QVector,
-    equalities: Sequence[tuple[QVector, Fraction]] = (),
     inequalities: Sequence[tuple[QVector, Fraction]] = (),
 ) -> LPResult:
     """Two-phase simplex with Bland's rule on a `Fraction` tableau for one
-    objective; the contract of `minimize([objective], ...)`, returning
-    its one result."""
+    objective over y >= 0; the contract of `minimize([objective], ...)`,
+    returning its one result."""
     n = objective.dim
-    rows = [(row, rat(rhs), False) for row, rhs in equalities]
-    rows += [(row, rat(rhs), True) for row, rhs in inequalities]
+    rows = [(row, rat(rhs)) for row, rhs in inequalities]
     m = len(rows)
-    n_slack = sum(1 for _, _, ge in rows if ge)
-    # columns: u_0..u_{n-1}, w_0..w_{n-1}, slacks, artificials, rhs
-    n_core = 2 * n + n_slack
+    # columns: y_0..y_{n-1}, slacks, artificials, rhs
+    n_core = n + m
     total = n_core + m
     tableau: list[list[Fraction]] = []
-    slack_at = 0
-    for i, (row, rhs, ge) in enumerate(rows):
+    for i, (row, rhs) in enumerate(rows):
         line = [ZERO] * (total + 1)
         sign = ONE if rhs >= 0 else -ONE
         for j in range(n):
             line[j] = sign * row[j]
-            line[n + j] = -sign * row[j]
-        if ge:
-            line[2 * n + slack_at] = -sign
-            slack_at += 1
+        line[n + i] = -sign
         line[n_core + i] = ONE
         line[total] = sign * rhs
         tableau.append(line)
@@ -409,18 +438,13 @@ def reference_minimize(
 
     for i in range(m - 1, -1, -1):
         if basis[i] >= n_core:
-            col = next((j for j in range(n_core) if tableau[i][j] != 0), None)
-            if col is None:
-                del tableau[i]
-                del basis[i]
-            else:
-                _unit_pivot(tableau, i, col)
-                basis[i] = col
+            col = next(j for j in range(n_core) if tableau[i][j] != 0)
+            _unit_pivot(tableau, i, col)
+            basis[i] = col
 
     cost = [ZERO] * (total + 1)
     for j in range(n):
         cost[j] = objective[j]
-        cost[n + j] = -objective[j]
     tableau[-1] = cost
     for i, col in enumerate(basis):
         _unit_pivot(tableau, i, col)
@@ -428,7 +452,5 @@ def reference_minimize(
     if _reference_run_simplex(tableau, basis, eligible) == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None)
     values = {basis[i]: tableau[i][-1] for i in range(len(basis))}
-    point = QVector(
-        values.get(j, ZERO) - values.get(n + j, ZERO) for j in range(n)
-    )
+    point = QVector(values.get(j, ZERO) for j in range(n))
     return LPResult(OPTIMAL, -tableau[-1][-1], point)

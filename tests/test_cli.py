@@ -61,6 +61,25 @@ class TestGalleryCommand:
         assert main(["gallery", "all"]) == 1
         assert "[e44] MISMATCH" in capsys.readouterr().err
 
+    def test_unreadable_fixture_exits_two(self, tmp_path, monkeypatch, capsys):
+        # a directory where the fixture file should be cannot be read
+        (tmp_path / "e41.json").mkdir()
+        monkeypatch.setattr(gallery, "FIXTURE_DIR", str(tmp_path))
+        assert main(["gallery", "run", "e41"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ")
+        assert "e41.json" in err
+        assert "Traceback" not in err
+
+    def test_unwritable_fixture_exits_two(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "e41.json").mkdir()
+        monkeypatch.setattr(gallery, "FIXTURE_DIR", str(tmp_path))
+        assert main(["gallery", "regen"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ")
+        assert "e41.json" in err
+        assert "Traceback" not in err
+
     def test_regen_roundtrip(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(gallery, "FIXTURE_DIR", tmp_path / "fx")
         assert main(["gallery", "regen"]) == 0

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
-from latfix.conegeom import INFEASIBLE, minimize
+from latfix.conegeom import INFEASIBLE
 from latfix.conegeom.core import (
     LatticeClassification,
     Subspace,
@@ -37,6 +37,7 @@ from cone_oracles import (
     SIGN_ORACLE_DIM_BOUND,
     am_property_check,
     in_conic_hull,
+    minimize_free,
     primitive,
     reference_classification,
     reference_extreme_rays,
@@ -542,6 +543,40 @@ class TestLeastElementAbove:
         assert least_element_above(f, QVector([-1, 0, -1])) is None
         assert calls == [2, 2, 1, 3, 3]
 
+    def test_lp_has_a_row_per_non_pivot_coordinate(self, monkeypatch):
+        """The pivot coordinates of F are the bounds y >= 0 of the LP, so a
+        d-dimensional F in R^n gives one `minimize` call with n - d rows
+        over objectives of dimension d, and F = R^n gives no rows."""
+        import latfix.conegeom.core as core
+
+        original = core.minimize
+        calls = []
+
+        def recording(objectives, inequalities=()):
+            calls.append((objectives, inequalities))
+            return original(objectives, inequalities=inequalities)
+
+        monkeypatch.setattr(core, "minimize", recording)
+        rng = rng_for("lp-rows")
+        cases = [random_subspace_mix(rng, index) for index in range(12)]
+        cases += [span(3, (1, 0, -1), (0, 1, 1)), span(3, (1, 0, -1), (0, 1, 0))]
+        cases += [
+            Subspace.from_vectors(n, [QVector.unit(n, j) for j in range(n)])
+            for n in (1, 3, 5)
+        ]
+        for f in cases:
+            if f.is_zero():
+                continue
+            n, d = f.ambient_dim, f.dim
+            calls.clear()
+            bound = random_qvector(rng, n, span=3, den_max=3)
+            least_element_above(f, bound)
+            assert len(calls) == 1
+            objectives, rows = calls[0]
+            assert len(rows) == n - d
+            assert all(c.dim == d for c in objectives)
+            assert all(row.dim == d for row, _ in rows)
+
     def test_least_property_on_random_instances(self):
         rng = rng_for("least-above")
         found = 0
@@ -622,7 +657,7 @@ def least_or_error(f, bound, compute):
 def feasible(f, bound):
     """Whether some z in F satisfies z >= bound."""
     rows = f.coordinate_rows()
-    (result,) = minimize(
+    (result,) = minimize_free(
         [QVector.zero(f.dim)], inequalities=[(r, b) for r, b in zip(rows, bound)]
     )
     return result.status != INFEASIBLE
@@ -639,6 +674,10 @@ class TestLeastElementReference:
     @example((span(3, (1, 0, 0)), QVector([0, 1, 0])))
     @example((span(3, (1, 0, -1), (0, 1, 0)), QVector([-1, 0, -1])))
     @example((Subspace(2, ()), QVector([-1, 0])))
+    # F = R^n: no LP rows, every coordinate a pivot bound
+    @example((span(3, (1, 0, 0), (0, 1, 0), (0, 0, 1)), QVector([-1, -2, rat("-1/2")])))
+    # the bound is negative at pivot 0 and positive elsewhere
+    @example((span(3, (1, 0, -1), (0, 1, 1)), QVector([-1, 2, 1])))
     @settings(max_examples=300, deadline=None)
     def test_matches_reference(self, case):
         f, bound = case
