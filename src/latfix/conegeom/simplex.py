@@ -6,14 +6,24 @@ the least-element search needs.  `minimize(objectives, inequalities)`
 takes a sequence of objectives over one feasible region and returns one
 `LPResult` per objective: one phase 1 per feasible region, one phase 2
 per objective, each phase 2 started from the same feasible tableau, so
-a result never depends on the other objectives of the call.  The
-tableau is integers over one common denominator: the `QVector`
-numerators of the rows are brought to one least common
-denominator, and every pivot and cost-row pricing step is the
-fraction-free row step `exactnum.linalg.eliminate`, so no step pays a gcd.
-Feasibility, unboundedness, and optimal values are exact `Fraction`s,
-and Bland's rule guarantees termination.  Problem sizes here are tiny
-(tens of variables), so a dense tableau is the right tool.
+a result never depends on the other objectives of the call.
+
+Phase 1 is the dual simplex (Lemke 1954) on the zero cost, started
+from the slack basis: row i reads s_i - row_i . y = -rhs_i with s_i
+basic, and every basis is dual feasible for the zero cost, so no
+variable is added.  A row with a negative right-hand side leaves and a
+column with a negative entry in it enters.  Every such column ties in
+the dual ratio test, and Bland's rule on the dual (the smallest basic
+index leaves, the smallest column enters) guarantees termination.  A
+leaving row with no negative entry certifies an empty region: it reads
+sum_j a_j x_j = rhs < 0 with every a_j >= 0 over x >= 0.  The tableau
+is integers over one common denominator: the `QVector` numerators of
+the rows are brought to one least common denominator, and every pivot
+and cost-row pricing step is the fraction-free row step
+`exactnum.linalg.eliminate`, so no step pays a gcd.  Feasibility,
+unboundedness, and optimal values are exact `Fraction`s.  Problem
+sizes here are tiny (tens of variables), so a dense tableau is the
+right tool.
 """
 from __future__ import annotations
 
@@ -21,7 +31,6 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
 
-from ..exactnum import TheoremViolationError
 from ..exactnum.linalg import eliminate
 from ..exactnum.rational import QVector, rat
 from ..exactnum.record import record
@@ -38,11 +47,7 @@ class LPResult:
     point: QVector | None
 
 
-def _run_simplex(
-    tableau: list[list[int]],
-    basis: list[int],
-    eligible: Sequence[bool],
-) -> str:
+def _run_simplex(tableau: list[list[int]], basis: list[int]) -> str:
     """Minimize the cost carried in the last tableau row.  Bland's rule:
     smallest-index entering and leaving candidates.  The common
     denominator is read off the tableau: every basic column holds it in
@@ -50,10 +55,7 @@ def _run_simplex(
     m = len(tableau) - 1
     while True:
         cost = tableau[-1]
-        col = next(
-            (j for j in range(len(cost) - 1) if eligible[j] and cost[j] < 0),
-            None,
-        )
+        col = next((j for j in range(len(cost) - 1) if cost[j] < 0), None)
         if col is None:
             return OPTIMAL
         row = None
@@ -89,8 +91,8 @@ def minimize(
     """Minimize each objective . y over y >= 0 subject to row . y >= rhs
     for every inequality: one `LPResult` per objective, in order.
 
-    The feasible region is shared, so phase 1 and the drive-out of the
-    leftover artificials run once; each objective's phase 2 then runs on
+    The feasible region is shared, so phase 1, the dual simplex from
+    the slack basis, runs once; each objective's phase 2 then runs on
     its own copy of that tableau and basis, so every result is the one a
     program with that objective alone would give.  An infeasible region
     makes every result INFEASIBLE."""
@@ -102,46 +104,32 @@ def minimize(
         if row.dim != n:
             raise ValueError("constraint dimension mismatch")
     m = len(rows)
-    # columns: y_0..y_{n-1}, one slack per row, one artificial per row,
-    # rhs; the constraint rows are scaled by the common denominator D of
-    # their entries, the artificial columns are not
-    n_core = n + m
-    total = n_core + m
+    # columns: y_0..y_{n-1}, one slack per row, rhs; row i is
+    # s_i - row_i . y = -rhs_i with row_i and rhs_i scaled by the common
+    # denominator D of the rows and s_i entering as 1 (so s_i is D times
+    # the surplus), the identity start that Bareiss's division needs
     scale = lcm(*(d for row, rhs in rows for d in (row.den, rhs.denominator)))
     tableau: list[list[int]] = []
     for i, (row, rhs) in enumerate(rows):
-        sign = scale if rhs >= 0 else -scale
-        factor = sign // row.den
-        line = [factor * x for x in row.nums] + [0] * (2 * m + 1)
-        line[n + i] = -sign
-        line[n_core + i] = 1
-        line[total] = sign * rhs.numerator // rhs.denominator
+        factor = scale // row.den
+        line = [-factor * x for x in row.nums] + [0] * (m + 1)
+        line[n + i] = 1
+        line[-1] = -scale * rhs.numerator // rhs.denominator
         tableau.append(line)
-    basis = [n_core + i for i in range(m)]
+    basis = [n + i for i in range(m)]
+    prev = 1
 
-    # phase 1: minimize the artificial sum
-    tableau.append([0] * n_core + [1] * m + [0])
-    _price(tableau, basis, 1)
-    if _run_simplex(tableau, basis, [True] * total) != OPTIMAL:
-        raise TheoremViolationError("phase 1 unbounded, yet bounded below by 0")
-    if tableau[-1][-1] != 0:
-        return (LPResult(INFEASIBLE, None, None),) * len(objectives)
-    prev = tableau[0][basis[0]] if basis else 1
+    # phase 1: the dual simplex on the zero cost, Bland's rule
+    while negative := [i for i in range(m) if tableau[i][-1] < 0]:
+        row = min(negative, key=basis.__getitem__)
+        col = next((j for j in range(n + m) if tableau[row][j] < 0), None)
+        if col is None:
+            return (LPResult(INFEASIBLE, None, None),) * len(objectives)
+        prev = eliminate(tableau, row, col, prev)
+        basis[row] = col
 
-    # drive leftover artificials out of the basis: the slack columns give
-    # the core columns full row rank, so every row has a nonzero core
-    # entry, and a basic column is zero outside its own row
-    for i in range(m - 1, -1, -1):
-        if basis[i] >= n_core:
-            col = next(j for j in range(n_core) if tableau[i][j] != 0)
-            prev = eliminate(tableau, i, col, prev)
-            basis[i] = col
-
-    del tableau[-1]
-    eligible = [j < n_core for j in range(total)]
     return tuple(
-        _phase_two(objective, tableau, basis, prev, eligible)
-        for objective in objectives
+        _phase_two(objective, tableau, basis, prev) for objective in objectives
     )
 
 
@@ -150,19 +138,17 @@ def _phase_two(
     constraints: list[list[int]],
     basis: list[int],
     prev: int,
-    eligible: Sequence[bool],
 ) -> LPResult:
     """Phase 2 from the feasible constraint rows and basis, which it
-    leaves as they are: the objective's numerators over its den, with
-    only the eligible (non-artificial) columns allowed to enter.
+    leaves as they are: the objective's numerators over its den.
     `eliminate` replaces rows and never writes into one, so a new list
     of the same rows is a private tableau."""
     n = objective.dim
-    cost = [*objective.nums] + [0] * (len(eligible) + 1 - n)
+    cost = [*objective.nums] + [0] * (len(constraints) + 1)
     tableau = [*constraints, cost]
     basis = basis[:]
     _price(tableau, basis, prev)
-    if _run_simplex(tableau, basis, eligible) == UNBOUNDED:
+    if _run_simplex(tableau, basis) == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None)
     if basis:
         prev = tableau[0][basis[0]]

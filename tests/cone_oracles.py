@@ -26,9 +26,11 @@ earlier route of `least_element_above` on every subspace, one LP over
 the free coefficients with the n coordinate objectives and n rows,
 which the d objectives a lattice subspace now takes, and the pivot
 coordinates turned into the bounds y >= 0, must match.  The reference
-simplex is the earlier `Fraction` version of `minimize`, on the same
-y >= 0 and >= rows form: a tableau of `Fraction`s reduced by unit-pivot
-Gauss-Jordan steps, which the integer tableau must match exactly.
+simplex is a `Fraction` version of `minimize` on the same y >= 0 and
+>= rows form and the same pivot rules (the dual phase 1 from the slack
+basis, then Bland's rule): a tableau of `Fraction`s with unscaled
+slacks, reduced by unit-pivot Gauss-Jordan steps, which the integer
+tableau must match exactly.
 """
 
 from __future__ import annotations
@@ -370,17 +372,12 @@ def _unit_pivot(rows: list[list[Fraction]], r: int, c: int) -> None:
             rows[i] = [a - f * b for a, b in zip(row, pivot_row)]
 
 
-def _reference_run_simplex(
-    tableau: list[list[Fraction]], basis: list[int], eligible: Sequence[bool]
-) -> str:
+def _reference_run_simplex(tableau: list[list[Fraction]], basis: list[int]) -> str:
     """Bland's rule on the cost carried in the last tableau row."""
     m = len(tableau) - 1
     while True:
         cost = tableau[-1]
-        col = next(
-            (j for j in range(len(cost) - 1) if eligible[j] and cost[j] < 0),
-            None,
-        )
+        col = next((j for j in range(len(cost) - 1) if cost[j] < 0), None)
         if col is None:
             return OPTIMAL
         row = None
@@ -408,48 +405,44 @@ def reference_minimize(
 ) -> LPResult:
     """Two-phase simplex with Bland's rule on a `Fraction` tableau for one
     objective over y >= 0; the contract of `minimize([objective], ...)`,
-    returning its one result."""
+    returning its one result.
+
+    Phase 1 is the dual simplex on the zero cost from the slack basis,
+    with no artificial variables: row i is s_i - row_i . y = -rhs_i with
+    s_i basic and unscaled.  Of the rows with a negative right-hand side,
+    the one whose basic column has the smallest index leaves, and the
+    smallest column with a negative entry in it enters (every such
+    column ties in the dual ratio test under the zero cost); Bland's rule
+    on the dual ends the loop.  A leaving row with no negative entry
+    reads sum_j a_j x_j = rhs < 0 with every a_j >= 0, so the region is
+    empty.  Phase 2 is Bland's rule with every column eligible."""
     n = objective.dim
     rows = [(row, rat(rhs)) for row, rhs in inequalities]
     m = len(rows)
-    # columns: y_0..y_{n-1}, slacks, artificials, rhs
-    n_core = n + m
-    total = n_core + m
+    # columns: y_0..y_{n-1}, slacks, rhs
     tableau: list[list[Fraction]] = []
     for i, (row, rhs) in enumerate(rows):
-        line = [ZERO] * (total + 1)
-        sign = ONE if rhs >= 0 else -ONE
-        for j in range(n):
-            line[j] = sign * row[j]
-        line[n + i] = -sign
-        line[n_core + i] = ONE
-        line[total] = sign * rhs
+        line = [-x for x in row] + [ZERO] * (m + 1)
+        line[n + i] = ONE
+        line[-1] = -rhs
         tableau.append(line)
-    basis = [n_core + i for i in range(m)]
+    basis = [n + i for i in range(m)]
 
-    cost = [ZERO] * n_core + [ONE] * m + [ZERO]
-    tableau.append(cost)
+    while True:
+        negative = [i for i in range(m) if tableau[i][-1] < 0]
+        if not negative:
+            break
+        row = min(negative, key=lambda i: basis[i])
+        col = next((j for j in range(n + m) if tableau[row][j] < 0), None)
+        if col is None:
+            return LPResult(INFEASIBLE, None, None)
+        _unit_pivot(tableau, row, col)
+        basis[row] = col
+
+    tableau.append([*objective, *[ZERO] * (m + 1)])
     for i, col in enumerate(basis):
         _unit_pivot(tableau, i, col)
-    if _reference_run_simplex(tableau, basis, [True] * total) != OPTIMAL:
-        raise TheoremViolationError("phase 1 unbounded, yet bounded below by 0")
-    if tableau[-1][-1] != 0:
-        return LPResult(INFEASIBLE, None, None)
-
-    for i in range(m - 1, -1, -1):
-        if basis[i] >= n_core:
-            col = next(j for j in range(n_core) if tableau[i][j] != 0)
-            _unit_pivot(tableau, i, col)
-            basis[i] = col
-
-    cost = [ZERO] * (total + 1)
-    for j in range(n):
-        cost[j] = objective[j]
-    tableau[-1] = cost
-    for i, col in enumerate(basis):
-        _unit_pivot(tableau, i, col)
-    eligible = [j < n_core for j in range(total)]
-    if _reference_run_simplex(tableau, basis, eligible) == UNBOUNDED:
+    if _reference_run_simplex(tableau, basis) == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None)
     values = {basis[i]: tableau[i][-1] for i in range(len(basis))}
     point = QVector(values.get(j, ZERO) for j in range(n))

@@ -257,7 +257,8 @@ class TestDefectExit:
     @pytest.mark.parametrize(
         "target, fake",
         [
-            # phase 1 of the simplex reports unbounded
+            # phase 2 of the simplex reports unbounded (phase 1, the dual
+            # simplex, does not call `_run_simplex`)
             ("latfix.conegeom.simplex._run_simplex", lambda *args: UNBOUNDED),
             # the upper-bound set of a least-element search is unbounded:
             # one UNBOUNDED result per coordinate objective
@@ -268,7 +269,7 @@ class TestDefectExit:
                 ),
             ),
         ],
-        ids=["phase-one-unbounded", "upper-bound-set-unbounded"],
+        ids=["phase-two-unbounded", "upper-bound-set-unbounded"],
     )
     def test_fixspace_lp_defect(
         self, target, fake, tmp_path, monkeypatch, capsys
