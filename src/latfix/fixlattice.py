@@ -42,11 +42,12 @@ from .exactnum.record import record
 from .opcore import (
     OperatorFamily,
     PositiveMatrixOperator,
+    increasing_orbit_limit,
     super_fixed_check,
     vector_norm,
 )
 from . import seqspace
-from .seqspace import ShiftInsertOperator, SymbolicVector
+from .seqspace import NoSupremumError, ShiftInsertOperator, SymbolicVector
 
 
 # limit steps a symbolic transfinite trace takes before it gives up
@@ -209,16 +210,9 @@ def _matrix_trace(
         if m @ v != v:
             raise ValueError("vector outside the fixed space")
     g_e = reduce(QVector.cwise_max, vectors)
-    proj = fix_projection(m)
-    h = proj @ g_e
-    if not h.ge(g_e):
-        raise TheoremViolationError(
-            "monotone orbit of the ambient supremum is unbounded"
-        )
-    if m @ h != h:
-        raise TheoremViolationError(
-            "monotone orbit limit of the ambient supremum is not fixed"
-        )
+    h = increasing_orbit_limit(m, fix_projection(m), g_e)
+    if h is None:
+        raise NoSupremumError("the increasing orbit of the ambient supremum is unbounded")
     step = TraceStep(limit_step_index=1, vector=h, is_fixed=True)
     return TransfiniteTrace(
         steps=(step,),
@@ -278,8 +272,10 @@ def transfinite_trace(
     Each step replaces the current vector with the supremum of its
     orbit under the power-fold operator.  A matrix operator reaches
     fixity in a single step (the orbit limit is the fixed-space
-    projection of the start); the symbolic case can need several, and
-    can also certify that the limit steps themselves grow without
+    projection of the start when that dominates it, and the orbit is
+    unbounded otherwise: NoSupremumError, or a TheoremViolationError
+    for a power bounded matrix); the symbolic case can need several,
+    and can also certify that the limit steps themselves grow without
     bound, which is reported as Unbounded rather than an error.  The
     power argument iterates the square (or a higher power) of the
     operator, matching the example where only the square admits a

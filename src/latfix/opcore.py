@@ -1,4 +1,4 @@
-"""Positive matrix operators: norms, contractivity, power boundedness.
+"""Positive matrix operators: norms, power boundedness, orbit limits.
 
 Supported norms are the sup norm, the l1 norm, and weighted l1 norms,
 the lattice norms whose induced operator norms have exact closed forms.
@@ -227,3 +227,25 @@ def power_bounded_analysis(op: PositiveMatrixOperator) -> PowerBoundAnalysis:
             "No", cyclotomic(1), "a repeated boundary factor is defective"
         )
     return PowerBoundAnalysis("Yes", None, "boundary roots all semisimple")
+
+
+def increasing_orbit_limit(m: QMatrix, proj: QMatrix, s: QVector) -> QVector | None:
+    """Limit of the increasing orbit s, Ms, M^2 s, ... of a nonnegative M
+    with Ms >= s, from P = fix_projection(M): Ps, or None if unbounded.
+
+    If h = Ps >= s, then M >= 0 and Mh = h give M^n s <= h, so the orbit
+    increases to a fixed L; s - L = lim sum_{k<n} (I - M) M^k s lies in
+    range(I - M), along which P projects onto ker(I - M), so L = Ps.
+    The same argument makes any limit Ps and >= s, so otherwise the
+    orbit has no limit and is unbounded.  A power bounded M has bounded
+    orbits, so for it that is a TheoremViolationError (the spectrum is
+    read only on this path), as is Mh != h.
+    """
+    h = proj @ s
+    if m @ h != h:
+        raise TheoremViolationError("increasing orbit limit is not fixed")
+    if h.ge(s):
+        return h
+    if power_bounded_analysis(PositiveMatrixOperator(m)).verdict == "Yes":
+        raise TheoremViolationError("orbit of a power bounded matrix is unbounded")
+    return None

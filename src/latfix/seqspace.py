@@ -15,7 +15,7 @@ exact computation possible on this class:
 * tails are invariant under the shift-insert action and the finite
   part evolves as x -> Ax on its own, so monotone orbit suprema have
   closed forms through the fixed-space projection of a power of the
-  finite block.
+  finite block, which also decides whether the finite orbit converges.
 
 A chain (or grid row) is one `QVector`, the prefix entries followed by
 the tail, and every symbolic-vector operation (sums, maxima, moduli,
@@ -49,25 +49,26 @@ from math import lcm
 
 from .conegeom import Subspace
 from .exactnum import TheoremViolationError
-from .exactnum.linalg import char_poly, fix_projection, kernel_basis
-from .exactnum.polynomials import cyclotomic_division, has_unimodular_root, sturm_count
+from .exactnum.linalg import fix_projection, kernel_basis
 from .exactnum.rational import ONE, ZERO, QMatrix, QVector, rat
 from .exactnum.record import record
+from .opcore import increasing_orbit_limit
 
 C_ZERO = "CZero"
 L_INFTY = "LInfty"
 
 
 class UnsupportedClosedFormError(ValueError):
-    """The orbit supremum exists pointwise but falls outside the class
-    whose suprema this module can certify in closed form."""
+    """The orbit supremum exists pointwise but is not eventually
+    constant: with a power p > 1 a chain's inserted values oscillate
+    between the residue classes of the insertion position."""
 
 
 class NoSupremumError(ValueError):
-    """The increasing orbit has no supremum in the space itself: on a
-    c0 chain the candidate supremum acquires a nonzero tail, so no
-    element of the space dominates the orbit minimally (the space is
-    not monotonically complete)."""
+    """The increasing orbit has no supremum in the space itself: its
+    finite part is unbounded, or the candidate supremum has a nonzero
+    tail on a c0 chain, so no element of the space dominates the orbit
+    minimally (the space is not monotonically complete)."""
 
 
 @record
@@ -376,7 +377,7 @@ class ShiftInsertOperator:
 
     @cached_property
     def _limits(self) -> dict[QMatrix, QMatrix]:
-        """Each power of the finite block already seen -> its _limit_matrix."""
+        """Each power of the finite block already seen -> its fix_projection."""
         return {}
 
 
@@ -529,54 +530,34 @@ class OrbitSup:
     evidence: tuple[Fraction, ...] = ()
 
 
-def _limit_matrix(m: QMatrix) -> QMatrix:
-    """lim m^n, certified: spectrum inside the closed disk, boundary
-    content exactly a semisimple eigenvalue 1.
-
-    m is A^p, a power of the nonnegative finite block, so its spectral
-    radius is a real eigenvalue and chi is read as in `opcore`: a root of
-    its cyclotomic-free rest on (1, oo) leaves the disk, and inside it
-    the unimodular eigenvalues are the cyclotomic orders and the
-    unimodular roots of the rest."""
-    algebraic, rest = cyclotomic_division(char_poly(m))
-    if sturm_count(rest, lo=ONE) > 0:
-        raise UnsupportedClosedFormError(
-            "finite block spectrum leaves the unit disk"
-        )
-    if algebraic.keys() - {1} or has_unimodular_root(rest):
-        raise UnsupportedClosedFormError(
-            "finite block has unimodular spectrum other than 1"
-        )
-    return fix_projection(m)
-
-
 def _limit_step(op: ShiftInsertOperator, g: SymbolicVector, power: int) -> SymbolicVector:
     """Supremum of the increasing orbit g, T^p g, T^2p g, ... of a super
-    fixed g (p = power), certified to dominate g.  The operator keeps
-    the _limit_matrix of each A^p, so every orbit of it certifies a
-    matrix once.
+    fixed g (p = power), certified to dominate g.
 
-    The finite part evolves as x -> Ax on its own, so along T^p its
-    limits from the states x, Ax, ..., A^(p-1)x are the fixed-space
-    projection of A^p applied to each; tails are orbit invariants, so
-    each chain's inserted values increase to the source functional
-    evaluated on those limits and on g's chain tails, and monotonicity
-    forces every original value below it, so the chain supremum is the
-    constant source limit.  Grid row k >= 1 receives the constant cross * (tail
-    of row k-1 of g), which bounds its supremum the same way.  With p >
-    1 the source limit is computed per residue class of the insertion
-    position; the supremum is representable only when all classes agree.
+    The finite part evolves as x -> Ax on its own, and each state x,
+    Ax, ..., A^(p-1)x increases under A^p to the limit that
+    `opcore.increasing_orbit_limit` reads off the operator's cached
+    projection of A^p, or is unbounded (NoSupremumError).  Tails are
+    orbit invariants, so each chain's inserted values increase to the
+    source functional evaluated on those limits and on g's chain tails,
+    and monotonicity forces every original value below it, so the chain
+    supremum is the constant source limit.  Grid row k >= 1 receives
+    cross * (tail of row k-1 of g), bounding its supremum the same way.
+    With p > 1 the source limit is taken per residue class of the
+    insertion position; the supremum is representable only when all agree.
     """
     s = op.schema
     m = op.finite_block.power(power)
     proj = op._limits.get(m)
     if proj is None:
-        proj = op._limits[m] = _limit_matrix(m)
+        proj = op._limits[m] = fix_projection(m)
 
     states = [g.finite_part]
     for _ in range(power - 1):
         states.append(op.finite_block @ states[-1])
-    finite_limits = [proj @ state for state in states]
+    finite_limits = [increasing_orbit_limit(m, proj, x) for x in states]
+    if any(limit is None for limit in finite_limits):
+        raise NoSupremumError("the increasing orbit of the finite part is unbounded")
 
     def residue_limits(spec: LinearFunctionalSpec) -> Fraction:
         values = {
@@ -626,8 +607,8 @@ def orbit_sup(op: ShiftInsertOperator, g: SymbolicVector, power: int = 1) -> Orb
     norms geometrically without end.  That growth is certified by two
     further limit steps, each from the previous supremum (which must be
     super fixed), and reported as Unbounded with the norms of the three
-    successive suprema as evidence.  The limit steps share one matrix,
-    A^p, certified once per operator.
+    successive suprema as evidence.  The limit steps share one cached
+    projection of A^p; an unbounded finite orbit is NoSupremumError.
     """
     if power < 1:
         raise ValueError("power must be a positive integer")

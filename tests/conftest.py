@@ -5,18 +5,50 @@ recomputed with Bareiss elimination over integers, eigenvalues with
 numpy, polynomial factorizations with sympy, linear programs with
 scipy.  Generators are deterministic (seeded random.Random) so every
 run sees the same instances.
+
+No test may run longer than TEST_TIME_LIMIT seconds: past it the run
+stops with every thread's stack on stderr, so a loop that never ends
+fails the suite instead of hanging it.
 """
 
 from __future__ import annotations
 
+import faulthandler
+import os
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from latfix.conegeom import Subspace
 from latfix.exactnum.polynomials import QPolynomial
 from latfix.exactnum.rational import QMatrix, QVector, rat
+
+# the slowest test takes under 10 s and the whole suite under 2 minutes
+TEST_TIME_LIMIT = 120
+
+# a copy of the run's stderr, taken while pytest configures and output
+# capture is off, so the stacks of a test past the limit reach the
+# terminal instead of that test's captured output
+_stderr_fd = -1
+
+
+def pytest_configure(config):
+    global _stderr_fd
+    _stderr_fd = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(_stderr_fd)
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    faulthandler.dump_traceback_later(TEST_TIME_LIMIT, exit=True, file=_stderr_fd)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 # ---------------------------------------------------------------------------

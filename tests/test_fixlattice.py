@@ -39,6 +39,7 @@ from latfix.seqspace import (
     IndexSchema,
     L_INFTY,
     LinearFunctionalSpec,
+    NoSupremumError,
     ShiftInsertOperator,
     SymbolicVector,
     builtin_operator,
@@ -380,14 +381,14 @@ class TestMatrixTrace:
         with pytest.raises(ValueError):
             transfinite_trace(averaging_op(), [QVector([1, 0, 0])])
 
-    def test_unbounded_orbit_is_theorem_violation(self):
-        # positive, eigenvalue 1 semisimple, but not a contraction: the
-        # monotone orbit of |f| runs away and the projection fails to
-        # dominate
+    def test_unbounded_orbit_has_no_supremum(self):
+        # positive, eigenvalue 1 semisimple, but not power bounded: the
+        # monotone orbit of |f| runs away, and no theorem forbids it
         t = PositiveMatrixOperator(QMatrix([[2, 1], [0, 1]]), SUP_NORM)
         f = QVector([1, -1])
         assert t.apply(f) == f
-        with pytest.raises(TheoremViolationError):
+        assert opcore.power_bounded_analysis(t).verdict == "No"
+        with pytest.raises(NoSupremumError, match="unbounded"):
             transfinite_trace(t, [f, -f])
 
     def test_defective_fixed_space_surfaces(self):
@@ -402,17 +403,17 @@ class TestMatrixTrace:
 class TestSymbolicTrace:
     def test_e42_certifies_one_limit_matrix(self, monkeypatch):
         # both limit steps power the same finite block, and the
-        # operator certifies it once across the two orbit suprema
+        # operator projects it once across the two orbit suprema
         op = builtin_operator("e42")
         f = next(v for v in symbolic_fixed_space(op) if not v.abs() == v)
         calls = []
-        real = seqspace.char_poly
+        real = seqspace.fix_projection
 
         def counted(m):
             calls.append(m)
             return real(m)
 
-        monkeypatch.setattr(seqspace, "char_poly", counted)
+        monkeypatch.setattr(seqspace, "fix_projection", counted)
         trace = transfinite_trace(op, [f, f.scale(-1)])
         assert trace.limit_steps == 2
         assert len(calls) == 1
@@ -506,6 +507,16 @@ class TestEnforcedChecks:
         )
         f_hat = QVector([1, 0, -1])
         with pytest.raises(TheoremViolationError, match="not fixed"):
+            transfinite_trace(averaging_op(), [f_hat, -f_hat])
+
+    def test_matrix_limit_below_start(self, monkeypatch):
+        # a zero "projection" reads the orbit of (1, 0, 1) as unbounded,
+        # which the power bounded averaging operator rules out
+        monkeypatch.setattr(
+            fixlattice, "fix_projection", lambda m: QMatrix.zero(m.nrows, m.ncols)
+        )
+        f_hat = QVector([1, 0, -1])
+        with pytest.raises(TheoremViolationError, match="power bounded"):
             transfinite_trace(averaging_op(), [f_hat, -f_hat])
 
     @pytest.mark.parametrize(

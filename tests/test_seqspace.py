@@ -4,7 +4,8 @@ The load-bearing oracle here expands symbolic vectors to explicit
 truncated arrays and re-implements the operator action directly on
 those arrays; agreement at every retained position certifies apply()
 without sharing any code with it.  Orbit suprema are checked against
-brute-force orbit iteration.
+brute-force orbit iteration and against the spectral certificate of the
+limit that they no longer need.
 """
 
 import os
@@ -47,7 +48,7 @@ from latfix.seqspace import (
     symbolic_operator_norm,
 )
 
-from conftest import random_substochastic, rng_for
+from conftest import bareiss_rank, random_substochastic, rng_for
 from poly_oracles import reference_perron_root_vs_one, reference_unimodular_part
 
 
@@ -461,8 +462,9 @@ class TestOrbitSup:
         with pytest.raises(UnsupportedClosedFormError):
             orbit_sup(swap, g, power=2)
 
-    def test_refuses_unimodular_spectrum_other_than_one(self):
-        # the swap has eigenvalue -1, so the orbit has no limit
+    def test_answers_unimodular_spectrum_other_than_one(self):
+        # the swap has eigenvalue -1, but (1, 1) is fixed, so the orbit
+        # is constant and the chain fills with 1
         s = IndexSchema(("a", "b"), (ChainDecl("c", L_INFTY),))
         swap = ShiftInsertOperator(
             schema=s,
@@ -470,20 +472,20 @@ class TestOrbitSup:
             chain_sources=(LinearFunctionalSpec.build(s, finite={"a": 1}),),
         )
         g = SymbolicVector(s, QVector([1, 1]), (ZERO_CHAIN,))
-        with pytest.raises(
-            UnsupportedClosedFormError,
-            match="unimodular spectrum other than 1",
-        ):
-            orbit_sup(swap, g, power=1)
+        result = orbit_sup(swap, g, power=1)
+        assert result.outcome == "Stabilized"
+        assert result.supremum.finite_part == QVector([1, 1])
+        assert result.supremum.chains == (chain_value((), 1),)
 
-    def test_refuses_spectrum_outside_the_disk(self):
+    def test_spectrum_outside_the_disk_answers_bounded_orbits(self):
+        # x -> 2x from 1 runs away; from 0 it stays put
         s = IndexSchema(("a",))
         double = ShiftInsertOperator(schema=s, finite_block=QMatrix([[2]]))
-        g = SymbolicVector(s, QVector([1]))
-        with pytest.raises(
-            UnsupportedClosedFormError, match="leaves the unit disk"
-        ):
-            orbit_sup(double, g)
+        with pytest.raises(NoSupremumError, match="unbounded"):
+            orbit_sup(double, SymbolicVector(s, QVector([1])))
+        result = orbit_sup(double, SymbolicVector.zero(s))
+        assert result.outcome == "Stabilized"
+        assert result.supremum == SymbolicVector.zero(s)
 
     def test_czero_grid_has_no_supremum(self):
         s = IndexSchema(("a",), grid=GridDecl("g", C_ZERO))
@@ -512,10 +514,11 @@ class TestOrbitSup:
 
 
 def reference_limit_certificate(m: QMatrix) -> QMatrix:
-    """The limit certificate as it read chi before the cyclotomic
-    division: the Perron-root test, then the unimodular part (the
+    """The certificate orbit suprema once required of m = A^p before
+    projecting: lim m^n exists, read off chi with the `Fraction`
+    oracles as the Perron-root test, then the unimodular part (the
     reciprocal gcd), which inside the closed disk carries exactly the
-    unimodular eigenvalues; both from the `Fraction` oracles."""
+    unimodular eigenvalues and must be x - 1 or constant."""
     chi = char_poly(m)
     if reference_perron_root_vs_one(chi) > 0:
         raise UnsupportedClosedFormError(
@@ -540,62 +543,149 @@ def leaky_permutation(rng, n: int) -> QMatrix:
     return QMatrix(rows)
 
 
-def _outcome(f, m):
-    try:
-        return f(m)
-    except (UnsupportedClosedFormError, DefectiveEigenvalueError) as e:
-        return type(e), str(e)
+def random_block(rng, k: int) -> QMatrix:
+    """A leaky permutation (odd k) or a substochastic matrix scaled by
+    1/2, 1, 101/100, 3/2 or 2, of dimension 1 to 5."""
+    n = rng.randint(1, 5)
+    if k % 2:
+        return leaky_permutation(rng, n)
+    scale = rng.choice((Fraction(1, 2), 1, Fraction(101, 100), Fraction(3, 2), 2))
+    return random_substochastic(rng, n).scale(scale)
 
 
-class TestLimitMatrixAgainstOracle:
-    """`_limit_matrix` on [[A, b], [0, 1]]^p, p = 1, 2, 3, with A a
-    scaled substochastic matrix or a leaky permutation and b of either
-    sign: the same refusal, message included, as the oracle certificate,
-    and otherwise the same projection or the same defective 1."""
+def random_orbit_operator(rng, block: QMatrix) -> ShiftInsertOperator:
+    """The block alone, or (two times in five) with one l-infinity chain
+    fed by a nonnegative functional of the finite part."""
+    coords = tuple(f"x{i}" for i in range(block.nrows))
+    if rng.random() >= 0.4:
+        return ShiftInsertOperator(schema=IndexSchema(coords), finite_block=block)
+    s = IndexSchema(coords, (ChainDecl("c", L_INFTY),))
+    weights = {c: Fraction(rng.randint(0, 2), 2) for c in coords}
+    spec = LinearFunctionalSpec.build(s, finite=weights)
+    return ShiftInsertOperator(schema=s, finite_block=block, chain_sources=(spec,))
+
+
+def random_start(rng, op: ShiftInsertOperator) -> SymbolicVector:
+    """Small integers of mixed sign, nonpositive, nonnegative, or a
+    constant +-1; a chain starts at -20, below every value it is fed."""
+    n = op.schema.finite_dim
+    kind = rng.randrange(4)
+    if kind == 3:
+        x = [rng.choice((-1, 1))] * n
+    else:
+        lo, hi = ((-2, 2), (-2, 0), (0, 2))[kind]
+        x = [rng.randint(lo, hi) for _ in range(n)]
+    chains = tuple(chain_value((), -20) for _ in op.schema.chains)
+    return SymbolicVector(op.schema, QVector(x), chains)
+
+
+def supremum_from_projection(op, g: SymbolicVector, power: int, proj: QMatrix):
+    """The supremum built from proj, the limit of A^p: proj x as the
+    finite part, and each chain constant at its functional read on
+    proj A^k x and g's chain tails, the same for every k < p (else
+    UnsupportedClosedFormError, the residue oscillation)."""
+    limits, x = [], g.finite_part
+    for _ in range(power):
+        limits.append(proj @ x)
+        x = op.finite_block @ x
+    tails = [c.tail for c in g.chains]
+    chains = []
+    for spec in op.chain_sources:
+        values = {
+            sum((c * v for c, v in zip(spec.coeffs, [*lim, *tails])), Fraction(0))
+            for lim in limits
+        }
+        if len(values) != 1:
+            return UnsupportedClosedFormError
+        chains.append(chain_value((), values.pop()))
+    return SymbolicVector(op.schema, limits[0], tuple(chains))
+
+
+def in_column_space(m: QMatrix, v: QVector) -> bool:
+    """Whether v is in the column space of m: appending it as a column
+    keeps the Bareiss rank."""
+    appended = QMatrix([[*row, x] for row, x in zip(m.rows, v)])
+    return bareiss_rank(appended) == bareiss_rank(m)
+
+
+class TestOrbitLimitAgainstOracle:
+    """orbit_sup on the blocks of `random_block` from super fixed starts
+    at powers 1, 2 and 3, against the chi certificate of A^p that the
+    projection rule replaced: where the certificate holds, the same
+    supremum; where it refuses, either a supremum whose finite part h
+    is the orbit limit (A^p h = h, h >= x, x - h in range(I - A^p), all
+    exact) or an unbounded orbit with Perron root above 1."""
 
     def test_matches_the_oracle_certificate(self):
-        rng = rng_for("limit-matrix-differential")
+        rng = rng_for("orbit-limit-differential")
         seen = Counter()
-        for k in range(160):
-            n = rng.randint(1, 5)
-            if k % 2:
-                a = leaky_permutation(rng, n)
-            else:
-                a = random_substochastic(rng, n).scale(
-                    rng.choice((Fraction(1, 2), 1, Fraction(101, 100), Fraction(3, 2)))
-                )
-            b = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
-            aug = QMatrix([list(r) + [x] for r, x in zip(a.rows, b)] + [[0] * n + [1]])
+        for k in range(600):
+            block = random_block(rng, k)
+            op = random_orbit_operator(rng, block)
             for p in (1, 2, 3):
-                m = aug.power(p)
-                expected = _outcome(reference_limit_certificate, m)
-                assert _outcome(seqspace._limit_matrix, m) == expected
-                seen[expected[1] if isinstance(expected, tuple) else "limit"] += 1
-        assert set(seen) == {
-            "finite block spectrum leaves the unit disk",
-            "finite block has unimodular spectrum other than 1",
-            "eigenvalue 1 is defective: ker(I-M) meets range(I-M)",
-            "limit",
-        }
-        assert min(seen.values()) >= 20
+                m = block.power(p)
+                g = random_start(rng, op)
+                if not apply_power(op, g, p).ge(g):
+                    continue
+                try:
+                    proj = reference_limit_certificate(m)
+                except (UnsupportedClosedFormError, DefectiveEigenvalueError):
+                    proj = None
+                try:
+                    result = orbit_sup(op, g, p)
+                except NoSupremumError as e:
+                    assert "unbounded" in str(e)
+                    assert proj is None
+                    assert reference_perron_root_vs_one(char_poly(m)) > 0
+                    seen["unbounded"] += 1
+                    continue
+                except (UnsupportedClosedFormError, DefectiveEigenvalueError):
+                    if proj is not None:
+                        expected = supremum_from_projection(op, g, p, proj)
+                        assert expected is UnsupportedClosedFormError
+                    seen["refused"] += 1
+                    continue
+                assert result.outcome == "Stabilized"
+                sup = result.supremum
+                if proj is not None:
+                    assert sup == supremum_from_projection(op, g, p, proj)
+                    seen["certified"] += 1
+                    continue
+                h, x = sup.finite_part, g.finite_part
+                assert m @ h == h and h.ge(x)
+                assert in_column_space(QMatrix.identity(m.nrows) - m, x - h)
+                assert sup.ge(g) and apply_power(op, sup, p) == sup
+                seen["newly answered"] += 1
+        outcomes = ("certified", "newly answered", "unbounded")
+        assert min(seen[key] for key in outcomes) >= 20, seen
 
 
-E42_ORBIT_UNDER_ZERO_LIMIT = """
+E42_ORBIT_UNDER_DEFECT = """
 import sys
 from latfix import seqspace
 from latfix.exactnum import TheoremViolationError
-from latfix.exactnum.rational import QMatrix
+from latfix.exactnum.rational import QMatrix, QVector
 
 assert not __debug__
-seqspace._limit_matrix = lambda m: QMatrix.zero(m.nrows, m.ncols)
 op = seqspace.builtin_operator("e42")
 (g,) = [v.abs() for v in seqspace.symbolic_fixed_space(op) if v.abs() != v]
+{defect}
 try:
     seqspace.orbit_sup(op, g)
 except TheoremViolationError:
     sys.exit(0)
 sys.exit(1)
 """
+
+# each defect makes orbit_sup of e42 from its sign-mixed modulus fail a check
+E42_DEFECTS = {
+    "zero projection": (
+        "seqspace.fix_projection = lambda m: QMatrix.zero(m.nrows, m.ncols)"
+    ),
+    "chain below the start": (
+        "seqspace.chain_value = lambda prefix, tail: seqspace.ChainValue(QVector([-1]))"
+    ),
+}
 
 
 def e42_sign_mixed_modulus():
@@ -609,15 +699,26 @@ class TestEnforcedChecks:
     TheoremViolationError; none is a bare assert."""
 
     def test_limit_below_start(self, monkeypatch):
-        # a zero "limit" sends the finite part and the chain to zero,
-        # below the start (1, 1, 1 | ...)
+        # the finite limits are right, but every chain comes out
+        # constant -1, below the start's nonnegative chains
+        op, g = e42_sign_mixed_modulus()
         monkeypatch.setattr(
             seqspace,
-            "_limit_matrix",
-            lambda m: QMatrix.zero(m.nrows, m.ncols),
+            "chain_value",
+            lambda prefix, tail: seqspace.ChainValue(QVector([-1])),
+        )
+        with pytest.raises(TheoremViolationError, match="fails to dominate"):
+            orbit_sup(op, g)
+
+    def test_zero_projection_of_a_power_bounded_block(self, monkeypatch):
+        # a zero "projection" sends the finite part (1, 1, 1) to zero,
+        # which reads as an unbounded orbit; the averaging block is
+        # power bounded, so that is a defect
+        monkeypatch.setattr(
+            seqspace, "fix_projection", lambda m: QMatrix.zero(m.nrows, m.ncols)
         )
         op, g = e42_sign_mixed_modulus()
-        with pytest.raises(TheoremViolationError, match="fails to dominate"):
+        with pytest.raises(TheoremViolationError, match="power bounded"):
             orbit_sup(op, g)
 
     def test_eigenvector_verification(self, monkeypatch):
@@ -658,31 +759,34 @@ class TestEnforcedChecks:
         assert len(calls) == 1
 
     def test_growth_certifies_one_limit_matrix(self, monkeypatch):
-        # the square's three limit steps share one matrix, the block squared
+        # the square's three limit steps share one projection, that of
+        # the block squared
         op = builtin_operator("e43")
         (f,) = symbolic_eigenspace(op, -1)
         calls = []
-        real = seqspace.char_poly
+        real = seqspace.fix_projection
 
         def counted(m):
             calls.append(m)
             return real(m)
 
-        monkeypatch.setattr(seqspace, "char_poly", counted)
+        monkeypatch.setattr(seqspace, "fix_projection", counted)
         result = orbit_sup(op, f.abs(), power=2)
         assert result.outcome == "Unbounded"
         assert len(calls) == 1
 
     def test_raised_under_optimized_python(self):
         src = Path(__file__).resolve().parents[1] / "src"
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", E42_ORBIT_UNDER_ZERO_LIMIT],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
+        for name, defect in E42_DEFECTS.items():
+            script = E42_ORBIT_UNDER_DEFECT.format(defect=defect)
+            proc = subprocess.run(
+                [sys.executable, "-O", "-c", script],
+                env={**os.environ, "PYTHONPATH": str(src)},
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, (name, proc.stderr)
 
 
 class TestBuiltinLookup:
