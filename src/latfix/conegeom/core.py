@@ -57,6 +57,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from enum import Enum
+from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd, lcm
 
@@ -142,9 +143,10 @@ class Subspace:
                 out = [o + x * y for o, y in zip(out, b.nums)]
         return QVector.from_ints(out, c.den * d)
 
+    @cached_property
     def coordinate_rows(self) -> tuple[QVector, ...]:
         """Row j maps coefficients c to the j-th ambient coordinate of
-        the spanned vector."""
+        the spanned vector; computed once per subspace."""
         a, d = QMatrix(self.basis).int_rows()
         return tuple(
             QVector.from_ints([row[j] for row in a], d)
@@ -198,13 +200,17 @@ class Subspace:
         """On a lattice subspace, a positive projection Q onto it:
         Q = sum_r r e_j^T / r_j over the extreme rays r, j the coordinate
         r owns (`owned_coordinates`).  Then Q >= 0, its columns lie in F
-        and Q r = r for every ray.  Raises ValueError on a subspace that
-        is not a lattice subspace."""
+        and Q r = r for every ray.  Its rows are integers over one
+        denominator, the lcm D of the owned entries r_j: column j is
+        r (D / r_j).  Raises ValueError on a subspace that is not a
+        lattice subspace."""
         n = self.ambient_dim
-        columns = [QVector.zero(n)] * n
-        for r, j in zip(self.classification.rays, self.owned_coordinates):
-            columns[j] = QVector.from_ints(r.nums, r.nums[j])
-        return QMatrix.from_columns(columns)
+        owned = list(zip(self.owned_coordinates, self.classification.rays))
+        den = lcm(*(r.nums[j] for j, r in owned))
+        columns = [(0,) * n] * n
+        for j, r in owned:
+            columns[j] = [x * (den // r.nums[j]) for x in r.nums]
+        return QMatrix(QVector.from_ints(row, den) for row in zip(*columns))
 
 
 @record
@@ -312,13 +318,17 @@ def least_element_above(subspace: Subspace, bound: QVector) -> QVector | None:
     so phase 1 runs once and each objective gets its own phase 2.  The
     k-th coefficient of z in F is z at the k-th pivot, so with the
     coefficients bound_P + y, bound_P the bound at the pivots, the pivot
-    constraints are y >= 0 and z_j = shifts[j] + coord_rows[j] . y for
-    shifts[j] = coord_rows[j] . bound_P: only the other z_j are rows.
+    constraints are y >= 0 and z = shift + sum_k y_k b_k for the shift
+    spanned by bound_P (one integer combination of the basis): only the
+    other z_j are rows, coord_rows[j] . y >= (bound - shift)_j, their
+    right-hand sides read off the numerators of bound - shift.
 
     On a lattice subspace with extreme rays r_k, each owning the
     coordinate j_k, the objectives are the d coordinates j_k: let m_k be
     the minimum of z_{j_k} and z = sum_k (m_k / r_k(j_k)) r_k, which is
-    the positive projection Q applied to m placed at the j_k.  Every f
+    the positive projection Q applied to m placed at the j_k.  Q reads
+    only the owned coordinates and fixes the shift, which lies in F, so
+    z = shift + Q v for v the minima of y's objectives.  Every f
     in the region is sum_k (f_{j_k} / r_k(j_k)) r_k with f_{j_k} >= m_k,
     so f - z is a nonnegative combination of rays: z lies below the
     whole region.  A least element, lying in the region, has exactly
@@ -334,12 +344,16 @@ def least_element_above(subspace: Subspace, bound: QVector) -> QVector | None:
         raise ValueError("bound dimension mismatch")
     if subspace.is_zero():
         return QVector.zero(n) if all(b <= 0 for b in bound.nums) else None
-    coord_rows = subspace.coordinate_rows()
+    coord_rows = subspace.coordinate_rows
     pivots = subspace.pivots
-    bound_p = QVector.from_ints([bound.nums[p] for p in pivots], bound.den)
-    shifts = [row.dot(bound_p) for row in coord_rows]
+    shift = subspace.from_coefficients(
+        QVector.from_ints([bound.nums[p] for p in pivots], bound.den)
+    )
+    gap = bound - shift
     rows = [
-        (row, bound[j] - shifts[j]) for j, row in enumerate(coord_rows) if j not in pivots
+        (coord_rows[j], Fraction(x, gap.den))
+        for j, x in enumerate(gap.nums)
+        if j not in pivots
     ]
     lattice = subspace.classification.verdict != Verdict.NOT_LATTICE_SUBSPACE
     coords = subspace.owned_coordinates if lattice else range(n)
@@ -351,12 +365,12 @@ def least_element_above(subspace: Subspace, bound: QVector) -> QVector | None:
             "upper-bound set unbounded below; order structure violated"
         )
     if lattice:
-        minima = [0] * n
+        values = [0] * n
         for j, result in zip(coords, results):
-            minima[j] = result.value + shifts[j]
-        least = subspace.positive_projection @ QVector(minima)
+            values[j] = result.value
+        least = shift + subspace.positive_projection @ QVector(values)
         return least if least.ge(bound) else None
-    candidate = QVector([r.value + shift for r, shift in zip(results, shifts)])
+    candidate = shift + QVector([result.value for result in results])
     if not subspace.contains(candidate):
         return None
     return candidate

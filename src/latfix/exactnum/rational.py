@@ -7,16 +7,18 @@ denominator of the entries, the form is unique, and equality and hashing
 compare ints.  The kernels (`QMatrix` products, `exactnum.linalg`, double
 description, the simplex and `exactnum.polynomials`, whose `QPolynomial`
 holds one `QVector`) read ``nums`` and ``den``; ``entries``, indexing and
-iteration are `Fraction` views for the API edge.  A `QMatrix` product
-clears its right operand to one common denominator and builds one
-`QVector` per output row.  A scalar serializes to ``"p/q"`` in lowest
+iteration are `Fraction` views for the API edge.  A `QMatrix` is
+cleared to integer rows over one common denominator once, on first use
+(`int_rows`), and its products, the characteristic polynomial and
+polynomials of it read that form; a product builds one `QVector` per
+output row.  A scalar serializes to ``"p/q"`` in lowest
 terms, or ``"p"`` when the denominator is one.
 """
 from __future__ import annotations
 
 import re
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul, sub
@@ -205,15 +207,17 @@ class QVector:
 
 
 class QMatrix:
-    """Immutable matrix of rationals, stored as a tuple of row QVectors."""
+    """Immutable matrix of rationals, stored as a tuple of row QVectors,
+    with its integer form (`int_rows`) built on first use and kept."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_ints")
 
     def __init__(self, rows: Iterable):
         built = []
         for row in rows:
             built.append(row if isinstance(row, QVector) else QVector(row))
         self.rows: tuple[QVector, ...] = tuple(built)
+        self._ints: tuple[tuple[tuple[int, ...], ...], int] | None = None
         if self.rows:
             width = self.rows[0].dim
             if any(r.dim != width for r in self.rows):
@@ -226,10 +230,6 @@ class QMatrix:
     @staticmethod
     def zero(nrows: int, ncols: int) -> "QMatrix":
         return QMatrix([QVector.zero(ncols) for _ in range(nrows)])
-
-    @staticmethod
-    def from_columns(cols: Sequence[QVector]) -> "QMatrix":
-        return QMatrix(cols).transpose()
 
     @property
     def nrows(self) -> int:
@@ -246,11 +246,14 @@ class QMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
 
-    def int_rows(self) -> tuple[list[list[int]], int]:
-        """(D * rows, D): the rows as integers over the least common
-        denominator D of all entries."""
-        d = lcm(*(r.den for r in self.rows))
-        return [[x * (d // r.den) for x in r.nums] for r in self.rows], d
+    def int_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(D * rows, D): the rows as integer tuples over the least common
+        denominator D of all entries, computed once per matrix."""
+        if self._ints is None:
+            d = lcm(*(r.den for r in self.rows))
+            ints = tuple(tuple(x * (d // r.den) for x in r.nums) for r in self.rows)
+            self._ints = ints, d
+        return self._ints
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QMatrix) and self.rows == other.rows

@@ -14,7 +14,9 @@ through repeated monotone limit steps.
 The report, the suprema and the least fixed vector read
 family.contractive, family.fixed_space, its classification and its
 positive projection, each computed once per object, so they share one
-kernel of the stacked I - T rows and one double description per family.
+fixed space and one double description per family.  The fixed space is
+the kernel of I - T_1 for the first member, cut down along the others by
+one small system each (a member that shares it costs only products).
 
 Two independent routes to the least fixed vector above a super fixed g
 coexist deliberately: the LP least-element construction (order
@@ -210,7 +212,8 @@ def _matrix_trace(
         if m @ v != v:
             raise ValueError("vector outside the fixed space")
     g_e = reduce(QVector.cwise_max, vectors)
-    h = increasing_orbit_limit(m, fix_projection(m), g_e)
+    # a fixed start is its own limit, whether or not 1 is semisimple
+    h = g_e if m @ g_e == g_e else increasing_orbit_limit(m, fix_projection(m), g_e)
     if h is None:
         raise NoSupremumError("the increasing orbit of the ambient supremum is unbounded")
     step = TraceStep(limit_step_index=1, vector=h, is_fixed=True)
@@ -271,7 +274,8 @@ def transfinite_trace(
 
     Each step replaces the current vector with the supremum of its
     orbit under the power-fold operator.  A matrix operator reaches
-    fixity in a single step (the orbit limit is the fixed-space
+    fixity in a single step (a fixed start is its own limit; otherwise
+    the orbit limit is the fixed-space
     projection of the start when that dominates it, and the orbit is
     unbounded otherwise: NoSupremumError, or a TheoremViolationError
     for a power bounded matrix); the symbolic case can need several,

@@ -17,6 +17,7 @@ is factored.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -147,19 +148,50 @@ class OperatorFamily:
 
     @cached_property
     def fixed_space(self) -> Subspace:
-        """Common fixed space: the intersection of ker(I - T) over the
-        members, the RREF-canonical kernel of their stacked rows, each
-        row of I - T taken times its denominator: den e_i - x."""
-        stacked = QMatrix(
+        """Common fixed space, by restriction along the members: the
+        RREF-canonical kernel of the rows of I - T_1, each taken times
+        its denominator (den e_i - x), cut down by one d x d system per
+        further member.
+
+        Commuting members leave each other's fixed spaces invariant: if
+        T_1 b = b then T_1 T b = T T_1 b = T b.  So for the basis B of
+        F = Fix(T_1) and any other member T, T B = B C for the d x d
+        matrix C whose column j holds the coefficients of T b_j, read at
+        the pivots, and F meet Fix(T) = B ker(I - C).  A member that
+        fixes every b_j keeps F at the cost of d products.  Otherwise
+        B Y, for Y the RREF basis of ker(I - C) with pivots q_i, is the
+        RREF basis of the smaller space: b_k is zero before its pivot
+        p_k and has no entry at the other pivots, so row i of B Y is
+        zero before p_(q_i), one there and zero at the other p_(q_l).
+        The result is the canonical basis of the intersection, the one
+        kernel of all the stacked I - T rows would give.  A T b_j
+        outside F means two members do not commute, a
+        TheoremViolationError."""
+        first, *rest = (t.matrix for t in self.members)
+        rows = QMatrix(
             QVector.from_ints([r.den * (i == j) - x for j, x in enumerate(r.nums)])
-            for t in self.members
-            for i, r in enumerate(t.matrix.rows)
+            for i, r in enumerate(first.rows)
         )
-        return Subspace(self.dim, kernel_basis(stacked))
+        fixed = Subspace(self.dim, kernel_basis(rows))
+        for t in rest:
+            if fixed.is_zero():
+                break
+            images = [t @ b for b in fixed.basis]
+            if images == list(fixed.basis):
+                continue
+            coefficients = [fixed.coefficients_of(v) for v in images]
+            if None in coefficients:
+                raise TheoremViolationError(
+                    "a family member moves the fixed space of another"
+                )
+            cut = QMatrix.identity(fixed.dim) - QMatrix(coefficients).transpose()
+            basis = tuple(map(fixed.from_coefficients, kernel_basis(cut)))
+            fixed = Subspace(self.dim, basis)
+        return fixed
 
 
-def _int_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """The product of two integer matrices given as lists of rows."""
+def _int_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The product of two integer matrices given as sequences of rows."""
     cols = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 

@@ -377,7 +377,8 @@ class ShiftInsertOperator:
 
     @cached_property
     def _limits(self) -> dict[QMatrix, QMatrix]:
-        """Each power of the finite block already seen -> its fix_projection."""
+        """Each power of the finite block whose projection a limit step
+        needed -> its fix_projection."""
         return {}
 
 
@@ -537,7 +538,9 @@ def _limit_step(op: ShiftInsertOperator, g: SymbolicVector, power: int) -> Symbo
     The finite part evolves as x -> Ax on its own, and each state x,
     Ax, ..., A^(p-1)x increases under A^p to the limit that
     `opcore.increasing_orbit_limit` reads off the operator's cached
-    projection of A^p, or is unbounded (NoSupremumError).  Tails are
+    projection of A^p, or is unbounded (NoSupremumError).  When A^p
+    fixes every state, the states are their own limits and no projection
+    is built (none exists when the eigenvalue 1 is defective).  Tails are
     orbit invariants, so each chain's inserted values increase to the
     source functional evaluated on those limits and on g's chain tails,
     and monotonicity forces every original value below it, so the chain
@@ -548,14 +551,16 @@ def _limit_step(op: ShiftInsertOperator, g: SymbolicVector, power: int) -> Symbo
     """
     s = op.schema
     m = op.finite_block.power(power)
-    proj = op._limits.get(m)
-    if proj is None:
-        proj = op._limits[m] = fix_projection(m)
-
     states = [g.finite_part]
     for _ in range(power - 1):
         states.append(op.finite_block @ states[-1])
-    finite_limits = [increasing_orbit_limit(m, proj, x) for x in states]
+    if all(m @ x == x for x in states):
+        finite_limits = states
+    else:
+        proj = op._limits.get(m)
+        if proj is None:
+            proj = op._limits[m] = fix_projection(m)
+        finite_limits = [increasing_orbit_limit(m, proj, x) for x in states]
     if any(limit is None for limit in finite_limits):
         raise NoSupremumError("the increasing orbit of the finite part is unbounded")
 

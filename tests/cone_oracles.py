@@ -124,7 +124,7 @@ def sign_pattern_sublattice_oracle(subspace: Subspace) -> bool:
     if subspace.is_zero():
         return True
     d = subspace.dim
-    coord_rows = subspace.coordinate_rows()
+    coord_rows = subspace.coordinate_rows
     nonzero = [j for j in range(n) if not coord_rows[j].is_zero()]
     for bits in range(1 << (n - 1)):
         sigma = [1] + [1 if (bits >> i) & 1 == 0 else -1 for i in range(n - 1)]
@@ -196,7 +196,7 @@ def reference_ray_supremum(
     maxima = to_rays.matvec(coefficients[0])
     for c in coefficients[1:]:
         maxima = maxima.cwise_max(to_rays.matvec(c))
-    return QMatrix.from_columns(rays).matvec(maxima)
+    return QMatrix(rays).transpose().matvec(maxima)
 
 
 def reference_least_element_above(
@@ -213,7 +213,7 @@ def reference_least_element_above(
         raise ValueError("bound dimension mismatch")
     if subspace.is_zero():
         return QVector.zero(n) if all(b <= 0 for b in bound.nums) else None
-    coord_rows = subspace.coordinate_rows()
+    coord_rows = subspace.coordinate_rows
     constraints = [(coord_rows[j], bound[j]) for j in range(n)]
     results = minimize_free(coord_rows, inequalities=constraints)
     if results[0].status == INFEASIBLE:
@@ -328,7 +328,7 @@ def reference_positive_cone_rays(subspace: Subspace) -> tuple[QVector, ...]:
     `from_coefficients` and made primitive."""
     if subspace.is_zero():
         return ()
-    coeff_rays = reference_extreme_rays(subspace.coordinate_rows())
+    coeff_rays = reference_extreme_rays(subspace.coordinate_rows)
     return tuple(
         sorted(
             (primitive(subspace.from_coefficients(c)) for c in coeff_rays),

@@ -147,6 +147,13 @@ def block_diag(*blocks: QMatrix) -> QMatrix:
     return QMatrix(rows)
 
 
+def kron(a: QMatrix, b: QMatrix) -> QMatrix:
+    """The Kronecker product: block (i, j) is a_ij b."""
+    return QMatrix(
+        [x * y for x in row_a for y in row_b] for row_a in a.rows for row_b in b.rows
+    )
+
+
 def random_nonneg_poly_coeffs(
     rng: random.Random, degree: int, total: Fraction
 ) -> list[Fraction]:

@@ -1,11 +1,12 @@
 """Test-only reference products: the earlier `Fraction` versions of
 `QVector.dot`, `QMatrix.matvec`, `QMatrix.matmul`,
 `Subspace.from_coefficients`/`coefficients_of`, `opcore.operator_norm`
-and `linalg.poly_of_matrix`.
+and `linalg.poly_of_matrix`, and the earlier route to a family's common
+fixed space.
 
-Each sums `Fraction` products term by term, one gcd per operation, so
-the integer kernels (sums of the integer numerators over the operands'
-denominators) can be compared with them exactly.
+Each product sums `Fraction` products term by term, one gcd per
+operation, so the integer kernels (sums of the integer numerators over
+the operands' denominators) can be compared with them exactly.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from latfix.conegeom import Subspace
+from latfix.exactnum.linalg import kernel_basis
 from latfix.exactnum.polynomials import QPolynomial
 from latfix.exactnum.rational import ZERO, QMatrix, QVector
 from latfix.opcore import PositiveMatrixOperator
@@ -80,3 +82,11 @@ def reference_operator_norm(op: PositiveMatrixOperator) -> Fraction:
         sum((w[i] * abs(m.entry(i, j)) for i in range(n)), Fraction(0)) / w[j]
         for j in range(n)
     )
+
+
+def reference_fixed_space(matrices: list[QMatrix]) -> Subspace:
+    """The common fixed space as one kernel of every member's I - T rows,
+    stacked as rational rows."""
+    n = matrices[0].nrows
+    eye = QMatrix.identity(n)
+    return Subspace(n, kernel_basis(QMatrix(r for m in matrices for r in (eye - m).rows)))

@@ -656,7 +656,7 @@ def least_or_error(f, bound, compute):
 
 def feasible(f, bound):
     """Whether some z in F satisfies z >= bound."""
-    rows = f.coordinate_rows()
+    rows = f.coordinate_rows
     (result,) = minimize_free(
         [QVector.zero(f.dim)], inequalities=[(r, b) for r, b in zip(rows, bound)]
     )

@@ -26,6 +26,7 @@ from latfix.exactnum.linalg import DefectiveEigenvalueError, fix_projection
 from latfix.exactnum.rational import QMatrix, QVector, rat
 from latfix.fixlattice import (
     BudgetExceededError,
+    TraceStep,
     TheoremViolationError,
     fixed_space_report,
     least_fixed_above,
@@ -392,12 +393,38 @@ class TestMatrixTrace:
             transfinite_trace(t, [f, -f])
 
     def test_defective_fixed_space_surfaces(self):
+        # the start (1, 0, 1) is not fixed, so its limit needs the
+        # projection, which the defective eigenvalue 1 rules out
         t = PositiveMatrixOperator(
             QMatrix([[1, 0, 0], [1, 1, 1], [0, 0, 1]]), SUP_NORM
         )
-        f = QVector([0, 1, 0])
+        f = QVector([1, 0, -1])
+        assert t.apply(f) == f
         with pytest.raises(DefectiveEigenvalueError):
             transfinite_trace(t, [f, -f])
+
+    @pytest.mark.parametrize(
+        "rows, start",
+        [
+            ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], [1, 0, 0]),
+            ([[1, 0, 0], [1, 1, 1], [0, 0, 1]], [0, 1, 0]),
+        ],
+    )
+    def test_fixed_start_is_its_own_limit(self, rows, start, monkeypatch):
+        """A start the matrix fixes has a constant orbit, so it is the
+        limit even when the eigenvalue 1 is defective, and no projection
+        is built."""
+        def forbidden(m):
+            raise AssertionError("fix_projection called")
+
+        monkeypatch.setattr(fixlattice, "fix_projection", forbidden)
+        t = PositiveMatrixOperator(QMatrix(rows), SUP_NORM)
+        f = QVector(start)
+        trace = transfinite_trace(t, [f])
+        assert trace.outcome == "FixedPointReached"
+        assert trace.fixed_point == f
+        assert trace.limit_steps == 1
+        assert trace.steps == (TraceStep(1, f, True),)
 
 
 class TestSymbolicTrace:

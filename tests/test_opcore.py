@@ -5,8 +5,9 @@ boundedness against the growth of floating-point powers, on each side
 of spectral radius 1 against numpy's spectral radius and, at spectral
 radius 1, against a route that evaluates every dividing cyclotomic at
 the matrix; the cyclotomic content against the same reference; the
-integer commute check and fixed space against the rational products
-and stacked `QMatrix` rows.
+integer commute check against the rational products, and the fixed
+space by restriction against the kernel of the stacked `QMatrix` rows
+(`product_oracles.reference_fixed_space`), on Kronecker families too.
 """
 
 import sys
@@ -19,8 +20,8 @@ from hypothesis import example, given, settings, strategies as st
 from latfix import cyclicity, opcore
 from latfix.cyclicity import verify_dimension_cyclicity
 from latfix.exactnum import TheoremViolationError
-from latfix.conegeom import Subspace
-from latfix.exactnum.linalg import char_poly, kernel_basis, poly_of_matrix, rank
+from latfix.exactnum import linalg
+from latfix.exactnum.linalg import char_poly, poly_of_matrix, rank
 from latfix.exactnum.polynomials import (
     QPolynomial,
     cyclotomic,
@@ -47,12 +48,14 @@ from latfix.opcore import (
 from conftest import (
     block_diag,
     cycle_matrix,
+    kron,
     random_row_stochastic,
     random_substochastic,
     rng_for,
     to_numpy,
 )
 from poly_oracles import reference_perron_root_vs_one
+from product_oracles import reference_fixed_space
 
 
 def op(rows, tag=SUP_NORM):
@@ -305,6 +308,20 @@ def family_matrices(draw):
     return matrices
 
 
+@st.composite
+def kronecker_families(draw):
+    """{A x I, I x B} or {A x I, I x B, A x B} for nonnegative A and B,
+    the members shuffled: they commute, and the fixed space of the
+    first is often larger than the common one."""
+    a = draw(nonneg_matrices(draw(st.integers(1, 3))))
+    b = draw(nonneg_matrices(draw(st.integers(1, 3))))
+    ia, ib = QMatrix.identity(a.nrows), QMatrix.identity(b.nrows)
+    members = [kron(a, ib), kron(ia, b)]
+    if draw(st.booleans()):
+        members.append(kron(a, b))
+    return draw(st.permutations(members))
+
+
 def reference_family_error(matrices):
     """The message the earlier check raised, comparing the rational
     products A B and B A of every pair in order, or None."""
@@ -316,12 +333,16 @@ def reference_family_error(matrices):
     return None
 
 
-class TestIntegerFamilyChecks:
-    """The commute check on integer rows and the fixed space from the
-    row numerators against the earlier `QMatrix` route: the same error
-    message, and the kernel of the stacked rational rows of I - T."""
+SWAP = QMatrix([[0, 1], [1, 0]])
 
-    @given(family_matrices())
+
+class TestIntegerFamilyChecks:
+    """The commute check on integer rows and the fixed space by
+    restriction along the members against the earlier `QMatrix` route:
+    the same error message, and the kernel of the stacked rational rows
+    of I - T."""
+
+    @given(st.one_of(family_matrices(), kronecker_families()))
     @example(
         [
             QMatrix([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]),
@@ -335,7 +356,20 @@ class TestIntegerFamilyChecks:
             QMatrix([[0, 1, 0], [0, 1, 0], [0, 0, 1]]),
         ]
     )
-    @settings(max_examples=200, deadline=None)
+    @example(
+        [
+            QMatrix.identity(3),
+            QMatrix(
+                [
+                    [Fraction(1, 2), Fraction(1, 2), 0],
+                    [Fraction(1, 3), Fraction(2, 3), 0],
+                    [Fraction(1, 4), 0, Fraction(3, 4)],
+                ]
+            ),
+        ]
+    )
+    @example([kron(SWAP, QMatrix.identity(2)), kron(QMatrix.identity(2), SWAP)])
+    @settings(max_examples=300, deadline=None)
     def test_matches_rational_products(self, matrices):
         expected = reference_family_error(matrices)
         ops = [PositiveMatrixOperator(m) for m in matrices]
@@ -345,20 +379,74 @@ class TestIntegerFamilyChecks:
             assert str(info.value) == expected
             return
         fam = OperatorFamily(ops)
-        eye = QMatrix.identity(fam.dim)
-        stacked = QMatrix(row for m in matrices for row in (eye - m).rows)
-        assert fam.fixed_space == Subspace(fam.dim, kernel_basis(stacked))
+        assert fam.fixed_space == reference_fixed_space(matrices)
 
     def test_builds_no_rational_product(self, monkeypatch):
-        """The commute check multiplies integer rows only."""
+        """The commute check multiplies integer rows only, and the
+        restriction applies members to vectors only."""
         def forbidden(self, other):
             raise AssertionError("QMatrix.matmul called")
 
         m = QMatrix([[Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 4), Fraction(3, 4)]])
         p = m @ m
+        eye = QMatrix.identity(2)
+        swaps = [kron(SWAP, eye), kron(eye, SWAP)]
         monkeypatch.setattr(QMatrix, "matmul", forbidden)
         fam = OperatorFamily([PositiveMatrixOperator(m), PositiveMatrixOperator(p)])
         assert fam.fixed_space.basis == (QVector([1, 1]),)
+        fam = OperatorFamily(PositiveMatrixOperator(t) for t in swaps)
+        assert fam.fixed_space.basis == (QVector([1, 1, 1, 1]),)
+
+    def count_reductions(self, monkeypatch) -> tuple[list, list]:
+        """Patch opcore's kernel_basis and linalg's row_reduce to record
+        each kernel's matrix and the number of rows each reduction gets."""
+        kernels, sizes = [], []
+        kernel, reduce = opcore.kernel_basis, linalg.row_reduce
+
+        def counting_kernel(matrix):
+            kernels.append(matrix)
+            return kernel(matrix)
+
+        def counting_reduce(rows, width):
+            sizes.append(len(rows))
+            return reduce(rows, width)
+
+        monkeypatch.setattr(opcore, "kernel_basis", counting_kernel)
+        monkeypatch.setattr(linalg, "row_reduce", counting_reduce)
+        return kernels, sizes
+
+    def test_shared_fixed_space_reduces_n_rows_once(self, monkeypatch):
+        """Members that fix every vector of the first member's fixed
+        space cost one product per basis vector each: one kernel, one
+        reduction of the n rows of I - T_1, not of all k n rows."""
+        m = QMatrix(
+            [
+                [Fraction(1, 2), Fraction(1, 2), 0, 0],
+                [Fraction(1, 3), Fraction(2, 3), 0, 0],
+                [0, 0, Fraction(1, 4), Fraction(3, 4)],
+                [0, 0, 1, 0],
+            ]
+        )
+        eye = QMatrix.identity(4)
+        matrices = [m, m @ m, (m + eye).scale(Fraction(1, 2))]
+        expected = reference_fixed_space(matrices)
+        assert expected.dim == 2
+        kernels, sizes = self.count_reductions(monkeypatch)
+        fam = OperatorFamily(PositiveMatrixOperator(t) for t in matrices)
+        assert fam.fixed_space == expected
+        assert len(kernels) == 1 and sizes == [4]
+
+    def test_restriction_cuts_the_first_fixed_space(self, monkeypatch):
+        """Fix(P x I) is two-dimensional for the swap P; I x P cuts it
+        to the constants with one 2 x 2 kernel."""
+        eye = QMatrix.identity(2)
+        kernels, sizes = self.count_reductions(monkeypatch)
+        fam = OperatorFamily(
+            PositiveMatrixOperator(t) for t in (kron(SWAP, eye), kron(eye, SWAP))
+        )
+        assert fam.fixed_space.basis == (QVector([1, 1, 1, 1]),)
+        assert [k.shape for k in kernels] == [(4, 4), (2, 2)]
+        assert sizes == [4, 2]
 
 
 class TestPowerBounded:

@@ -130,10 +130,6 @@ class TestQMatrix:
         a = QMatrix([[1, 2], [3, 4]])
         assert a.transpose() == QMatrix([[1, 3], [2, 4]])
 
-    def test_from_columns(self):
-        cols = [QVector([1, 0]), QVector([2, 3])]
-        assert QMatrix.from_columns(cols) == QMatrix([[1, 2], [0, 3]])
-
 
 class TestRref:
     @given(qmatrix_st())

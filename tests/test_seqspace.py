@@ -398,6 +398,20 @@ class TestOrbitSup:
         with pytest.raises(NoSupremumError):
             orbit_sup(op, u.abs())
 
+    def test_fixed_start_is_its_own_limit(self):
+        """A finite part the block fixes is its own limit even when the
+        eigenvalue 1 is defective, and no projection is built or kept."""
+        block = QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+        op = ShiftInsertOperator(schema=IndexSchema(("a", "b", "c")), finite_block=block)
+        g = SymbolicVector(op.schema, QVector([1, 0, 0]), ())
+        with pytest.raises(DefectiveEigenvalueError):
+            fix_projection(block)
+        for power in (1, 2):
+            result = orbit_sup(op, g, power)
+            assert result.outcome == "Stabilized"
+            assert result.supremum == g
+        assert op._limits == {}
+
     def test_e42_first_limit_step(self):
         op = builtin_operator("e42")
         basis = symbolic_fixed_space(op)
@@ -758,9 +772,10 @@ class TestEnforcedChecks:
         assert result.evidence == (Fraction(1), Fraction(2), Fraction(4))
         assert len(calls) == 1
 
-    def test_growth_certifies_one_limit_matrix(self, monkeypatch):
-        # the square's three limit steps share one projection, that of
-        # the block squared
+    def test_growth_reads_fixed_states_as_their_own_limits(self, monkeypatch):
+        # the block squared is the identity, so each of the square's
+        # three limit steps finds its finite part fixed and builds no
+        # projection (e42's two steps share one: see test_fixlattice)
         op = builtin_operator("e43")
         (f,) = symbolic_eigenspace(op, -1)
         calls = []
@@ -773,7 +788,7 @@ class TestEnforcedChecks:
         monkeypatch.setattr(seqspace, "fix_projection", counted)
         result = orbit_sup(op, f.abs(), power=2)
         assert result.outcome == "Unbounded"
-        assert len(calls) == 1
+        assert calls == [] and op._limits == {}
 
     def test_raised_under_optimized_python(self):
         src = Path(__file__).resolve().parents[1] / "src"

@@ -203,14 +203,25 @@ class TestMatrixOperations:
     def test_shape_operations(self, rows, c):
         q, f = QMatrix(rows), FMatrix(rows)
         assert_same_matrix(q.transpose(), f.transpose())
-        assert_same_matrix(QMatrix.from_columns(q.rows), FMatrix.from_columns(f.rows))
         assert_same_matrix(q.scale(c), f.scale(c))
         assert_same_matrix(q + q.scale(c), f + f.scale(c))
         assert_same_matrix(q - q.scale(c), f - f.scale(c))
         assert q.is_nonneg() == f.is_nonneg()
         ints, d = q.int_rows()
         assert d == lcm(*(x.denominator for r in f.rows for x in r.entries))
-        assert ints == [[x * d for x in r.entries] for r in f.rows]
+        assert ints == tuple(tuple(x * d for x in r.entries) for r in f.rows)
+
+    def test_int_rows_are_computed_once_as_tuples(self):
+        q = QMatrix([[Fraction(1, 2), 3], [Fraction(-1, 3), 0]])
+        ints = q.int_rows()
+        assert q.int_rows() is ints
+        assert ints == (((3, 18), (-2, 0)), 6)
+        assert type(ints[0]) is tuple and all(type(r) is tuple for r in ints[0])
+        # every product with q reads the one integer form
+        q.matvec(QVector([1, 1]))
+        QMatrix.identity(2).matmul(q)
+        q.transpose()
+        assert q.int_rows() is ints
 
     @given(st.integers(0, 3).flatmap(lambda n: matrix_entries_st(n, n)), st.integers(0, 3))
     def test_power_identity_zero(self, rows, k):

@@ -9,7 +9,7 @@ denominator) can be compared with it exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from latfix.exactnum.rational import ONE, ZERO, rat
 
@@ -112,10 +112,6 @@ class FMatrix:
     @staticmethod
     def zero(nrows: int, ncols: int) -> "FMatrix":
         return FMatrix([FVector.zero(ncols) for _ in range(nrows)])
-
-    @staticmethod
-    def from_columns(cols: Sequence[FVector]) -> "FMatrix":
-        return FMatrix(cols).transpose()
 
     @property
     def nrows(self) -> int:
