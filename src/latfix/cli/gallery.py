@@ -191,7 +191,8 @@ def case_e43() -> dict:
     op = builtin_operator("e43")
     minus = symbolic_eigenspace(op, -1)
     plus = symbolic_eigenspace(op, 1)
-    square_fix = symbolic_fixed_space(op, power=2)
+    # Fix(T^2) is spanned by the eigenvectors at 1 and -1 (symbolic_fixed_space)
+    square_fix = plus + minus
     embedded = constant_profile_embedding(op.schema, square_fix)
     classification = embedded.classification
     f = minus[0]

@@ -243,9 +243,6 @@ class QMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
-
     def int_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(D * rows, D): the rows as integer tuples over the least common
         denominator D of all entries, computed once per matrix."""

@@ -38,18 +38,17 @@ from .conegeom import (
     least_upper_bound_in,
 )
 from .exactnum import TheoremViolationError
-from .exactnum.linalg import fix_projection
 from .exactnum.rational import QVector
 from .exactnum.record import record
 from .opcore import (
     OperatorFamily,
     PositiveMatrixOperator,
-    increasing_orbit_limit,
+    increasing_orbit_limits,
     super_fixed_check,
     vector_norm,
 )
 from . import seqspace
-from .seqspace import NoSupremumError, ShiftInsertOperator, SymbolicVector
+from .seqspace import ShiftInsertOperator, SymbolicVector
 
 
 # limit steps a symbolic transfinite trace takes before it gives up
@@ -211,11 +210,7 @@ def _matrix_trace(
     for v in vectors:
         if m @ v != v:
             raise ValueError("vector outside the fixed space")
-    g_e = reduce(QVector.cwise_max, vectors)
-    # a fixed start is its own limit, whether or not 1 is semisimple
-    h = g_e if m @ g_e == g_e else increasing_orbit_limit(m, fix_projection(m), g_e)
-    if h is None:
-        raise NoSupremumError("the increasing orbit of the ambient supremum is unbounded")
+    (h,) = increasing_orbit_limits(m, [reduce(QVector.cwise_max, vectors)])
     step = TraceStep(limit_step_index=1, vector=h, is_fixed=True)
     return TransfiniteTrace(
         steps=(step,),
@@ -272,18 +267,15 @@ def transfinite_trace(
     """Iterated monotone limit steps from the ambient supremum of fixed
     vectors up to a fixed point.
 
-    Each step replaces the current vector with the supremum of its
-    orbit under the power-fold operator.  A matrix operator reaches
-    fixity in a single step (a fixed start is its own limit; otherwise
-    the orbit limit is the fixed-space
-    projection of the start when that dominates it, and the orbit is
-    unbounded otherwise: NoSupremumError, or a TheoremViolationError
-    for a power bounded matrix); the symbolic case can need several,
-    and can also certify that the limit steps themselves grow without
-    bound, which is reported as Unbounded rather than an error.  The
-    power argument iterates the square (or a higher power) of the
-    operator, matching the example where only the square admits a
-    monotone orbit.
+    Each step replaces the current vector with the supremum of its orbit
+    under the power-fold operator.  A matrix operator reaches fixity in
+    a single step, the limit `opcore.increasing_orbit_limits` certifies
+    (NoSupremumError for an unbounded orbit, or a TheoremViolationError
+    for a power bounded matrix); the symbolic case can need several, and
+    can also certify that the limit steps themselves grow without bound,
+    which is reported as Unbounded rather than an error.  The power
+    argument iterates the square (or a higher power) of the operator,
+    matching the example where only the square admits a monotone orbit.
     """
     if power < 1:
         raise ValueError("power must be a positive integer")

@@ -24,7 +24,7 @@ from operator import mul
 
 from .conegeom import Subspace
 from .exactnum import TheoremViolationError
-from .exactnum.linalg import char_poly, kernel_basis, rank
+from .exactnum.linalg import char_poly, fix_projection, kernel_basis, rank
 from .exactnum.polynomials import (
     QPolynomial,
     cyclotomic,
@@ -34,6 +34,13 @@ from .exactnum.polynomials import (
 )
 from .exactnum.rational import ONE, ZERO, QMatrix, QVector
 from .exactnum.record import record
+
+
+class NoSupremumError(ValueError):
+    """An increasing orbit has no supremum in the space itself: it is
+    unbounded, or (for a symbolic orbit) the candidate supremum has a
+    nonzero tail on a c0 chain, so no element of the space dominates the
+    orbit minimally (the space is not monotonically complete)."""
 
 
 @record
@@ -261,23 +268,36 @@ def power_bounded_analysis(op: PositiveMatrixOperator) -> PowerBoundAnalysis:
     return PowerBoundAnalysis("Yes", None, "boundary roots all semisimple")
 
 
-def increasing_orbit_limit(m: QMatrix, proj: QMatrix, s: QVector) -> QVector | None:
-    """Limit of the increasing orbit s, Ms, M^2 s, ... of a nonnegative M
-    with Ms >= s, from P = fix_projection(M): Ps, or None if unbounded.
+def increasing_orbit_limits(m: QMatrix, starts: Sequence[QVector]) -> list[QVector]:
+    """Limits of the increasing orbits s, Ms, M^2 s, ... of a nonnegative
+    M, one per start s with Ms >= s.
 
-    If h = Ps >= s, then M >= 0 and Mh = h give M^n s <= h, so the orbit
+    A start M fixes is its own limit, whether or not the eigenvalue 1 is
+    semisimple.  For the others P = fix_projection(M) is built once: if
+    h = Ps >= s, then M >= 0 and Mh = h give M^n s <= h, so the orbit
     increases to a fixed L; s - L = lim sum_{k<n} (I - M) M^k s lies in
     range(I - M), along which P projects onto ker(I - M), so L = Ps.
     The same argument makes any limit Ps and >= s, so otherwise the
-    orbit has no limit and is unbounded.  A power bounded M has bounded
+    orbit is unbounded: NoSupremumError.  A power bounded M has bounded
     orbits, so for it that is a TheoremViolationError (the spectrum is
     read only on this path), as is Mh != h.
     """
-    h = proj @ s
-    if m @ h != h:
-        raise TheoremViolationError("increasing orbit limit is not fixed")
-    if h.ge(s):
-        return h
-    if power_bounded_analysis(PositiveMatrixOperator(m)).verdict == "Yes":
-        raise TheoremViolationError("orbit of a power bounded matrix is unbounded")
-    return None
+    proj = None
+    limits = []
+    for s in starts:
+        if m @ s == s:
+            limits.append(s)
+            continue
+        if proj is None:
+            proj = fix_projection(m)
+        h = proj @ s
+        if m @ h != h:
+            raise TheoremViolationError("increasing orbit limit is not fixed")
+        if not h.ge(s):
+            if power_bounded_analysis(PositiveMatrixOperator(m)).verdict == "Yes":
+                raise TheoremViolationError(
+                    "orbit of a power bounded matrix is unbounded"
+                )
+            raise NoSupremumError("an increasing orbit is unbounded")
+        limits.append(h)
+    return limits

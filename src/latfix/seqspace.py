@@ -14,8 +14,8 @@ exact computation possible on this class:
   representable vector;
 * tails are invariant under the shift-insert action and the finite
   part evolves as x -> Ax on its own, so monotone orbit suprema have
-  closed forms through the fixed-space projection of a power of the
-  finite block, which also decides whether the finite orbit converges.
+  closed forms: `opcore.increasing_orbit_limits` gives the limit of the
+  finite orbit under a power of the finite block, or finds it unbounded.
 
 A chain (or grid row) is one `QVector`, the prefix entries followed by
 the tail, and every symbolic-vector operation (sums, maxima, moduli,
@@ -44,15 +44,14 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 
 from .conegeom import Subspace
 from .exactnum import TheoremViolationError
-from .exactnum.linalg import fix_projection, kernel_basis
+from .exactnum.linalg import kernel_basis
 from .exactnum.rational import ONE, ZERO, QMatrix, QVector, rat
 from .exactnum.record import record
-from .opcore import increasing_orbit_limit
+from .opcore import NoSupremumError, increasing_orbit_limits
 
 C_ZERO = "CZero"
 L_INFTY = "LInfty"
@@ -62,13 +61,6 @@ class UnsupportedClosedFormError(ValueError):
     """The orbit supremum exists pointwise but is not eventually
     constant: with a power p > 1 a chain's inserted values oscillate
     between the residue classes of the insertion position."""
-
-
-class NoSupremumError(ValueError):
-    """The increasing orbit has no supremum in the space itself: its
-    finite part is unbounded, or the candidate supremum has a nonzero
-    tail on a c0 chain, so no element of the space dominates the orbit
-    minimally (the space is not monotonically complete)."""
 
 
 @record
@@ -375,12 +367,6 @@ class ShiftInsertOperator:
             if not self.grid_row0_source.is_nonneg() or self.grid_cross < 0:
                 raise ValueError("operator coefficients must be nonnegative")
 
-    @cached_property
-    def _limits(self) -> dict[QMatrix, QMatrix]:
-        """Each power of the finite block whose projection a limit step
-        needed -> its fix_projection."""
-        return {}
-
 
 def apply(op: ShiftInsertOperator, v: SymbolicVector) -> SymbolicVector:
     """Exact image of a representable vector."""
@@ -535,34 +521,24 @@ def _limit_step(op: ShiftInsertOperator, g: SymbolicVector, power: int) -> Symbo
     """Supremum of the increasing orbit g, T^p g, T^2p g, ... of a super
     fixed g (p = power), certified to dominate g.
 
-    The finite part evolves as x -> Ax on its own, and each state x,
-    Ax, ..., A^(p-1)x increases under A^p to the limit that
-    `opcore.increasing_orbit_limit` reads off the operator's cached
-    projection of A^p, or is unbounded (NoSupremumError).  When A^p
-    fixes every state, the states are their own limits and no projection
-    is built (none exists when the eigenvalue 1 is defective).  Tails are
-    orbit invariants, so each chain's inserted values increase to the
-    source functional evaluated on those limits and on g's chain tails,
-    and monotonicity forces every original value below it, so the chain
-    supremum is the constant source limit.  Grid row k >= 1 receives
-    cross * (tail of row k-1 of g), bounding its supremum the same way.
-    With p > 1 the source limit is taken per residue class of the
-    insertion position; the supremum is representable only when all agree.
+    The finite part evolves as x -> Ax on its own, and each state x, Ax,
+    ..., A^(p-1)x increases under A^p to the limit that
+    `opcore.increasing_orbit_limits` certifies, or is unbounded
+    (NoSupremumError).  Tails are orbit invariants, so each chain's
+    inserted values increase to the source functional evaluated on those
+    limits and on g's chain tails, and monotonicity forces every
+    original value below it, so the chain supremum is the constant
+    source limit.  Grid row k >= 1 receives cross * (tail of row k-1 of
+    g), bounding its supremum the same way.  With p > 1 the source limit
+    is taken per residue class of the insertion position; the supremum
+    is representable only when all agree.
     """
     s = op.schema
     m = op.finite_block.power(power)
     states = [g.finite_part]
     for _ in range(power - 1):
         states.append(op.finite_block @ states[-1])
-    if all(m @ x == x for x in states):
-        finite_limits = states
-    else:
-        proj = op._limits.get(m)
-        if proj is None:
-            proj = op._limits[m] = fix_projection(m)
-        finite_limits = [increasing_orbit_limit(m, proj, x) for x in states]
-    if any(limit is None for limit in finite_limits):
-        raise NoSupremumError("the increasing orbit of the finite part is unbounded")
+    finite_limits = increasing_orbit_limits(m, states)
 
     def residue_limits(spec: LinearFunctionalSpec) -> Fraction:
         values = {
@@ -612,8 +588,8 @@ def orbit_sup(op: ShiftInsertOperator, g: SymbolicVector, power: int = 1) -> Orb
     norms geometrically without end.  That growth is certified by two
     further limit steps, each from the previous supremum (which must be
     super fixed), and reported as Unbounded with the norms of the three
-    successive suprema as evidence.  The limit steps share one cached
-    projection of A^p; an unbounded finite orbit is NoSupremumError.
+    successive suprema as evidence.  An unbounded finite orbit is
+    NoSupremumError.
     """
     if power < 1:
         raise ValueError("power must be a positive integer")

@@ -284,7 +284,7 @@ def reference_extreme_rays(rows: Sequence[QVector]) -> tuple[QVector, ...]:
         raise ValueError("inequality rows do not span; cone is not pointed")
     inverse = reference_inverse(QMatrix([rows[i] for i in chosen]))
     rays = [
-        _primitive_ray(QVector(inverse.entry(i, k) for i in range(d)))
+        _primitive_ray(QVector(inverse.rows[i][k] for i in range(d)))
         for k in range(d)
     ]
     processed = list(chosen)

@@ -74,12 +74,12 @@ def reference_operator_norm(op: PositiveMatrixOperator) -> Fraction:
         if n == 0:
             return Fraction(0)
         return max(
-            sum((abs(m.entry(i, j)) for i in range(n)), Fraction(0))
+            sum((abs(m.rows[i][j]) for i in range(n)), Fraction(0))
             for j in range(n)
         )
     w = tag.weights
     return max(
-        sum((w[i] * abs(m.entry(i, j)) for i in range(n)), Fraction(0)) / w[j]
+        sum((w[i] * abs(m.rows[i][j]) for i in range(n)), Fraction(0)) / w[j]
         for j in range(n)
     )
 

@@ -189,7 +189,7 @@ def reference_apply(op: ShiftInsertOperator, v: FSymbolicVector) -> FSymbolicVec
     grid row k takes cross * (tail of row k-1)."""
     nf = op.schema.finite_dim
     finite = [
-        sum((op.finite_block.entry(i, j) * v.finite[j] for j in range(nf)), ZERO)
+        sum((op.finite_block.rows[i][j] * v.finite[j] for j in range(nf)), ZERO)
         for i in range(nf)
     ]
     chains = tuple(

@@ -417,7 +417,7 @@ class TestMatrixTrace:
         def forbidden(m):
             raise AssertionError("fix_projection called")
 
-        monkeypatch.setattr(fixlattice, "fix_projection", forbidden)
+        monkeypatch.setattr(opcore, "fix_projection", forbidden)
         t = PositiveMatrixOperator(QMatrix(rows), SUP_NORM)
         f = QVector(start)
         trace = transfinite_trace(t, [f])
@@ -429,18 +429,19 @@ class TestMatrixTrace:
 
 class TestSymbolicTrace:
     def test_e42_certifies_one_limit_matrix(self, monkeypatch):
-        # both limit steps power the same finite block, and the
-        # operator projects it once across the two orbit suprema
+        # the first limit step projects the finite block once; the
+        # second starts from a finite part the block fixes, so it is
+        # its own limit and builds no projection
         op = builtin_operator("e42")
         f = next(v for v in symbolic_fixed_space(op) if not v.abs() == v)
         calls = []
-        real = seqspace.fix_projection
+        real = opcore.fix_projection
 
         def counted(m):
             calls.append(m)
             return real(m)
 
-        monkeypatch.setattr(seqspace, "fix_projection", counted)
+        monkeypatch.setattr(opcore, "fix_projection", counted)
         trace = transfinite_trace(op, [f, f.scale(-1)])
         assert trace.limit_steps == 2
         assert len(calls) == 1
@@ -530,7 +531,7 @@ class TestEnforcedChecks:
         # an identity "projection" leaves the ambient supremum (1, 0, 1)
         # where it is, which dominates itself but is not fixed
         monkeypatch.setattr(
-            fixlattice, "fix_projection", lambda m: QMatrix.identity(m.nrows)
+            opcore, "fix_projection", lambda m: QMatrix.identity(m.nrows)
         )
         f_hat = QVector([1, 0, -1])
         with pytest.raises(TheoremViolationError, match="not fixed"):
@@ -540,7 +541,7 @@ class TestEnforcedChecks:
         # a zero "projection" reads the orbit of (1, 0, 1) as unbounded,
         # which the power bounded averaging operator rules out
         monkeypatch.setattr(
-            fixlattice, "fix_projection", lambda m: QMatrix.zero(m.nrows, m.ncols)
+            opcore, "fix_projection", lambda m: QMatrix.zero(m.nrows, m.ncols)
         )
         f_hat = QVector([1, 0, -1])
         with pytest.raises(TheoremViolationError, match="power bounded"):

@@ -8,18 +8,22 @@ the matrix; the cyclotomic content against the same reference; the
 integer commute check against the rational products, and the fixed
 space by restriction against the kernel of the stacked `QMatrix` rows
 (`product_oracles.reference_fixed_space`), on Kronecker families too.
+Increasing orbit limits are checked against their defining properties
+with sympy's rank, never through the fixed-space projection.
 """
 
+import random
 import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from latfix import cyclicity, opcore
+from latfix import cyclicity, opcore, seqspace
 from latfix.cyclicity import verify_dimension_cyclicity
-from latfix.exactnum import TheoremViolationError
+from latfix.exactnum import DefectiveEigenvalueError, TheoremViolationError
 from latfix.exactnum import linalg
 from latfix.exactnum.linalg import char_poly, poly_of_matrix, rank
 from latfix.exactnum.polynomials import (
@@ -38,6 +42,7 @@ from latfix.opcore import (
     OperatorFamily,
     PositiveMatrixOperator,
     contraction_check,
+    increasing_orbit_limits,
     operator_norm,
     power_bounded_analysis,
     super_fixed_check,
@@ -179,9 +184,9 @@ class TestFamily:
         a = QMatrix([[half, 0, 0], [0, half + e, 0], [0, 0, rat("1/3")]])
         b = QMatrix([[half, e, 0], [0, half, 0], [0, 0, rat("2/7")]])
         diff = a @ b - b @ a
-        nonzero = [(i, j) for i in range(3) for j in range(3) if diff.entry(i, j)]
+        nonzero = [(i, j) for i in range(3) for j in range(3) if diff.rows[i][j]]
         assert nonzero == [(0, 1)]
-        assert abs(diff.entry(0, 1)) == Fraction(1, 10**12)
+        assert abs(diff.rows[0][1]) == Fraction(1, 10**12)
         with pytest.raises(ValueError, match="members 0 and 1 do not commute"):
             OperatorFamily(
                 [PositiveMatrixOperator(a), PositiveMatrixOperator(b)]
@@ -738,3 +743,117 @@ class TestEnforcedChecks:
         monkeypatch.setattr(opcore, "has_unimodular_root", lambda p: True)
         with pytest.raises(TheoremViolationError, match="not a root of unity"):
             power_bounded_analysis(PositiveMatrixOperator(cycle_matrix(3)))
+
+
+def counting_projections(mp: pytest.MonkeyPatch) -> list[QMatrix]:
+    """Records each matrix `opcore.fix_projection` is built for."""
+    calls: list[QMatrix] = []
+    real = opcore.fix_projection
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    mp.setattr(opcore, "fix_projection", counted)
+    return calls
+
+
+def to_sympy(m: QMatrix) -> sympy.Matrix:
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in m.rows])
+
+
+@st.composite
+def super_fixed_starts(draw):
+    """A substochastic M and starts s with Ms >= s, shuffled: fixed
+    combinations of sympy's nullspace of M - I (zero when there is
+    none), and such combinations less sum_j c_j M^j 1 with c_0 > 0 and
+    c_j >= 0, which M moves up since M^(j+1) 1 <= M^j 1 (unless M 1 = 1)."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 5))
+    m = draw(st.sampled_from([random_substochastic, random_row_stochastic]))(rng, n)
+    fixed = [
+        QVector(Fraction(int(x.p), int(x.q)) for x in v)
+        for v in (to_sympy(m) - sympy.eye(n)).nullspace()
+    ]
+    powers = [QVector([1] * n)]
+    for _ in range(2):
+        powers.append(m @ powers[-1])
+
+    def fixed_combination():
+        s = QVector.zero(n)
+        for f in fixed:
+            s = s + f.scale(draw(st.integers(-3, 3)))
+        return s
+
+    starts = [fixed_combination() for _ in range(draw(st.integers(1, 2)))]
+    for _ in range(draw(st.integers(1, 2))):
+        s = fixed_combination() - powers[0].scale(Fraction(draw(st.integers(1, 4)), 2))
+        for p in powers[1:]:
+            s = s - p.scale(Fraction(draw(st.integers(0, 4)), 2))
+        starts.append(s)
+    return m, draw(st.permutations(starts))
+
+
+class TestIncreasingOrbitLimits:
+    """`opcore.increasing_orbit_limits`: a fixed start is its own limit,
+    the projection is built at most once per call and only for a moving
+    start, and an unbounded orbit is NoSupremumError."""
+
+    @given(super_fixed_starts())
+    @settings(max_examples=150, deadline=None)
+    def test_limits_are_fixed_dominate_and_differ_by_a_range_vector(self, case):
+        m, starts = case
+        n = m.nrows
+        with pytest.MonkeyPatch.context() as mp:
+            calls = counting_projections(mp)
+            limits = increasing_orbit_limits(m, starts)
+        moving = [s for s in starts if m @ s != s]
+        assert len(calls) == (1 if moving else 0)
+        gap = to_sympy(QMatrix.identity(n) - m)
+        assert len(limits) == len(starts)
+        for s, h in zip(starts, limits):
+            assert (m @ s).ge(s)
+            if m @ s == s:
+                assert h == s
+            assert m @ h == h and h.ge(s)
+            step = to_sympy(QMatrix([h - s]).transpose())
+            assert sympy.Matrix.hstack(gap, step).rank() == gap.rank()
+
+    def test_power_two_state_pair_builds_one_projection(self):
+        # the averaging block squared is not the identity, and it moves
+        # both states (1, 0, 1) and A(1, 0, 1) = (1, 2/3, 1)
+        third = Fraction(1, 3)
+        block = QMatrix([[1, 0, 0], [third, third, third], [0, 0, 1]])
+        assert block.power(2) != QMatrix.identity(3)
+        op = seqspace.ShiftInsertOperator(
+            schema=seqspace.IndexSchema(("a", "b", "c")), finite_block=block
+        )
+        g = seqspace.SymbolicVector(op.schema, QVector([1, 0, 1]), ())
+        with pytest.MonkeyPatch.context() as mp:
+            calls = counting_projections(mp)
+            result = seqspace.orbit_sup(op, g, power=2)
+        assert calls == [block.power(2)]
+        assert result.outcome == "Stabilized"
+        assert result.supremum.finite_part == QVector([1, 1, 1])
+
+    def test_fixed_starts_build_no_projection(self, monkeypatch):
+        # 1 is a defective eigenvalue, so no projection exists at all
+        jordan = QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+        with pytest.raises(DefectiveEigenvalueError):
+            opcore.fix_projection(jordan)
+
+        def forbidden(m):
+            raise AssertionError("fix_projection called")
+
+        monkeypatch.setattr(opcore, "fix_projection", forbidden)
+        starts = [QVector([1, 0, 0]), QVector([-2, 0, 5]), QVector.zero(3)]
+        assert increasing_orbit_limits(jordan, starts) == starts
+        assert increasing_orbit_limits(jordan, []) == []
+
+    def test_unbounded_orbit_has_no_supremum(self):
+        # (1, 0) doubles under diag(2, 1), whose projection sends it to 0
+        m = QMatrix([[2, 0], [0, 1]])
+        with pytest.raises(opcore.NoSupremumError, match="unbounded"):
+            increasing_orbit_limits(m, [QVector([0, 1]), QVector([1, 0])])
+        assert seqspace.NoSupremumError is opcore.NoSupremumError
+        assert issubclass(opcore.NoSupremumError, ValueError)

@@ -142,7 +142,7 @@ class TestRref:
     def test_rref_pivots_are_unit_columns(self, a):
         r, pivots = rref(a)
         for k, j in enumerate(pivots):
-            col = [r.entry(i, j) for i in range(r.nrows)]
+            col = [r.rows[i][j] for i in range(r.nrows)]
             assert col[k] == 1
             assert all(x == 0 for i, x in enumerate(col) if i != k)
 

@@ -151,17 +151,18 @@ def test_subspace_pivots_are_set_on_construction_but_not_a_field(instances):
         conegeom.Subspace(*_init_kwargs(a).values(), a.pivots)
 
 
-def test_shift_insert_limits_are_a_per_operator_cache(instances):
-    ops = instances[seqspace.ShiftInsertOperator]
-    assert len(ops) >= 2
-    assert "_limits" not in seqspace.ShiftInsertOperator.__record_fields__
-    assert len({id(op._limits) for op in ops}) == len(ops)
-    rebuilt = seqspace.ShiftInsertOperator(**_init_kwargs(ops[0]))
-    assert rebuilt._limits == {} and rebuilt._limits is not ops[0]._limits
-    rebuilt._limits[QMatrix.identity(1)] = QMatrix.identity(1)
-    assert len(rebuilt._limits) == 1
-    assert rebuilt == ops[0] and hash(rebuilt) == hash(ops[0])
-    assert repr(rebuilt) == repr(ops[0]) and "_limits" not in repr(rebuilt)
+def test_subspace_classification_is_a_per_object_cache(instances):
+    subspaces = list({id(s): s for s in instances[conegeom.Subspace] if s.basis}.values())
+    assert len(subspaces) >= 2
+    assert "classification" not in conegeom.Subspace.__record_fields__
+    assert len({id(s.classification) for s in subspaces}) == len(subspaces)
+    a = subspaces[0]
+    rebuilt = conegeom.Subspace(**_init_kwargs(a))
+    assert "classification" in vars(a) and "classification" not in vars(rebuilt)
+    assert rebuilt == a and hash(rebuilt) == hash(a)
+    assert repr(rebuilt) == repr(a) and "classification" not in repr(a)
+    assert rebuilt.classification == a.classification
+    assert rebuilt.classification is not a.classification
 
 
 def test_missing_argument_is_a_type_error():

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from latfix import seqspace
+from latfix import opcore, seqspace
 from latfix.exactnum import DefectiveEigenvalueError, TheoremViolationError
 from latfix.exactnum.linalg import char_poly, fix_projection
 from latfix.exactnum.polynomials import QPolynomial
@@ -86,7 +86,7 @@ def apply_expanded(op: ShiftInsertOperator, expanded):
     finite, chains, grid = expanded
     nf = len(finite)
     new_finite = [
-        sum(op.finite_block.entry(i, j) * finite[j] for j in range(nf))
+        sum(op.finite_block.rows[i][j] * finite[j] for j in range(nf))
         for i in range(nf)
     ]
     new_chains = tuple(
@@ -400,7 +400,7 @@ class TestOrbitSup:
 
     def test_fixed_start_is_its_own_limit(self):
         """A finite part the block fixes is its own limit even when the
-        eigenvalue 1 is defective, and no projection is built or kept."""
+        eigenvalue 1 is defective, and no projection is built."""
         block = QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
         op = ShiftInsertOperator(schema=IndexSchema(("a", "b", "c")), finite_block=block)
         g = SymbolicVector(op.schema, QVector([1, 0, 0]), ())
@@ -410,7 +410,6 @@ class TestOrbitSup:
             result = orbit_sup(op, g, power)
             assert result.outcome == "Stabilized"
             assert result.supremum == g
-        assert op._limits == {}
 
     def test_e42_first_limit_step(self):
         op = builtin_operator("e42")
@@ -676,7 +675,7 @@ class TestOrbitLimitAgainstOracle:
 
 E42_ORBIT_UNDER_DEFECT = """
 import sys
-from latfix import seqspace
+from latfix import opcore, seqspace
 from latfix.exactnum import TheoremViolationError
 from latfix.exactnum.rational import QMatrix, QVector
 
@@ -694,7 +693,7 @@ sys.exit(1)
 # each defect makes orbit_sup of e42 from its sign-mixed modulus fail a check
 E42_DEFECTS = {
     "zero projection": (
-        "seqspace.fix_projection = lambda m: QMatrix.zero(m.nrows, m.ncols)"
+        "opcore.fix_projection = lambda m: QMatrix.zero(m.nrows, m.ncols)"
     ),
     "chain below the start": (
         "seqspace.chain_value = lambda prefix, tail: seqspace.ChainValue(QVector([-1]))"
@@ -729,7 +728,7 @@ class TestEnforcedChecks:
         # which reads as an unbounded orbit; the averaging block is
         # power bounded, so that is a defect
         monkeypatch.setattr(
-            seqspace, "fix_projection", lambda m: QMatrix.zero(m.nrows, m.ncols)
+            opcore, "fix_projection", lambda m: QMatrix.zero(m.nrows, m.ncols)
         )
         op, g = e42_sign_mixed_modulus()
         with pytest.raises(TheoremViolationError, match="power bounded"):
@@ -775,20 +774,20 @@ class TestEnforcedChecks:
     def test_growth_reads_fixed_states_as_their_own_limits(self, monkeypatch):
         # the block squared is the identity, so each of the square's
         # three limit steps finds its finite part fixed and builds no
-        # projection (e42's two steps share one: see test_fixlattice)
+        # projection (e42's first step builds one: see test_fixlattice)
         op = builtin_operator("e43")
         (f,) = symbolic_eigenspace(op, -1)
         calls = []
-        real = seqspace.fix_projection
+        real = opcore.fix_projection
 
         def counted(m):
             calls.append(m)
             return real(m)
 
-        monkeypatch.setattr(seqspace, "fix_projection", counted)
+        monkeypatch.setattr(opcore, "fix_projection", counted)
         result = orbit_sup(op, f.abs(), power=2)
         assert result.outcome == "Unbounded"
-        assert calls == [] and op._limits == {}
+        assert calls == []
 
     def test_raised_under_optimized_python(self):
         src = Path(__file__).resolve().parents[1] / "src"
