@@ -18,11 +18,8 @@ from ..cyclicity import (
     semigroup_imaginary_check,
     verify_dimension_cyclicity,
 )
-from ..fixlattice import (
-    TheoremViolationError,
-    fixed_space_report,
-    sup_in_fixspace,
-)
+from ..exactnum import TheoremViolationError
+from ..fixlattice import fixed_space_report, sup_in_fixspace
 from ..opcore import vector_norm
 from . import gallery
 

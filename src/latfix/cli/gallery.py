@@ -191,7 +191,9 @@ def case_e43() -> dict:
     op = builtin_operator("e43")
     minus = symbolic_eigenspace(op, -1)
     plus = symbolic_eigenspace(op, 1)
-    # Fix(T^2) is spanned by the eigenvectors at 1 and -1 (symbolic_fixed_space)
+    # Fix(T^2) is spanned by the eigenvectors at 1 and -1: a fixed vector v
+    # of T^2 splits as v = (v + Tv)/2 + (v - Tv)/2, eigenvectors of T at 1
+    # and -1 within the representable class
     square_fix = plus + minus
     embedded = constant_profile_embedding(op.schema, square_fix)
     classification = embedded.classification

@@ -10,29 +10,13 @@ dataclass because each command is a fresh interpreter: that module's
 import and its per-class method generation cost more than a small
 command's answer.  A record holds only its fields; derived state is a
 ``cached_property`` or is set by ``__post_init__``.
+
+Import each name from the submodule that defines it (`linalg`,
+`polynomials`, `rational`, `record`).  The package itself defines
+`TheoremViolationError`; `euler_phi` is re-exported for the benchmark
+workloads, which import it from here.
 """
-from .linalg import (
-    DefectiveEigenvalueError,
-    char_poly,
-    fix_projection,
-    kernel_basis,
-    poly_of_matrix,
-    rank,
-    row_space_basis,
-    rref,
-    solve,
-)
-from .polynomials import (
-    QPolynomial,
-    cyclotomic,
-    cyclotomic_order,
-    euler_phi,
-    orders_with_phi_at_most,
-    poly_gcd,
-    squarefree_decomposition,
-    sturm_count,
-)
-from .rational import ONE, ZERO, QMatrix, QVector, rat, rat_str
+from .polynomials import euler_phi
 
 
 class TheoremViolationError(RuntimeError):
@@ -40,29 +24,4 @@ class TheoremViolationError(RuntimeError):
     input; this signals a defect, not a legitimate outcome."""
 
 
-__all__ = [
-    "DefectiveEigenvalueError",
-    "ONE",
-    "QMatrix",
-    "QPolynomial",
-    "QVector",
-    "TheoremViolationError",
-    "ZERO",
-    "char_poly",
-    "cyclotomic",
-    "cyclotomic_order",
-    "euler_phi",
-    "fix_projection",
-    "kernel_basis",
-    "orders_with_phi_at_most",
-    "poly_gcd",
-    "poly_of_matrix",
-    "rank",
-    "rat",
-    "rat_str",
-    "row_space_basis",
-    "rref",
-    "solve",
-    "squarefree_decomposition",
-    "sturm_count",
-]
+__all__ = ["TheoremViolationError", "euler_phi"]

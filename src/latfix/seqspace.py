@@ -460,20 +460,9 @@ def symbolic_eigenspace(op: ShiftInsertOperator, lam) -> list[SymbolicVector]:
     return out
 
 
-def symbolic_fixed_space(op: ShiftInsertOperator, power: int = 1) -> list[SymbolicVector]:
-    """Basis of the fixed space of op (power 1) or of its square.
-
-    For the square the identity v = (v + Tv)/2 + (v - Tv)/2 splits any
-    fixed vector of T^2 into eigenvectors of T at 1 and -1, entirely
-    within the representable class, so the union of the two eigenbases
-    spans.  Higher powers would need irrational eigendata and are not
-    supported.
-    """
-    if power == 1:
-        return symbolic_eigenspace(op, 1)
-    if power == 2:
-        return symbolic_eigenspace(op, 1) + symbolic_eigenspace(op, -1)
-    raise ValueError("only powers 1 and 2 are supported")
+def symbolic_fixed_space(op: ShiftInsertOperator) -> list[SymbolicVector]:
+    """Basis of the fixed space of op: its eigenspace at 1."""
+    return symbolic_eigenspace(op, 1)
 
 
 def constant_profile_embedding(

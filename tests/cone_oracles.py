@@ -1,7 +1,7 @@
 """Test-only cone oracles: conic-hull membership, the exhaustive
 sign-pattern sublattice decision, the randomized AM-property check, a
-reference ray-basis supremum, a reference double description, a
-reference least element and a reference simplex.
+reference ray-basis supremum, a reference double description, two
+reference least elements and a reference simplex.
 
 The first three decide by exact linear programs over free variables
 through `minimize_free`, a test-only adapter to
@@ -25,12 +25,14 @@ support criteria must match.  The reference least element is the
 earlier route of `least_element_above` on every subspace, one LP over
 the free coefficients with the n coordinate objectives and n rows,
 which the d objectives a lattice subspace now takes, and the pivot
-coordinates turned into the bounds y >= 0, must match.  The reference
-simplex is a `Fraction` version of `minimize` on the same y >= 0 and
->= rows form and the same pivot rules (the dual phase 1 from the slack
-basis, then Bland's rule): a tableau of `Fraction`s with unscaled
-slacks, reduced by unit-pivot Gauss-Jordan steps, which the integer
-tableau must match exactly.
+coordinates turned into the bounds y >= 0, must match.  On a lattice
+subspace a second reference least element is a closed form in the
+extreme rays, with no LP.  The reference simplex is a `Fraction`
+version of `minimize` on the same y >= 0 and >= rows form and the same
+pivot rules (the dual phase 1 from the slack basis, then Bland's
+rule): a tableau of `Fraction`s with unscaled slacks, reduced by
+unit-pivot Gauss-Jordan steps, which the integer tableau must match
+exactly.
 """
 
 from __future__ import annotations
@@ -224,6 +226,38 @@ def reference_least_element_above(
         )
     candidate = QVector([result.value for result in results])
     return candidate if subspace.contains(candidate) else None
+
+
+def reference_least_element_by_rays(
+    subspace: Subspace, bound: QVector
+) -> QVector | None:
+    """The least element of {z in F : z >= bound}, or None, on a lattice
+    subspace F, in closed form with no LP.
+
+    Let S_k be the coordinates where the extreme ray r_k is the only
+    nonzero ray (never empty on a lattice subspace) and c_k the maximum
+    over j in S_k of bound_j / r_k(j).  An upper bound z = sum_k a_k r_k
+    has z_j = a_k r_k(j) at j in S_k, so a >= c.  If the region is not
+    empty, then for d >= 2 the point c + M(1 - e_k) lies in it for M
+    large, so c is the coordinatewise minimum of the ray coordinates
+    over the region (for d = 1 the region is a >= c_1).  So
+    z = sum_k c_k r_k is the least element when z >= bound, and there
+    is none otherwise."""
+    classification = classify_subspace(subspace)
+    if classification.verdict == Verdict.NOT_LATTICE_SUBSPACE:
+        raise ValueError("ray least element needs a lattice subspace")
+    n = subspace.ambient_dim
+    if bound.dim != n:
+        raise ValueError("bound dimension mismatch")
+    rays = classification.rays
+    z = QVector.zero(n)
+    for k, ray in enumerate(rays):
+        owned = [
+            j for j in range(n)
+            if ray[j] and not any(other[j] for m, other in enumerate(rays) if m != k)
+        ]
+        z += ray.scale(max(bound[j] / ray[j] for j in owned))
+    return z if z.ge(bound) else None
 
 
 def am_property_check(subspace: Subspace, trials: int, seed: int) -> bool:

@@ -42,6 +42,7 @@ from cone_oracles import (
     reference_classification,
     reference_extreme_rays,
     reference_least_element_above,
+    reference_least_element_by_rays,
     reference_positive_cone_rays,
     reference_ray_supremum,
     sign_pattern_sublattice_oracle,
@@ -665,8 +666,9 @@ def feasible(f, bound):
 
 class TestLeastElementReference:
     """The d owned-coordinate objectives on a lattice subspace against
-    the earlier n-objective route (tests/cone_oracles.py): the results,
-    None included, must be exactly equal."""
+    the earlier n-objective route and, on lattice subspaces, against the
+    closed form from the extreme rays (tests/cone_oracles.py): the
+    results, None included, must be exactly equal."""
 
     @given(least_element_cases())
     @example((span(3, (1, 0, -1), (0, 1, 1)), QVector([1, 0, 1])))
@@ -681,9 +683,10 @@ class TestLeastElementReference:
     @settings(max_examples=300, deadline=None)
     def test_matches_reference(self, case):
         f, bound = case
-        assert least_or_error(f, bound, least_element_above) == least_or_error(
-            f, bound, reference_least_element_above
-        )
+        result = least_or_error(f, bound, least_element_above)
+        assert result == least_or_error(f, bound, reference_least_element_above)
+        if f.classification.verdict != Verdict.NOT_LATTICE_SUBSPACE:
+            assert result == reference_least_element_by_rays(f, bound)
 
     def test_matches_reference_on_every_outcome(self):
         """Seeded lattice subspaces of the fixed-space and classification
@@ -710,6 +713,7 @@ class TestLeastElementReference:
                 assert result == reference_least_element_above(f, bound)
                 if f.classification.verdict == Verdict.NOT_LATTICE_SUBSPACE:
                     continue
+                assert result == reference_least_element_by_rays(f, bound)
                 if result is not None:
                     outcomes["found"] += 1
                 elif feasible(f, bound):

@@ -23,9 +23,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from latfix import cyclicity, opcore, seqspace
 from latfix.cyclicity import verify_dimension_cyclicity
-from latfix.exactnum import DefectiveEigenvalueError, TheoremViolationError
+from latfix.exactnum import TheoremViolationError
 from latfix.exactnum import linalg
-from latfix.exactnum.linalg import char_poly, poly_of_matrix, rank
+from latfix.exactnum.linalg import DefectiveEigenvalueError, char_poly, poly_of_matrix, rank
 from latfix.exactnum.polynomials import (
     QPolynomial,
     cyclotomic,

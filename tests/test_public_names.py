@@ -5,7 +5,7 @@ import importlib
 import pytest
 
 
-@pytest.mark.parametrize("module", ["latfix", "latfix.exactnum", "latfix.conegeom"])
+@pytest.mark.parametrize("module", ["latfix.exactnum", "latfix.conegeom"])
 def test_all_names_resolve_without_duplicates(module):
     mod = importlib.import_module(module)
     names = mod.__all__

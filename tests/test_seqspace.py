@@ -18,8 +18,8 @@ from pathlib import Path
 import pytest
 
 from latfix import opcore, seqspace
-from latfix.exactnum import DefectiveEigenvalueError, TheoremViolationError
-from latfix.exactnum.linalg import char_poly, fix_projection
+from latfix.exactnum import TheoremViolationError
+from latfix.exactnum.linalg import DefectiveEigenvalueError, char_poly, fix_projection
 from latfix.exactnum.polynomials import QPolynomial
 from latfix.exactnum.rational import QMatrix, QVector, rat
 from latfix.conegeom.core import Subspace
@@ -364,11 +364,7 @@ class TestEigenspaces:
         assert f.finite_part == QVector([1, -1])
         assert not f.grid_rows
         assert apply(op, f) == f.scale(-1)
-        assert symbolic_fixed_space(op, power=2) == basis
-
-    def test_higher_powers_rejected(self):
-        with pytest.raises(ValueError):
-            symbolic_fixed_space(builtin_operator("e41"), power=3)
+        assert symbolic_eigenspace(op, 1) + symbolic_eigenspace(op, -1) == basis
 
     def test_eigenvalue_restricted(self):
         with pytest.raises(ValueError):
